@@ -7,14 +7,13 @@ execute and easier to attribute.
 
 Determinism contract: successors are expanded in sorted transition-id order,
 then sorted parameter-binding order, so results are byte-identical across
-runs and across worker counts.
+runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -162,14 +161,11 @@ class _Engine:
     def successors(self, vector: tuple):
         """Deterministically ordered (transition, binding, post-vector)."""
         state = state_dict(self.model, vector)
-        out = []
         for t in self.transitions:
             for binding in self.bindings[t.id]:
                 post = self._apply(t, binding, state)
                 if post is not None:
-                    out.append((t.id, binding,
-                                state_vector(self.model, post)))
-        return out
+                    yield t.id, binding, state_vector(self.model, post)
 
     def holds(self, prop: ir.Property, vector: tuple) -> bool:
         return E.evaluate_bool(prop.invariant,
@@ -180,60 +176,65 @@ class _Engine:
 # ---------------------------------------------------------------------------
 # Public operations
 
+def _bfs(eng: _Engine, parents: dict):
+    """Yields each newly reached state in deterministic BFS order.
+
+    `parents` holds only the initial state (mapped to None) on entry; every
+    reached state is recorded as `parents[post] = pre`. Raises
+    StateOverflowError when the depth or state budget ends the search with
+    a live frontier.
+    """
+    bounds = eng.bounds
+    frontier = list(parents)
+    depth = 0
+    while frontier:
+        if depth >= bounds.max_depth:
+            raise StateOverflowError(
+                f"depth bound {bounds.max_depth} hit with live frontier")
+        depth += 1
+        next_frontier = []
+        for pre in frontier:
+            for _, _, post in eng.successors(pre):
+                if post in parents:
+                    continue
+                parents[post] = pre
+                if len(parents) > bounds.max_states:
+                    raise StateOverflowError(
+                        f"more than {bounds.max_states} states")
+                yield post
+                next_frontier.append(post)
+        frontier = next_frontier
+
+
+def _extract(eng: _Engine, prop: ir.Property, parents: dict,
+             final: tuple) -> Counterexample:
+    path = [final]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    path.reverse()
+    # the first successor of pre reaching post is the step BFS recorded
+    steps = tuple(
+        next(TraceStep(tid, binding, post)
+             for tid, binding, reached in eng.successors(pre)
+             if reached == post)
+        for pre, post in zip(path, path[1:]))
+    return Counterexample(eng.model.name, prop.id, len(steps), path[0],
+                          steps)
+
+
 def check(model: ir.ProtocolModel, prop: ir.Property,
-          bounds: Bounds = DEFAULT_BOUNDS, workers: int = 1) -> CheckResult:
+          bounds: Bounds = DEFAULT_BOUNDS) -> CheckResult:
     """BFS reachability; FAIL carries a minimal-depth counterexample.
 
     PASS is reported only when the frontier is exhausted within bounds;
     hitting the depth or state budget yields BOUND_EXHAUSTED, never PASS.
+    A property whose evaluation raises yields an ERROR verdict.
     """
-    eng = _Engine(model, bounds)
-    init = eng.initial()
-    if not eng.holds(prop, init):
-        return CheckResult("FAIL", 1, Counterexample(
-            model.name, prop.id, 0, init, ()))
-
-    parents = {init: None}  # vector -> (pred, tid, binding)
-    frontier = [init]
-    depth = 0
-    while frontier:
-        if depth >= bounds.max_depth:
-            return CheckResult("BOUND_EXHAUSTED", len(parents))
-        depth += 1
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                expanded = list(pool.map(eng.successors, frontier))
-        else:
-            expanded = [eng.successors(v) for v in frontier]
-        next_frontier = []
-        for pre, succs in zip(frontier, expanded):
-            for tid, binding, post in succs:
-                if post in parents:
-                    continue
-                parents[post] = (pre, tid, binding)
-                if len(parents) > bounds.max_states:
-                    return CheckResult("BOUND_EXHAUSTED", len(parents))
-                if not eng.holds(prop, post):
-                    return CheckResult("FAIL", len(parents),
-                                       _extract(model, prop, parents, post))
-                next_frontier.append(post)
-        frontier = next_frontier
-    return CheckResult("PASS", len(parents))
-
-
-def _extract(model, prop, parents, final) -> Counterexample:
-    steps = []
-    cur = final
-    while parents[cur] is not None:
-        pre, tid, binding = parents[cur]
-        steps.append(TraceStep(tid, binding, cur))
-        cur = pre
-    steps.reverse()
-    return Counterexample(model.name, prop.id, len(steps), cur, tuple(steps))
+    return check_all(model, [prop], bounds)[prop.id]
 
 
 def check_all(model: ir.ProtocolModel, properties,
-              bounds: Bounds = DEFAULT_BOUNDS, workers: int = 1) -> dict:
+              bounds: Bounds = DEFAULT_BOUNDS) -> dict:
     """Checks every property over a single shared BFS.
 
     Results match per-property check() calls exactly: BFS visits states
@@ -249,64 +250,31 @@ def check_all(model: ir.ProtocolModel, properties,
     except Exception as exc:
         return {p.id: CheckResult(f"ERROR: {exc}", 0) for p in properties}
 
-    pending = []
-    for prop in properties:
-        try:
-            if not eng.holds(prop, init):
-                results[prop.id] = CheckResult("FAIL", 1, Counterexample(
-                    model.name, prop.id, 0, init, ()))
-            else:
-                pending.append(prop)
-        except Exception as exc:
-            results[prop.id] = CheckResult(f"ERROR: {exc}", 0)
-    if not pending:
-        return results
-
-    parents = {init: None}  # vector -> (pred, tid, binding)
-    frontier = [init]
-    depth = 0
-    while frontier and pending:
-        if depth >= bounds.max_depth:
+    parents = {init: None}
+    pending = list(properties)
+    verdict = "PASS"
+    try:
+        for state in itertools.chain((init,), _bfs(eng, parents)):
+            survivors = []
             for prop in pending:
-                results[prop.id] = CheckResult("BOUND_EXHAUSTED", len(parents))
-            return results
-        depth += 1
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                expanded = list(pool.map(eng.successors, frontier))
-        else:
-            expanded = [eng.successors(v) for v in frontier]
-        next_frontier = []
-        for pre, succs in zip(frontier, expanded):
-            for tid, binding, post in succs:
-                if post in parents:
+                try:
+                    ok = eng.holds(prop, state)
+                except Exception as exc:
+                    results[prop.id] = CheckResult(f"ERROR: {exc}", 0)
                     continue
-                parents[post] = (pre, tid, binding)
-                if len(parents) > bounds.max_states:
-                    for prop in pending:
-                        results[prop.id] = CheckResult(
-                            "BOUND_EXHAUSTED", len(parents))
-                    return results
-                survivors = []
-                for prop in pending:
-                    try:
-                        ok = eng.holds(prop, post)
-                    except Exception as exc:
-                        results[prop.id] = CheckResult(f"ERROR: {exc}", 0)
-                        continue
-                    if ok:
-                        survivors.append(prop)
-                    else:
-                        results[prop.id] = CheckResult(
-                            "FAIL", len(parents),
-                            _extract(model, prop, parents, post))
-                pending = survivors
-                if not pending:
-                    return results
-                next_frontier.append(post)
-        frontier = next_frontier
+                if ok:
+                    survivors.append(prop)
+                else:
+                    results[prop.id] = CheckResult(
+                        "FAIL", len(parents),
+                        _extract(eng, prop, parents, state))
+            pending = survivors
+            if not pending:
+                break
+    except StateOverflowError:
+        verdict = "BOUND_EXHAUSTED"
     for prop in pending:
-        results[prop.id] = CheckResult("PASS", len(parents))
+        results[prop.id] = CheckResult(verdict, len(parents))
     return results
 
 
@@ -314,25 +282,10 @@ def enumerate_states(model: ir.ProtocolModel,
                      bounds: Bounds = DEFAULT_BOUNDS) -> int:
     """Exact count of distinct reachable states within bounds."""
     eng = _Engine(model, bounds)
-    seen = {eng.initial()}
-    frontier = [eng.initial()]
-    depth = 0
-    while frontier:
-        if depth >= bounds.max_depth:
-            raise StateOverflowError(
-                f"depth bound {bounds.max_depth} hit with live frontier")
-        depth += 1
-        nxt = []
-        for v in frontier:
-            for _, _, post in eng.successors(v):
-                if post not in seen:
-                    seen.add(post)
-                    if len(seen) > bounds.max_states:
-                        raise StateOverflowError(
-                            f"more than {bounds.max_states} states")
-                    nxt.append(post)
-        frontier = nxt
-    return len(seen)
+    parents = {eng.initial(): None}
+    for _ in _bfs(eng, parents):
+        pass
+    return len(parents)
 
 
 def validate_trace(model: ir.ProtocolModel, cx: Counterexample,
@@ -421,9 +374,15 @@ def import_counterexample(model: ir.ProtocolModel, text: str) -> Counterexample:
         return tuple(value_from_json(state_obj[v.name], v.sort)
                      for v in model.state_vars)
 
-    steps = tuple(
-        TraceStep(s["action"], tuple(sorted(s["params"].items())),
-                  decode(s["state"]))
-        for s in doc["steps"])
+    def binding(step):
+        try:
+            t = model.transition(step["action"])
+        except KeyError:
+            raise CheckError(f"unknown action {step['action']!r}") from None
+        # the declared parameter order, as the checker binds them
+        return tuple((n, step["params"][n]) for n, _ in t.params)
+
+    steps = tuple(TraceStep(s["action"], binding(s), decode(s["state"]))
+                  for s in doc["steps"])
     return Counterexample(doc["model"], doc["property"], doc["depth"],
                           decode(doc["initial"]), steps)

@@ -75,7 +75,7 @@ def _cmd_check(args) -> int:
         props = [model.property_by_id(args.property)]
     else:
         props = list(model.properties)
-    results = checker.check_all(model, props, bounds, workers=args.workers)
+    results = checker.check_all(model, props, bounds)
     lines = []
     rc = EXIT_OK
     for pid in sorted(results):
@@ -100,36 +100,6 @@ def _cmd_check(args) -> int:
     return rc
 
 
-def _cmd_matrix(args) -> int:
-    if args.models_dir:
-        return _matrix_over_dir(args)
-    matrix = report.bundled_matrix(bounds=_parse_bounds(args.bounds),
-                                   workers=args.workers)
-    _write_out(args.out, report.render(matrix, args.format))
-    return EXIT_VIOLATION if matrix.spec_level_count else EXIT_OK
-
-
-def _matrix_over_dir(args) -> int:
-    """Per-model property verdicts for every .ir file in a directory."""
-    paths = sorted(Path(args.models_dir).glob("*.ir"))
-    if not paths:
-        raise CliError(f"no .ir files under {args.models_dir!r}")
-    bounds = _parse_bounds(args.bounds)
-    lines = []
-    rc = EXIT_OK
-    for path in paths:
-        model = irfmt.load_model(path)
-        results = checker.check_all(model, model.properties, bounds,
-                                    workers=args.workers)
-        for pid in sorted(results):
-            verdict = results[pid].verdict
-            if verdict == "FAIL":
-                rc = EXIT_VIOLATION
-            lines.append(f"{model.name} {pid}: {verdict}\n")
-    _write_out(args.out, "".join(lines))
-    return rc
-
-
 def _cmd_compose(args) -> int:
     if args.pattern not in compose.PATTERNS:
         raise CliError(f"unknown pattern {args.pattern!r}; "
@@ -142,8 +112,7 @@ def _cmd_compose(args) -> int:
             Path(args.out).write_text(irfmt.serialize_model(composed))
         props = compose.cs_properties(composed, pattern)
         results = checker.check_all(composed, props,
-                                    _parse_bounds(args.bounds),
-                                    workers=args.workers)
+                                    _parse_bounds(args.bounds))
         rc = EXIT_OK
         for pid in sorted(results):
             res = results[pid]
@@ -211,12 +180,31 @@ def _cmd_replay(args) -> int:
     return rc
 
 
+def _report_over_dir(args) -> int:
+    """Per-model property verdicts for every .ir file in a directory."""
+    paths = sorted(Path(args.models_dir).glob("*.ir"))
+    if not paths:
+        raise CliError(f"no .ir files under {args.models_dir!r}")
+    bounds = _parse_bounds(args.bounds)
+    lines = []
+    rc = EXIT_OK
+    for path in paths:
+        model = irfmt.load_model(path)
+        results = checker.check_all(model, model.properties, bounds)
+        for pid in sorted(results):
+            verdict = results[pid].verdict
+            if verdict == "FAIL":
+                rc = EXIT_VIOLATION
+            lines.append(f"{model.name} {pid}: {verdict}\n")
+    _write_out(args.out, "".join(lines))
+    return rc
+
+
 def _cmd_report(args) -> int:
-    matrix = report.bundled_matrix(bounds=_parse_bounds(args.bounds),
-                                   workers=args.workers)
-    fmt = {"table": "table-text", "structured": "structured"}.get(
-        args.format, args.format)
-    _write_out(args.out, report.render(matrix, fmt))
+    if args.models_dir:
+        return _report_over_dir(args)
+    matrix = report.bundled_matrix(bounds=_parse_bounds(args.bounds))
+    _write_out(args.out, report.render(matrix, args.format))
     return EXIT_VIOLATION if matrix.spec_level_count else EXIT_OK
 
 
@@ -231,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--bounds", default="",
                        help="domain caps and limits, e.g. agents=2,caps=2")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("check", help="model-check a protocol model")
@@ -241,15 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the first counterexample as JSON")
     common(p)
     p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("matrix", help="build the conformance matrix")
-    p.add_argument("--models-dir", default=None,
-                   help="check .ir files in a directory instead of the "
-                        "bundled protocols (no triage or composition)")
-    p.add_argument("--format", default="table-text",
-                   choices=("table-text", "structured"))
-    common(p)
-    p.set_defaults(fn=_cmd_matrix)
 
     p = sub.add_parser("compose", help="check a cross-protocol composition")
     p.add_argument("pattern", help="composition pattern name")
@@ -277,6 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_replay)
 
     p = sub.add_parser("report", help="render the bundled conformance report")
+    p.add_argument("--models-dir", default=None,
+                   help="check .ir files in a directory instead of the "
+                        "bundled protocols (no triage or composition)")
     p.add_argument("--format", default="table",
                    choices=("table", "structured", "table-text"))
     common(p)

@@ -165,8 +165,7 @@ def _cell_property(model: ir.ProtocolModel, principle: str) -> ir.Property:
     return catalog.instantiate_for(model, principle)
 
 
-def bundled_inputs(replay_outcomes=None, bounds=checker.DEFAULT_BOUNDS,
-                   workers: int = 1):
+def bundled_inputs(replay_outcomes=None, bounds=checker.DEFAULT_BOUNDS):
     """Cell inputs for the full bundled run.
 
     replay_outcomes, if given, maps (protocol, principle) to a Phase-2
@@ -180,7 +179,7 @@ def bundled_inputs(replay_outcomes=None, bounds=checker.DEFAULT_BOUNDS,
         amb = _ambiguity_map(model)
         for pr in MATRIX_PRINCIPLES[:-1]:
             prop = _cell_property(model, pr)
-            result = checker.check(model, prop, bounds, workers=workers)
+            result = checker.check(model, prop, bounds)
             ann = Annotations(
                 ambiguous_clauses=tuple(amb.get(prop.id, ())))
             inputs.append(CellInput(
@@ -192,7 +191,7 @@ def bundled_inputs(replay_outcomes=None, bounds=checker.DEFAULT_BOUNDS,
     for pattern, a, b, bridge in compose.builtin_compositions():
         cm = compose.compose(a, b, bridge)
         props = compose.cs_properties(cm, pattern)
-        results = checker.check_all(cm, props, bounds, workers=workers)
+        results = checker.check_all(cm, props, bounds)
         by_id = {p.id: p for p in props}
         for pid, res in results.items():
             for name in (a.name, b.name):
@@ -212,10 +211,10 @@ def bundled_inputs(replay_outcomes=None, bounds=checker.DEFAULT_BOUNDS,
     return inputs
 
 
-def bundled_matrix(replay_outcomes=None, bounds=checker.DEFAULT_BOUNDS,
-                   workers: int = 1) -> ConformanceMatrix:
+def bundled_matrix(replay_outcomes=None,
+                   bounds=checker.DEFAULT_BOUNDS) -> ConformanceMatrix:
     snapshots = tuple((n, builtin(n).snapshot) for n in BUILTIN_NAMES)
-    return build_matrix(bundled_inputs(replay_outcomes, bounds, workers),
+    return build_matrix(bundled_inputs(replay_outcomes, bounds),
                         snapshots)
 
 

@@ -116,10 +116,9 @@ def test_acceptance_6_checker_oracle_equivalence(capsys):
         for i in range(10):
             model = random_model(rng, i)
             prop = model.properties[0]
-            base = checker.check(model, prop, RANDOM_BOUNDS, workers=1)
-            for workers in (2, 3):
-                assert checker.check(model, prop, RANDOM_BOUNDS,
-                                     workers=workers) == base
+            base = checker.check(model, prop, RANDOM_BOUNDS)
+            for _ in range(2):
+                assert checker.check(model, prop, RANDOM_BOUNDS) == base
 
 
 def test_acceptance_7_phase2_discrimination(capsys):

@@ -1,14 +1,18 @@
 """Bounded model checker: verdicts, minimality, determinism, trace tools."""
 
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from agentconform import checker, expr as E, ir
+from agentconform import checker, expr as E, ir, report
 from agentconform.builtins import builtin
 
 from _oracle import oracle_check
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_mcp_p8_minimal_counterexample():
@@ -57,10 +61,18 @@ def test_check_all_matches_individual_checks():
 
 def test_worker_determinism():
     model = builtin("a2a")
-    base = checker.check_all(model, model.properties, workers=1)
-    for workers in (2, 4):
-        assert checker.check_all(model, model.properties,
-                                 workers=workers) == base
+    base = checker.check_all(model, model.properties)
+    for _ in range(2):
+        assert checker.check_all(model, model.properties) == base
+
+
+def test_unbound_invariant_is_error_verdict():
+    model = builtin("a2a")
+    prop = ir.Property("BAD", "P0", "aasm-hardening", E.parse("nosuch = true"))
+    res = checker.check(model, prop)
+    assert res.verdict == "ERROR: unbound symbol 'nosuch'"
+    assert checker.check_all(model, [prop])["BAD"] == res
+    assert report.triage(res, "NOT_RUN", prop) == "model-fail"
 
 
 def test_domain_caps_truncate():
@@ -71,13 +83,35 @@ def test_domain_caps_truncate():
     assert 0 < n_small < n_full
 
 
+@pytest.mark.parametrize("limit", [{"max_states": 5}, {"max_depth": 1}])
+def test_enumerate_overflow_raises(limit):
+    bounds = dataclasses.replace(checker.DEFAULT_BOUNDS, **limit)
+    with pytest.raises(checker.StateOverflowError):
+        checker.enumerate_states(builtin("a2a"), bounds)
+
+
 def test_counterexample_export_import_round_trip():
+    cells = json.loads((GOLDEN / "matrix.json").read_text())["cells"]
+    fails = [(c["protocol"], c["principle"]) for c in cells
+             if c["model_verdict"] == "FAIL" and c["principle"] != "CS"]
+    assert fails
+    for name, principle in fails:
+        model = builtin(name)
+        prop = report._cell_property(model, principle)
+        res = checker.check(model, prop)
+        text = checker.export_counterexample(model, res.counterexample)
+        again = checker.import_counterexample(model, text)
+        assert again == res.counterexample, (name, principle)
+        assert checker.validate_trace(model, again, prop)
+
+
+def test_import_rejects_unknown_action():
     model = builtin("mcp")
     res = checker.check(model, model.property_by_id("P8_CredRevocation"))
-    text = checker.export_counterexample(model, res.counterexample)
-    again = checker.import_counterexample(model, text)
-    assert again == res.counterexample
-    assert checker.validate_trace(model, again)
+    doc = json.loads(checker.export_counterexample(model, res.counterexample))
+    doc["steps"][0]["action"] = "NoSuchAction"
+    with pytest.raises(checker.CheckError):
+        checker.import_counterexample(model, json.dumps(doc))
 
 
 def test_import_rejects_wrong_model():

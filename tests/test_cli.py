@@ -109,7 +109,7 @@ def test_replay_live_without_endpoint_errors(tmp_path, capsys):
 def test_matrix_over_models_dir(tmp_path, capsys):
     from agentconform import irfmt
     (tmp_path / "m.ir").write_text(irfmt.serialize_model(builtin("mcp")))
-    rc = run_cli("matrix", "--models-dir", str(tmp_path))
+    rc = run_cli("report", "--models-dir", str(tmp_path))
     out = capsys.readouterr().out
     assert rc == 1
     assert "mcp P8_CredRevocation: FAIL" in out
