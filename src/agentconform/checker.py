@@ -55,11 +55,20 @@ DEFAULT_BOUNDS = Bounds(
 
 
 def bounded_constants(model: ir.ProtocolModel, bounds: Bounds) -> dict:
+    """Each domain's atoms as explored: a cap keeps a declared prefix and
+    never adds atoms. The TLA+ emitter reads the same domains."""
     out = {}
     for dom, atoms in model.constants:
         cap = bounds.cap_for(dom)
         out[dom] = atoms if cap is None else atoms[:cap]
     return out
+
+
+def counter_cap(sort: ir.Sort, bounds: Bounds) -> Optional[int]:
+    """Largest value a counter of this sort may take; None for non-counters."""
+    if isinstance(sort, ir.CounterSort):
+        return min(sort.max, bounds.counter_max)
+    return None
 
 
 @dataclass(frozen=True)
@@ -108,12 +117,6 @@ def _set_nested(value, keys, new):
     return value.set(head, _set_nested(value[head], keys[1:], new))
 
 
-def _counter_cap(sort: ir.Sort, bounds: Bounds) -> Optional[int]:
-    if isinstance(sort, ir.CounterSort):
-        return min(sort.max, bounds.counter_max)
-    return None
-
-
 class _Engine:
     """Successor computation for one (model, bounds) pair."""
 
@@ -145,7 +148,7 @@ class _Engine:
         for target, rhs in t.updates:
             # scope reads the pre-state throughout
             val = E.evaluate(rhs, scope, self.constants, self.atoms)
-            cap = _counter_cap(self.sorts[target.var], self.bounds)
+            cap = counter_cap(self.sorts[target.var], self.bounds)
             if cap is not None and isinstance(val, int) \
                     and not isinstance(val, bool) and (val < 0 or val > cap):
                 return None  # counter out of bounds: binding disabled
@@ -370,19 +373,28 @@ def import_counterexample(model: ir.ProtocolModel, text: str) -> Counterexample:
         raise CheckError(f"counterexample is for model {doc.get('model')!r}, "
                          f"not {model.name!r}")
 
-    def decode(state_obj):
+    def decode(state_obj, where):
+        for v in model.state_vars:
+            if v.name not in state_obj:
+                raise CheckError(f"{where} lacks variable {v.name!r}")
         return tuple(value_from_json(state_obj[v.name], v.sort)
                      for v in model.state_vars)
 
-    def binding(step):
+    def trace_step(i, step):
+        action = step["action"]
+        where = f"step {i} ({action})"
         try:
-            t = model.transition(step["action"])
+            t = model.transition(action)
         except KeyError:
-            raise CheckError(f"unknown action {step['action']!r}") from None
+            raise CheckError(f"{where}: unknown action {action!r}") from None
+        for n, _ in t.params:
+            if n not in step["params"]:
+                raise CheckError(f"{where} lacks parameter {n!r}")
         # the declared parameter order, as the checker binds them
-        return tuple((n, step["params"][n]) for n, _ in t.params)
+        binding = tuple((n, step["params"][n]) for n, _ in t.params)
+        return TraceStep(action, binding,
+                         decode(step["state"], f"{where} state"))
 
-    steps = tuple(TraceStep(s["action"], binding(s), decode(s["state"]))
-                  for s in doc["steps"])
+    steps = tuple(trace_step(i, s) for i, s in enumerate(doc["steps"], 1))
     return Counterexample(doc["model"], doc["property"], doc["depth"],
-                          decode(doc["initial"]), steps)
+                          decode(doc["initial"], "initial state"), steps)

@@ -37,12 +37,16 @@ def _parse_bounds(spec: str) -> checker.Bounds:
             value = int(raw)
         except ValueError:
             raise CliError(f"bounds value for {key!r} must be an int")
-        if key == "counter_max":
-            bounds = checker.replace(bounds, counter_max=value)
-        elif key in ("depth", "max_depth"):
+        if key in ("depth", "max_depth"):
             bounds = checker.replace(bounds, max_depth=value)
         elif key in ("states", "max_states"):
             bounds = checker.replace(bounds, max_states=value)
+        elif value < 1:
+            # an empty domain or a zero counter cap disables the transitions
+            # a violation needs, turning FAILs into vacuous PASSes
+            raise CliError(f"bounds value for {key!r} must be at least 1")
+        elif key == "counter_max":
+            bounds = checker.replace(bounds, counter_max=value)
         else:
             caps[key] = value
     if caps:
@@ -218,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--bounds", default="",
-                       help="domain caps and limits, e.g. agents=2,caps=2")
+                       help="domain caps and limits, e.g. agents=2,caps=2 "
+                            "(see Bounds in the README)")
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("check", help="model-check a protocol model")

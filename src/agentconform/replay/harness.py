@@ -250,8 +250,6 @@ class _A2aRunner:
         if path.endswith("/delegate"):
             body = {"from": bind.get("a", "ag1"), "to": bind.get("b", "ag2"),
                     "cap": bind.get("c", "c1")}
-        if path == "/tasks":
-            pass
         status, payload = self.http(method, path, body)
         if 200 <= status < 300:
             self.ops += 1

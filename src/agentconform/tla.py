@@ -38,19 +38,7 @@ _CMP = {"=": "=", "#": "#", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
 
 
 def _enum_values(model: ir.ProtocolModel):
-    vals = set()
-
-    def walk(sort):
-        if isinstance(sort, ir.EnumSort):
-            vals.update(sort.values)
-        elif isinstance(sort, ir.MapSort):
-            walk(sort.value)
-        elif isinstance(sort, ir.SetSort):
-            pass
-
-    for d in model.state_vars:
-        walk(d.sort)
-    return vals
+    return set().union(*(ir.sort_atoms(d.sort) for d in model.state_vars))
 
 
 def _emit_value(v, enums) -> str:
@@ -133,15 +121,6 @@ def _module_name(model: ir.ProtocolModel) -> str:
     return model.name.replace("-", "_")
 
 
-def _emit_init_value(decl: ir.StateVarDecl, model, enums) -> str:
-    init = decl.initial_value(model.constants_map)
-    return _emit_value(init, enums)
-
-
-def _counter_cap(sort, bounds) -> int:
-    return min(sort.max, bounds.counter_max)
-
-
 def _emit_update_conjuncts(t: ir.Transition, model, enums, bounds):
     by_var = {}
     for target, rhs in t.updates:
@@ -164,8 +143,9 @@ def _emit_update_conjuncts(t: ir.Transition, model, enums, bounds):
             text = emit_expr(rhs, enums)
             conjuncts.append(f"{var}' = {text}")
             # bounded-natural cap keeps the TLC state space finite
-            if isinstance(decl.sort, ir.CounterSort):
-                guards.append(f"{text} <= {_counter_cap(decl.sort, bounds)}")
+            cap = checker.counter_cap(decl.sort, bounds)
+            if cap is not None:
+                guards.append(f"{text} <= {cap}")
     return guards, conjuncts, set(by_var)
 
 
@@ -207,8 +187,10 @@ def emit_module(model: ir.ProtocolModel,
         out.append(f"vars == <<{', '.join(var_names)}>>")
         out.append("")
     out.append("Init ==")
+    constants = checker.bounded_constants(model, bounds)
     for d in model.state_vars:
-        out.append(f"  /\\ {d.name} = {_emit_init_value(d, model, enums)}")
+        init = _emit_value(d.initial_value(constants), enums)
+        out.append(f"  /\\ {d.name} = {init}")
     out.append("")
     for kind in ir.KINDS:
         group = [t for t in model.transitions if t.kind == kind]
@@ -240,29 +222,15 @@ def emit_module(model: ir.ProtocolModel,
     return "\n".join(out) + "\n"
 
 
-def _extend_atoms(atoms, cap: int):
-    if cap <= len(atoms):
-        return list(atoms[:cap])
-    stem = re.sub(r"\d+$", "", atoms[-1]) if atoms else "v"
-    out = list(atoms)
-    i = len(atoms) + 1
-    while len(out) < cap:
-        candidate = f"{stem}{i}"
-        if candidate not in out:
-            out.append(candidate)
-        i += 1
-    return out
-
-
 def emit_config(model: ir.ProtocolModel, property_id: str,
                 bounds: checker.Bounds = checker.DEFAULT_BOUNDS) -> str:
     model.property_by_id(property_id)  # raises on unknown id
     out = ["INIT Init", "NEXT Next", f"INVARIANT {property_id}"]
+    bounded = checker.bounded_constants(model, bounds)
     for dom, atoms in model.constants:
-        cap = bounds.cap_for(dom)
-        elems = list(atoms) if cap is None else _extend_atoms(atoms, cap)
-        out.append(f"CONSTANT {dom} = {{{', '.join(elems)}}}")
-        for a in elems:
+        out.append(f"CONSTANT {dom} = {{{', '.join(bounded[dom])}}}")
+        # every declared atom stays a model value: expressions may name it
+        for a in atoms:
             out.append(f"CONSTANT {a} = {a}")
     return "\n".join(out) + "\n"
 
@@ -323,7 +291,7 @@ def _parse_tlc_value(text: str):
                 pos[0] += 1
                 return frozenset()
             while True:
-                items.append(parse_value())
+                items.append(parse_atom())
                 skip_ws()
                 if peek() == ",":
                     pos[0] += 1
@@ -336,12 +304,12 @@ def _parse_tlc_value(text: str):
             pos[0] += 1
             entries = []
             while True:
-                k = parse_value()
+                k = parse_atom()
                 skip_ws()
                 if text[pos[0]:pos[0] + 2] != ":>":
                     raise TlcDialectError(f"expected ':>' in {text!r}")
                 pos[0] += 2
-                v = parse_value()
+                v = parse_atom()
                 if not isinstance(k, E.Atom):
                     raise TlcDialectError(f"non-atom function key in {text!r}")
                 entries.append((k.name, v))
@@ -368,10 +336,7 @@ def _parse_tlc_value(text: str):
             return E.Atom(word)
         raise TlcDialectError(f"cannot parse value {text!r}")
 
-    def parse_value():
-        return parse_atom()
-
-    v = parse_value()
+    v = parse_atom()
     skip_ws()
     if pos[0] != len(text):
         raise TlcDialectError(f"trailing text in value {text!r}")
@@ -487,7 +452,7 @@ def format_tlc_log(model: ir.ProtocolModel,
 
         emit_state(1, "Initial predicate", cx.initial)
         for i, step in enumerate(cx.steps):
-            t = model.transition(step.transition_id)
+            model.transition(step.transition_id)  # raises on unknown id
             label = step.transition_id
             if step.binding:
                 label += "(" + ", ".join(a for _, a in step.binding) + ")"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,23 @@ def test_import_rejects_unknown_action():
     doc = json.loads(checker.export_counterexample(model, res.counterexample))
     doc["steps"][0]["action"] = "NoSuchAction"
     with pytest.raises(checker.CheckError):
+        checker.import_counterexample(model, json.dumps(doc))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda doc: doc["steps"][0]["params"].clear(),
+     "step 1 (OpenSession) lacks parameter 's'"),
+    (lambda doc: doc["steps"][1]["state"].pop("credentials"),
+     "step 2 (CloseSession) state lacks variable 'credentials'"),
+    (lambda doc: doc["initial"].pop("credentials"),
+     "initial state lacks variable 'credentials'"),
+], ids=["step-params", "step-state", "initial-state"])
+def test_import_rejects_missing_keys(tamper, message):
+    model = builtin("mcp")
+    res = checker.check(model, model.property_by_id("P8_CredRevocation"))
+    doc = json.loads(checker.export_counterexample(model, res.counterexample))
+    tamper(doc)
+    with pytest.raises(checker.CheckError, match=re.escape(message)):
         checker.import_counterexample(model, json.dumps(doc))
 
 

@@ -41,6 +41,17 @@ def test_check_bounds_parsing(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("spec", ["sessions=0", "counter_max=0",
+                                  "agents=-1"])
+def test_check_rejects_degenerate_bounds(spec, capsys):
+    rc = run_cli("check", "mcp", "--property", "P8_CredRevocation",
+                 "--bounds", spec)
+    assert rc == 2
+    key = spec.partition("=")[0]
+    assert f"bounds value for {key!r} must be at least 1" in \
+        capsys.readouterr().err
+
+
 def test_check_model_file(tmp_path, capsys):
     from agentconform import irfmt
     path = tmp_path / "local.ir"

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from agentconform import checker, tla
-from agentconform.builtins import builtin
+from agentconform.builtins import BUILTIN_NAMES, builtin
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -45,6 +45,44 @@ def test_emission_deterministic():
 def test_unknown_property_rejected():
     with pytest.raises(KeyError):
         tla.emit_config(builtin("mcp"), "NoSuchProp")
+
+
+AGREEMENT_BOUNDS = {
+    "default": checker.DEFAULT_BOUNDS,
+    "caps1": checker.DEFAULT_BOUNDS.with_caps(agents=1, agentid=1,
+                                              sessions=1),
+    "caps3": checker.DEFAULT_BOUNDS.with_caps(agents=3, agentid=3),
+}
+
+
+@pytest.mark.parametrize("bounds", AGREEMENT_BOUNDS.values(),
+                         ids=AGREEMENT_BOUNDS.keys())
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_emission_explores_checker_instance(name, bounds):
+    """TLC and the checker read the same bounded domains and Init."""
+    model = builtin(name)
+    artifact = tla.emit_artifact(model, bounds)
+    lines = artifact.module_text.splitlines()
+    declared = {c.strip() for line in lines if line.startswith("CONSTANTS ")
+                for c in line[len("CONSTANTS "):].split(",")}
+    bounded = checker.bounded_constants(model, bounds)
+    for _, cfg in artifact.config_texts:
+        assigned = {}
+        for line in cfg.splitlines():
+            if line.startswith("CONSTANT "):
+                lhs, _, rhs = line[len("CONSTANT "):].partition(" = ")
+                assigned[lhs] = rhs
+        assert set(assigned) == declared
+        for dom, atoms in bounded.items():
+            assert assigned[dom] == "{" + ", ".join(atoms) + "}"
+
+    start = lines.index("Init ==") + 1
+    init = lines[start:lines.index("", start)]
+    enums = tla._enum_values(model)
+    state = checker.state_dict(model,
+                               checker._Engine(model, bounds).initial())
+    assert init == [f"  /\\ {var} = {tla._emit_value(value, enums)}"
+                    for var, value in state.items()]
 
 
 def test_log_round_trip_matches_checker():
