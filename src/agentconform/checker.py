@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from . import compiled as C
 from . import expr as E
 from . import ir
 
@@ -110,70 +111,92 @@ def state_dict(model: ir.ProtocolModel, vector: tuple) -> dict:
     return {v.name: vector[i] for i, v in enumerate(model.state_vars)}
 
 
-def _set_nested(value, keys, new):
-    if not keys:
-        return new
-    head = keys[0]
-    return value.set(head, _set_nested(value[head], keys[1:], new))
-
-
 class _Engine:
-    """Successor computation for one (model, bounds) pair."""
+    """Compiled successor and invariant evaluation for one (model, bounds).
 
-    def __init__(self, model: ir.ProtocolModel, bounds: Bounds):
+    States inside the engine are flat tuples (see `compiled`); canonical
+    vectors of `Atom`/`FMap` values appear only at the boundary: the
+    initial state, counterexamples and `validate_trace` input.
+    """
+
+    def __init__(self, model: ir.ProtocolModel, bounds: Bounds,
+                 search: bool = True):
         self.model = model
         self.bounds = bounds
         self.constants = bounded_constants(model, bounds)
         self.atoms = model.atom_universe()
-        self.sorts = {v.name: v.sort for v in model.state_vars}
+        self._initial = tuple(v.initial_value(self.constants)
+                              for v in model.state_vars)
+        self.slots, kinds = C.layout(model.var_names, self._initial)
+        self.caps = {v.name: counter_cap(v.sort, bounds)
+                     for v in model.state_vars
+                     if isinstance(v.sort, ir.CounterSort)}
+        if not search:
+            # to replay a few recorded steps, compile just those, with
+            # every slot's type checked at run time
+            self.kinds = [None] * len(kinds)
+            return
         # deterministic expansion order
-        self.transitions = sorted(model.transitions, key=lambda t: t.id)
-        self.bindings = {
-            t.id: [tuple(zip((n for n, _ in t.params), combo))
-                   for combo in itertools.product(
-                       *(sorted(self.constants.get(d, ()))
-                         for _, d in t.params))]
-            for t in self.transitions}
+        pairs = [(t, tuple(zip((n for n, _ in t.params), combo)))
+                 for t in sorted(model.transitions, key=lambda t: t.id)
+                 for combo in itertools.product(
+                     *(sorted(self.constants.get(d, ()))
+                       for _, d in t.params))]
+        while True:
+            self.kinds = kinds
+            compiled = [self._compile(t, binding) for t, binding in pairs]
+            # a slot keeps a static kind only if every update stores it
+            kinds = list(kinds)
+            for _, _, writes in compiled:
+                for slots, kind in writes:
+                    for i in slots:
+                        if kinds[i] != kind:
+                            kinds[i] = None
+            if kinds == self.kinds:
+                break
+        self.start = C.flatten(self._initial, self.slots, kinds)
+        self.steps = [(t.id, binding, guard, apply)
+                      for (t, binding), (guard, apply, _)
+                      in zip(pairs, compiled) if guard is not False]
+
+    def _compile(self, t: ir.Transition, binding):
+        return C.compile_step(t, binding, self.slots, self.kinds,
+                              self.constants, self.atoms, self.caps)
 
     def initial(self) -> tuple:
-        state = {v.name: v.initial_value(self.constants)
-                 for v in self.model.state_vars}
-        return state_vector(self.model, state)
+        return self._initial
 
-    def _apply(self, t: ir.Transition, binding, state: dict):
-        scope = {**state, **{n: E.Atom(a) for n, a in binding}}
-        if not E.evaluate_bool(t.guard, scope, self.constants, self.atoms):
-            return None
-        new = dict(state)
-        for target, rhs in t.updates:
-            # scope reads the pre-state throughout
-            val = E.evaluate(rhs, scope, self.constants, self.atoms)
-            cap = counter_cap(self.sorts[target.var], self.bounds)
-            if cap is not None and isinstance(val, int) \
-                    and not isinstance(val, bool) and (val < 0 or val > cap):
-                return None  # counter out of bounds: binding disabled
-            if target.keys:
-                keys = [E.evaluate(k, scope, self.constants, self.atoms)
-                        for k in target.keys]
-                new[target.var] = _set_nested(
-                    state[target.var], [k.name for k in keys], val)
-            else:
-                new[target.var] = val
-        return new
+    def canonical(self, state: tuple) -> tuple:
+        return C.unflatten(state, self.slots)
 
-    def successors(self, vector: tuple):
-        """Deterministically ordered (transition, binding, post-vector)."""
-        state = state_dict(self.model, vector)
-        for t in self.transitions:
-            for binding in self.bindings[t.id]:
-                post = self._apply(t, binding, state)
+    def successors(self, state: tuple):
+        """Deterministically ordered (transition, binding, post-state)."""
+        for tid, binding, guard, apply in self.steps:
+            if guard is True or guard(state):
+                post = apply(state)
                 if post is not None:
-                    yield t.id, binding, state_vector(self.model, post)
+                    yield tid, binding, post
 
-    def holds(self, prop: ir.Property, vector: tuple) -> bool:
-        return E.evaluate_bool(prop.invariant,
-                               state_dict(self.model, vector),
-                               self.constants, self.atoms)
+    def step(self, tid: str, binding, state: tuple):
+        """Post-state of one recorded step, or None when the step is not
+        enabled or its binding does not name the transition's parameters
+        with atoms."""
+        t = self.model.transition(tid)
+        bound = dict(binding)
+        if set(bound) != {n for n, _ in t.params} \
+                or any(type(a) is not str for a in bound.values()):
+            return None
+        guard, apply, _ = self._compile(t, bound)
+        if guard is True or (guard is not False and guard(state)):
+            return apply(state)
+        return None
+
+    def invariant(self, prop: ir.Property):
+        """The property's invariant as a predicate on flat states."""
+        return C.as_bool(
+            C.compile_expr(prop.invariant, self.slots, self.kinds,
+                           self.constants, self.atoms),
+            "top-level expression")[1]
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +240,12 @@ def _extract(eng: _Engine, prop: ir.Property, parents: dict,
     path.reverse()
     # the first successor of pre reaching post is the step BFS recorded
     steps = tuple(
-        next(TraceStep(tid, binding, post)
+        next(TraceStep(tid, binding, eng.canonical(post))
              for tid, binding, reached in eng.successors(pre)
              if reached == post)
         for pre, post in zip(path, path[1:]))
-    return Counterexample(eng.model.name, prop.id, len(steps), path[0],
-                          steps)
+    return Counterexample(eng.model.name, prop.id, len(steps),
+                          eng.canonical(path[0]), steps)
 
 
 def check(model: ir.ProtocolModel, prop: ir.Property,
@@ -249,24 +272,23 @@ def check_all(model: ir.ProtocolModel, properties,
     results = {}
     try:
         eng = _Engine(model, bounds)
-        init = eng.initial()
     except Exception as exc:
         return {p.id: CheckResult(f"ERROR: {exc}", 0) for p in properties}
 
-    parents = {init: None}
-    pending = list(properties)
+    parents = {eng.start: None}
+    pending = [(prop, eng.invariant(prop)) for prop in properties]
     verdict = "PASS"
     try:
-        for state in itertools.chain((init,), _bfs(eng, parents)):
+        for state in itertools.chain((eng.start,), _bfs(eng, parents)):
             survivors = []
-            for prop in pending:
+            for prop, holds in pending:
                 try:
-                    ok = eng.holds(prop, state)
+                    ok = holds(state)
                 except Exception as exc:
                     results[prop.id] = CheckResult(f"ERROR: {exc}", 0)
                     continue
                 if ok:
-                    survivors.append(prop)
+                    survivors.append((prop, holds))
                 else:
                     results[prop.id] = CheckResult(
                         "FAIL", len(parents),
@@ -276,7 +298,7 @@ def check_all(model: ir.ProtocolModel, properties,
                 break
     except StateOverflowError:
         verdict = "BOUND_EXHAUSTED"
-    for prop in pending:
+    for prop, _ in pending:
         results[prop.id] = CheckResult(verdict, len(parents))
     return results
 
@@ -285,7 +307,7 @@ def enumerate_states(model: ir.ProtocolModel,
                      bounds: Bounds = DEFAULT_BOUNDS) -> int:
     """Exact count of distinct reachable states within bounds."""
     eng = _Engine(model, bounds)
-    parents = {eng.initial(): None}
+    parents = {eng.start: None}
     for _ in _bfs(eng, parents):
         pass
     return len(parents)
@@ -300,24 +322,25 @@ def validate_trace(model: ir.ProtocolModel, cx: Counterexample,
     post-state matches the declared updates, the property holds in every
     state except the last, and the last state violates it.
     """
-    eng = _Engine(model, bounds)
+    eng = _Engine(model, bounds, search=False)
     if prop is None:
         prop = model.property_by_id(cx.property_id)
     for step in cx.steps:
         model.transition(step.transition_id)  # raises KeyError if unknown
-    cur = cx.initial
+    holds = eng.invariant(prop)
+    # an initial state that does not fit the model's layout is no state
+    # of the model
+    cur = C.flatten(cx.initial, eng.slots, eng.kinds)
+    if cur is None:
+        return False
     for step in cx.steps:
-        if not eng.holds(prop, cur):
+        if not holds(cur):
             return False
-        state = state_dict(model, cur)
-        t = model.transition(step.transition_id)
-        post = eng._apply(t, step.binding, state)
-        if post is None:
+        post = eng.step(step.transition_id, step.binding, cur)
+        if post is None or eng.canonical(post) != step.post_state:
             return False
-        if state_vector(model, post) != step.post_state:
-            return False
-        cur = step.post_state
-    return not eng.holds(prop, cur) and cx.depth == len(cx.steps)
+        cur = post
+    return not holds(cur) and cx.depth == len(cx.steps)
 
 
 # ---------------------------------------------------------------------------

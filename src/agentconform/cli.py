@@ -22,8 +22,12 @@ class CliError(Exception):
     pass
 
 
-def _parse_bounds(spec: str) -> checker.Bounds:
-    """Bounds from 'agents=2,caps=2,counter_max=3,depth=20,states=1000000'."""
+def _parse_bounds(spec: str, models) -> checker.Bounds:
+    """Bounds from 'agents=2,caps=2,counter_max=3,depth=20,states=1000000'.
+
+    Every other key caps a domain and must name a domain of one of the
+    models the command runs (case-insensitively).
+    """
     bounds = checker.DEFAULT_BOUNDS
     if not spec:
         return bounds
@@ -50,6 +54,12 @@ def _parse_bounds(spec: str) -> checker.Bounds:
         else:
             caps[key] = value
     if caps:
+        domains = {d for m in models for d, _ in m.constants}
+        known = {d.lower() for d in domains}
+        for key in caps:
+            if key not in known:
+                raise CliError(f"bounds key {key!r} names no domain; known "
+                               f"domains: {', '.join(sorted(domains))}")
         bounds = bounds.with_caps(**caps)
     return bounds
 
@@ -74,8 +84,13 @@ def _write_out(out, text: str):
 
 def _cmd_check(args) -> int:
     model = _load_model(args.model)
-    bounds = _parse_bounds(args.bounds)
+    bounds = _parse_bounds(args.bounds, [model])
     if args.property:
+        ids = [p.id for p in model.properties]
+        if args.property not in ids:
+            raise CliError(f"model {model.name!r} has no property "
+                           f"{args.property!r}; its properties: "
+                           f"{', '.join(ids)}")
         props = [model.property_by_id(args.property)]
     else:
         props = list(model.properties)
@@ -116,7 +131,7 @@ def _cmd_compose(args) -> int:
             Path(args.out).write_text(irfmt.serialize_model(composed))
         props = compose.cs_properties(composed, pattern)
         results = checker.check_all(composed, props,
-                                    _parse_bounds(args.bounds))
+                                    _parse_bounds(args.bounds, [composed]))
         rc = EXIT_OK
         for pid in sorted(results):
             res = results[pid]
@@ -131,7 +146,7 @@ def _cmd_compose(args) -> int:
 
 def _cmd_emit_tla(args) -> int:
     model = _load_model(args.model)
-    artifact = tla.emit_artifact(model, _parse_bounds(args.bounds))
+    artifact = tla.emit_artifact(model, _parse_bounds(args.bounds, [model]))
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -189,11 +204,11 @@ def _report_over_dir(args) -> int:
     paths = sorted(Path(args.models_dir).glob("*.ir"))
     if not paths:
         raise CliError(f"no .ir files under {args.models_dir!r}")
-    bounds = _parse_bounds(args.bounds)
+    models = [irfmt.load_model(path) for path in paths]
+    bounds = _parse_bounds(args.bounds, models)
     lines = []
     rc = EXIT_OK
-    for path in paths:
-        model = irfmt.load_model(path)
+    for model in models:
         results = checker.check_all(model, model.properties, bounds)
         for pid in sorted(results):
             verdict = results[pid].verdict
@@ -207,7 +222,10 @@ def _report_over_dir(args) -> int:
 def _cmd_report(args) -> int:
     if args.models_dir:
         return _report_over_dir(args)
-    matrix = report.bundled_matrix(bounds=_parse_bounds(args.bounds))
+    models = [builtins.builtin(n) for n in builtins.BUILTIN_NAMES]
+    models += [compose.compose(a, b, bridge)
+               for _, a, b, bridge in compose.builtin_compositions()]
+    matrix = report.bundled_matrix(bounds=_parse_bounds(args.bounds, models))
     _write_out(args.out, report.render(matrix, args.format))
     return EXIT_VIOLATION if matrix.spec_level_count else EXIT_OK
 

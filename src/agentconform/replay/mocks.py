@@ -280,8 +280,11 @@ class A2aMock:
         self.state = _A2aState(profile)
         handler = type("Handler", (_A2aHandler,), {"state": self.state})
         self._server = HTTPServer(("127.0.0.1", 0), handler)
+        # shutdown() waits for serve_forever to notice it, which takes up
+        # to one poll interval (0.5 s by default)
         self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True)
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01},
+            daemon=True)
         self._thread.start()
 
     @property

@@ -148,6 +148,29 @@ def test_validate_trace_rejects_tampering():
     assert not checker.validate_trace(model, broken)
 
 
+def test_validate_trace_rejects_states_and_bindings_of_no_model_run():
+    model = builtin("mcp")
+    res = checker.check(model, model.property_by_id("P8_CredRevocation"))
+    cx = res.counterexample
+    names = model.var_names
+    # a map whose key set differs from the model's
+    initial = list(cx.initial)
+    i = names.index("session_state")
+    initial[i] = E.FMap.of({"s1": E.Atom("NONE")})
+    assert not checker.validate_trace(
+        model, dataclasses.replace(cx, initial=tuple(initial)))
+    # a value of another kind than the variable's is evaluated as such
+    initial = list(cx.initial)
+    initial[names.index("msg_count")] = True
+    with pytest.raises(E.ExprTypeError, match="expected int, got bool"):
+        checker.validate_trace(
+            model, dataclasses.replace(cx, initial=tuple(initial)))
+    # a binding that does not bind the transition's parameter
+    first = dataclasses.replace(cx.steps[0], binding=(("t", "s1"),))
+    assert not checker.validate_trace(
+        model, dataclasses.replace(cx, steps=(first,) + cx.steps[1:]))
+
+
 # ---------------------------------------------------------------------------
 # Randomized models for checker/oracle agreement (shared with acceptance)
 

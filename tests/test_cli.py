@@ -52,6 +52,42 @@ def test_check_rejects_degenerate_bounds(spec, capsys):
         capsys.readouterr().err
 
 
+def test_check_unknown_property_names_the_choices(capsys):
+    rc = run_cli("check", "mcp", "--property", "NoSuch")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "model 'mcp' has no property 'NoSuch'" in err
+    assert "P8_CredRevocation" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "mcp", "--property", "P8_CredRevocation"),
+    ("emit-tla", "mcp"),
+    ("report",),
+])
+def test_misspelled_domain_cap_rejected(argv, capsys):
+    rc = run_cli(*argv, "--bounds", "sesions=1")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bounds key 'sesions' names no domain" in err
+    assert "Sessions" in err
+
+
+def test_domain_cap_keys_are_checked_per_model(tmp_path, capsys):
+    from agentconform import irfmt
+    # a2a has no Sessions domain; mcp's Agents is matched case-insensitively
+    assert run_cli("check", "a2a", "--bounds", "sessions=1") == 2
+    capsys.readouterr()
+    assert run_cli("check", "mcp", "--property", "P8_CredRevocation",
+                   "--bounds", "AGENTS=1,depth=5,counter_max=2") == 1
+    (tmp_path / "m.ir").write_text(irfmt.serialize_model(builtin("a2a")))
+    assert run_cli("report", "--models-dir", str(tmp_path),
+                   "--bounds", "sessions=1") == 2
+    assert run_cli("compose", "tool-delegation",
+                   "--bounds", "sessions=1") == 2
+    assert "A_Sessions" in capsys.readouterr().err
+
+
 def test_check_model_file(tmp_path, capsys):
     from agentconform import irfmt
     path = tmp_path / "local.ir"

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from agentconform import compiled as C
 from agentconform import expr as E
 
 
@@ -128,7 +129,17 @@ def test_index_outside_domain():
 # ---------------------------------------------------------------------------
 # Property-based: printer/parser round trip and quantifier duality
 
-_names = st.sampled_from(["flag", "n", "mode", "caps", "ag1", "c1"])
+# "x" is bound only inside a quantifier; "nosuch" is never bound
+_names = st.sampled_from(["flag", "n", "mode", "caps", "ag1", "ag2", "c1",
+                          "OPEN", "grant", "deleg", "AgentID", "Caps", "x",
+                          "nosuch"])
+# "Nope" is no domain
+_domains = st.sampled_from(["AgentID", "AgentID", "Caps", "Nope"])
+_RELOPS = ["=", "#", "<", "<=", ">", ">=", "in", "notin", "subseteq"]
+# map keys: mostly in the key domain, sometimes outside it, of the wrong
+# kind or unbound
+_keys = st.sampled_from(["x", "x", "x", "ag1", "ag2", "c1", "n",
+                         "nosuch"]).map(E.Name)
 
 
 def _leaf():
@@ -139,22 +150,110 @@ def _leaf():
     )
 
 
+def _left(op, lhs, rhs):
+    """`+`/`union` terms nest only to the left, as the parser builds them."""
+    return st.tuples(lhs, rhs).map(lambda p: E.BinTerm(op, p[0], p[1]))
+
+
+def _typed_addends():
+    """(sets, ints, atoms, bools): addend-level terms of one kind."""
+    sets = st.one_of(
+        st.sampled_from(["caps", "AgentID", "Caps"]).map(E.Name),
+        _keys.map(lambda k: E.Index(E.Name("grant"), k)),
+        st.tuples(_keys, _keys).map(
+            lambda p: E.Index(E.Index(E.Name("deleg"), p[0]), p[1])),
+        st.lists(st.sampled_from(["c1", "c2", "x"]).map(E.Name),
+                 max_size=2).map(lambda xs: E.SetLit(tuple(xs))),
+    )
+    ints = st.one_of(st.just(E.Name("n")),
+                     st.integers(min_value=0, max_value=3).map(E.IntLit))
+    return (sets, ints,
+            st.sampled_from(["mode", "OPEN", "CLOSED", "x", "ag1",
+                             "c1"]).map(E.Name),
+            st.one_of(st.just(E.Name("flag")), st.booleans().map(E.BoolLit)))
+
+
+def _typed_terms():
+    """(sets, ints, atoms, bools): terms of one kind, so that comparisons
+    are mostly well-typed and quantifier bodies depend on the variable."""
+    sets, ints, atoms, bools = _typed_addends()
+    return (st.one_of(sets, _left("union", sets, sets)),
+            st.one_of(ints, _left("+", ints, ints)), atoms, bools)
+
+
+def _terms(depth=2):
+    """Any term: typed ones, index chains over every variable and key, set
+    literals, and `+`/`union` over terms of any kind."""
+    chains = st.tuples(st.sampled_from(["grant", "deleg", "mode", "caps"]),
+                       st.lists(_keys, min_size=1, max_size=3)).map(
+        lambda p: _fold_index(E.Name(p[0]), p[1]))
+    addend = st.one_of(_leaf(), chains, *_typed_addends())
+    if depth == 0:
+        return addend
+    sub = _terms(depth - 1)
+    return st.one_of(
+        addend,
+        st.lists(sub, max_size=3).map(lambda xs: E.SetLit(tuple(xs))),
+        st.sampled_from(["+", "union"]).flatmap(
+            lambda op: _left(op, sub, addend)),
+    )
+
+
+def _fold_index(base, keys):
+    for k in keys:
+        base = E.Index(base, k)
+    return base
+
+
+def _comparisons():
+    sets, ints, atoms, bools = _typed_terms()
+    rel = st.sampled_from
+    pair = st.tuples
+    return st.one_of(
+        pair(rel(["=", "#"]), st.one_of(pair(sets, sets), pair(ints, ints),
+                                        pair(atoms, atoms),
+                                        pair(bools, bools))),
+        pair(rel(["<", "<=", ">", ">="]), pair(ints, ints)),
+        pair(rel(["in", "notin"]), pair(st.one_of(atoms, sets), sets)),
+        pair(rel(["subseteq"]), pair(sets, sets)),
+        pair(rel(_RELOPS), pair(_terms(1), _terms(1))),  # mostly ill-typed
+    ).map(lambda c: E.Cmp(c[0], c[1][0], c[1][1]))
+
+
 def _exprs(depth=3):
     if depth == 0:
-        return _leaf().map(lambda t: E.Cmp("=", t, t))
+        return st.one_of(_comparisons(), _typed_terms()[3])
     sub = _exprs(depth - 1)
-    term = _leaf()
     return st.one_of(
         sub,
         st.tuples(sub, sub).map(lambda p: E.And((p[0], p[1]))),
         st.tuples(sub, sub).map(lambda p: E.Or((p[0], p[1]))),
         st.tuples(sub, sub).map(lambda p: E.Implies(p[0], p[1])),
         sub.map(E.Not),
-        st.tuples(st.sampled_from(["=", "#", "<", "<=", ">", ">="]),
-                  term, term).map(lambda c: E.Cmp(c[0], c[1], c[2])),
-        sub.map(lambda b: E.Forall("x", "AgentID", b)),
-        sub.map(lambda b: E.Exists("x", "AgentID", b)),
+        st.tuples(_domains, sub).map(lambda p: E.Forall("x", p[0], p[1])),
+        st.tuples(_domains, sub).map(lambda p: E.Exists("x", p[0], p[1])),
     )
+
+
+def _about_x():
+    """Comparisons that read the quantified variable "x"."""
+    sets, _, _, _ = _typed_terms()
+    x_sets = st.one_of(
+        st.just(E.Index(E.Name("grant"), E.Name("x"))),
+        _keys.map(lambda k: E.Index(E.Index(E.Name("deleg"), E.Name("x")),
+                                    k)))
+    return st.one_of(
+        st.tuples(st.sampled_from(["=", "#", "subseteq"]), x_sets, sets),
+        st.tuples(st.sampled_from(["in", "notin"]), st.just(E.Name("x")),
+                  sets),
+    ).map(lambda c: E.Cmp(*c))
+
+
+def _quantified():
+    body = st.one_of(_about_x(), st.tuples(_about_x(), _exprs(1)).map(
+        lambda p: E.Implies(p[0], p[1])), _exprs(2))
+    return st.tuples(st.sampled_from([E.Forall, E.Exists]), _domains,
+                     body).map(lambda q: q[0]("x", q[1], q[2]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -174,3 +273,51 @@ def test_quantifier_de_morgan(assign):
     rhs = E.Exists("x", "AgentID", E.Not(body))
     assert E.evaluate(lhs, state, consts, None) == \
         E.evaluate(rhs, state, consts, None)
+
+
+# ---------------------------------------------------------------------------
+# Differential: compiled closures against the reference evaluator
+
+def _sets():
+    return st.frozensets(st.sampled_from([E.Atom("c1"), E.Atom("c2")]))
+
+
+def _states():
+    agents = ["ag1", "ag2"]
+    return st.fixed_dictionaries({
+        "flag": st.booleans(),
+        "n": st.integers(min_value=0, max_value=3),
+        "mode": st.sampled_from([E.Atom("OPEN"), E.Atom("CLOSED")]),
+        "caps": _sets(),
+        "grant": st.fixed_dictionaries({a: _sets() for a in agents}).map(
+            E.FMap.of),
+        "deleg": st.fixed_dictionaries({
+            a: st.fixed_dictionaries({b: _sets() for b in agents}).map(
+                E.FMap.of) for a in agents}).map(E.FMap.of),
+    })
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except (E.ExprError, KeyError) as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_exprs(), _quantified(), _terms()), _states())
+def test_compiled_matches_evaluator(e, state):
+    """Same value, or the same exception type and message, with slot kinds
+    known statically and with every kind left to run-time checks."""
+    names = list(state)
+    values = [state[n] for n in names]
+    slots, kinds = C.layout(names, values)
+    flat = C.flatten(values, slots, kinds)
+    want = _outcome(lambda: E.evaluate(e, state, CONSTANTS, ATOMS))
+    want_bool = _outcome(lambda: E.evaluate_bool(e, state, CONSTANTS, ATOMS))
+    for slot_kinds in (kinds, [None] * len(kinds)):
+        res = C.compile_expr(e, slots, slot_kinds, CONSTANTS, ATOMS)
+        fn = C.value(res)[1]
+        test = C.as_bool(res, "top-level expression")[1]
+        assert _outcome(lambda: C.to_canonical(fn(flat))) == want
+        assert _outcome(lambda: test(flat)) == want_bool

@@ -1,11 +1,14 @@
 """Counterexample replay against the mock endpoints."""
 
+import time
+
 import pytest
 
 from agentconform import checker
 from agentconform.builtins import builtin
 from agentconform.replay import (ReplayError, adapter_table, generate_tests,
                                  run)
+from agentconform.replay.mocks import A2aMock
 
 
 def _all_counterexamples():
@@ -81,3 +84,15 @@ def test_unknown_profile_rejected(generated):
     tests, _ = generated
     with pytest.raises(ReplayError):
         run(tests[0], "paranoid")
+
+
+def test_a2a_mock_closes_promptly():
+    """close() does not wait out the HTTP server's poll interval, and it
+    joins the server thread."""
+    mocks = []
+    t0 = time.perf_counter()
+    for _ in range(10):
+        with A2aMock("vulnerable") as mock:
+            mocks.append(mock)
+    assert time.perf_counter() - t0 < 1.0
+    assert not any(m._thread.is_alive() for m in mocks)
