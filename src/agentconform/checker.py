@@ -76,7 +76,7 @@ def counter_cap(sort: ir.Sort, bounds: Bounds) -> Optional[int]:
 class TraceStep:
     transition_id: str
     binding: tuple  # ((param, atom name), ...)
-    post_state: tuple  # canonical state vector
+    post_state: tuple  # state vector
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class Counterexample:
     model: str
     property_id: str
     depth: int
-    initial: tuple  # canonical state vector
+    initial: tuple  # state vector
     steps: tuple
 
 
@@ -114,9 +114,10 @@ def state_dict(model: ir.ProtocolModel, vector: tuple) -> dict:
 class _Engine:
     """Compiled successor and invariant evaluation for one (model, bounds).
 
-    States inside the engine are flat tuples (see `compiled`); canonical
-    vectors of `Atom`/`FMap` values appear only at the boundary: the
-    initial state, counterexamples and `validate_trace` input.
+    States inside the engine are flat tuples (see `compiled`); state
+    vectors, which lay maps out as `FMap` values, appear only at the
+    boundary: the initial state, counterexamples and `validate_trace`
+    input.
     """
 
     def __init__(self, model: ir.ProtocolModel, bounds: Bounds,
@@ -254,7 +255,8 @@ def check(model: ir.ProtocolModel, prop: ir.Property,
 
     PASS is reported only when the frontier is exhausted within bounds;
     hitting the depth or state budget yields BOUND_EXHAUSTED, never PASS.
-    A property whose evaluation raises yields an ERROR verdict.
+    A property, guard or update whose evaluation raises yields an ERROR
+    verdict.
     """
     return check_all(model, [prop], bounds)[prop.id]
 
@@ -267,7 +269,9 @@ def check_all(model: ir.ProtocolModel, properties,
     in depth order, so the first violating state seen for a property is
     its minimal counterexample, and the explored-state count is frozen
     at the moment of discovery. A property whose evaluation raises is
-    recorded as ERROR without aborting the others.
+    recorded as ERROR without aborting the others; a guard or update
+    that raises ends the search, and every property still undecided is
+    recorded as ERROR.
     """
     results = {}
     try:
@@ -298,6 +302,10 @@ def check_all(model: ir.ProtocolModel, properties,
                 break
     except StateOverflowError:
         verdict = "BOUND_EXHAUSTED"
+    except Exception as exc:  # a guard or update that cannot be evaluated
+        for prop, _ in pending:
+            results[prop.id] = CheckResult(f"ERROR: {exc}", 0)
+        return results
     for prop, _ in pending:
         results[prop.id] = CheckResult(verdict, len(parents))
     return results
@@ -347,10 +355,8 @@ def validate_trace(model: ir.ProtocolModel, cx: Counterexample,
 # Counterexample documents (the Phase-2 input format)
 
 def value_to_json(v):
-    if isinstance(v, bool) or isinstance(v, int):
+    if isinstance(v, (bool, int, str)):
         return v
-    if isinstance(v, E.Atom):
-        return v.name
     if isinstance(v, frozenset):
         return sorted(value_to_json(x) for x in v)
     if isinstance(v, E.FMap):
@@ -364,9 +370,9 @@ def value_from_json(obj, sort: ir.Sort):
     if isinstance(sort, ir.CounterSort):
         return int(obj)
     if isinstance(sort, ir.EnumSort):
-        return E.Atom(obj)
+        return str(obj)
     if isinstance(sort, ir.SetSort):
-        return frozenset(E.Atom(x) for x in obj)
+        return frozenset(str(x) for x in obj)
     if isinstance(sort, ir.MapSort):
         return E.FMap.of({k: value_from_json(v, sort.value)
                           for k, v in obj.items()})

@@ -75,6 +75,15 @@ def _load_model(ref: str):
     return irfmt.load_model(path)
 
 
+def _exit_code(results) -> int:
+    """EXIT_ERROR if any check result is an error, else EXIT_VIOLATION if
+    any is a FAIL, else EXIT_OK."""
+    verdicts = [res.verdict for res in results]
+    if any(v.startswith("ERROR") for v in verdicts):
+        return EXIT_ERROR
+    return EXIT_VIOLATION if "FAIL" in verdicts else EXIT_OK
+
+
 def _write_out(out, text: str):
     if out:
         Path(out).write_text(text)
@@ -96,18 +105,14 @@ def _cmd_check(args) -> int:
         props = list(model.properties)
     results = checker.check_all(model, props, bounds)
     lines = []
-    rc = EXIT_OK
     for pid in sorted(results):
         res = results[pid]
         line = f"{model.name} {pid}: {res.verdict}"
         if res.failed:
-            rc = EXIT_VIOLATION
             line += f" at depth {res.counterexample.depth}"
             steps = " -> ".join(
                 s.transition_id for s in res.counterexample.steps)
             line += f" [{steps}]" if steps else " [initial state]"
-        if res.verdict.startswith("ERROR"):
-            rc = EXIT_ERROR
         lines.append(line + "\n")
     _write_out(args.out, "".join(lines))
     if args.counterexample_out:
@@ -116,7 +121,7 @@ def _cmd_check(args) -> int:
             Path(args.counterexample_out).write_text(
                 checker.export_counterexample(
                     model, failing[0].counterexample))
-    return rc
+    return _exit_code(results.values())
 
 
 def _cmd_compose(args) -> int:
@@ -132,15 +137,13 @@ def _cmd_compose(args) -> int:
         props = compose.cs_properties(composed, pattern)
         results = checker.check_all(composed, props,
                                     _parse_bounds(args.bounds, [composed]))
-        rc = EXIT_OK
         for pid in sorted(results):
             res = results[pid]
             line = f"{composed.name} {pid}: {res.verdict}"
             if res.failed:
-                rc = EXIT_VIOLATION
                 line += f" at depth {res.counterexample.depth}"
             sys.stdout.write(line + "\n")
-        return rc
+        return _exit_code(results.values())
     raise CliError(f"pattern {args.pattern!r} has no builtin composition")
 
 
@@ -206,17 +209,14 @@ def _report_over_dir(args) -> int:
         raise CliError(f"no .ir files under {args.models_dir!r}")
     models = [irfmt.load_model(path) for path in paths]
     bounds = _parse_bounds(args.bounds, models)
-    lines = []
-    rc = EXIT_OK
+    lines, every = [], []
     for model in models:
         results = checker.check_all(model, model.properties, bounds)
         for pid in sorted(results):
-            verdict = results[pid].verdict
-            if verdict == "FAIL":
-                rc = EXIT_VIOLATION
-            lines.append(f"{model.name} {pid}: {verdict}\n")
+            every.append(results[pid])
+            lines.append(f"{model.name} {pid}: {results[pid].verdict}\n")
     _write_out(args.out, "".join(lines))
-    return rc
+    return _exit_code(every)
 
 
 def _cmd_report(args) -> int:

@@ -10,9 +10,10 @@ one slot per leaf key path, in declaration order and then sorted key order.
 Map key sets never change (`FMap.set` rejects unknown keys), so `Index`
 becomes slot arithmetic. A variable's shape is None for a scalar and
 (keys, child shape, stride) for a map, whose children share one shape.
-In a flat state an atom is its name string, a set is a frozenset of flat
-values, and a map needed as a whole value is an `E.FMap` of flat values.
-These all hash in C, and strings and frozensets cache their hashes.
+A flat state holds the same values as a state vector (`expr.Value`) and
+differs from it only in map layout; a map needed as a whole value is built
+back into an `E.FMap`. Atoms (name strings) and frozensets hash in C and
+cache their hashes.
 
 Binding. Transition parameters are compiled per binding and quantifiers
 are unrolled over their (bounded) domains, so every bound name is a
@@ -42,58 +43,15 @@ _ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
           ">=": operator.ge}
 
 
-def kind(v):
-    """`expr.value_kind` of a flat value."""
-    t = type(v)
-    if t is bool:
-        return "bool"
-    if t is int:
-        return "int"
-    if t is str:
-        return "atom"
-    if t is frozenset:
-        return "set"
-    if t is E.FMap:
-        return "map"
-    raise E.ExprTypeError(f"not a value: {v!r}")
-
-
 def _static_kind(v):
     try:
-        return kind(v)
+        return E.value_kind(v)
     except E.ExprTypeError:
         return None
 
 
-def _need(k, v, what):
-    if kind(v) != k:
-        raise E.ExprTypeError(f"{what}: expected {k}, got {kind(v)}")
-
-
 # ---------------------------------------------------------------------------
-# Values and layout
-
-def to_flat(v):
-    t = type(v)
-    if t is E.Atom:
-        return v.name
-    if t is frozenset:
-        return frozenset(to_flat(x) for x in v)
-    if t is E.FMap:
-        return E.FMap(tuple((k, to_flat(x)) for k, x in v.items))
-    return v
-
-
-def to_canonical(v):
-    t = type(v)
-    if t is str:
-        return E.Atom(v)
-    if t is frozenset:
-        return frozenset(to_canonical(x) for x in v)
-    if t is E.FMap:
-        return E.FMap(tuple((k, to_canonical(x)) for k, x in v.items))
-    return v
-
+# Layout
 
 def shape_of(v):
     """None unless v is a map; raises ExprTypeError for a map whose values
@@ -113,14 +71,14 @@ def size(shape) -> int:
 
 def _leaves(v, shape, out):
     if shape is None:
-        out.append(to_flat(v))
+        out.append(v)
     else:
         for _, x in v.items:
             _leaves(x, shape[1], out)
 
 
 def layout(names, values):
-    """(slots, kinds) of a canonical state: slots maps each variable to
+    """(slots, kinds) of a state vector: slots maps each variable to
     (shape, first slot), and kinds lists each slot's kind."""
     slots, flat = {}, []
     for name, v in zip(names, values):
@@ -130,7 +88,7 @@ def layout(names, values):
 
 
 def flatten(values, slots, kinds):
-    """The flat form of a canonical state, or None when the state does not
+    """The flat form of a state vector, or None when the state does not
     fit the layout: a map with other keys, or a slot of another kind."""
     if len(values) != len(slots):
         return None
@@ -157,9 +115,8 @@ def _build(s, i, shape):
 
 
 def unflatten(s, slots) -> tuple:
-    """The canonical state vector of a flat state."""
-    return tuple(to_canonical(_build(s, i, shape))
-                 for shape, i in slots.values())
+    """The state vector of a flat state."""
+    return tuple(_build(s, i, shape) for shape, i in slots.values())
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +172,7 @@ def as_bool(res, what):
     k, fn, _ = res
     if k == "bool":
         return res
-
-    def checked(s):
-        v = fn(s)
-        if v is True or v is False:
-            return v
-        raise E.ExprTypeError(f"{what}: expected bool, got {kind(v)}")
-    return _fold("bool", checked, res)
+    return _fold("bool", lambda s: E._bool(fn(s), what), res)
 
 
 def compile_expr(e, slots, kinds, constants, atoms, scope=None):
@@ -321,29 +272,19 @@ def _pair(is_or, f, g):
 def _cmp(op, left, right):
     lk, lf, lform = left
     rk, rf, rform = right
-    if op in ("in", "notin"):
-        if rk == "set":
+    if op in ("in", "notin", "subseteq"):
+        if op == "subseteq" and lk == rk == "set":
+            fn = lambda s: lf(s) <= rf(s)  # noqa: E731
+        elif op != "subseteq" and rk == "set":
             fn = (lambda s: lf(s) in rf(s)) if op == "in" \
                 else (lambda s: lf(s) not in rf(s))
         else:
-            def fn(s):
-                v, r = lf(s), rf(s)
-                _need("set", r, op)
-                return (v in r) if op == "in" else (v not in r)
-        return _fold("bool", fn, left, right)
-    if op == "subseteq":
-        if lk == rk == "set":
-            fn = lambda s: lf(s) <= rf(s)  # noqa: E731
-        else:
-            def fn(s):
-                v, r = lf(s), rf(s)
-                _need("set", v, op)
-                _need("set", r, op)
-                return v <= r
+            fn = lambda s: E._compare(op, lf(s), rf(s))  # noqa: E731
         return _fold("bool", fn, left, right)
     if lk is None or rk is None or op not in ("=", "#", *_ORDER) \
             or (_is_const(left) and _is_const(right)):
-        return _fold("bool", _dynamic_cmp(op, lf, rf), left, right)
+        return _fold("bool", lambda s: E._compare(op, lf(s), rf(s)),
+                     left, right)
     if lk != rk:
         return _raiser(E.ExprTypeError, f"cannot compare {lk} {op} {rk}",
                        lf, rf)
@@ -357,24 +298,6 @@ def _cmp(op, left, right):
         i, c = lform[1], rform[1]
         return ("bool", lambda s: order(s[i], c), None)
     return ("bool", lambda s: order(lf(s), rf(s)), None)
-
-
-def _dynamic_cmp(op, lf, rf):
-    def fn(s):
-        v, r = lf(s), rf(s)
-        vk, rk = kind(v), kind(r)
-        if vk != rk:
-            raise E.ExprTypeError(f"cannot compare {vk} {op} {rk}")
-        if op == "=":
-            return v == r
-        if op == "#":
-            return v != r
-        if vk != "int":
-            raise E.ExprTypeError(f"ordering {op!r} requires ints, got {vk}")
-        if op not in _ORDER:
-            raise KeyError(op)
-        return _ORDER[op](v, r)
-    return fn
 
 
 def _eq(equal, left, right):
@@ -407,8 +330,8 @@ def _binterm(op, left, right):
 
     def fn(s):
         v, r = lf(s), rf(s)
-        _need(want, v, what)
-        _need(want, r, what)
+        E._require(want, v, what)
+        E._require(want, r, what)
         return combine(v, r)
     return _fold(want, fn, left, right)
 
@@ -420,8 +343,8 @@ def _index(base, key, kinds):
 
         def fn(s):
             m, k = bf(s), kf(s)
-            _need("map", m, "indexing")
-            _need("atom", k, "map key")
+            E._require("map", m, "indexing")
+            E._require("atom", k, "map key")
             if k not in m:
                 raise E.ExprTypeError(f"index {k!r} outside map key domain")
             return m[k]
@@ -445,7 +368,7 @@ def _index(base, key, kinds):
 
     def at(s):
         p, k = bf(s), kf(s)
-        _need("atom", k, "map key")
+        E._require("atom", k, "map key")
         try:
             return p + offsets[k]
         except KeyError:
@@ -555,10 +478,6 @@ def _writer(target, rhs, keys, slots, cap, again):
         if cap is not None and type(v) is int and (v < 0 or v > cap):
             return True
         names = [f(s) for f in key_fns]
-        for k in names:
-            if type(k) is not str:
-                raise AttributeError(f"'{type(to_canonical(k)).__name__}' "
-                                     "object has no attribute 'name'")
         i = base
         for level, k in zip(levels, names):
             i += level[k]  # KeyError(k), as FMap lookups raise

@@ -48,15 +48,6 @@ class UnboundSymbolError(ExprError):
 # ---------------------------------------------------------------------------
 # Values
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """An uninterpreted constant: a domain element or enum value."""
-    name: str
-
-    def __repr__(self):
-        return f"Atom({self.name})"
-
-
 @dataclass(frozen=True)
 class FMap:
     """Immutable finite map with atom keys, hashable by construction."""
@@ -84,19 +75,21 @@ class FMap:
         return FMap(tuple((k, value if k == key else v) for k, v in self.items))
 
 
-Value = Union[bool, int, Atom, frozenset, FMap]
+# An atom (a domain element or enum value) is its name string.
+Value = Union[bool, int, str, frozenset, FMap]
 
 
 def value_kind(v) -> str:
-    if isinstance(v, bool):
+    t = type(v)
+    if t is bool:
         return "bool"
-    if isinstance(v, int):
+    if t is int:
         return "int"
-    if isinstance(v, Atom):
+    if t is str:
         return "atom"
-    if isinstance(v, frozenset):
+    if t is frozenset:
         return "set"
-    if isinstance(v, FMap):
+    if t is FMap:
         return "map"
     raise ExprTypeError(f"not a value: {v!r}")
 
@@ -493,26 +486,6 @@ def _bool(v, what: str) -> bool:
     raise ExprTypeError(f"{what}: expected bool, got {value_kind(v)}")
 
 
-# interning caches; atom vocabularies are tiny and fixed per model
-_ATOM_CACHE: dict = {}
-_DOMAIN_CACHE: dict = {}
-
-
-def _atom(name: str) -> Atom:
-    a = _ATOM_CACHE.get(name)
-    if a is None:
-        a = _ATOM_CACHE[name] = Atom(name)
-    return a
-
-
-def _domain_set(names) -> frozenset:
-    key = tuple(names)
-    s = _DOMAIN_CACHE.get(key)
-    if s is None:
-        s = _DOMAIN_CACHE[key] = frozenset(_atom(a) for a in key)
-    return s
-
-
 def _eval(e, env, state, constants, atoms):
     # leaves first: Name dominates call counts in checker workloads
     if isinstance(e, Name):
@@ -522,9 +495,9 @@ def _eval(e, env, state, constants, atoms):
         if n in state:
             return state[n]
         if n in constants:
-            return _domain_set(constants[n])
+            return frozenset(constants[n])
         if atoms is None or n in atoms:
-            return _atom(n)
+            return n
         raise UnboundSymbolError(f"unbound symbol {n!r}")
     if isinstance(e, Cmp):
         l = _eval(e.lhs, env, state, constants, atoms)
@@ -535,16 +508,16 @@ def _eval(e, env, state, constants, atoms):
         key = _eval(e.key, env, state, constants, atoms)
         _require("map", base, "indexing")
         _require("atom", key, "map key")
-        if key.name not in base:
-            raise ExprTypeError(f"index {key.name!r} outside map key domain")
-        return base[key.name]
+        if key not in base:
+            raise ExprTypeError(f"index {key!r} outside map key domain")
+        return base[key]
     if isinstance(e, (Forall, Exists)):
         if e.domain not in constants:
             raise UnboundSymbolError(f"unknown domain {e.domain!r}")
         sub = dict(env)
         want = isinstance(e, Exists)
         for a in constants[e.domain]:
-            sub[e.var] = _atom(a)
+            sub[e.var] = a
             if _bool(_eval(e.body, sub, state, constants, atoms),
                      "quantifier body") is want:
                 return want

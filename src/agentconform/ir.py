@@ -98,11 +98,11 @@ def value_in_sort(v, sort: Sort, constants) -> bool:
         return isinstance(v, int) and not isinstance(v, bool) \
             and 0 <= v <= sort.max
     if isinstance(sort, EnumSort):
-        return isinstance(v, E.Atom) and v.name in sort.values
+        return isinstance(v, str) and v in sort.values
     if isinstance(sort, SetSort):
         dom = constants.get(sort.over, ())
         return isinstance(v, frozenset) and all(
-            isinstance(x, E.Atom) and x.name in dom for x in v)
+            isinstance(x, str) and x in dom for x in v)
     if isinstance(sort, MapSort):
         dom = constants.get(sort.key, ())
         return isinstance(v, E.FMap) \

@@ -46,8 +46,8 @@ def _emit_value(v, enums) -> str:
         return "TRUE" if v else "FALSE"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, E.Atom):
-        return f'"{v.name}"' if v.name in enums else v.name
+    if isinstance(v, str):
+        return f'"{v}"' if v in enums else v
     if isinstance(v, frozenset):
         return "{" + ", ".join(sorted(_emit_value(x, enums) for x in v)) + "}"
     if isinstance(v, E.FMap):
@@ -282,7 +282,7 @@ def _parse_tlc_value(text: str):
             end = text.index('"', pos[0] + 1)
             name = text[pos[0] + 1:end]
             pos[0] = end + 1
-            return E.Atom(name)
+            return name
         if c == "{":
             pos[0] += 1
             items = []
@@ -310,9 +310,9 @@ def _parse_tlc_value(text: str):
                     raise TlcDialectError(f"expected ':>' in {text!r}")
                 pos[0] += 2
                 v = parse_atom()
-                if not isinstance(k, E.Atom):
+                if not isinstance(k, str):
                     raise TlcDialectError(f"non-atom function key in {text!r}")
-                entries.append((k.name, v))
+                entries.append((k, v))
                 skip_ws()
                 if text[pos[0]:pos[0] + 2] == "@@":
                     pos[0] += 2
@@ -333,7 +333,7 @@ def _parse_tlc_value(text: str):
                 return True
             if word == "FALSE":
                 return False
-            return E.Atom(word)
+            return word
         raise TlcDialectError(f"cannot parse value {text!r}")
 
     v = parse_atom()

@@ -48,7 +48,7 @@ def _successors(model, state, constants, atoms, sorts, bounds):
     for t in model.transitions:
         domains = [constants.get(d, ()) for _, d in t.params]
         for combo in itertools.product(*domains):
-            env = {n: E.Atom(a) for (n, _), a in zip(t.params, combo)}
+            env = {n: a for (n, _), a in zip(t.params, combo)}
             scope = {**state, **env}
             if not E.evaluate(t.guard, scope, constants, atoms):
                 continue
@@ -63,7 +63,7 @@ def _successors(model, state, constants, atoms, sorts, bounds):
                     ok = False
                     break
                 if target.keys:
-                    keys = [E.evaluate(k, scope, constants, atoms).name
+                    keys = [E.evaluate(k, scope, constants, atoms)
                             for k in target.keys]
                     new[target.var] = _set_nested(
                         state[target.var], keys, val)

@@ -76,6 +76,33 @@ def test_unbound_invariant_is_error_verdict():
     assert report.triage(res, "NOT_RUN", prop) == "model-fail"
 
 
+def _with_first_transition(model, **changes):
+    """The model with its first transition (by id) changed."""
+    first = min(model.transitions, key=lambda t: t.id)
+    changed = dataclasses.replace(
+        first, **{k: f(first) for k, f in changes.items()})
+    return dataclasses.replace(model, transitions=tuple(
+        changed if t is first else t for t in model.transitions))
+
+
+@pytest.mark.parametrize("change", [
+    {"guard": lambda t: E.parse("nosuch = true")},
+    {"updates": lambda t: t.updates + (
+        (ir.UpdateTarget("executed", ()), E.parse("nosuch")),)},
+], ids=["guard", "update"])
+def test_unbound_transition_is_error_verdict(change):
+    """Properties decided before the failing step keep their verdict;
+    every other one is ERROR, as a per-property check reports it."""
+    model = _with_first_transition(builtin("mcp"), **change)
+    error = checker.CheckResult("ERROR: unbound symbol 'nosuch'", 0)
+    assert checker.check(
+        model, model.property_by_id("P8_CredRevocation")) == error
+    results = checker.check_all(model, model.properties)
+    assert results == {p.id: checker.check(model, p)
+                       for p in model.properties}
+    assert results["P8_CredRevocation"] == error
+
+
 def test_domain_caps_truncate():
     model = builtin("a2a")
     capped = checker.DEFAULT_BOUNDS.with_caps(tasks=1, agentid=1)
@@ -156,7 +183,7 @@ def test_validate_trace_rejects_states_and_bindings_of_no_model_run():
     # a map whose key set differs from the model's
     initial = list(cx.initial)
     i = names.index("session_state")
-    initial[i] = E.FMap.of({"s1": E.Atom("NONE")})
+    initial[i] = E.FMap.of({"s1": "NONE"})
     assert not checker.validate_trace(
         model, dataclasses.replace(cx, initial=tuple(initial)))
     # a value of another kind than the variable's is evaluated as such

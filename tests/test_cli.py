@@ -162,6 +162,27 @@ def test_matrix_over_models_dir(tmp_path, capsys):
     assert "mcp P8_CredRevocation: FAIL" in out
 
 
+def test_error_verdict_exits_2_in_every_command(tmp_path, monkeypatch,
+                                                capsys):
+    import re
+    from agentconform import compose, ir, irfmt
+    from agentconform import expr as E
+    text = irfmt.serialize_model(builtin("acp-client"))
+    path = tmp_path / "acp-client.ir"
+    path.write_text(re.sub(r"invariant: .*", "invariant: nosuch = true",
+                           text))
+    bad = ir.Property("BAD", "P0", "aasm-hardening", E.parse("nosuch = true"))
+    monkeypatch.setattr(compose, "cs_properties", lambda model, pattern: [bad])
+    for argv, count in [(("check", str(path)), 3),
+                        (("report", "--models-dir", str(tmp_path)), 3),
+                        (("compose", "tool-delegation"), 1)]:
+        assert run_cli(*argv) == 2, argv
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == count, argv
+        assert all(line.endswith(": ERROR: unbound symbol 'nosuch'")
+                   for line in lines), argv
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "verdicts.txt"
     run_cli("check", "mcp", "--property", "P8_CredRevocation",

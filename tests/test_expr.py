@@ -80,9 +80,9 @@ def test_free_symbols_respects_binding():
 STATE = {
     "flag": True,
     "n": 2,
-    "mode": E.Atom("OPEN"),
-    "caps": frozenset({E.Atom("c1")}),
-    "grant": E.FMap.of({"ag1": frozenset({E.Atom("c1")}),
+    "mode": "OPEN",
+    "caps": frozenset({"c1"}),
+    "grant": E.FMap.of({"ag1": frozenset({"c1"}),
                         "ag2": frozenset()}),
 }
 CONSTANTS = {"AgentID": ["ag1", "ag2"], "Caps": ["c1", "c2"]}
@@ -279,7 +279,7 @@ def test_quantifier_de_morgan(assign):
 # Differential: compiled closures against the reference evaluator
 
 def _sets():
-    return st.frozensets(st.sampled_from([E.Atom("c1"), E.Atom("c2")]))
+    return st.frozensets(st.sampled_from(["c1", "c2"]))
 
 
 def _states():
@@ -287,7 +287,7 @@ def _states():
     return st.fixed_dictionaries({
         "flag": st.booleans(),
         "n": st.integers(min_value=0, max_value=3),
-        "mode": st.sampled_from([E.Atom("OPEN"), E.Atom("CLOSED")]),
+        "mode": st.sampled_from(["OPEN", "CLOSED"]),
         "caps": _sets(),
         "grant": st.fixed_dictionaries({a: _sets() for a in agents}).map(
             E.FMap.of),
@@ -319,5 +319,5 @@ def test_compiled_matches_evaluator(e, state):
         res = C.compile_expr(e, slots, slot_kinds, CONSTANTS, ATOMS)
         fn = C.value(res)[1]
         test = C.as_bool(res, "top-level expression")[1]
-        assert _outcome(lambda: C.to_canonical(fn(flat))) == want
+        assert _outcome(lambda: fn(flat)) == want
         assert _outcome(lambda: test(flat)) == want_bool

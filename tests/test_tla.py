@@ -1,13 +1,16 @@
 """TLA+ emission and TLC log parsing."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from agentconform import checker, tla
+from agentconform import checker, compose, report, tla
 from agentconform.builtins import BUILTIN_NAMES, builtin
 
 FIXTURES = Path(__file__).parent / "fixtures"
+EMISSION_GOLDEN = Path(__file__).parent / "golden" / "emission.json"
 
 
 def test_p3_operator_body():
@@ -128,3 +131,48 @@ def test_parser_value_forms():
     assert ":>" in log and "@@" in log
     cx = tla.to_counterexample(tla.parse_tlc_output(log), model)
     assert cx == res.counterexample
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def emission_hashes():
+    """sha256 of the emitted bytes: each TLA+ artifact (5 builtins and 5
+    compositions at the agreement bounds), and the counterexample JSON and
+    TLC log of every per-protocol FAIL cell."""
+    models = [builtin(n) for n in BUILTIN_NAMES]
+    models += [compose.compose(a, b, bridge)
+               for _, a, b, bridge in compose.builtin_compositions()]
+    artifacts = {}
+    for model in models:
+        for label, bounds in AGREEMENT_BOUNDS.items():
+            artifact = tla.emit_artifact(model, bounds)
+            artifacts[f"{model.name} {label}"] = _sha(json.dumps(
+                [artifact.module_text, artifact.config_texts]))
+    cells = {}
+    for name in BUILTIN_NAMES:
+        model = builtin(name)
+        for pr in report.MATRIX_PRINCIPLES[:-1]:
+            prop = report._cell_property(model, pr)
+            res = checker.check(model, prop)
+            if res.failed:
+                cells[f"{name} {prop.id}"] = {
+                    "counterexample": _sha(checker.export_counterexample(
+                        model, res.counterexample)),
+                    "tlc_log": _sha(tla.format_tlc_log(model, res))}
+    return {"tla": artifacts, "cells": cells}
+
+
+def test_emitted_bytes_match_golden():
+    """`tests/golden/emission.json` was written before atoms became plain
+    name strings; regenerate it only for a deliberate output change:
+
+        PYTHONPATH=src python tests/test_tla.py
+    """
+    assert emission_hashes() == json.loads(EMISSION_GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    EMISSION_GOLDEN.write_text(
+        json.dumps(emission_hashes(), indent=2) + "\n")
