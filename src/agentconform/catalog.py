@@ -23,45 +23,12 @@ class CatalogError(Exception):
 NOT_CATALOGED = "NOT_CATALOGED"
 
 
-# role shape predicates -----------------------------------------------------
-
-def _is_counter(sort):
-    return isinstance(sort, ir.CounterSort)
-
-
-def _is_bool(sort):
-    return isinstance(sort, ir.BoolSort)
-
-
-def _is_enum(sort):
-    return isinstance(sort, ir.EnumSort)
-
-
-def _is_map_bool(sort):
-    return isinstance(sort, ir.MapSort) and isinstance(sort.value, ir.BoolSort)
-
-
-def _is_map_enum(sort):
-    return isinstance(sort, ir.MapSort) and isinstance(sort.value, ir.EnumSort)
-
-
-def _is_map_set(sort):
-    return isinstance(sort, ir.MapSort) and isinstance(sort.value, ir.SetSort)
-
-
-def _is_map_map_set(sort):
-    return isinstance(sort, ir.MapSort) and _is_map_set(sort.value)
-
-
-_SHAPES = {
-    "COUNTER": _is_counter,
-    "BOOL": _is_bool,
-    "ENUM": _is_enum,
-    "MAP->BOOL": _is_map_bool,
-    "MAP->ENUM": _is_map_enum,
-    "MAP->SET": _is_map_set,
-    "MAP->MAP->SET": _is_map_map_set,
-}
+def _shape(sort) -> str:
+    """A sort's shape as the templates' roles spell it: "COUNTER", "BOOL",
+    "ENUM", "SET", or "MAP->" followed by the value's shape."""
+    if isinstance(sort, ir.MapSort):
+        return "MAP->" + _shape(sort.value)
+    return type(sort).__name__[:-len("Sort")].upper()
 
 
 @dataclass(frozen=True)
@@ -141,25 +108,8 @@ def template(principle: str) -> PrincipleTemplate:
                        "(CS templates live in the composer)")
 
 
-# canonical variable names checked first when auto-binding a model
-_CANONICAL = {
-    "unauth_msgs": "msgs_from_unauthenticated",
-    "capability_used": "capability_used",
-    "manifest_attested": "manifest_attested",
-    "delegation": "delegation",
-    "original_caps": "original_caps",
-    "prompt_tainted": "prompt_tainted",
-    "executed": "executed",
-    "consent_granted": "consent_granted",
-    "audit_count": "audit_count",
-    "msg_count": "msg_count",
-    "error_raised": "error_raised",
-    "error_mode": "error_mode",
-    "session_state": "session_state",
-    "credentials": "credentials",
-    "malformed_delivered": "malformed_delivered",
-    "lifecycle_stuck": "lifecycle_stuck",
-}
+# the variable bound to a role is named after the role, except here
+_CANONICAL = {"unauth_msgs": "msgs_from_unauthenticated"}
 
 
 def default_binding(tmpl: PrincipleTemplate, model: ir.ProtocolModel,
@@ -175,7 +125,7 @@ def default_binding(tmpl: PrincipleTemplate, model: ir.ProtocolModel,
     for role, shape in tmpl.roles:
         if shape == "DOMAIN":
             continue
-        name = prefix + _CANONICAL[role]
+        name = prefix + _CANONICAL.get(role, role)
         try:
             model.var(name)
         except KeyError:
@@ -215,7 +165,7 @@ def instantiate(tmpl: PrincipleTemplate, binding: dict,
         except KeyError:
             raise CatalogError(
                 f"role {role!r}: {sym!r} is not a state variable")
-        if not _SHAPES[shape](decl.sort):
+        if _shape(decl.sort) != shape:
             raise CatalogError(
                 f"role {role!r}: {sym!r} has sort {decl.sort}, "
                 f"expected {shape}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import urllib.parse
 from pathlib import Path
 
 from . import __version__, builtins, checker, compose, irfmt, report, tla
@@ -178,6 +179,23 @@ def _cmd_parse_tlc(args) -> int:
     return EXIT_OK
 
 
+def _parse_endpoint(url: str, model_name: str) -> tuple:
+    """(host, port) of an http://host:port delegation endpoint."""
+    if model_name == "mcp":
+        raise CliError("--endpoint works for a2a only: the tool-server "
+                       "(mcp) adapter has no network transport")
+    parts = urllib.parse.urlsplit(url)
+    try:
+        port = parts.port
+    except ValueError:
+        port = None
+    if (parts.scheme != "http" or not parts.hostname or port is None
+            or parts.path not in ("", "/")):
+        raise CliError(f"--endpoint must look like http://host:port, "
+                       f"not {url!r}")
+    return parts.hostname, port
+
+
 def _cmd_replay(args) -> int:
     text = Path(args.counterexample).read_text()
     import json
@@ -190,11 +208,13 @@ def _cmd_replay(args) -> int:
     if not tests:
         reason = skipped[0][1] if skipped else "no test generated"
         raise CliError(f"cannot replay: {reason}")
+    endpoint = None
+    if args.endpoint is not None:
+        endpoint = _parse_endpoint(args.endpoint, model_name)
     rc = EXIT_OK
     reports = []
     for test in tests:
-        adapter_report = replay_run(test, args.profile, mode=args.mode,
-                                    endpoint=args.endpoint)
+        adapter_report = replay_run(test, args.profile, endpoint)
         reports.append(adapter_report.to_json())
         if adapter_report.outcome == "VIOLATED":
             rc = EXIT_VIOLATION
@@ -271,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("counterexample", help="counterexample JSON file")
     p.add_argument("--profile", required=True,
                    choices=("vulnerable", "hardened"))
-    p.add_argument("--mode", default="mock", choices=("mock", "live"))
     p.add_argument("--endpoint", default=None,
-                   help="live-mode endpoint URL")
+                   help="replay against a running a2a endpoint, "
+                        "http://host:port, instead of a mock")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_replay)
 
@@ -282,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check .ir files in a directory instead of the "
                         "bundled protocols (no triage or composition)")
     p.add_argument("--format", default="table",
-                   choices=("table", "structured", "table-text"))
+                   choices=("table", "structured"))
     common(p)
     p.set_defaults(fn=_cmd_report)
 

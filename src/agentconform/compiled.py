@@ -401,11 +401,10 @@ def compile_step(t, binding, slots, kinds, constants, atoms, caps):
     fixed, writers, writes = [], [], []
     names = [target.var for target, _ in t.updates]
     ordered = len(set(names)) < len(names)
-    for n, (target, rhs) in enumerate(t.updates):
+    for target, rhs in t.updates:
         keys = [value(comp(x)) for x in target.keys]
         w, at, k = _writer(target, value(comp(rhs)), keys, slots,
-                           caps.get(target.var),
-                           target.var in names[:n])
+                           caps.get(target.var))
         writes.append((at, k))
         if type(w) is tuple and not ordered:
             fixed.append(w)  # (slot, constant) stores commute
@@ -429,15 +428,15 @@ def _store(i, v):
     return write
 
 
-def _writer(target, rhs, keys, slots, cap, again):
+def _writer(target, rhs, keys, slots, cap):
     """(writer, slots, kind) of one update. The writer is (slot, constant)
     for a constant store, else writer(s, n) storing into the list n and
     returning True when a counter leaves its range.
 
-    As in the checker's reference semantics, the right-hand side reads the
-    pre-state, a counter is range-checked before the keys are evaluated,
-    and a keyed update starts from the variable's pre-state value (undoing
-    an earlier update of the same variable, `again`).
+    As in the checker's reference semantics and TLA+'s EXCEPT, the
+    right-hand side and the keys read the pre-state, a counter is
+    range-checked before the keys are evaluated, and updates of one
+    variable apply in order, each on top of the ones before it.
     """
     var = target.var
     rk, rf, rform = rhs
@@ -455,7 +454,7 @@ def _writer(target, rhs, keys, slots, cap, again):
             _is_const(k) and type(k[2][1]) is str and k[2][1] in level
             for k, level in zip(keys, levels)):
         at = base + sum(level[k[2][1]] for k, level in zip(keys, levels))
-    if at is not None and not (again and keys):
+    if at is not None:
         if _is_const(rhs) and not (cap is not None and type(rform[1]) is int
                                    and not 0 <= rform[1] <= cap):
             return (at, rform[1]), (at,), rk
@@ -484,8 +483,6 @@ def _writer(target, rhs, keys, slots, cap, again):
         if past:
             raise E.ExprTypeError(
                 f"update target {target} indexes past a map leaf")
-        if again and keys:
-            n[base:base + len(every)] = s[base:base + len(every)]
         if sub is None:
             n[i] = v
             return

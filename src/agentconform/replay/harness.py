@@ -2,8 +2,9 @@
 
 A counterexample trace becomes an ordered list of concrete operations
 via the protocol's adapter action map. The runner executes them against
-an endpoint (mock profile or live), then evaluates an oracle derived
-from the violated property's principle:
+an endpoint (an in-process mock with a named profile, or the caller's
+live endpoint), then evaluates an oracle derived from the violated
+property's principle:
 
   P8: a credential captured before session close must be rejected after;
   P4: an injected directive must not appear unsanitized in any returned
@@ -17,9 +18,10 @@ reason rather than guessed at.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import checker
 from ..builtins import builtin
@@ -157,7 +159,8 @@ def generate_tests(counterexamples):
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# Runners: perform(desc, binding) returns (request, response, error), with
+# error None unless the endpoint refused the operation.
 
 class _McpRunner:
     def __init__(self, endpoint):
@@ -171,7 +174,7 @@ class _McpRunner:
         self.rid += 1
         return self.endpoint.request(self.rid, method, params)
 
-    def perform(self, desc: dict) -> tuple:
+    def perform(self, desc: dict, binding: tuple) -> tuple:
         params = {}
         method = desc["method"]
         if method != "initialize" and self.token is not None:
@@ -186,7 +189,7 @@ class _McpRunner:
             self.saved_token = self.token
         if "result" in resp:
             self.ops += 1
-        return {"method": method, "params": params}, resp
+        return {"method": method, "params": params}, resp, resp.get("error")
 
     def probe(self, principle: str, transcript):
         if principle == "P8":
@@ -213,12 +216,11 @@ class _McpRunner:
 
 
 class _A2aRunner:
-    def __init__(self, host: str, port: int):
-        self.host, self.port = host, port
+    def __init__(self, endpoint: tuple):
+        self.host, self.port = endpoint
         self.task = None
         self.canceled_task = None
         self.ops = 0
-        self.last_status = None
 
     def http(self, method: str, path: str, body=None) -> tuple:
         conn = http.client.HTTPConnection(self.host, self.port, timeout=10)
@@ -257,8 +259,9 @@ class _A2aRunner:
                 self.task = payload["id"]
             if path.endswith("/cancel"):
                 self.canceled_task = self.task
-        return ({"method": method, "path": path, "body": body},
-                {"status": status, "body": payload}), status
+        resp = {"status": status, "body": payload}
+        return ({"method": method, "path": path, "body": body}, resp,
+                resp if status >= 400 else None)
 
     def probe(self, principle: str, transcript):
         if principle == "P3":
@@ -287,67 +290,41 @@ class _A2aRunner:
         raise ReplayError(f"no oracle for principle {principle}")
 
 
-def run(test: TestCase, profile: str, mode: str = "mock",
-        endpoint=None) -> AdapterReport:
+_RUNNERS = {"mcp": _McpRunner, "a2a": _A2aRunner}
+
+
+def run(test: TestCase, profile: str, endpoint=None) -> AdapterReport:
     """Execute a test against an endpoint and evaluate its oracle.
 
-    In mock mode an in-process endpoint with the named profile is
-    created per run. In live mode the caller supplies the endpoint: a
-    byte-stream peer for the tool-server protocol, a (host, port) pair
-    for the delegation protocol.
+    Without an endpoint the test runs against an in-process mock with the
+    named profile, created per run. Otherwise the endpoint decides the
+    behaviour and `profile` is only recorded: a peer with
+    ``request(rid, method, params)`` for the tool-server protocol, a
+    (host, port) pair for the delegation protocol.
     """
-    if mode not in ("mock", "live"):
-        raise ReplayError(f"unknown mode {mode!r}")
     if profile not in PROFILES:
         raise ReplayError(f"unknown profile {profile!r}; "
                           f"expected one of {PROFILES}")
-    if mode == "live" and endpoint is None:
-        raise ReplayError("live mode requires an endpoint")
-    if test.model == "mcp":
-        target = McpMock(profile) if mode == "mock" else endpoint
-        runner = _McpRunner(target)
+    table = adapter_table(test.model)
+    model = builtin(test.model)
+    mode = "mock" if endpoint is None else "live"
+    with contextlib.ExitStack() as stack:
+        if endpoint is None and test.model == "mcp":
+            endpoint = McpMock(profile)
+        elif endpoint is None:
+            endpoint = stack.enter_context(A2aMock(profile)).address
+        runner = _RUNNERS[test.model](endpoint)
         transcript, errors = [], []
         for i, (tid, binding) in enumerate(test.actions):
-            model = builtin("mcp")
             if model.transition(tid).kind == "Environment":
                 transcript.append({"step": i, "action": tid,
                                    "request": "internal", "response": {}})
                 continue
-            desc = adapter_table("mcp").descriptor(tid)
-            req, resp = runner.perform(desc)
-            entry = {"step": i, "action": tid, "request": req,
-                     "response": resp}
-            transcript.append(entry)
-            if "error" in resp:
-                errors.append({"step": i, "error": resp["error"]})
+            req, resp, error = runner.perform(table.descriptor(tid), binding)
+            transcript.append({"step": i, "action": tid, "request": req,
+                               "response": resp})
+            if error is not None:
+                errors.append({"step": i, "error": error})
         outcome, probe = runner.probe(test.principle, transcript)
-        return AdapterReport(test.id, profile, mode, outcome,
-                             tuple(transcript), probe, tuple(errors))
-    if test.model == "a2a":
-        if mode == "mock":
-            with A2aMock(profile) as mock:
-                host, port = mock.address
-                return _run_a2a(test, profile, mode, host, port)
-        host, port = endpoint
-        return _run_a2a(test, profile, mode, host, port)
-    raise ReplayError(f"no adapter for model {test.model!r}")
-
-
-def _run_a2a(test, profile, mode, host, port) -> AdapterReport:
-    runner = _A2aRunner(host, port)
-    transcript, errors = [], []
-    model = builtin("a2a")
-    for i, (tid, binding) in enumerate(test.actions):
-        if model.transition(tid).kind == "Environment":
-            transcript.append({"step": i, "action": tid,
-                               "request": "internal", "response": {}})
-            continue
-        desc = adapter_table("a2a").descriptor(tid)
-        (req, resp), status = runner.perform(desc, binding)
-        transcript.append({"step": i, "action": tid, "request": req,
-                           "response": resp})
-        if status >= 400:
-            errors.append({"step": i, "error": resp})
-    outcome, probe = runner.probe(test.principle, transcript)
     return AdapterReport(test.id, profile, mode, outcome,
                          tuple(transcript), probe, tuple(errors))

@@ -1,15 +1,24 @@
 """In-process mock endpoints for the two adapter-supported protocols.
 
 Each mock ships two behavior profiles. The vulnerable profile mirrors
-the conformance gaps found at model level (tokens stay valid after
-close, tool output reaches the context unsanitized, no audit log, any
-re-delegation accepted). The hardened profile applies the corresponding
-remedies, so a correct harness must flag one and clear the other.
+the conformance gaps found at model level, and the hardened profile
+remedies exactly those the replay oracles probe, so a correct harness
+must flag one and clear the other:
 
-Transport choices are harness decisions: the tool-server mock speaks
-newline-delimited JSON-RPC 2.0 over an in-memory byte-stream pair (the
-wire framing is underspecified upstream), and the delegation mock speaks
-HTTP/1.1 with JSON bodies on a loopback socket.
+  tool server (mcp): a closed session's token is rejected (P8); directive
+      markers in tool output are replaced by "[removed]" (P4); every
+      accepted operation but reading the log goes to the audit log that
+      ``log/list`` returns (P6; the vulnerable profile logs nothing);
+  delegation (a2a): a canceled task's credentials are revoked, so later
+      operations on it get 403 (P8); a delegation must stay within the
+      delegator's original grant on the agent card (P3); every accepted
+      operation but reading the log goes to the audit log that
+      ``GET /audit`` returns (P6; the vulnerable profile logs nothing).
+
+Transport choices are harness decisions: the tool-server mock takes
+JSON-RPC 2.0 frames as in-process calls (the wire framing is
+underspecified upstream, so there is no network transport), and the
+delegation mock speaks HTTP/1.1 with JSON bodies on a loopback socket.
 """
 
 from __future__ import annotations
@@ -17,7 +26,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-from collections import deque
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 PROFILES = ("vulnerable", "hardened")
@@ -36,61 +44,32 @@ def _check_profile(profile: str):
 
 
 # ---------------------------------------------------------------------------
-# Tool-server mock: newline-delimited JSON-RPC 2.0 over a byte-stream pair
-
-class _BytePipe:
-    """One direction of the stream pair; framing is one JSON object per
-    newline-terminated line."""
-
-    def __init__(self):
-        self._lines = deque()
-
-    def write_line(self, data: bytes):
-        if b"\n" in data.rstrip(b"\n"):
-            raise MockError("frame must be a single line")
-        self._lines.append(data.rstrip(b"\n"))
-
-    def read_line(self) -> bytes:
-        if not self._lines:
-            raise MockError("read on empty stream")
-        return self._lines.popleft()
-
+# Tool-server mock: JSON-RPC 2.0 frames as in-process calls
 
 class McpMock:
-    """Tool server reachable through a JSON-RPC byte-stream pair."""
+    """Tool server that answers one JSON-RPC frame per call."""
 
     def __init__(self, profile: str):
         _check_profile(profile)
         self.profile = profile
-        self.to_server = _BytePipe()
-        self.to_client = _BytePipe()
         self._next_token = 1
         self._sessions = {}  # token -> "open" | "closed"
         self._audit = []
-        self._consented = set()
-        self._context = []  # what the host would place in model context
         self._running = True
 
-    # -- client side helper -------------------------------------------------
-
     def request(self, rid: int, method: str, params: dict) -> dict:
-        """Send one frame and read the reply frame."""
+        """Send one frame and return the decoded reply frame."""
         frame = json.dumps({"jsonrpc": "2.0", "id": rid, "method": method,
                             "params": params}, sort_keys=True)
-        self.to_server.write_line(frame.encode() + b"\n")
-        self._serve_one()
-        return json.loads(self.to_client.read_line())
+        return json.loads(self._serve(frame))
 
-    # -- server side --------------------------------------------------------
-
-    def _reply(self, rid, result=None, error=None):
+    def _reply(self, rid, result=None, error=None) -> str:
         msg = {"jsonrpc": "2.0", "id": rid}
         if error is not None:
             msg["error"] = error
         else:
             msg["result"] = result
-        self.to_client.write_line(json.dumps(msg, sort_keys=True).encode()
-                                  + b"\n")
+        return json.dumps(msg, sort_keys=True)
 
     def _log(self, method):
         if self.profile == "hardened":
@@ -104,69 +83,47 @@ class McpMock:
         # the gap: a closed session's token keeps working
         return self.profile == "vulnerable" and state == "closed"
 
-    def _serve_one(self):
-        req = json.loads(self.to_server.read_line())
+    def _serve(self, frame: str) -> str:
+        req = json.loads(frame)
         rid, method = req.get("id"), req.get("method")
         params = req.get("params", {})
         if not self._running:
-            self._reply(rid, error={"code": -32000,
-                                    "message": "server shut down"})
-            return
+            return self._reply(rid, error={"code": -32000,
+                                           "message": "server shut down"})
         if method == "initialize":
             token = f"tok-{self._next_token}"
             self._next_token += 1
             self._sessions[token] = "open"
             self._log(method)
-            self._reply(rid, {"protocolVersion": "2025-03-26",
-                              "sessionToken": token})
-            return
+            return self._reply(rid, {"protocolVersion": "2025-03-26",
+                                     "sessionToken": token})
         if method == "session/close":
             token = params.get("token")
             if token in self._sessions:
                 self._sessions[token] = "closed"
             self._log(method)
-            self._reply(rid, {"closed": True})
-            return
+            return self._reply(rid, {"closed": True})
         if method == "shutdown":
             self._running = False
             self._log(method)
-            self._reply(rid, {"ok": True})
-            return
+            return self._reply(rid, {"ok": True})
         if not self._authorized(params):
-            self._reply(rid, error={"code": -32001,
-                                    "message": "unauthorized"})
-            return
+            return self._reply(rid, error={"code": -32001,
+                                           "message": "unauthorized"})
         if method == "tools/list":
             self._log(method)
-            self._reply(rid, {"tools": [{"name": "echo"}]})
-            return
-        if method == "consent/grant":
-            self._consented.add(params.get("tool"))
-            self._log(method)
-            self._reply(rid, {"granted": True})
-            return
+            return self._reply(rid, {"tools": [{"name": "echo"}]})
         if method == "tools/call":
-            tool = params.get("name")
-            if (self.profile == "hardened"
-                    and tool not in self._consented):
-                self._reply(rid, error={"code": -32002,
-                                        "message": "consent required"})
-                return
             text = str(params.get("arguments", {}).get("text", ""))
             if self.profile == "hardened":
                 text = _DIRECTIVE_RE.sub("[removed]", text)
-            self._context.append(text)
             self._log(method)
-            self._reply(rid, {"content": [{"type": "text", "text": text}]})
-            return
+            return self._reply(rid,
+                               {"content": [{"type": "text", "text": text}]})
         if method == "log/list":
-            self._reply(rid, {"entries": list(self._audit)})
-            return
-        self._reply(rid, error={"code": -32601, "message": "unknown method"})
-
-    @property
-    def context(self):
-        return tuple(self._context)
+            return self._reply(rid, {"entries": list(self._audit)})
+        return self._reply(rid, error={"code": -32601,
+                                       "message": "unknown method"})
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +140,7 @@ class _A2aState:
     def __init__(self, profile: str):
         self.profile = profile
         self.tasks = {}  # id -> {"state", "token"}
-        self.delegations = []  # {"from", "to", "cap"}
         self.audit = []
-        self.consents = []
         self.next_task = 1
 
 
@@ -253,7 +208,6 @@ class _A2aHandler(BaseHTTPRequestHandler):
             self._send(200, {"id": tid, "state": "canceled"})
             return
         if op == "consent":
-            st.consents.append(body)
             self._log("consent")
             self._send(200, {"acknowledged": True})
             return
@@ -265,8 +219,6 @@ class _A2aHandler(BaseHTTPRequestHandler):
             # scope check against the original grant, not transitive holds
             self._send(403, {"error": "capability outside original scope"})
             return
-        st.delegations.append(
-            {"from": src, "to": body.get("to", ""), "cap": cap})
         self._log("delegate")
         self._send(200, {"delegated": True, "cap": cap})
 

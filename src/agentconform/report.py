@@ -227,10 +227,10 @@ _CLASS_TAG = {"spec-mandated": "SM", "spec-recommended": "SR",
               "aasm-hardening": "AH", "aps-completeness": "AC"}
 
 
-def render(matrix: ConformanceMatrix, fmt: str = "table-text") -> str:
-    if fmt in ("", "table-text", "table"):
+def render(matrix: ConformanceMatrix, fmt: str = "table") -> str:
+    if fmt == "table":
         return _render_table(matrix)
-    if fmt in ("structured", "json"):
+    if fmt == "structured":
         return _render_structured(matrix)
     raise ReportError(f"unknown format {fmt!r}")
 

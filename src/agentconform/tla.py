@@ -129,7 +129,10 @@ def _emit_update_conjuncts(t: ir.Transition, model, enums, bounds):
     guards = []
     for var, entries in by_var.items():
         decl = model.var(var)
-        if any(tgt.keys for tgt, _ in entries):
+        if len(entries) > 1 and not all(tgt.keys for tgt, _ in entries):
+            raise TlaError(f"transition {t.id} assigns {var} as a whole "
+                           "next to another update of it")
+        if entries[0][0].keys:
             clauses = []
             for tgt, rhs in entries:
                 keys = "".join(
@@ -137,8 +140,6 @@ def _emit_update_conjuncts(t: ir.Transition, model, enums, bounds):
                 clauses.append(f"!{keys} = {emit_expr(rhs, enums)}")
             conjuncts.append(f"{var}' = [{var} EXCEPT {', '.join(clauses)}]")
         else:
-            if len(entries) > 1:
-                raise TlaError(f"transition {t.id} assigns {var} twice")
             rhs = entries[0][1]
             text = emit_expr(rhs, enums)
             conjuncts.append(f"{var}' = {text}")

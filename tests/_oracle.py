@@ -66,7 +66,7 @@ def _successors(model, state, constants, atoms, sorts, bounds):
                     keys = [E.evaluate(k, scope, constants, atoms)
                             for k in target.keys]
                     new[target.var] = _set_nested(
-                        state[target.var], keys, val)
+                        new[target.var], keys, val)
                 else:
                     new[target.var] = val
             if ok:

@@ -74,7 +74,7 @@ def test_acceptance_3_matrix_aggregate(capsys, bundled_run):
         matrix, elapsed = bundled_run
         assert len(matrix.cells) == 55
         assert matrix.spec_level_count == 33
-        assert report.render(matrix, "table-text") == \
+        assert report.render(matrix, "table") == \
             (GOLDEN / "matrix.txt").read_text()
         assert elapsed < 120.0, f"took {elapsed:.1f}s"
 

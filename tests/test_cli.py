@@ -7,6 +7,7 @@ import pytest
 from agentconform import cli, tla
 from agentconform.builtins import builtin
 from agentconform import checker
+from agentconform.replay import A2aMock
 
 
 def run_cli(*argv):
@@ -143,14 +144,35 @@ def test_replay_round_trip(tmp_path, capsys):
     assert json.loads(out)["outcome"] == "UPHELD"
 
 
-def test_replay_live_without_endpoint_errors(tmp_path, capsys):
+def test_replay_against_endpoint(tmp_path, capsys):
     cx_path = tmp_path / "cx.json"
-    run_cli("check", "mcp", "--property", "P8_CredRevocation",
+    run_cli("check", "a2a", "--property", "P3_DelegationMonotonicity",
+            "--counterexample-out", str(cx_path))
+    capsys.readouterr()
+    with A2aMock("vulnerable") as mock:
+        host, port = mock.address
+        rc = run_cli("replay", str(cx_path), "--profile", "vulnerable",
+                     "--endpoint", f"http://{host}:{port}")
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert (report["mode"], report["outcome"]) == ("live", "VIOLATED")
+
+
+@pytest.mark.parametrize("model,prop,url,message", [
+    ("mcp", "P8_CredRevocation", "http://127.0.0.1:9",
+     "no network transport"),
+    ("a2a", "P3_DelegationMonotonicity", "127.0.0.1:9", "http://host:port"),
+])
+def test_replay_endpoint_rejected(tmp_path, capsys, model, prop, url,
+                                  message):
+    cx_path = tmp_path / "cx.json"
+    run_cli("check", model, "--property", prop,
             "--counterexample-out", str(cx_path))
     capsys.readouterr()
     rc = run_cli("replay", str(cx_path), "--profile", "vulnerable",
-                 "--mode", "live")
+                 "--endpoint", url)
     assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_matrix_over_models_dir(tmp_path, capsys):

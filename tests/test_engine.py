@@ -15,11 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from agentconform import checker, compose, ir, report
+from agentconform import checker, compose, ir, report, tla
 from agentconform import expr as E
 from agentconform.builtins import BUILTIN_NAMES, builtin
 
-from _oracle import _successors
+from _oracle import _successors, oracle_check
 
 GOLDEN = Path(__file__).parent / "golden" / "states.json"
 
@@ -131,6 +131,49 @@ def _update_model():
         ),
         properties=(ir.Property("INV", "P0", "aasm-hardening",
                                 E.parse("forall x in Dom : not m[x]")),))
+
+
+def _one_step_model(invariant, *updates):
+    """Dom = {a, b}; one transition makes `updates` to the maps m (all
+    false) and n (all true)."""
+    flags = ir.MapSort("Dom", ir.BoolSort())
+    return ir.ProtocolModel(
+        name="twice", snapshot="2025-01",
+        constants=(("Dom", ("a", "b")),),
+        state_vars=(
+            ir.StateVarDecl("m", flags, ir.InitAll(E.parse("false"))),
+            ir.StateVarDecl("n", flags, ir.InitAll(E.parse("true"))),
+        ),
+        transitions=(ir.Transition(
+            "Step", "Protocol", "sys", (), E.parse("true"),
+            tuple((ir.UpdateTarget(v, tuple(E.parse(k) for k in keys)),
+                   E.parse(rhs)) for v, keys, rhs in updates),
+            "MAY", (ir.SourceRef("test", "updates"),)),),
+        properties=(ir.Property("INV", "P0", "aasm-hardening",
+                                E.parse(invariant)),))
+
+
+@pytest.mark.parametrize("invariant,updates,tla_text", [
+    ("not (m[a] and m[b])",
+     (("m", ("a",), "true"), ("m", ("b",), "true")),
+     "m' = [m EXCEPT ![a] = TRUE, ![b] = TRUE]"),
+    ("not m[b]", (("m", (), "n"), ("m", ("a",), "false")), None),
+])
+def test_updates_of_one_variable_apply_in_order(invariant, updates,
+                                                tla_text):
+    """Two updates of one variable in one step both land, as in TLA+'s
+    EXCEPT; a whole assignment next to another update has no EXCEPT form,
+    so the emitter refuses it."""
+    model = _one_step_model(invariant, *updates)
+    prop = model.properties[0]
+    res = checker.check(model, prop)
+    assert (res.verdict, res.counterexample.depth) == ("FAIL", 1)
+    assert oracle_check(model, prop) == ("FAIL", 1)
+    if tla_text is None:
+        with pytest.raises(tla.TlaError, match="as a whole"):
+            tla.emit_module(model)
+    else:
+        assert f"  /\\ {tla_text}" in tla.emit_module(model).splitlines()
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("updates",))

@@ -1,6 +1,9 @@
 """Counterexample replay against the mock endpoints."""
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -74,10 +77,29 @@ def test_transcripts_deterministic(generated):
         assert first == second, test.id
 
 
-def test_live_mode_requires_endpoint(generated):
+def test_transcripts_match_golden(generated):
+    """Every mock replay report is byte-identical to the pinned one; the
+    golden holds the sha256 of each ``AdapterReport.to_json()``."""
     tests, _ = generated
-    with pytest.raises(ReplayError):
-        run(tests[0], "vulnerable", mode="live")
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "replay.json").read_text())
+    got = {f"{test.id} {profile}": hashlib.sha256(
+               run(test, profile).to_json().encode()).hexdigest()
+           for test in tests for profile in ("vulnerable", "hardened")}
+    assert got == golden
+
+
+def test_endpoint_decides_behaviour(generated):
+    """Given an endpoint, the replay runs against it whatever profile is
+    named: a hardened endpoint upholds every a2a oracle."""
+    tests, _ = generated
+    a2a = [test for test in tests if test.model == "a2a"]
+    assert a2a
+    for test in a2a:
+        with A2aMock("hardened") as mock:
+            report = run(test, "vulnerable", endpoint=mock.address)
+        assert json.loads(report.to_json())["mode"] == "live"
+        assert report.outcome == "UPHELD", test.id
 
 
 def test_unknown_profile_rejected(generated):

@@ -135,7 +135,7 @@ def test_every_failing_cell_links_a_counterexample(bundled_run):
 
 def test_render_matches_golden_table(bundled_run):
     matrix, _ = bundled_run
-    assert report.render(matrix, "table-text") == \
+    assert report.render(matrix, "table") == \
         (GOLDEN / "matrix.txt").read_text()
 
 
@@ -147,7 +147,7 @@ def test_render_matches_golden_structured(bundled_run):
 
 def test_render_default_and_unknown_format(bundled_run):
     matrix, _ = bundled_run
-    assert report.render(matrix, "") == report.render(matrix, "table-text")
+    assert report.render(matrix) == report.render(matrix, "table")
     with pytest.raises(report.ReportError):
         report.render(matrix, "yaml")
 
