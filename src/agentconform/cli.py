@@ -92,60 +92,62 @@ def _write_out(out, text: str):
         sys.stdout.write(text)
 
 
-def _cmd_check(args) -> int:
-    model = _load_model(args.model)
-    bounds = _parse_bounds(args.bounds, [model])
-    if args.property:
-        ids = [p.id for p in model.properties]
-        if args.property not in ids:
-            raise CliError(f"model {model.name!r} has no property "
-                           f"{args.property!r}; its properties: "
-                           f"{', '.join(ids)}")
-        props = [model.property_by_id(args.property)]
-    else:
-        props = list(model.properties)
-    results = checker.check_all(model, props, bounds)
+def _verdict_lines(model, results) -> str:
+    """One line per property, by id: `<model> <pid>: <verdict>`, and for a
+    FAIL the counterexample's depth and actions."""
     lines = []
     for pid in sorted(results):
         res = results[pid]
         line = f"{model.name} {pid}: {res.verdict}"
         if res.failed:
-            line += f" at depth {res.counterexample.depth}"
             steps = " -> ".join(
-                s.transition_id for s in res.counterexample.steps)
-            line += f" [{steps}]" if steps else " [initial state]"
+                step.transition_id for step in res.counterexample.steps)
+            line += (f" at depth {res.counterexample.depth}"
+                     f" [{steps or 'initial state'}]")
         lines.append(line + "\n")
-    _write_out(args.out, "".join(lines))
-    if args.counterexample_out:
-        failing = [results[p] for p in sorted(results) if results[p].failed]
-        if failing:
-            Path(args.counterexample_out).write_text(
-                checker.export_counterexample(
-                    model, failing[0].counterexample))
-    return _exit_code(results.values())
+    return "".join(lines)
+
+
+def _cmd_check(args) -> int:
+    models = [_load_model(ref) for ref in args.models]
+    bounds = _parse_bounds(args.bounds, models)
+    runs = []
+    for model in models:
+        props = list(model.properties)
+        if args.property:
+            ids = [p.id for p in props]
+            if args.property not in ids:
+                raise CliError(f"model {model.name!r} has no property "
+                               f"{args.property!r}; its properties: "
+                               f"{', '.join(ids)}")
+            props = [model.property_by_id(args.property)]
+        runs.append((model, checker.check_all(model, props, bounds)))
+    _write_out(args.out, "".join(_verdict_lines(model, results)
+                                 for model, results in runs))
+    failing = [(model, res.counterexample) for model, results in runs
+               for _, res in sorted(results.items()) if res.failed]
+    if args.counterexample_out and failing:
+        Path(args.counterexample_out).write_text(
+            checker.export_counterexample(*failing[0]))
+    return _exit_code([res for _, results in runs
+                       for res in results.values()])
 
 
 def _cmd_compose(args) -> int:
-    if args.pattern not in compose.PATTERNS:
+    spec = compose.PATTERNS.get(args.pattern)
+    if spec is None:
         raise CliError(f"unknown pattern {args.pattern!r}; "
                        f"known: {', '.join(sorted(compose.PATTERNS))}")
-    for pattern, a, b, bridge in compose.builtin_compositions():
-        if pattern != args.pattern:
-            continue
-        composed = compose.compose(a, b, bridge)
-        if args.out:
-            Path(args.out).write_text(irfmt.serialize_model(composed))
-        props = compose.cs_properties(composed, pattern)
-        results = checker.check_all(composed, props,
-                                    _parse_bounds(args.bounds, [composed]))
-        for pid in sorted(results):
-            res = results[pid]
-            line = f"{composed.name} {pid}: {res.verdict}"
-            if res.failed:
-                line += f" at depth {res.counterexample.depth}"
-            sys.stdout.write(line + "\n")
-        return _exit_code(results.values())
-    raise CliError(f"pattern {args.pattern!r} has no builtin composition")
+    a, b = spec["pair"]
+    composed = compose.compose(builtins.builtin(a), builtins.builtin(b),
+                               spec["bridge"])
+    if args.out:
+        Path(args.out).write_text(irfmt.serialize_model(composed))
+    props = compose.cs_properties(composed, args.pattern)
+    results = checker.check_all(composed, props,
+                                _parse_bounds(args.bounds, [composed]))
+    sys.stdout.write(_verdict_lines(composed, results))
+    return _exit_code(results.values())
 
 
 def _cmd_emit_tla(args) -> int:
@@ -222,26 +224,7 @@ def _cmd_replay(args) -> int:
     return rc
 
 
-def _report_over_dir(args) -> int:
-    """Per-model property verdicts for every .ir file in a directory."""
-    paths = sorted(Path(args.models_dir).glob("*.ir"))
-    if not paths:
-        raise CliError(f"no .ir files under {args.models_dir!r}")
-    models = [irfmt.load_model(path) for path in paths]
-    bounds = _parse_bounds(args.bounds, models)
-    lines, every = [], []
-    for model in models:
-        results = checker.check_all(model, model.properties, bounds)
-        for pid in sorted(results):
-            every.append(results[pid])
-            lines.append(f"{model.name} {pid}: {results[pid].verdict}\n")
-    _write_out(args.out, "".join(lines))
-    return _exit_code(every)
-
-
 def _cmd_report(args) -> int:
-    if args.models_dir:
-        return _report_over_dir(args)
     models = [builtins.builtin(n) for n in builtins.BUILTIN_NAMES]
     models += [compose.compose(a, b, bridge)
                for _, a, b, bridge in compose.builtin_compositions()]
@@ -264,11 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "(see Bounds in the README)")
         p.add_argument("--out", default=None, help="write output to a file")
 
-    p = sub.add_parser("check", help="model-check a protocol model")
-    p.add_argument("model", help="builtin name or .ir file path")
-    p.add_argument("--property", default=None, help="check one property id")
+    p = sub.add_parser("check", help="model-check protocol models")
+    p.add_argument("models", nargs="+", metavar="model",
+                   help="builtin name or .ir file path")
+    p.add_argument("--property", default=None,
+                   help="check one property id, in every model")
     p.add_argument("--counterexample-out", default=None,
-                   help="write the first counterexample as JSON")
+                   help="write the first counterexample printed as JSON")
     common(p)
     p.set_defaults(fn=_cmd_check)
 
@@ -289,18 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="replay a counterexample as a "
                                       "protocol-level test")
     p.add_argument("counterexample", help="counterexample JSON file")
-    p.add_argument("--profile", required=True,
-                   choices=("vulnerable", "hardened"))
-    p.add_argument("--endpoint", default=None,
-                   help="replay against a running a2a endpoint, "
-                        "http://host:port, instead of a mock")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--profile", choices=("vulnerable", "hardened"),
+                        help="replay against an in-process mock")
+    target.add_argument("--endpoint", default=None,
+                        help="replay against a running a2a endpoint, "
+                             "http://host:port")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_replay)
 
     p = sub.add_parser("report", help="render the bundled conformance report")
-    p.add_argument("--models-dir", default=None,
-                   help="check .ir files in a directory instead of the "
-                        "bundled protocols (no triage or composition)")
     p.add_argument("--format", default="table",
                    choices=("table", "structured"))
     common(p)

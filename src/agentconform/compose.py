@@ -130,7 +130,6 @@ class Route:
     target: str  # transition id in model B
     tainted_when: str = ""  # expr over composed symbols; "" = never
     forwards_credential: bool = False
-    audited: bool = False
     writes_cross: bool = False  # tainted variant touches B-side state
     extra_updates: str = ""  # update text over composed symbols
 
@@ -148,7 +147,6 @@ _BRIDGE_VARS = (
     # a single crossing already decides every bridge invariant, so the
     # counters stop at 1 to keep the composed state space small
     ("bridge_op_count", ir.CounterSort(1), "0"),
-    ("bridge_audited_count", ir.CounterSort(1), "0"),
     ("cross_writes", ir.CounterSort(1), "0"),
 )
 
@@ -183,9 +181,6 @@ def _bridge_transitions(route: Route, a_side: dict, b_side: dict):
     if route.forwards_credential:
         base_updates.append((ir.UpdateTarget("credential_forwarded", ()),
                              E.parse("true")))
-    if route.audited:
-        base_updates.append((ir.UpdateTarget("bridge_audited_count", ()),
-                             E.parse("bridge_audited_count + 1")))
 
     def make(tid, guard_items, updates):
         return ir.Transition(
@@ -241,19 +236,31 @@ def compose(model_a: ir.ProtocolModel, model_b: ir.ProtocolModel,
 
 
 # ---------------------------------------------------------------------------
-# Composition safety invariants
+# Builtin patterns: bridges and composition safety invariants
 
-# per-pattern capability-integrity consequent for CS_NoLeakage, plus the
-# pattern-specific invariants; all formulas over composed symbols
+# per pattern: the protocol pair, the bridge between them, the
+# capability-integrity consequent for CS_NoLeakage and the pattern-specific
+# invariants; all formulas over composed symbols
 _SUBSET_B = ("(forall x in {dom}: forall y in {dom}: "
              "B_delegation[x][y] subseteq B_original_caps[x])")
 _CONSENT_B = "(forall op in B_Ops: B_executed[op] => B_consent_granted[op])"
 _ATTEST_B = ("(forall a in B_Agents: "
              "B_capability_used[a] => B_manifest_attested[a])")
 
+# taint conditions: true only after an Adversary-kind step on the A side
+_TAINT_MCP = "A_prompt_tainted"
+_TAINT_A2A = ("exists x in A_AgentID: exists y in A_AgentID: "
+              "not (A_delegation[x][y] subseteq A_original_caps[x])")
+
+
 PATTERNS = {
     "tool-delegation": {
         "pair": ("mcp", "a2a"),
+        "bridge": BridgeSpec("conductor", (Route(
+            "CallTool", "SendTask", tainted_when=_TAINT_MCP,
+            writes_cross=True,
+            extra_updates=("B_delegation[B_ag1][B_ag2] := "
+                           "B_delegation[B_ag1][B_ag2] union {B_c2}")),)),
         "leakage": _SUBSET_B.format(dom="B_AgentID"),
         "specific": (
             ("CS_PromptDelegationBarrier",
@@ -262,6 +269,11 @@ PATTERNS = {
     },
     "chained-servers": {
         "pair": ("mcp", "acp-client"),
+        "bridge": BridgeSpec("pipeline", (Route(
+            "CallTool", "fs_write", tainted_when=_TAINT_MCP,
+            forwards_credential=True, writes_cross=True,
+            extra_updates=("B_delegation[B_a1][B_a2] := "
+                           "B_delegation[B_a1][B_a2] union {B_c1}")),)),
         "leakage": _SUBSET_B.format(dom="B_Agents"),
         "specific": (
             ("CS_CredentialConfinement", "credential_forwarded = false"),
@@ -270,6 +282,11 @@ PATTERNS = {
     },
     "tool-capability": {
         "pair": ("mcp", "acp-cap"),
+        "bridge": BridgeSpec("consent-bypass", (Route(
+            "CallTool", "InvokeCapability", tainted_when=_TAINT_MCP,
+            writes_cross=True,
+            extra_updates=("B_delegation[B_a1][B_a2] := "
+                           "B_delegation[B_a1][B_a2] union {B_c1}")),)),
         "leakage": _SUBSET_B.format(dom="B_Agents"),
         "specific": (
             ("CS_ConsentPreserved", _CONSENT_B),
@@ -277,6 +294,11 @@ PATTERNS = {
     },
     "delegation-capability": {
         "pair": ("a2a", "acp-cap"),
+        "bridge": BridgeSpec("authority", (Route(
+            "Delegate", "InvokeCapability", tainted_when=_TAINT_A2A,
+            writes_cross=True,
+            extra_updates=("B_delegation[B_a1][B_a2] := "
+                           "B_delegation[B_a1][B_a2] union {B_c1}")),)),
         "leakage": _SUBSET_B.format(dom="B_Agents"),
         "specific": (
             ("CS_AuthorityAlignment", "bridge_compromised => " + _ATTEST_B),
@@ -284,6 +306,9 @@ PATTERNS = {
     },
     "federated-delegation": {
         "pair": ("a2a", "anp"),
+        "bridge": BridgeSpec("federation", (Route(
+            "Delegate", "SendProposal", tainted_when=_TAINT_A2A,
+            writes_cross=True),)),
         "leakage": _ATTEST_B,
         "specific": (
             ("CS_DomainIsolation", _SUBSET_B.format(dom="B_Agents")),
@@ -311,49 +336,10 @@ def cs_properties(composed: ir.ProtocolModel, pattern: str):
         for name, text in formulas)
 
 
-# taint conditions: true only after an Adversary-kind step on the A side
-_TAINT_MCP = "A_prompt_tainted"
-_TAINT_A2A = ("exists x in A_AgentID: exists y in A_AgentID: "
-              "not (A_delegation[x][y] subseteq A_original_caps[x])")
-
-
-def _builtin_bridge(pattern: str) -> BridgeSpec:
-    if pattern == "tool-delegation":
-        return BridgeSpec("conductor", (Route(
-            "CallTool", "SendTask", tainted_when=_TAINT_MCP,
-            writes_cross=True,
-            extra_updates=("B_delegation[B_ag1][B_ag2] := "
-                           "B_delegation[B_ag1][B_ag2] union {B_c2}")),))
-    if pattern == "chained-servers":
-        return BridgeSpec("pipeline", (Route(
-            "CallTool", "fs_write", tainted_when=_TAINT_MCP,
-            forwards_credential=True, writes_cross=True,
-            extra_updates=("B_delegation[B_a1][B_a2] := "
-                           "B_delegation[B_a1][B_a2] union {B_c1}")),))
-    if pattern == "tool-capability":
-        return BridgeSpec("consent-bypass", (Route(
-            "CallTool", "InvokeCapability", tainted_when=_TAINT_MCP,
-            writes_cross=True,
-            extra_updates=("B_delegation[B_a1][B_a2] := "
-                           "B_delegation[B_a1][B_a2] union {B_c1}")),))
-    if pattern == "delegation-capability":
-        return BridgeSpec("authority", (Route(
-            "Delegate", "InvokeCapability", tainted_when=_TAINT_A2A,
-            writes_cross=True,
-            extra_updates=("B_delegation[B_a1][B_a2] := "
-                           "B_delegation[B_a1][B_a2] union {B_c1}")),))
-    if pattern == "federated-delegation":
-        return BridgeSpec("federation", (Route(
-            "Delegate", "SendProposal", tainted_when=_TAINT_A2A,
-            writes_cross=True),))
-    raise ComposeError(f"unknown pattern {pattern!r}")
-
-
 def builtin_compositions():
     """The five shipped composition patterns."""
     out = []
     for pattern, spec in PATTERNS.items():
         a, b = spec["pair"]
-        out.append((pattern, builtin(a), builtin(b),
-                    _builtin_bridge(pattern)))
+        out.append((pattern, builtin(a), builtin(b), spec["bridge"]))
     return tuple(out)

@@ -22,6 +22,7 @@ import contextlib
 import http.client
 import json
 from dataclasses import dataclass
+from typing import Optional
 
 from .. import checker
 from ..builtins import builtin
@@ -101,7 +102,7 @@ class TestCase:
 @dataclass(frozen=True)
 class AdapterReport:
     test_id: str
-    profile: str
+    profile: Optional[str]  # None for a live endpoint
     mode: str
     outcome: str  # VIOLATED | UPHELD
     transcript: tuple  # one entry dict per trace action
@@ -293,16 +294,20 @@ class _A2aRunner:
 _RUNNERS = {"mcp": _McpRunner, "a2a": _A2aRunner}
 
 
-def run(test: TestCase, profile: str, endpoint=None) -> AdapterReport:
+def run(test: TestCase, profile: Optional[str] = None,
+        endpoint=None) -> AdapterReport:
     """Execute a test against an endpoint and evaluate its oracle.
 
-    Without an endpoint the test runs against an in-process mock with the
-    named profile, created per run. Otherwise the endpoint decides the
-    behaviour and `profile` is only recorded: a peer with
+    Exactly one of `profile` and `endpoint` picks the target. A profile
+    runs the test against an in-process mock with that profile, created
+    per run. An endpoint is the caller's peer: one with
     ``request(rid, method, params)`` for the tool-server protocol, a
     (host, port) pair for the delegation protocol.
     """
-    if profile not in PROFILES:
+    if (profile is None) == (endpoint is None):
+        raise ReplayError("give exactly one of a mock profile and an "
+                          "endpoint")
+    if endpoint is None and profile not in PROFILES:
         raise ReplayError(f"unknown profile {profile!r}; "
                           f"expected one of {PROFILES}")
     table = adapter_table(test.model)

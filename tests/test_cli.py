@@ -81,9 +81,9 @@ def test_domain_cap_keys_are_checked_per_model(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("check", "mcp", "--property", "P8_CredRevocation",
                    "--bounds", "AGENTS=1,depth=5,counter_max=2") == 1
-    (tmp_path / "m.ir").write_text(irfmt.serialize_model(builtin("a2a")))
-    assert run_cli("report", "--models-dir", str(tmp_path),
-                   "--bounds", "sessions=1") == 2
+    path = tmp_path / "m.ir"
+    path.write_text(irfmt.serialize_model(builtin("a2a")))
+    assert run_cli("check", str(path), "--bounds", "sessions=1") == 2
     assert run_cli("compose", "tool-delegation",
                    "--bounds", "sessions=1") == 2
     assert "A_Sessions" in capsys.readouterr().err
@@ -128,6 +128,49 @@ def test_compose_pattern(capsys):
     assert run_cli("compose", "nosuch") == 2
 
 
+def test_check_and_compose_print_one_line_format(tmp_path, capsys):
+    """compose FAIL lines carry depth and trace as check's do, and checking
+    several models prints each model's own output in argument order."""
+    import re
+    from agentconform import irfmt
+    assert run_cli("compose", "tool-delegation") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        assert re.fullmatch(r"mcp\+a2a CS_\w+: FAIL at depth \d+ "
+                            r"\[A_OpenSession( -> \w+)*\]", line), line
+    paths = []
+    for name in ("acp-cap", "mcp"):
+        path = tmp_path / f"{name}.ir"
+        path.write_text(irfmt.serialize_model(builtin(name)))
+        paths.append(str(path))
+    single = []
+    for path in paths:
+        run_cli("check", path)
+        single.append(capsys.readouterr().out)
+    assert run_cli("check", *paths) == 1
+    assert capsys.readouterr().out == "".join(single)
+
+
+def test_check_several_models_property_and_counterexample(tmp_path, capsys):
+    """--property must name a property of every model; the counterexample
+    written is the first FAIL printed."""
+    cx_path = tmp_path / "cx.json"
+    rc = run_cli("check", "acp-cap", "a2a", "mcp",
+                 "--property", "P8_CredRevocation",
+                 "--counterexample-out", str(cx_path))
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "acp-cap P8_CredRevocation: PASS",
+        "a2a P8_CredRevocation: FAIL at depth 2 [SendTask -> Cancel]",
+        "mcp P8_CredRevocation: FAIL at depth 2 "
+        "[OpenSession -> CloseSession]"]
+    assert json.loads(cx_path.read_text())["model"] == "a2a"
+    assert run_cli("check", "mcp", "a2a",
+                   "--property", "P3_DelegationMonotonicity") == 2
+    assert "model 'mcp' has no property" in capsys.readouterr().err
+
+
 def test_replay_round_trip(tmp_path, capsys):
     cx_path = tmp_path / "cx.json"
     rc = run_cli("check", "mcp", "--property", "P8_CredRevocation",
@@ -151,11 +194,23 @@ def test_replay_against_endpoint(tmp_path, capsys):
     capsys.readouterr()
     with A2aMock("vulnerable") as mock:
         host, port = mock.address
-        rc = run_cli("replay", str(cx_path), "--profile", "vulnerable",
+        rc = run_cli("replay", str(cx_path),
                      "--endpoint", f"http://{host}:{port}")
     report = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert (report["mode"], report["outcome"]) == ("live", "VIOLATED")
+    assert report["profile"] is None
+
+
+def test_replay_takes_one_target(tmp_path, capsys):
+    cx_path = tmp_path / "cx.json"
+    run_cli("check", "a2a", "--property", "P3_DelegationMonotonicity",
+            "--counterexample-out", str(cx_path))
+    for target in ((), ("--profile", "vulnerable",
+                        "--endpoint", "http://127.0.0.1:9")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("replay", str(cx_path), *target)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("model,prop,url,message", [
@@ -169,16 +224,15 @@ def test_replay_endpoint_rejected(tmp_path, capsys, model, prop, url,
     run_cli("check", model, "--property", prop,
             "--counterexample-out", str(cx_path))
     capsys.readouterr()
-    rc = run_cli("replay", str(cx_path), "--profile", "vulnerable",
-                 "--endpoint", url)
+    rc = run_cli("replay", str(cx_path), "--endpoint", url)
     assert rc == 2
     assert message in capsys.readouterr().err
 
 
-def test_matrix_over_models_dir(tmp_path, capsys):
+def test_check_over_model_files(tmp_path, capsys):
     from agentconform import irfmt
     (tmp_path / "m.ir").write_text(irfmt.serialize_model(builtin("mcp")))
-    rc = run_cli("report", "--models-dir", str(tmp_path))
+    rc = run_cli("check", *map(str, sorted(tmp_path.glob("*.ir"))))
     out = capsys.readouterr().out
     assert rc == 1
     assert "mcp P8_CredRevocation: FAIL" in out
@@ -196,7 +250,7 @@ def test_error_verdict_exits_2_in_every_command(tmp_path, monkeypatch,
     bad = ir.Property("BAD", "P0", "aasm-hardening", E.parse("nosuch = true"))
     monkeypatch.setattr(compose, "cs_properties", lambda model, pattern: [bad])
     for argv, count in [(("check", str(path)), 3),
-                        (("report", "--models-dir", str(tmp_path)), 3),
+                        (("check", str(path), str(path)), 6),
                         (("compose", "tool-delegation"), 1)]:
         assert run_cli(*argv) == 2, argv
         lines = capsys.readouterr().out.splitlines()

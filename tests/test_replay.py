@@ -90,16 +90,27 @@ def test_transcripts_match_golden(generated):
 
 
 def test_endpoint_decides_behaviour(generated):
-    """Given an endpoint, the replay runs against it whatever profile is
-    named: a hardened endpoint upholds every a2a oracle."""
+    """Given an endpoint, the replay runs against it and records no
+    profile: a hardened endpoint upholds every a2a oracle."""
     tests, _ = generated
     a2a = [test for test in tests if test.model == "a2a"]
     assert a2a
     for test in a2a:
         with A2aMock("hardened") as mock:
-            report = run(test, "vulnerable", endpoint=mock.address)
-        assert json.loads(report.to_json())["mode"] == "live"
+            report = run(test, endpoint=mock.address)
+        doc = json.loads(report.to_json())
+        assert (doc["mode"], doc["profile"]) == ("live", None)
         assert report.outcome == "UPHELD", test.id
+
+
+def test_profile_and_endpoint_exclude_each_other(generated):
+    tests, _ = generated
+    test = next(t for t in tests if t.model == "a2a")
+    with A2aMock("hardened") as mock:
+        with pytest.raises(ReplayError, match="exactly one"):
+            run(test, "vulnerable", endpoint=mock.address)
+    with pytest.raises(ReplayError, match="exactly one"):
+        run(test)
 
 
 def test_unknown_profile_rejected(generated):
