@@ -118,6 +118,15 @@ class _Engine:
     vectors, which lay maps out as `FMap` values, appear only at the
     boundary: the initial state, counterexamples and `validate_trace`
     input.
+
+    A search engine writes one kernel, `successors(s) -> [post, ...]`:
+    every enabled (transition, binding) step inlined, in sorted
+    transition-id and then binding order, and compiled with a single
+    `compile()`. The kernel serves the search only: it skips a step that
+    only stores constants the state already holds, whose post-state is
+    the state itself, which BFS has always seen. `step()` runs one step
+    in full, self-loops included, for `_extract` and `validate_trace`;
+    it compiles a step on first use.
     """
 
     def __init__(self, model: ir.ProtocolModel, bounds: Bounds,
@@ -132,10 +141,13 @@ class _Engine:
         self.caps = {v.name: counter_cap(v.sort, bounds)
                      for v in model.state_vars
                      if isinstance(v.sort, ir.CounterSort)}
+        self._plans = {}  # (transition id, binding) -> (guard, plan)
+        self._step_fns = {}  # (transition id, binding) -> step function
         if not search:
             # to replay a few recorded steps, compile just those, with
             # every slot's type checked at run time
             self.kinds = [None] * len(kinds)
+            self.env = C.environment()
             return
         # deterministic expansion order
         pairs = [(t, tuple(zip((n for n, _ in t.params), combo)))
@@ -144,7 +156,7 @@ class _Engine:
                      *(sorted(self.constants.get(d, ()))
                        for _, d in t.params))]
         while True:
-            self.kinds = kinds
+            self.kinds, self.env = kinds, C.environment()
             compiled = [self._compile(t, binding) for t, binding in pairs]
             # a slot keeps a static kind only if every update stores it
             kinds = list(kinds)
@@ -156,27 +168,22 @@ class _Engine:
             if kinds == self.kinds:
                 break
         self.start = C.flatten(self._initial, self.slots, kinds)
-        self.steps = [(t.id, binding, guard, apply)
-                      for (t, binding), (guard, apply, _)
-                      in zip(pairs, compiled) if guard is not False]
+        for (t, binding), (guard, plan, _) in zip(pairs, compiled):
+            if guard is not False:
+                self._plans[t.id, binding] = (guard, plan)
+        self.steps = list(self._plans)
+        self.successors = C.kernel(self._plans.values(), self.env)
 
     def _compile(self, t: ir.Transition, binding):
         return C.compile_step(t, binding, self.slots, self.kinds,
-                              self.constants, self.atoms, self.caps)
+                              self.constants, self.atoms, self.caps,
+                              self.env)
 
     def initial(self) -> tuple:
         return self._initial
 
     def canonical(self, state: tuple) -> tuple:
         return C.unflatten(state, self.slots)
-
-    def successors(self, state: tuple):
-        """Deterministically ordered (transition, binding, post-state)."""
-        for tid, binding, guard, apply in self.steps:
-            if guard is True or guard(state):
-                post = apply(state)
-                if post is not None:
-                    yield tid, binding, post
 
     def step(self, tid: str, binding, state: tuple):
         """Post-state of one recorded step, or None when the step is not
@@ -187,17 +194,18 @@ class _Engine:
         if set(bound) != {n for n, _ in t.params} \
                 or any(type(a) is not str for a in bound.values()):
             return None
-        guard, apply, _ = self._compile(t, bound)
-        if guard is True or (guard is not False and guard(state)):
-            return apply(state)
-        return None
+        key = (tid, binding)
+        if key not in self._step_fns:
+            guard, plan = self._plans.get(key) or self._compile(t, bound)[:2]
+            self._step_fns[key] = C.step_function(guard, plan, self.env)
+        return self._step_fns[key](state)
 
     def invariant(self, prop: ir.Property):
         """The property's invariant as a predicate on flat states."""
-        return C.as_bool(
+        return C.function(C.as_bool(
             C.compile_expr(prop.invariant, self.slots, self.kinds,
-                           self.constants, self.atoms),
-            "top-level expression")[1]
+                           self.constants, self.atoms, self.env),
+            "top-level expression", self.env)[1], self.env)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +215,16 @@ def _bfs(eng: _Engine, parents: dict):
     """Yields each newly reached state in deterministic BFS order.
 
     `parents` holds only the initial state (mapped to None) on entry; every
-    reached state is recorded as `parents[post] = pre`. Raises
-    StateOverflowError when the depth or state budget ends the search with
-    a live frontier.
+    reached state is recorded as `parents[post] = pre`. Each post-state of
+    the engine's kernel is hashed once, by `setdefault`, and is new when
+    that grew `parents`; the kernel leaves out constant-store self-loops,
+    which could never be new. Raises StateOverflowError when the depth or
+    state budget ends the search with a live frontier.
     """
     bounds = eng.bounds
+    successors, record = eng.successors, parents.setdefault
     frontier = list(parents)
+    seen = len(parents)
     depth = 0
     while frontier:
         if depth >= bounds.max_depth:
@@ -221,16 +233,31 @@ def _bfs(eng: _Engine, parents: dict):
         depth += 1
         next_frontier = []
         for pre in frontier:
-            for _, _, post in eng.successors(pre):
-                if post in parents:
+            try:
+                posts = successors(pre)
+            except Exception:
+                posts = _stepwise(eng, pre)
+            for post in posts:
+                record(post, pre)
+                if len(parents) == seen:
                     continue
-                parents[post] = pre
-                if len(parents) > bounds.max_states:
+                seen += 1
+                if seen > bounds.max_states:
                     raise StateOverflowError(
                         f"more than {bounds.max_states} states")
                 yield post
                 next_frontier.append(post)
         frontier = next_frontier
+
+
+def _stepwise(eng: _Engine, pre: tuple):
+    """The post-states of pre one step at a time, until the step whose
+    evaluation raises: a search still sees the post-states of the steps
+    before it (and may FAIL on one) before the exception ends it."""
+    for tid, binding in eng.steps:
+        post = eng.step(tid, binding, pre)
+        if post is not None:
+            yield post
 
 
 def _extract(eng: _Engine, prop: ir.Property, parents: dict,
@@ -239,11 +266,11 @@ def _extract(eng: _Engine, prop: ir.Property, parents: dict,
     while parents[path[-1]] is not None:
         path.append(parents[path[-1]])
     path.reverse()
-    # the first successor of pre reaching post is the step BFS recorded
+    # the first step from pre reaching post is the one BFS recorded
     steps = tuple(
         next(TraceStep(tid, binding, eng.canonical(post))
-             for tid, binding, reached in eng.successors(pre)
-             if reached == post)
+             for tid, binding in eng.steps
+             if eng.step(tid, binding, pre) == post)
         for pre, post in zip(path, path[1:]))
     return Counterexample(eng.model.name, prop.id, len(steps),
                           eng.canonical(path[0]), steps)

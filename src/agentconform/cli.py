@@ -141,12 +141,12 @@ def _cmd_compose(args) -> int:
     a, b = spec["pair"]
     composed = compose.compose(builtins.builtin(a), builtins.builtin(b),
                                spec["bridge"])
-    if args.out:
-        Path(args.out).write_text(irfmt.serialize_model(composed))
+    if args.model_out:
+        Path(args.model_out).write_text(irfmt.serialize_model(composed))
     props = compose.cs_properties(composed, args.pattern)
     results = checker.check_all(composed, props,
                                 _parse_bounds(args.bounds, [composed]))
-    sys.stdout.write(_verdict_lines(composed, results))
+    _write_out(args.out, _verdict_lines(composed, results))
     return _exit_code(results.values())
 
 
@@ -259,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compose", help="check a cross-protocol composition")
     p.add_argument("pattern", help="composition pattern name")
+    p.add_argument("--model-out", default=None,
+                   help="write the composed model as .ir")
     common(p)
     p.set_defaults(fn=_cmd_compose)
 

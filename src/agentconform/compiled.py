@@ -1,9 +1,13 @@
-"""Expressions compiled into closures over a flat state tuple.
+"""Guards, updates and invariants compiled to Python source over a flat
+state tuple.
 
-The checker's successor and invariant paths run on these closures; the
-tree-walking evaluator in `expr` stays the reference semantics. A closure
-returns what `expr.evaluate` returns, or raises the exception it raises,
-with the same message and after the same sub-evaluations.
+The checker runs the functions this module writes as source text and
+builds with `compile()`; the tree-walking evaluator in `expr` stays the
+reference semantics. Compiled code returns what `expr.evaluate` returns,
+or raises the exception it raises, with the same message and after the
+same sub-evaluations. Python evaluates operands and call arguments left
+to right, as the evaluator does, so a slow path written as a call whose
+arguments are the sub-expressions' source keeps that order.
 
 Layout. A flat state is one tuple. A scalar variable takes one slot, a map
 one slot per leaf key path, in declaration order and then sorted key order.
@@ -22,25 +26,37 @@ Sub-expressions without state reads are folded, and a guard that folds to
 false disables its binding outright.
 
 Kinds. Each slot has a static kind ("bool", "int", "atom" or "set") when
-the initial state and every update agree on it, else None. A closure
+the initial state and every update agree on it, else None. Compiled code
 checks a value's type at run time only where its kind is not static.
 
-A compiled value is (kind, fn, form): fn(s) reads the flat state s, and
-form is ("slot", i), ("const", v) or None. A map that lives in slots
-compiles to (_IN_SLOTS, shape, base) instead, where base is its first slot
-or, for a key read from the state, a function of s computing it.
+Source. A compiled value is (kind, src, form): src is a Python expression
+that reads the flat state as `s[i]`, and form is ("slot", i),
+("const", v) or None. Bools, ints and atom names are literals in src;
+every other constant (sets, maps, shapes, exception classes) is a global
+`_k<n>` of the environment `env` the source is compiled in. The
+environment also binds the slow paths: `_compare`, `_require` and `_bool`
+from `expr`, and `_raise`, `_lookup`, `_at`, `_binterm`, `_build`,
+`_offset` and `_fit` below. A map that lives in slots compiles to
+(_IN_SLOTS, shape, base) instead, where base is its first slot or the
+source of an int expression computing it.
+
+Functions. `function` turns a value's source into `lambda s: <src>`,
+`kernel` writes one `successors(s)` for all of an engine's steps, and
+`step_function` one function for a single step. `compile()` is memoised
+on the source text, so a model checked again (another property, another
+run in one process) reuses its code objects.
 """
 
 from __future__ import annotations
 
-import operator
+import builtins
+import functools
 
 from . import expr as E
 
 _IN_SLOTS = "in-slots"
 
-_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-          ">=": operator.ge}
+_ORDER = ("<", "<=", ">", ">=")
 
 
 def _static_kind(v):
@@ -120,235 +136,275 @@ def unflatten(s, slots) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Slow paths, called from compiled code with their operands evaluated
+
+def _raise(cls, args, *_):
+    """Raises cls(*args) once the operands after args are evaluated."""
+    raise cls(*args)
+
+
+def _lookup(m, k):
+    """Index on a map value."""
+    E._require("map", m, "indexing")
+    E._require("atom", k, "map key")
+    if k not in m:
+        raise E.ExprTypeError(f"index {k!r} outside map key domain")
+    return m[k]
+
+
+def _at(p, offsets, k):
+    """Slot of key k in the map whose first slot is p."""
+    E._require("atom", k, "map key")
+    try:
+        return p + offsets[k]
+    except KeyError:
+        raise E.ExprTypeError(
+            f"index {k!r} outside map key domain") from None
+
+
+def _binterm(want, what, v, r):
+    E._require(want, v, what)
+    E._require(want, r, what)
+    return v + r if want == "int" else v | r
+
+
+def _offset(i, levels, *names):
+    """Slot of an update target whose keys are read from the state."""
+    for level, k in zip(levels, names):
+        i += level[k]  # KeyError(k), as FMap lookups raise
+    return i
+
+
+def _fit(v, shape, message):
+    """The leaves of a map value stored into slots of this shape."""
+    try:
+        fits = type(v) is E.FMap and shape_of(v) == shape
+    except E.ExprTypeError:
+        fits = False
+    if not fits:
+        raise E.ExprTypeError(message)
+    out = []
+    _leaves(v, shape, out)
+    return out
+
+
+_GLOBALS = {"__builtins__": builtins, "_compare": E._compare,
+            "_require": E._require, "_bool": E._bool, "_raise": _raise,
+            "_lookup": _lookup, "_at": _at, "_binterm": _binterm,
+            "_build": _build, "_offset": _offset, "_fit": _fit}
+
+
+def environment() -> dict:
+    """A fresh environment (globals) to compile source in."""
+    return dict(_GLOBALS)
+
+
+def _lit(v, env) -> str:
+    """Source for the constant v: a literal, or a new global of env."""
+    t = type(v)
+    if t is bool or t is str or v is None:
+        return repr(v)
+    if t is int:
+        return repr(v) if v >= 0 else f"({v})"
+    name = f"_k{len(env)}"
+    env[name] = v
+    return name
+
+
+@functools.lru_cache(maxsize=1024)
+def _code(src: str, mode: str):
+    return compile(src, "<agentconform.compiled>", mode)
+
+
+def function(src: str, env: dict):
+    """The function s -> value of a compiled value's source."""
+    return eval(_code("lambda s: " + src, "eval"), env)
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 
-def _const(v):
-    return (_static_kind(v), lambda s: v, ("const", v))
+def _const(v, env):
+    return (_static_kind(v), _lit(v, env), ("const", v))
 
 
 def _is_const(res):
     return res[2] is not None and res[2][0] == "const"
 
 
-def _raiser(exc, msg, *first):
-    """A value that evaluates the functions `first` in order, then raises."""
-    def fn(s):
-        for f in first:
-            f(s)
-        raise exc(msg)
-    return (None, fn, None)
+def _raiser(exc, msg, env, *first):
+    """A value that evaluates the sources `first` in order, then raises."""
+    return (None, "".join([f"_raise({_lit(exc, env)}, {_lit((msg,), env)}",
+                           *(", " + f for f in first), ")"]), None)
 
 
-def _fold(k, fn, *parts):
-    """(k, fn, None), or fn's value or exception as a constant when every
-    part is a constant."""
+def _fold(k, src, fn, env, *parts):
+    """(k, src, None), or, when every part is a constant, fn's value or
+    exception for the parts' values as a constant."""
     if not all(_is_const(p) for p in parts):
-        return (k, fn, None)
+        return (k, src, None)
     try:
-        return _const(fn(None))
-    except Exception as exc:
-        cls, args = type(exc), exc.args
-
-        def again(s):  # a fresh exception on every evaluation
-            raise cls(*args)
-        return (None, again, None)
+        return _const(fn(*[p[2][1] for p in parts]), env)
+    except Exception as exc:  # a fresh exception on every evaluation
+        return (None, f"_raise({_lit(type(exc), env)}, "
+                      f"{_lit(exc.args, env)})", None)
 
 
-def value(res):
-    """(kind, fn, form) of a compiled expression: a map in slots is built
-    into an FMap value."""
+def value(res, env):
+    """(kind, src, form) of a compiled expression: a map in slots is
+    built into an FMap value."""
     if res[0] is not _IN_SLOTS:
         return res
     _, shape, base = res
-    if type(base) is int:
-        return ("map", lambda s: _build(s, base, shape), None)
-    return ("map", lambda s: _build(s, base(s), shape), None)
+    return ("map", f"_build(s, {base}, {_lit(shape, env)})", None)
 
 
-def as_bool(res, what):
-    """The value as (kind, fn, form) of a bool, raising ExprTypeError like
-    the evaluator when it is something else."""
-    res = value(res)
-    k, fn, _ = res
-    if k == "bool":
+def as_bool(res, what, env):
+    """The value as (kind, src, form) of a bool, raising ExprTypeError
+    like the evaluator when it is something else."""
+    res = value(res, env)
+    if res[0] == "bool":
         return res
-    return _fold("bool", lambda s: E._bool(fn(s), what), res)
+    return _fold("bool", f"_bool({res[1]}, {what!r})",
+                 lambda v: E._bool(v, what), env, res)
 
 
-def compile_expr(e, slots, kinds, constants, atoms, scope=None):
-    """Compile `e` over a layout. constants maps a domain to its bounded
-    atom names, atoms is the atom universe (None: any name is an atom),
-    and scope maps bound names (parameters, quantifier variables) to
-    their atoms."""
+def compile_expr(e, slots, kinds, constants, atoms, env, scope=None):
+    """Compile `e` over a layout into env. constants maps a domain to its
+    bounded atom names, atoms is the atom universe (None: any name is an
+    atom), and scope maps bound names (parameters, quantifier variables)
+    to their atoms."""
     scope = scope or {}
 
     def sub(x, inner=scope):
-        return compile_expr(x, slots, kinds, constants, atoms, inner)
+        return compile_expr(x, slots, kinds, constants, atoms, env, inner)
 
     t = type(e)
     if t is E.Name:
-        return _name(e.name, slots, kinds, constants, atoms, scope)
+        return _name(e.name, slots, kinds, constants, atoms, env, scope)
     if t is E.IntLit or t is E.BoolLit:
-        return _const(e.value)
+        return _const(e.value, env)
     if t is E.Cmp:
-        return _cmp(e.op, value(sub(e.lhs)), value(sub(e.rhs)))
+        return _cmp(e.op, value(sub(e.lhs), env), value(sub(e.rhs), env),
+                    env)
     if t is E.Index:
-        return _index(sub(e.base), value(sub(e.key)), kinds)
+        return _index(sub(e.base), value(sub(e.key), env), kinds, env)
     if t is E.Forall or t is E.Exists:
         if e.domain not in constants:
             return _raiser(E.UnboundSymbolError,
-                           f"unknown domain {e.domain!r}")
+                           f"unknown domain {e.domain!r}", env)
         return _junction(t is E.Exists, [
-            as_bool(sub(e.body, {**scope, e.var: a}), "quantifier body")
-            for a in constants[e.domain]])
+            as_bool(sub(e.body, {**scope, e.var: a}), "quantifier body",
+                    env)
+            for a in constants[e.domain]], env)
     if t is E.And or t is E.Or:
         what = "and" if t is E.And else "or"
-        return _junction(t is E.Or, [as_bool(sub(x), what)
-                                     for x in e.items])
+        return _junction(t is E.Or, [as_bool(sub(x), what, env)
+                                     for x in e.items], env)
     if t is E.Not:
-        operand = as_bool(sub(e.operand), "not")
-        f = operand[1]
-        return _fold("bool", lambda s: not f(s), operand)
+        operand = as_bool(sub(e.operand), "not", env)
+        return _fold("bool", f"(not {operand[1]})", lambda v: not v, env,
+                     operand)
     if t is E.Implies:
-        lhs = as_bool(sub(e.lhs), "=>")
-        rhs = as_bool(sub(e.rhs), "=>")
+        lhs = as_bool(sub(e.lhs), "=>", env)
+        rhs = as_bool(sub(e.rhs), "=>", env)
         if _is_const(lhs):
-            return rhs if lhs[2][1] else _const(True)
-        lf, rf = lhs[1], rhs[1]
-        return ("bool", lambda s: (not lf(s)) or rf(s), None)
+            return rhs if lhs[2][1] else _const(True, env)
+        return ("bool", f"(not {lhs[1]} or {rhs[1]})", None)
     if t is E.BinTerm:
-        return _binterm(e.op, value(sub(e.lhs)), value(sub(e.rhs)))
+        return _binterm_expr(e.op, value(sub(e.lhs), env),
+                             value(sub(e.rhs), env), env)
     if t is E.SetLit:
-        items = [value(sub(x)) for x in e.items]
-        fns = [f for _, f, _ in items]
-        return _fold("set", lambda s: frozenset([f(s) for f in fns]),
-                     *items)
-    return _raiser(E.ExprTypeError, f"not an expression: {e!r}")
+        items = [value(sub(x), env) for x in e.items]
+        src = "".join(["frozenset((", *(f"{i[1]}, " for i in items), "))"])
+        return _fold("set", src, lambda *vs: frozenset(vs), env, *items)
+    return _raiser(E.ExprTypeError, f"not an expression: {e!r}", env)
 
 
-def _name(n, slots, kinds, constants, atoms, scope):
+def _name(n, slots, kinds, constants, atoms, env, scope):
     if n in scope:
-        return _const(scope[n])
+        return _const(scope[n], env)
     if n in slots:
         shape, base = slots[n]
         if shape is None:
-            return (kinds[base], lambda s: s[base], ("slot", base))
+            return (kinds[base], f"s[{base}]", ("slot", base))
         return (_IN_SLOTS, shape, base)
     if n in constants:
-        return _const(frozenset(constants[n]))
+        return _const(frozenset(constants[n]), env)
     if atoms is None or n in atoms:
-        return _const(n)
-    return _raiser(E.UnboundSymbolError, f"unbound symbol {n!r}")
+        return _const(n, env)
+    return _raiser(E.UnboundSymbolError, f"unbound symbol {n!r}", env)
 
 
-def _junction(is_or, items):
+def _junction(is_or, items, env):
     """`or` (`and`) of bool values, evaluated left to right until one is
     true (false). Constant items are folded where they decide nothing or
     everything."""
-    fns = []
+    srcs = []
     for item in items:
         if _is_const(item):
             if item[2][1] is not is_or:
                 continue  # `and true`, `or false`
-            if not fns:
+            if not srcs:
                 return item  # decides before anything is evaluated
-            fns.append(item[1])
+            srcs.append(item[1])
             break  # decides; later items are never evaluated
-        fns.append(item[1])
-    if not fns:
-        return _const(not is_or)
-    fn = fns.pop()
-    while fns:
-        fn = _pair(is_or, fns.pop(), fn)
-    return ("bool", fn, None)
+        srcs.append(item[1])
+    if not srcs:
+        return _const(not is_or, env)
+    if len(srcs) == 1:
+        return ("bool", srcs[0], None)
+    return ("bool", "(" + (" or " if is_or else " and ").join(srcs) + ")",
+            None)
 
 
-def _pair(is_or, f, g):
-    if is_or:
-        return lambda s: f(s) or g(s)
-    return lambda s: f(s) and g(s)
+def _cmp(op, left, right, env):
+    lk, ls, _ = left
+    rk, rs, _ = right
 
-
-def _cmp(op, left, right):
-    lk, lf, lform = left
-    rk, rf, rform = right
+    def compare(lv, rv):
+        return E._compare(op, lv, rv)
+    slow = f"_compare({op!r}, {ls}, {rs})"
     if op in ("in", "notin", "subseteq"):
         if op == "subseteq" and lk == rk == "set":
-            fn = lambda s: lf(s) <= rf(s)  # noqa: E731
+            src = f"({ls} <= {rs})"
         elif op != "subseteq" and rk == "set":
-            fn = (lambda s: lf(s) in rf(s)) if op == "in" \
-                else (lambda s: lf(s) not in rf(s))
+            src = f"({ls} {'in' if op == 'in' else 'not in'} {rs})"
         else:
-            fn = lambda s: E._compare(op, lf(s), rf(s))  # noqa: E731
-        return _fold("bool", fn, left, right)
+            src = slow
+        return _fold("bool", src, compare, env, left, right)
     if lk is None or rk is None or op not in ("=", "#", *_ORDER) \
             or (_is_const(left) and _is_const(right)):
-        return _fold("bool", lambda s: E._compare(op, lf(s), rf(s)),
-                     left, right)
+        return _fold("bool", slow, compare, env, left, right)
     if lk != rk:
         return _raiser(E.ExprTypeError, f"cannot compare {lk} {op} {rk}",
-                       lf, rf)
+                       env, ls, rs)
     if op in ("=", "#"):
-        return ("bool", _eq(op == "=", left, right), None)
+        if _is_const(left):  # the state read first, the constant second
+            ls, rs = rs, ls
+        return ("bool", f"({ls} {'==' if op == '=' else '!='} {rs})", None)
     if lk != "int":
         return _raiser(E.ExprTypeError,
-                       f"ordering {op!r} requires ints, got {lk}", lf, rf)
-    order = _ORDER[op]
-    if lform and lform[0] == "slot" and _is_const(right):
-        i, c = lform[1], rform[1]
-        return ("bool", lambda s: order(s[i], c), None)
-    return ("bool", lambda s: order(lf(s), rf(s)), None)
+                       f"ordering {op!r} requires ints, got {lk}", env,
+                       ls, rs)
+    return ("bool", f"({ls} {op} {rs})", None)
 
 
-def _eq(equal, left, right):
-    """`=` (or `#`) of two values of one static kind."""
-    if _is_const(right):
-        left, right = right, left
-    (_, lf, lform), (_, rf, rform) = left, right
-    if _is_const(left):
-        c = lform[1]
-        if rform and rform[0] == "slot":
-            i = rform[1]
-            return (lambda s: s[i] == c) if equal else (lambda s: s[i] != c)
-        return (lambda s: rf(s) == c) if equal else (lambda s: rf(s) != c)
-    return (lambda s: lf(s) == rf(s)) if equal \
-        else (lambda s: lf(s) != rf(s))
-
-
-def _binterm(op, left, right):
-    lk, lf, lform = left
-    rk, rf, rform = right
-    want, what, combine = ("int", "+", operator.add) if op == "+" \
-        else ("set", "union", operator.or_)
+def _binterm_expr(op, left, right, env):
+    lk, ls, _ = left
+    rk, rs, _ = right
+    want, what = ("int", "+") if op == "+" else ("set", "union")
     if lk == rk == want and not (_is_const(left) and _is_const(right)):
-        if lform and lform[0] == "slot" and _is_const(right):
-            i, c = lform[1], rform[1]
-            if op == "+":
-                return (want, lambda s: s[i] + c, None)
-            return (want, lambda s: s[i] | c, None)
-        return (want, lambda s: combine(lf(s), rf(s)), None)
-
-    def fn(s):
-        v, r = lf(s), rf(s)
-        E._require(want, v, what)
-        E._require(want, r, what)
-        return combine(v, r)
-    return _fold(want, fn, left, right)
+        return (want, f"({ls} {'+' if op == '+' else '|'} {rs})", None)
+    return _fold(want, f"_binterm({want!r}, {what!r}, {ls}, {rs})",
+                 lambda v, r: _binterm(want, what, v, r), env, left, right)
 
 
-def _index(base, key, kinds):
-    kk, kf, _ = key
+def _index(base, key, kinds, env):
+    kk, ks, _ = key
     if base[0] is not _IN_SLOTS:
-        bf = base[1]
-
-        def fn(s):
-            m, k = bf(s), kf(s)
-            E._require("map", m, "indexing")
-            E._require("atom", k, "map key")
-            if k not in m:
-                raise E.ExprTypeError(f"index {k!r} outside map key domain")
-            return m[k]
-        return _fold(None, fn, base, key)
+        return _fold(None, f"_lookup({base[1]}, {ks})", _lookup, env,
+                     base, key)
     _, shape, base = base
     keys, child, stride = shape
     offsets = {k: n * stride for n, k in enumerate(keys)}
@@ -356,90 +412,66 @@ def _index(base, key, kinds):
         k = key[2][1]
         if kk != "atom":
             return _raiser(E.ExprTypeError,
-                           f"map key: expected atom, got {kk}")
+                           f"map key: expected atom, got {kk}", env)
         if k not in offsets:
             return _raiser(E.ExprTypeError,
-                           f"index {k!r} outside map key domain")
+                           f"index {k!r} outside map key domain", env)
         at = base + offsets[k]
         if child is None:
-            return (kinds[at], lambda s: s[at], ("slot", at))
+            return (kinds[at], f"s[{at}]", ("slot", at))
         return (_IN_SLOTS, child, at)
-    bf = (lambda s: base) if type(base) is int else base
-
-    def at(s):
-        p, k = bf(s), kf(s)
-        E._require("atom", k, "map key")
-        try:
-            return p + offsets[k]
-        except KeyError:
-            raise E.ExprTypeError(
-                f"index {k!r} outside map key domain") from None
+    at = f"_at({base}, {_lit(offsets, env)}, {ks})"
     if child is not None:
         return (_IN_SLOTS, child, at)
-    return (None, lambda s: s[at(s)], None)
+    return (None, f"s[{at}]", None)
 
 
 # ---------------------------------------------------------------------------
 # Transitions
 
-def compile_step(t, binding, slots, kinds, constants, atoms, caps):
-    """(guard, apply, writes) of one transition under one binding.
+def compile_step(t, binding, slots, kinds, constants, atoms, caps, env):
+    """(guard, plan, writes) of one transition under one binding.
 
-    guard(s) is the guard's bool value; guard is True or False when it
-    folds to a constant. apply(s) is the post-state, or None when a
-    top-level counter update leaves its range (caps maps such a variable
-    to its largest value). writes lists, per update, the slots it may
-    write and the kind it stores there (None: not known statically).
+    guard is the guard's source, or True or False when it folds to a
+    constant. plan lists the updates for `kernel` and `step_function`.
+    writes lists, per update, the slots it may write and the kind it
+    stores there (None: not known statically). caps maps a counter
+    variable to its largest value.
     """
     scope = dict(binding)
 
     def comp(x):
-        return compile_expr(x, slots, kinds, constants, atoms, scope)
+        return compile_expr(x, slots, kinds, constants, atoms, env, scope)
 
-    guard = as_bool(comp(t.guard), "top-level expression")
+    guard = as_bool(comp(t.guard), "top-level expression", env)
     guard = guard[2][1] if _is_const(guard) else guard[1]
-    fixed, writers, writes = [], [], []
-    names = [target.var for target, _ in t.updates]
-    ordered = len(set(names)) < len(names)
+    plan, writes = [], []
     for target, rhs in t.updates:
-        keys = [value(comp(x)) for x in target.keys]
-        w, at, k = _writer(target, value(comp(rhs)), keys, slots,
-                           caps.get(target.var))
+        keys = [value(comp(x), env) for x in target.keys]
+        op, at, k = _writer(target, value(comp(rhs), env), keys, slots,
+                            caps.get(target.var), env)
+        plan.append(op)
         writes.append((at, k))
-        if type(w) is tuple and not ordered:
-            fixed.append(w)  # (slot, constant) stores commute
-        else:
-            writers.append(_store(*w) if type(w) is tuple else w)
-
-    def apply(s):
-        n = list(s)
-        for i, v in fixed:
-            n[i] = v
-        for w in writers:
-            if w(s, n):
-                return None
-        return tuple(n)
-    return guard, apply, writes
+    return guard, plan, writes
 
 
-def _store(i, v):
-    def write(s, n):
-        n[i] = v
-    return write
+def _writer(target, rhs, keys, slots, cap, env):
+    """(op, slots, kind) of one update: op for the plan, the slots it may
+    write and the kind it stores there.
 
-
-def _writer(target, rhs, keys, slots, cap):
-    """(writer, slots, kind) of one update. The writer is (slot, constant)
-    for a constant store, else writer(s, n) storing into the list n and
-    returning True when a counter leaves its range.
-
-    As in the checker's reference semantics and TLA+'s EXCEPT, the
-    right-hand side and the keys read the pre-state, a counter is
-    range-checked before the keys are evaluated, and updates of one
-    variable apply in order, each on top of the ones before it.
+    An op is ("const", slot, src) for an in-range constant stored at a
+    fixed slot, ("slot", slot, src, cap, kind) for another value stored
+    there, and ("keyed", index, src, cap, kind, past, fit) for a target
+    whose slot `index` computes at run time; past is the source that
+    raises for a target past a map leaf, and fit, for a map value, is
+    (shape, width, message) of the slots it fills. As in the checker's
+    reference semantics and TLA+'s EXCEPT, the right-hand side and the
+    keys read the pre-state, a counter is range-checked before the keys
+    are evaluated, and updates of one variable apply in order, each on
+    top of the ones before it.
     """
     var = target.var
-    rk, rf, rform = rhs
+    rk, rs, rform = rhs
     shape, base = slots[var]
     every = tuple(range(base, base + size(shape)))
     levels, sub = [], shape  # per key: map key -> slot offset at its level
@@ -449,53 +481,121 @@ def _writer(target, rhs, keys, slots, cap):
         levels.append({k: n * sub[2] for n, k in enumerate(sub[0])})
         sub = sub[1]
     past = len(levels) < len(keys)
-    at = None  # the slot, when every key is a literal inside its map
     if not past and sub is None and all(
             _is_const(k) and type(k[2][1]) is str and k[2][1] in level
             for k, level in zip(keys, levels)):
         at = base + sum(level[k[2][1]] for k, level in zip(keys, levels))
-    if at is not None:
         if _is_const(rhs) and not (cap is not None and type(rform[1]) is int
                                    and not 0 <= rform[1] <= cap):
-            return (at, rform[1]), (at,), rk
-        if cap is None:
-            def write(s, n):
-                n[at] = rf(s)
-        else:
-            def write(s, n):
-                v = rf(s)
-                if type(v) is int and (v < 0 or v > cap):
-                    return True
-                n[at] = v
-        return write, (at,), rk
-
-    key_fns = [f for _, f, _ in keys]
-    sub_width = size(sub)
-
-    def write(s, n):
-        v = rf(s)
-        if cap is not None and type(v) is int and (v < 0 or v > cap):
-            return True
-        names = [f(s) for f in key_fns]
-        i = base
-        for level, k in zip(levels, names):
-            i += level[k]  # KeyError(k), as FMap lookups raise
-        if past:
-            raise E.ExprTypeError(
-                f"update target {target} indexes past a map leaf")
-        if sub is None:
-            n[i] = v
-            return
-        try:
-            fits = type(v) is E.FMap and shape_of(v) == sub
-        except E.ExprTypeError:
-            fits = False
-        if not fits:
-            raise E.ExprTypeError(
-                f"update {target} would change the shape of {var!r}")
-        out = []
-        _leaves(v, sub, out)
-        n[i:i + sub_width] = out
+            return ("const", at, rs), (at,), rk
+        return ("slot", at, rs, cap, rk), (at,), rk
+    index = "".join([f"_offset({base}, {_lit(levels, env)}",
+                     *(", " + k[1] for k in keys), ")"]) if keys \
+        else str(base)
     if past:
-        return write, (), None
-    return write, every, rk if sub is None else None
+        past = _raiser(E.ExprTypeError,
+                       f"update target {target} indexes past a map leaf",
+                       env)[1]
+    fit = None if sub is None else (
+        _lit(sub, env), size(sub),
+        repr(f"update {target} would change the shape of {var!r}"))
+    op = ("keyed", index, rs, cap, rk, past, fit)
+    if past:
+        return op, (), None
+    return op, every, rk if sub is None else None
+
+
+def _step_lines(guard, plan, emit, prune):
+    """The body lines of one step, indented one level: the guard, then
+    each update's evaluation and range check in order, then
+    emit.format(post-state source). With prune, a step whose updates all
+    store constants emits nothing in a state that already holds them."""
+    lines, pad = [], "    "
+
+    def line(text):
+        lines.append(pad + text)
+
+    cond = None if guard is True else guard
+    if prune and all(op[0] == "const" for op in plan):
+        fixed = {at: src for _, at, src in plan}  # the last store wins
+        if not fixed:  # a self-loop whenever enabled
+            if cond is not None:
+                line(cond)  # evaluated for what it raises
+            return lines
+        change = " or ".join(f"s[{at}] != {src}"
+                             for at, src in fixed.items())
+        cond = change if cond is None else f"{cond} and ({change})"
+    if cond is not None:
+        line(f"if {cond}:")
+        pad += "    "
+    stores = []  # (slot source, value source, read-free)
+    for j, op in enumerate(plan):
+        if op[0] == "const":
+            stores.append((op[1], op[2], True))
+            continue
+        if op[0] == "slot" and op[3] is None:
+            stores.append((op[1], op[2], False))  # evaluated at the store
+            continue
+        # this update may stop the step or raise: the values deferred so
+        # far are evaluated before it, in order
+        for n, (at, src, done) in enumerate(stores):
+            if not done:
+                line(f"w{n} = {src}")
+                stores[n] = (at, f"w{n}", True)
+        _, at, src, cap, kind = op[:5]
+        v = f"v{j}"
+        line(f"{v} = {src}")
+        if cap is not None:
+            line(f"if 0 <= {v} <= {cap}:" if kind == "int" else
+                 f"if type({v}) is not int or 0 <= {v} <= {cap}:")
+            pad += "    "
+        if op[0] == "slot":
+            stores.append((at, v, True))
+            continue
+        past, fit = op[5:]
+        line(f"i{j} = {at}")
+        if past:
+            line(past)
+            return lines
+        if fit is None:
+            stores.append((f"i{j}", v, True))
+        else:
+            shape, width, message = fit
+            line(f"l{j} = _fit({v}, {shape}, {message})")
+            stores.append((f"i{j}:i{j} + {width}", f"l{j}", True))
+    if stores:
+        line("n = list(s)")
+        for at, src, _ in stores:
+            line(f"n[{at}] = {src}")
+        line(emit.format("tuple(n)"))
+    else:
+        line(emit.format("s"))
+    return lines
+
+
+def _define(lines, name, env):
+    namespace = {}
+    exec(_code("\n".join(lines) + "\n", "exec"), env, namespace)
+    return namespace[name]
+
+
+def kernel(steps, env):
+    """successors(s): the list of post-states of the compiled steps
+    (guard, plan), in order. A step whose counter update leaves its range
+    gives no post-state, and a step that only stores constants the state
+    already holds (a self-loop) is skipped."""
+    lines = ["def successors(s):", "    out = []", "    add = out.append"]
+    for guard, plan in steps:
+        lines += _step_lines(guard, plan, "add({})", prune=True)
+    lines.append("    return out")
+    return _define(lines, "successors", env)
+
+
+def step_function(guard, plan, env):
+    """step(s): the post-state of one compiled step, or None when its
+    guard is false or a counter update leaves its range."""
+    if guard is False:
+        return lambda s: None
+    return _define(["def step(s):",
+                    *_step_lines(guard, plan, "return {}", prune=False),
+                    "    return None"], "step", env)

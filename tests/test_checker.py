@@ -198,6 +198,68 @@ def test_validate_trace_rejects_states_and_bindings_of_no_model_run():
         model, dataclasses.replace(cx, steps=(first,) + cx.steps[1:]))
 
 
+def test_validate_trace_accepts_a_self_loop_step():
+    """The search skips a step that only stores constants the state
+    already holds, but a trace may still take it: `step()` runs it."""
+    def step(tid, guard, var, rhs):
+        return ir.Transition(
+            tid, "Protocol", "sys", (), E.parse(guard),
+            ((ir.UpdateTarget(var, ()), E.parse(rhs)),), "MAY",
+            (ir.SourceRef("test", "self-loop"),))
+    model = ir.ProtocolModel(
+        name="loop", snapshot="2025-01", constants=(),
+        state_vars=(
+            ir.StateVarDecl("on", ir.BoolSort(), ir.InitExpr(E.parse("true"))),
+            ir.StateVarDecl("bad", ir.BoolSort(),
+                            ir.InitExpr(E.parse("false"))),
+        ),
+        transitions=(step("Keep", "true", "on", "true"),
+                     step("Break", "on", "bad", "true")),
+        properties=(ir.Property("INV", "P0", "aasm-hardening",
+                                E.parse("not bad")),))
+    eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
+    assert eng.successors(eng.start) == [(True, True)]
+    assert eng.step("Keep", (), eng.start) == eng.start
+    res = checker.check(model, model.properties[0])
+    assert [s.transition_id for s in res.counterexample.steps] == ["Break"]
+    keep = checker.TraceStep("Keep", (), res.counterexample.initial)
+    looped = dataclasses.replace(res.counterexample, depth=2,
+                                 steps=(keep,) + res.counterexample.steps)
+    assert checker.validate_trace(model, looped)
+
+
+def test_steps_before_a_raising_step_are_searched_first():
+    """In a state where a later step's guard raises, the post-states of
+    the steps before it are still checked, so a violation among them is a
+    FAIL; a search that reaches the raise is an ERROR."""
+    flags = ir.MapSort("Dom", ir.BoolSort())
+    model = ir.ProtocolModel(
+        name="raises", snapshot="2025-01", constants=(("Dom", ("a",)),),
+        state_vars=(
+            ir.StateVarDecl("flags", flags, ir.InitAll(E.parse("false"))),
+            ir.StateVarDecl("sel", ir.EnumSort(("a", "z")),
+                            ir.InitExpr(E.parse("z"))),
+            ir.StateVarDecl("bad", ir.BoolSort(),
+                            ir.InitExpr(E.parse("false"))),
+        ),
+        transitions=tuple(ir.Transition(
+            tid, "Protocol", "sys", (), E.parse(guard),
+            ((ir.UpdateTarget("bad", ()), E.parse("true")),), "MAY",
+            (ir.SourceRef("test", "raises"),))
+            for tid, guard in (("Go", "true"), ("Peek", "flags[sel]"))),
+        properties=(ir.Property("INV", "P0", "aasm-hardening",
+                                E.parse("not bad")),
+                    ir.Property("TRUE", "P0", "aasm-hardening",
+                                E.parse("true"))))
+    results = checker.check_all(model, model.properties)
+    assert results["INV"].verdict == "FAIL"
+    assert results["INV"].counterexample.depth == 1
+    assert results["TRUE"].verdict == \
+        "ERROR: index 'z' outside map key domain"
+    with pytest.raises(E.ExprTypeError, match="outside map key domain"):
+        checker.enumerate_states(model)
+
+
 # ---------------------------------------------------------------------------
 # Randomized models for checker/oracle agreement (shared with acceptance)
 

@@ -128,6 +128,23 @@ def test_compose_pattern(capsys):
     assert run_cli("compose", "nosuch") == 2
 
 
+def test_compose_out_writes_verdicts_and_model_out_the_model(tmp_path,
+                                                            capsys):
+    """`compose --out` writes the verdict lines, as `check --out` does;
+    the composed model goes to `--model-out`."""
+    from agentconform import compose, irfmt
+    assert run_cli("compose", "tool-delegation") == 1
+    printed = capsys.readouterr().out
+    out, model_out = tmp_path / "verdicts.txt", tmp_path / "composed.ir"
+    assert run_cli("compose", "tool-delegation", "--out", str(out),
+                   "--model-out", str(model_out)) == 1
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+    a, b = compose.PATTERNS["tool-delegation"]["pair"]
+    assert irfmt.parse_model(model_out.read_text()) == compose.compose(
+        builtin(a), builtin(b), compose.PATTERNS["tool-delegation"]["bridge"])
+
+
 def test_check_and_compose_print_one_line_format(tmp_path, capsys):
     """compose FAIL lines carry depth and trace as check's do, and checking
     several models prints each model's own output in argument order."""

@@ -10,16 +10,19 @@ a deliberate change of search semantics:
 
 import itertools
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from agentconform import checker, compose, ir, report, tla
+from agentconform import compiled as C
 from agentconform import expr as E
 from agentconform.builtins import BUILTIN_NAMES, builtin
 
 from _oracle import _successors, oracle_check
+from test_checker import RANDOM_BOUNDS, random_model
 
 GOLDEN = Path(__file__).parent / "golden" / "states.json"
 
@@ -76,12 +79,7 @@ def test_composed_states_golden(composition_runs):
 
 @pytest.mark.parametrize("name", sorted(STATE_COUNTS))
 def test_enumerate_states_counts(name):
-    if name in BUILTIN_NAMES:
-        model = builtin(name)
-    else:
-        model = next(compose.compose(a, b, bridge)
-                     for pattern, a, b, bridge
-                     in compose.builtin_compositions() if pattern == name)
+    model = builtin(name) if name in BUILTIN_NAMES else _chained_servers()
     assert checker.enumerate_states(model) == STATE_COUNTS[name]
 
 
@@ -176,35 +174,77 @@ def test_updates_of_one_variable_apply_in_order(invariant, updates,
         assert f"  /\\ {tla_text}" in tla.emit_module(model).splitlines()
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES + ("updates",))
-def test_engine_matches_evaluator_on_every_state(name):
-    """In every reachable state the compiled successors are the ones the
-    tree-walking evaluator derives, and every matrix cell's invariant
-    evaluates the same."""
-    bounds = checker.DEFAULT_BOUNDS
-    if name == "updates":
-        model = _update_model()
-        props = list(model.properties)
-    else:
-        model = builtin(name)
-        props = [report._cell_property(model, pr)
-                 for pr in report.MATRIX_PRINCIPLES[:-1]]
+def _chained_servers():
+    return next(compose.compose(a, b, bridge)
+                for pattern, a, b, bridge in compose.builtin_compositions()
+                if pattern == "chained-servers")
+
+
+def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
+    """In every reachable state: the kernel's post-states other than the
+    state itself are the oracle's, with multiplicity (the kernel drops
+    only self-loops, and only those of constant stores); with steps,
+    `step()` over the engine's steps gives the oracle's successors
+    exactly, self-loops included; and each invariant evaluates as the
+    tree-walking evaluator does. Returns the number of states."""
     eng = checker._Engine(model, bounds)
     tests = [(p, eng.invariant(p)) for p in props]
     sorts = {v.name: v.sort for v in model.state_vars}
     parents = {eng.start: None}
     for s in itertools.chain((eng.start,), checker._bfs(eng, parents)):
         state = checker.state_dict(model, eng.canonical(s))
-        want = Counter(checker.state_vector(model, post) for post in
-                       _successors(model, state, eng.constants, eng.atoms,
-                                   sorts, bounds))
-        got = Counter(eng.canonical(post)
-                      for _, _, post in eng.successors(s))
+
+        def flat(post):  # compared as flat states, which hash in C
+            out = []
+            for name, (shape, base) in eng.slots.items():
+                if post[name] is state[name]:  # not updated
+                    out += s[base:base + C.size(shape)]
+                else:
+                    C._leaves(post[name], shape, out)
+            return tuple(out)
+        want = Counter(flat(post) for post in _successors(
+            model, state, eng.constants, eng.atoms, sorts, bounds))
+        if steps:
+            posts = (eng.step(tid, binding, s)
+                     for tid, binding in eng.steps)
+            assert Counter(post for post in posts
+                           if post is not None) == want
+        del want[s]
+        got = Counter(eng.successors(s))
+        del got[s]
         assert got == want
         for prop, holds in tests:
             assert holds(s) == E.evaluate_bool(
                 prop.invariant, state, eng.constants, eng.atoms), prop.id
-    assert len(parents) > 1
+    return len(parents)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("updates",
+                                                    "chained-servers"))
+def test_engine_matches_evaluator_on_every_state(name):
+    """The kernel, `step()` and every matrix cell's invariant against the
+    oracle and the evaluator; on chained-servers (65,090 states) the
+    kernel alone."""
+    if name == "updates":
+        model = _update_model()
+        props = model.properties
+    elif name == "chained-servers":
+        model, props = _chained_servers(), ()
+    else:
+        model = builtin(name)
+        props = [report._cell_property(model, pr)
+                 for pr in report.MATRIX_PRINCIPLES[:-1]]
+    states = _assert_engine_matches_oracle(
+        model, checker.DEFAULT_BOUNDS, props,
+        steps=name != "chained-servers")
+    assert states == (1152 if name == "updates" else STATE_COUNTS[name])
+
+
+def test_engine_matches_oracle_on_random_models():
+    rng = random.Random(20261018)
+    for i in range(40):
+        model = random_model(rng, i)
+        _assert_engine_matches_oracle(model, RANDOM_BOUNDS, model.properties)
 
 
 if __name__ == "__main__":

@@ -276,7 +276,7 @@ def test_quantifier_de_morgan(assign):
 
 
 # ---------------------------------------------------------------------------
-# Differential: compiled closures against the reference evaluator
+# Differential: compiled source against the reference evaluator
 
 def _sets():
     return st.frozensets(st.sampled_from(["c1", "c2"]))
@@ -316,8 +316,10 @@ def test_compiled_matches_evaluator(e, state):
     want = _outcome(lambda: E.evaluate(e, state, CONSTANTS, ATOMS))
     want_bool = _outcome(lambda: E.evaluate_bool(e, state, CONSTANTS, ATOMS))
     for slot_kinds in (kinds, [None] * len(kinds)):
-        res = C.compile_expr(e, slots, slot_kinds, CONSTANTS, ATOMS)
-        fn = C.value(res)[1]
-        test = C.as_bool(res, "top-level expression")[1]
+        env = C.environment()
+        res = C.compile_expr(e, slots, slot_kinds, CONSTANTS, ATOMS, env)
+        fn = C.function(C.value(res, env)[1], env)
+        test = C.function(C.as_bool(res, "top-level expression", env)[1],
+                          env)
         assert _outcome(lambda: fn(flat)) == want
         assert _outcome(lambda: test(flat)) == want_bool
