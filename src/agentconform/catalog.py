@@ -279,15 +279,6 @@ _LAYERS = {
     "CS": "cross-layer",
 }
 
-LAYER_NAMES = {
-    "L1": "Transport Security",
-    "L2": "Message Transport & Wire Format",
-    "L3": "Session & Resilience",
-    "L4": "Identity, Capability & Trust",
-    "L5": "Semantic Operations & Consent",
-    "L6": "Audit & Accountability",
-}
-
 
 def aps_layer(principle: str) -> str:
     if principle not in _LAYERS:

@@ -102,11 +102,6 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # State handling
 
-def state_vector(model: ir.ProtocolModel, state: dict) -> tuple:
-    """Canonical hashable encoding: declaration-ordered value tuple."""
-    return tuple(state[v.name] for v in model.state_vars)
-
-
 def state_dict(model: ir.ProtocolModel, vector: tuple) -> dict:
     return {v.name: vector[i] for i, v in enumerate(model.state_vars)}
 
@@ -119,14 +114,14 @@ class _Engine:
     boundary: the initial state, counterexamples and `validate_trace`
     input.
 
-    A search engine writes one kernel, `successors(s) -> [post, ...]`:
-    every enabled (transition, binding) step inlined, in sorted
-    transition-id and then binding order, and compiled with a single
-    `compile()`. The kernel serves the search only: it skips a step that
-    only stores constants the state already holds, whose post-state is
-    the state itself, which BFS has always seen. `step()` runs one step
-    in full, self-loops included, for `_extract` and `validate_trace`;
-    it compiles a step on first use.
+    A search engine writes one kernel, `successors(s, out)`: every
+    enabled (transition, binding) step inlined, in sorted transition-id
+    and then binding order, appending each post-state to `out`, and
+    compiled with a single `compile()`. The kernel serves the search
+    only: it skips a step that only stores constants the state already
+    holds, whose post-state is the state itself, which BFS has always
+    seen. `step()` runs one step in full, self-loops included, for
+    `_extract` and `validate_trace`; it compiles a step on first use.
     """
 
     def __init__(self, model: ir.ProtocolModel, bounds: Bounds,
@@ -215,11 +210,14 @@ def _bfs(eng: _Engine, parents: dict):
     """Yields each newly reached state in deterministic BFS order.
 
     `parents` holds only the initial state (mapped to None) on entry; every
-    reached state is recorded as `parents[post] = pre`. Each post-state of
-    the engine's kernel is hashed once, by `setdefault`, and is new when
-    that grew `parents`; the kernel leaves out constant-store self-loops,
-    which could never be new. Raises StateOverflowError when the depth or
-    state budget ends the search with a live frontier.
+    reached state is recorded as `parents[post] = pre`. The kernel appends
+    a state's post-states to `posts`, each of them is hashed once, by
+    `setdefault`, and is new when that grew `parents`; the kernel leaves
+    out constant-store self-loops, which could never be new. A step whose
+    evaluation raises ends the search, but only once the post-states of
+    the steps before it, already in `posts`, are searched. Raises
+    StateOverflowError when the depth or state budget ends the search
+    with a live frontier.
     """
     bounds = eng.bounds
     successors, record = eng.successors, parents.setdefault
@@ -233,10 +231,11 @@ def _bfs(eng: _Engine, parents: dict):
         depth += 1
         next_frontier = []
         for pre in frontier:
+            posts, raised = [], None
             try:
-                posts = successors(pre)
-            except Exception:
-                posts = _stepwise(eng, pre)
+                successors(pre, posts)
+            except Exception as exc:
+                raised = exc
             for post in posts:
                 record(post, pre)
                 if len(parents) == seen:
@@ -247,17 +246,9 @@ def _bfs(eng: _Engine, parents: dict):
                         f"more than {bounds.max_states} states")
                 yield post
                 next_frontier.append(post)
+            if raised is not None:
+                raise raised
         frontier = next_frontier
-
-
-def _stepwise(eng: _Engine, pre: tuple):
-    """The post-states of pre one step at a time, until the step whose
-    evaluation raises: a search still sees the post-states of the steps
-    before it (and may FAIL on one) before the exception ends it."""
-    for tid, binding in eng.steps:
-        post = eng.step(tid, binding, pre)
-        if post is not None:
-            yield post
 
 
 def _extract(eng: _Engine, prop: ir.Property, parents: dict,
@@ -408,34 +399,75 @@ def export_counterexample(model: ir.ProtocolModel, cx: Counterexample) -> str:
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
-def import_counterexample(model: ir.ProtocolModel, text: str) -> Counterexample:
-    doc = json.loads(text)
-    if doc.get("model") != model.name:
-        raise CheckError(f"counterexample is for model {doc.get('model')!r}, "
-                         f"not {model.name!r}")
-
-    def decode(state_obj, where):
+def decode_trace(model: ir.ProtocolModel, property_id, depth, initial,
+                 steps, value=value_from_json) -> Counterexample:
+    """A counterexample from a trace document, or a CheckError naming what
+    does not fit the model. A state maps variable names to what
+    `value(v, sort)` decodes; each step is (action, params, state), params
+    naming its atoms or, as in a TLC action label, listing them in
+    declared order; depth must count the steps."""
+    def decode(obj, where):
+        if not isinstance(obj, dict):
+            raise CheckError(f"{where} is not a map of variables")
         for v in model.state_vars:
-            if v.name not in state_obj:
+            if v.name not in obj:
                 raise CheckError(f"{where} lacks variable {v.name!r}")
-        return tuple(value_from_json(state_obj[v.name], v.sort)
-                     for v in model.state_vars)
+        try:
+            return tuple(value(obj[v.name], v.sort) for v in model.state_vars)
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise CheckError(f"{where} holds a bad value: {exc}") from None
 
-    def trace_step(i, step):
-        action = step["action"]
+    def trace_step(i, action, params, state):
         where = f"step {i} ({action})"
         try:
-            t = model.transition(action)
+            names = [n for n, _ in model.transition(action).params]
         except KeyError:
             raise CheckError(f"{where}: unknown action {action!r}") from None
-        for n, _ in t.params:
-            if n not in step["params"]:
+        if isinstance(params, list):
+            if len(params) != len(names):
+                raise CheckError(f"{where} has {len(params)} arguments, "
+                                 f"not {len(names)}")
+            params = dict(zip(names, params))
+        for n in names:
+            if n not in params:
                 raise CheckError(f"{where} lacks parameter {n!r}")
         # the declared parameter order, as the checker binds them
-        binding = tuple((n, step["params"][n]) for n, _ in t.params)
-        return TraceStep(action, binding,
-                         decode(step["state"], f"{where} state"))
+        return TraceStep(action, tuple((n, params[n]) for n in names),
+                         decode(state, f"{where} state"))
 
-    steps = tuple(trace_step(i, s) for i, s in enumerate(doc["steps"], 1))
-    return Counterexample(doc["model"], doc["property"], doc["depth"],
-                          decode(doc["initial"], "initial state"), steps)
+    start = decode(initial, "initial state")
+    steps = tuple(trace_step(i, *step) for i, step in enumerate(steps, 1))
+    if type(depth) is not int or depth != len(steps):
+        raise CheckError(f"depth {depth!r} does not count the "
+                         f"{len(steps)} steps")
+    return Counterexample(model.name, property_id, depth, start, steps)
+
+
+def _fields(obj, keys, where) -> list:
+    """obj's values at keys, if obj is a JSON object with all of them."""
+    if not isinstance(obj, dict):
+        raise CheckError(f"{where} is not a JSON object")
+    for k in keys:
+        if k not in obj:
+            raise CheckError(f"{where} lacks {k!r}")
+    return [obj[k] for k in keys]
+
+
+def import_counterexample(model: ir.ProtocolModel, text: str) -> Counterexample:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise CheckError(f"counterexample is not JSON: {exc}") from None
+    name, prop, depth, initial, steps = _fields(
+        doc, ("model", "property", "depth", "initial", "steps"),
+        "counterexample")
+    if name != model.name:
+        raise CheckError(f"counterexample is for model {name!r}, "
+                         f"not {model.name!r}")
+    if not isinstance(steps, list):
+        raise CheckError("counterexample steps are not a JSON list")
+    steps = [_fields(s, ("action", "params", "state"), f"step {i}")
+             for i, s in enumerate(steps, 1)]
+    if any(not isinstance(params, dict) for _, params, _ in steps):
+        raise CheckError("a step's params are not a JSON object")
+    return decode_trace(model, prop, depth, initial, steps)

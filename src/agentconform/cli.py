@@ -7,6 +7,7 @@ Exit codes follow the CI gating convention: 0 when everything passes,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import urllib.parse
 from pathlib import Path
@@ -42,9 +43,9 @@ def _parse_bounds(spec: str, models) -> checker.Bounds:
             value = int(raw)
         except ValueError:
             raise CliError(f"bounds value for {key!r} must be an int")
-        if key in ("depth", "max_depth"):
+        if key == "depth":
             bounds = checker.replace(bounds, max_depth=value)
-        elif key in ("states", "max_states"):
+        elif key == "states":
             bounds = checker.replace(bounds, max_states=value)
         elif value < 1:
             # an empty domain or a zero counter cap disables the transitions
@@ -200,8 +201,10 @@ def _parse_endpoint(url: str, model_name: str) -> tuple:
 
 def _cmd_replay(args) -> int:
     text = Path(args.counterexample).read_text()
-    import json
-    model_name = json.loads(text).get("model")
+    try:
+        model_name = json.loads(text).get("model")
+    except (ValueError, AttributeError):
+        model_name = None
     if model_name not in builtins.BUILTIN_NAMES:
         raise CliError(f"counterexample names unknown model {model_name!r}")
     model = builtins.builtin(model_name)

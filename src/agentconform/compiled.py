@@ -41,8 +41,8 @@ from `expr`, and `_raise`, `_lookup`, `_at`, `_binterm`, `_build`,
 source of an int expression computing it.
 
 Functions. `function` turns a value's source into `lambda s: <src>`,
-`kernel` writes one `successors(s)` for all of an engine's steps, and
-`step_function` one function for a single step. `compile()` is memoised
+`kernel` writes one `successors(s, out)` for all of an engine's steps,
+and `step_function` one function for a single step. `compile()` is memoised
 on the source text, so a model checked again (another property, another
 run in one process) reuses its code objects.
 """
@@ -580,14 +580,15 @@ def _define(lines, name, env):
 
 
 def kernel(steps, env):
-    """successors(s): the list of post-states of the compiled steps
-    (guard, plan), in order. A step whose counter update leaves its range
-    gives no post-state, and a step that only stores constants the state
+    """successors(s, out): appends the post-states of the compiled steps
+    (guard, plan) to the list out, in order, each as soon as its step is
+    evaluated, so a step that raises leaves the post-states of the steps
+    before it in out. A step whose counter update leaves its range gives
+    no post-state, and a step that only stores constants the state
     already holds (a self-loop) is skipped."""
-    lines = ["def successors(s):", "    out = []", "    add = out.append"]
+    lines = ["def successors(s, out):", "    add = out.append"]
     for guard, plan in steps:
         lines += _step_lines(guard, plan, "add({})", prune=True)
-    lines.append("    return out")
     return _define(lines, "successors", env)
 
 

@@ -31,39 +31,6 @@ class ComposeError(Exception):
 # ---------------------------------------------------------------------------
 # Symbol renaming
 
-def _rename_expr(e, mapping, bound=frozenset()):
-    if isinstance(e, E.Forall) or isinstance(e, E.Exists):
-        cls = type(e)
-        return cls(e.var, mapping.get(e.domain, e.domain),
-                   _rename_expr(e.body, mapping, bound | {e.var}))
-    if isinstance(e, E.Implies):
-        return E.Implies(_rename_expr(e.lhs, mapping, bound),
-                         _rename_expr(e.rhs, mapping, bound))
-    if isinstance(e, E.And):
-        return E.And(tuple(_rename_expr(x, mapping, bound) for x in e.items))
-    if isinstance(e, E.Or):
-        return E.Or(tuple(_rename_expr(x, mapping, bound) for x in e.items))
-    if isinstance(e, E.Not):
-        return E.Not(_rename_expr(e.operand, mapping, bound))
-    if isinstance(e, E.Cmp):
-        return E.Cmp(e.op, _rename_expr(e.lhs, mapping, bound),
-                     _rename_expr(e.rhs, mapping, bound))
-    if isinstance(e, E.BinTerm):
-        return E.BinTerm(e.op, _rename_expr(e.lhs, mapping, bound),
-                         _rename_expr(e.rhs, mapping, bound))
-    if isinstance(e, E.Index):
-        return E.Index(_rename_expr(e.base, mapping, bound),
-                       _rename_expr(e.key, mapping, bound))
-    if isinstance(e, E.SetLit):
-        return E.SetLit(tuple(_rename_expr(x, mapping, bound)
-                              for x in e.items))
-    if isinstance(e, E.Name):
-        if e.name in bound:
-            return e
-        return E.Name(mapping.get(e.name, e.name))
-    return e
-
-
 def _rename_sort(sort, mapping):
     if isinstance(sort, ir.SetSort):
         return ir.SetSort(mapping.get(sort.over, sort.over))
@@ -74,13 +41,11 @@ def _rename_sort(sort, mapping):
 
 
 def _rename_init(init, mapping):
-    if isinstance(init, ir.InitExpr):
-        return ir.InitExpr(_rename_expr(init.expr, mapping))
-    if isinstance(init, ir.InitAll):
-        return ir.InitAll(_rename_expr(init.expr, mapping))
+    if isinstance(init, (ir.InitExpr, ir.InitAll)):
+        return type(init)(E.rename(init.expr, mapping))
     if isinstance(init, ir.InitMap):
         return ir.InitMap(tuple(
-            (mapping.get(k, k), _rename_expr(v, mapping))
+            (mapping.get(k, k), E.rename(v, mapping))
             for k, v in init.entries))
     raise ComposeError(f"unknown init spec {init!r}")
 
@@ -105,18 +70,19 @@ def _prefix_model(model: ir.ProtocolModel, prefix: str):
     transitions = []
     for t in model.transitions:
         params = tuple((p, mapping.get(dom, dom)) for p, dom in t.params)
-        local = frozenset(p for p, _ in t.params)
-        guard = _rename_expr(t.guard, mapping, local)
+        # a parameter is a bound name and keeps it
+        outer = {k: v for k, v in mapping.items()
+                 if k not in {p for p, _ in t.params}}
+        guard = E.rename(t.guard, outer)
         updates = tuple(
             (ir.UpdateTarget(mapping.get(tgt.var, tgt.var),
-                             tuple(_rename_expr(k, mapping, local)
-                                   for k in tgt.keys)),
-             _rename_expr(rhs, mapping, local))
+                             tuple(E.rename(k, outer) for k in tgt.keys)),
+             E.rename(rhs, outer))
             for tgt, rhs in t.updates)
         transitions.append(replace(
             t, id=prefix + t.id, params=params, guard=guard,
             updates=updates))
-    return mapping, constants, state_vars, tuple(transitions)
+    return constants, state_vars, tuple(transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +96,6 @@ class Route:
     target: str  # transition id in model B
     tainted_when: str = ""  # expr over composed symbols; "" = never
     forwards_credential: bool = False
-    writes_cross: bool = False  # tainted variant touches B-side state
     extra_updates: str = ""  # update text over composed symbols
 
 
@@ -140,7 +105,6 @@ class BridgeSpec:
     routes: tuple
 
 
-_TRUE = E.parse("true")
 _BRIDGE_VARS = (
     ("bridge_compromised", ir.BoolSort(), "false"),
     ("credential_forwarded", ir.BoolSort(), "false"),
@@ -153,16 +117,10 @@ _BRIDGE_VARS = (
 
 def _exists_wrap(t: ir.Transition) -> E.Expr:
     """Existentially close a prefixed transition's guard over its params."""
-    guard = t.guard
-    rename = {p: f"src_{p}" for p, _ in t.params}
-    guard = _rename_expr(guard, rename)
+    guard = E.rename(t.guard, {p: f"src_{p}" for p, _ in t.params})
     for p, dom in reversed(t.params):
         guard = E.Exists(f"src_{p}", dom, guard)
     return guard
-
-
-def _parse_updates(text: str):
-    return irfmt._parse_update(text, 0) if text else ()
 
 
 def _bridge_transitions(route: Route, a_side: dict, b_side: dict):
@@ -197,10 +155,10 @@ def _bridge_transitions(route: Route, a_side: dict, b_side: dict):
     tainted_updates = list(base_updates)
     tainted_updates.append((ir.UpdateTarget("bridge_compromised", ()),
                             E.parse("true")))
-    if route.writes_cross:
-        tainted_updates.append((ir.UpdateTarget("cross_writes", ()),
-                                E.parse("cross_writes + 1")))
-    tainted_updates.extend(_parse_updates(route.extra_updates))
+    # the tainted variant always touches B-side state
+    tainted_updates.append((ir.UpdateTarget("cross_writes", ()),
+                            E.parse("cross_writes + 1")))
+    tainted_updates.extend(irfmt._parse_update(route.extra_updates, 0))
     tainted = make(stem + "_tainted", base_guard + [taint], tainted_updates)
     return (clean, tainted)
 
@@ -211,8 +169,8 @@ def compose(model_a: ir.ProtocolModel, model_b: ir.ProtocolModel,
     if model_a.name == model_b.name:
         raise ComposeError("models must be distinct; cannot compose "
                            f"{model_a.name!r} with itself")
-    _, a_consts, a_vars, a_trans = _prefix_model(model_a, "A_")
-    _, b_consts, b_vars, b_trans = _prefix_model(model_b, "B_")
+    a_consts, a_vars, a_trans = _prefix_model(model_a, "A_")
+    b_consts, b_vars, b_trans = _prefix_model(model_b, "B_")
     bridge_vars = tuple(
         ir.StateVarDecl(name, sort, ir.InitExpr(E.parse(init)))
         for name, sort, init in _BRIDGE_VARS)
@@ -258,7 +216,6 @@ PATTERNS = {
         "pair": ("mcp", "a2a"),
         "bridge": BridgeSpec("conductor", (Route(
             "CallTool", "SendTask", tainted_when=_TAINT_MCP,
-            writes_cross=True,
             extra_updates=("B_delegation[B_ag1][B_ag2] := "
                            "B_delegation[B_ag1][B_ag2] union {B_c2}")),)),
         "leakage": _SUBSET_B.format(dom="B_AgentID"),
@@ -271,7 +228,7 @@ PATTERNS = {
         "pair": ("mcp", "acp-client"),
         "bridge": BridgeSpec("pipeline", (Route(
             "CallTool", "fs_write", tainted_when=_TAINT_MCP,
-            forwards_credential=True, writes_cross=True,
+            forwards_credential=True,
             extra_updates=("B_delegation[B_a1][B_a2] := "
                            "B_delegation[B_a1][B_a2] union {B_c1}")),)),
         "leakage": _SUBSET_B.format(dom="B_Agents"),
@@ -284,7 +241,6 @@ PATTERNS = {
         "pair": ("mcp", "acp-cap"),
         "bridge": BridgeSpec("consent-bypass", (Route(
             "CallTool", "InvokeCapability", tainted_when=_TAINT_MCP,
-            writes_cross=True,
             extra_updates=("B_delegation[B_a1][B_a2] := "
                            "B_delegation[B_a1][B_a2] union {B_c1}")),)),
         "leakage": _SUBSET_B.format(dom="B_Agents"),
@@ -296,7 +252,6 @@ PATTERNS = {
         "pair": ("a2a", "acp-cap"),
         "bridge": BridgeSpec("authority", (Route(
             "Delegate", "InvokeCapability", tainted_when=_TAINT_A2A,
-            writes_cross=True,
             extra_updates=("B_delegation[B_a1][B_a2] := "
                            "B_delegation[B_a1][B_a2] union {B_c1}")),)),
         "leakage": _SUBSET_B.format(dom="B_Agents"),
@@ -307,8 +262,7 @@ PATTERNS = {
     "federated-delegation": {
         "pair": ("a2a", "anp"),
         "bridge": BridgeSpec("federation", (Route(
-            "Delegate", "SendProposal", tainted_when=_TAINT_A2A,
-            writes_cross=True),)),
+            "Delegate", "SendProposal", tainted_when=_TAINT_A2A),)),
         "leakage": _ATTEST_B,
         "specific": (
             ("CS_DomainIsolation", _SUBSET_B.format(dom="B_Agents")),

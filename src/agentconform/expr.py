@@ -22,7 +22,7 @@ always emits `#`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Union
 
 
@@ -436,38 +436,56 @@ def print_expr(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Free symbols
+# Structure: sub-expressions, binding, free symbols, renaming
+
+# the fields of each node type that hold sub-expressions; an `items` field
+# holds a tuple of them
+_SUBTERM_FIELDS = {
+    Forall: ("body",), Exists: ("body",), Implies: ("lhs", "rhs"),
+    And: ("items",), Or: ("items",), Not: ("operand",), Cmp: ("lhs", "rhs"),
+    BinTerm: ("lhs", "rhs"), Index: ("base", "key"), SetLit: ("items",)}
+
+
+def children(e: Expr) -> tuple:
+    """The direct sub-expressions of e, in source order."""
+    out = []
+    for f in _SUBTERM_FIELDS.get(type(e), ()):
+        out += getattr(e, f) if f == "items" else (getattr(e, f),)
+    return tuple(out)
+
+
+def binder(e: Expr):
+    """The variable e binds in its body (a quantifier's), else None."""
+    return e.var if isinstance(e, (Forall, Exists)) else None
+
 
 def free_symbols(e: Expr) -> frozenset:
     """Unbound Name references (quantifier domains and bound vars excluded)."""
-    out = set()
+    if isinstance(e, Name):
+        return frozenset((e.name,))
+    return frozenset().union(*map(free_symbols, children(e))) - {binder(e)}
 
-    def walk(node, bound):
-        if isinstance(node, (Forall, Exists)):
-            walk(node.body, bound | {node.var})
-        elif isinstance(node, Implies):
-            walk(node.lhs, bound)
-            walk(node.rhs, bound)
-        elif isinstance(node, (And, Or)):
-            for x in node.items:
-                walk(x, bound)
-        elif isinstance(node, Not):
-            walk(node.operand, bound)
-        elif isinstance(node, (Cmp, BinTerm)):
-            walk(node.lhs, bound)
-            walk(node.rhs, bound)
-        elif isinstance(node, Index):
-            walk(node.base, bound)
-            walk(node.key, bound)
-        elif isinstance(node, SetLit):
-            for x in node.items:
-                walk(x, bound)
-        elif isinstance(node, Name):
-            if node.name not in bound:
-                out.add(node.name)
 
-    walk(e, frozenset())
-    return frozenset(out)
+def rename(e: Expr, mapping: Mapping) -> Expr:
+    """e with every free name and every quantifier domain n replaced by
+    mapping.get(n, n); a name a quantifier binds is left alone."""
+    if isinstance(e, Name):
+        return Name(mapping.get(e.name, e.name))
+    var = binder(e)
+    if var is not None:
+        e = replace(e, domain=mapping.get(e.domain, e.domain))
+        mapping = {k: v for k, v in mapping.items() if k != var}
+    return replace(e, **{
+        f: tuple(rename(x, mapping) for x in getattr(e, f)) if f == "items"
+        else rename(getattr(e, f), mapping)
+        for f in _SUBTERM_FIELDS.get(type(e), ())})
+
+
+def iter_subterms(e: Expr) -> Iterator[Expr]:
+    """e and every expression inside it, in source order."""
+    yield e
+    for x in children(e):
+        yield from iter_subterms(x)
 
 
 # ---------------------------------------------------------------------------
@@ -592,19 +610,3 @@ def evaluate_bool(e: Expr, state: Mapping, constants: Mapping,
     v = evaluate(e, state, constants, atoms)
     return _require("bool", v, "top-level expression")
 
-
-def iter_subterms(e: Expr) -> Iterator[Expr]:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (Forall, Exists)):
-            stack.append(node.body)
-        elif isinstance(node, (Implies, Cmp, BinTerm)):
-            stack.extend((node.lhs, node.rhs))
-        elif isinstance(node, (And, Or, SetLit)):
-            stack.extend(node.items)
-        elif isinstance(node, Not):
-            stack.append(node.operand)
-        elif isinstance(node, Index):
-            stack.extend((node.base, node.key))

@@ -121,7 +121,7 @@ def _read_blocks(text: str):
         i += 1
         if not stripped or stripped.startswith("#"):
             continue
-        m = re.match(r"^(constants|aps|transition|property|clause|bridge)"
+        m = re.match(r"^(constants|aps|transition|property|clause)"
                      r"(?:\s+([A-Za-z_][A-Za-z0-9_\-]*))?\s*\{(.*)$", stripped)
         if m:
             kind, name, rest = m.group(1), m.group(2) or "", m.group(3)
@@ -203,10 +203,16 @@ def _split_top_commas(text: str):
     return [p.strip() for p in parts if p.strip()]
 
 
+def _expr(text: str, line: int) -> E.Expr:
+    """An expression written on this line of the document (0: unknown),
+    so that a syntax error names the line."""
+    return E.parse(text, max(line - 1, 0))
+
+
 def parse_init(text: str, line: int = 0) -> ir.InitSpec:
     text = text.strip()
     if text.startswith("all "):
-        return ir.InitAll(E.parse(text[4:]))
+        return ir.InitAll(_expr(text[4:], line))
     if text.startswith("["):
         if not text.endswith("]"):
             raise ParseError("unterminated map-literal init", line)
@@ -215,9 +221,9 @@ def parse_init(text: str, line: int = 0) -> ir.InitSpec:
             if ":" not in part:
                 raise ParseError(f"bad map-literal entry {part!r}", line)
             k, v = part.split(":", 1)
-            entries.append((k.strip(), E.parse(v.strip())))
+            entries.append((k.strip(), _expr(v.strip(), line)))
         return ir.InitMap(tuple(entries))
-    return ir.InitExpr(E.parse(text))
+    return ir.InitExpr(_expr(text, line))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +260,7 @@ def _parse_update(value: str, line: int):
         if ":=" not in part:
             raise ParseError(f"update missing ':=' in {part!r}", line)
         lhs_text, rhs_text = part.split(":=", 1)
-        lhs = E.parse(lhs_text.strip())
+        lhs = _expr(lhs_text.strip(), line)
         keys = []
         while isinstance(lhs, E.Index):
             keys.insert(0, lhs.key)
@@ -262,7 +268,7 @@ def _parse_update(value: str, line: int):
         if not isinstance(lhs, E.Name):
             raise ParseError(f"bad update target in {part!r}", line)
         updates.append((ir.UpdateTarget(lhs.name, tuple(keys)),
-                        E.parse(rhs_text.strip())))
+                        _expr(rhs_text.strip(), line)))
     return tuple(updates)
 
 
@@ -282,7 +288,7 @@ def _parse_transition(block: _Block) -> ir.Transition:
         elif key == "params":
             params = _parse_params(value, line)
         elif key == "guard":
-            guard = E.parse(value)
+            guard = _expr(value, line)
         elif key == "update":
             updates.extend(_parse_update(value, line))
         elif key == "modality":
@@ -313,7 +319,7 @@ def _parse_property(block: _Block) -> ir.Property:
         elif key == "class":
             cls = value
         elif key == "invariant":
-            invariant = E.parse(value)
+            invariant = _expr(value, line)
         elif key == "source":
             refs.append(_parse_source_value(value, line))
         else:
@@ -441,11 +447,6 @@ def parse_clauses(text: str):
             fields.get("actor", ""), fields.get("behavior", ""), source,
             fields.get("ambiguous", "false") == "true", precedence))
     return clauses
-
-
-def load_clauses(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_clauses(fh.read())
 
 
 # ---------------------------------------------------------------------------

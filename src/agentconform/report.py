@@ -165,26 +165,21 @@ def _cell_property(model: ir.ProtocolModel, principle: str) -> ir.Property:
     return catalog.instantiate_for(model, principle)
 
 
-def bundled_inputs(replay_outcomes=None, bounds=checker.DEFAULT_BOUNDS):
-    """Cell inputs for the full bundled run.
-
-    replay_outcomes, if given, maps (protocol, principle) to a Phase-2
-    outcome; every other cell is NOT_RUN.
-    """
-    replay_outcomes = replay_outcomes or {}
+def bundled_inputs(bounds=checker.DEFAULT_BOUNDS):
+    """Cell inputs for the full bundled run; every replay outcome is
+    NOT_RUN."""
     inputs = []
-    # per-protocol principles
+    # per-protocol principles: one engine per model
     for name in BUILTIN_NAMES:
         model = builtin(name)
         amb = _ambiguity_map(model)
-        for pr in MATRIX_PRINCIPLES[:-1]:
-            prop = _cell_property(model, pr)
-            result = checker.check(model, prop, bounds)
+        props = [_cell_property(model, pr) for pr in MATRIX_PRINCIPLES[:-1]]
+        results = checker.check_all(model, props, bounds)
+        for pr, prop in zip(MATRIX_PRINCIPLES, props):
             ann = Annotations(
                 ambiguous_clauses=tuple(amb.get(prop.id, ())))
-            inputs.append(CellInput(
-                name, pr, result, prop,
-                replay_outcomes.get((name, pr), "NOT_RUN"), ann))
+            inputs.append(CellInput(name, pr, results[prop.id], prop,
+                                    annotations=ann))
     # composition safety: worst verdict across the patterns a protocol
     # participates in
     worst = {name: None for name in BUILTIN_NAMES}
@@ -205,17 +200,13 @@ def bundled_inputs(replay_outcomes=None, bounds=checker.DEFAULT_BOUNDS):
                     worst[name] = (res, by_id[pid])
     for name in BUILTIN_NAMES:
         res, prop = worst[name]
-        inputs.append(CellInput(
-            name, "CS", res, prop,
-            replay_outcomes.get((name, "CS"), "NOT_RUN")))
+        inputs.append(CellInput(name, "CS", res, prop))
     return inputs
 
 
-def bundled_matrix(replay_outcomes=None,
-                   bounds=checker.DEFAULT_BOUNDS) -> ConformanceMatrix:
+def bundled_matrix(bounds=checker.DEFAULT_BOUNDS) -> ConformanceMatrix:
     snapshots = tuple((n, builtin(n).snapshot) for n in BUILTIN_NAMES)
-    return build_matrix(bundled_inputs(replay_outcomes, bounds),
-                        snapshots)
+    return build_matrix(bundled_inputs(bounds), snapshots)
 
 
 # ---------------------------------------------------------------------------

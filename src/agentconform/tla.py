@@ -8,8 +8,12 @@ unambiguously.
 
 The parser reads the textual TLC counterexample dialect (an Error line,
 `State N: <Action ...>` headers, one `/\\ var = value` conjunct per
-variable) and converts traces back into checker counterexamples. No
-external tool is invoked here; interop is exercised against stored logs.
+variable); a value is tokenized by one regular expression and read by
+recursive descent, and anything outside the dialect is a
+TlcDialectError. A trace becomes a checker counterexample through
+`checker.decode_trace`, which checks its actions, arguments and
+variables as it checks a counterexample document's. No external tool is
+invoked here; interop is exercised against stored logs.
 """
 
 from __future__ import annotations
@@ -265,81 +269,59 @@ _STATS_RE = re.compile(
 _DONE_RE = re.compile(r"^Model checking completed\. No error has been found\.")
 
 
+# a TLC value's tokens: a quoted string, an int, a name, or punctuation
+# (any other character)
+_TLC_TOKEN_RE = re.compile(r'\s*(?:"([^"]*)"|(-?\d+)|(\w+)|(:>|@@|.))',
+                           re.ASCII | re.DOTALL)
+
+
 def _parse_tlc_value(text: str):
-    text = text.strip()
-    pos = [0]
+    """TRUE, FALSE, an int, an atom (a name or a quoted string), a set
+    `{v, ...}` or a function `(k :> v @@ ...)` with atom keys; raises
+    TlcDialectError for anything else."""
+    tokens = [(m.lastindex, m.group(m.lastindex))  # last token first
+              for m in _TLC_TOKEN_RE.finditer(text.strip())][::-1]
 
-    def peek():
-        return text[pos[0]] if pos[0] < len(text) else ""
+    def punct():
+        return tokens.pop()[1] if tokens and tokens[-1][0] == 4 else None
 
-    def skip_ws():
-        while pos[0] < len(text) and text[pos[0]] in " \t":
-            pos[0] += 1
+    def items(item, sep, close):
+        out = [item()]
+        while (p := punct()) != close:
+            if p != sep:
+                raise TlcDialectError(f"expected {sep!r} or {close!r} in "
+                                      f"value {text!r}")
+            out.append(item())
+        return out
 
-    def parse_atom():
-        skip_ws()
-        c = peek()
-        if c == '"':
-            end = text.index('"', pos[0] + 1)
-            name = text[pos[0] + 1:end]
-            pos[0] = end + 1
-            return name
-        if c == "{":
-            pos[0] += 1
-            items = []
-            skip_ws()
-            if peek() == "}":
-                pos[0] += 1
+    def entry():
+        k = value()
+        if type(k) is not str or punct() != ":>":
+            raise TlcDialectError(f"expected 'atom :> value' in {text!r}")
+        return k, value()
+
+    def value():
+        group, tok = tokens.pop() if tokens else (4, "")
+        if group == 1:
+            return tok
+        if group == 2:
+            return int(tok)
+        if group == 3:
+            return {"TRUE": True, "FALSE": False}.get(tok, tok)
+        if tok == "{":
+            if tokens and tokens[-1] == (4, "}"):
+                tokens.pop()
                 return frozenset()
-            while True:
-                items.append(parse_atom())
-                skip_ws()
-                if peek() == ",":
-                    pos[0] += 1
-                    continue
-                if peek() == "}":
-                    pos[0] += 1
-                    return frozenset(items)
-                raise TlcDialectError(f"bad set in value {text!r}")
-        if c == "(":
-            pos[0] += 1
-            entries = []
-            while True:
-                k = parse_atom()
-                skip_ws()
-                if text[pos[0]:pos[0] + 2] != ":>":
-                    raise TlcDialectError(f"expected ':>' in {text!r}")
-                pos[0] += 2
-                v = parse_atom()
-                if not isinstance(k, str):
-                    raise TlcDialectError(f"non-atom function key in {text!r}")
-                entries.append((k, v))
-                skip_ws()
-                if text[pos[0]:pos[0] + 2] == "@@":
-                    pos[0] += 2
-                    continue
-                if peek() == ")":
-                    pos[0] += 1
-                    return E.FMap(tuple(sorted(entries)))
-                raise TlcDialectError(f"bad function in value {text!r}")
-        m = re.match(r"-?\d+", text[pos[0]:])
-        if m:
-            pos[0] += m.end()
-            return int(m.group())
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[pos[0]:])
-        if m:
-            pos[0] += m.end()
-            word = m.group()
-            if word == "TRUE":
-                return True
-            if word == "FALSE":
-                return False
-            return word
+            return frozenset(items(value, ",", "}"))
+        if tok == "(":
+            entries = items(entry, "@@", ")")
+            if len(dict(entries)) < len(entries):
+                raise TlcDialectError(f"repeated function key in {text!r}")
+            return E.FMap.of(dict(entries))
         raise TlcDialectError(f"cannot parse value {text!r}")
 
-    v = parse_atom()
-    skip_ws()
-    if pos[0] != len(text):
+    v = value()
+    if tokens:
         raise TlcDialectError(f"trailing text in value {text!r}")
     return v
 
@@ -404,24 +386,17 @@ def _parse_action_label(label: str):
 
 def to_counterexample(parse: TlcLogParse,
                       model: ir.ProtocolModel) -> checker.Counterexample:
-    """Rebuild a checker counterexample from a parsed violation trace."""
+    """Rebuild a checker counterexample from a parsed violation trace;
+    actions and states are checked as a counterexample document's are."""
     if parse.violated is None:
         raise TlaError("log contains no violation")
     if not parse.trace or parse.trace[0][0] != "":
         raise TlcDialectError("trace does not start at the initial state")
-    initial = checker.state_vector(model, parse.trace[0][1])
-    steps = []
-    for label, assigns in parse.trace[1:]:
-        tid, args = _parse_action_label(label)
-        t = model.transition(tid)
-        if len(args) != len(t.params):
-            raise TlcDialectError(
-                f"action {tid} expects {len(t.params)} arguments")
-        binding = tuple((p, a) for (p, _), a in zip(t.params, args))
-        steps.append(checker.TraceStep(
-            tid, binding, checker.state_vector(model, assigns)))
-    return checker.Counterexample(
-        model.name, parse.violated, len(steps), initial, tuple(steps))
+    steps = [(*_parse_action_label(label), assigns)
+             for label, assigns in parse.trace[1:]]
+    return checker.decode_trace(model, parse.violated, len(steps),
+                                parse.trace[0][1], steps,
+                                value=lambda v, _: v)
 
 
 def to_check_result(parse: TlcLogParse,

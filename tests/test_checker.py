@@ -149,7 +149,21 @@ def test_import_rejects_unknown_action():
      "step 2 (CloseSession) state lacks variable 'credentials'"),
     (lambda doc: doc["initial"].pop("credentials"),
      "initial state lacks variable 'credentials'"),
-], ids=["step-params", "step-state", "initial-state"])
+    (lambda doc: doc.pop("steps"), "counterexample lacks 'steps'"),
+    (lambda doc: doc.pop("initial"), "counterexample lacks 'initial'"),
+    (lambda doc: doc.pop("property"), "counterexample lacks 'property'"),
+    (lambda doc: doc.pop("depth"), "counterexample lacks 'depth'"),
+    (lambda doc: doc["steps"][1].pop("action"), "step 2 lacks 'action'"),
+    (lambda doc: doc["steps"][0].pop("params"), "step 1 lacks 'params'"),
+    (lambda doc: doc["steps"][1].pop("state"), "step 2 lacks 'state'"),
+    (lambda doc: doc.update(depth=7), "depth 7 does not count the 2 steps"),
+    (lambda doc: doc["steps"][0].update(params=["s1"]),
+     "a step's params are not a JSON object"),
+    (lambda doc: doc["initial"].update(msg_count=[1]),
+     "initial state holds a bad value"),
+], ids=["step-params", "step-state", "initial-state", "steps", "initial",
+        "property", "depth", "step-action", "step-params-key",
+        "step-state-key", "wrong-depth", "params-list", "bad-value"])
 def test_import_rejects_missing_keys(tamper, message):
     model = builtin("mcp")
     res = checker.check(model, model.property_by_id("P8_CredRevocation"))
@@ -218,7 +232,9 @@ def test_validate_trace_accepts_a_self_loop_step():
         properties=(ir.Property("INV", "P0", "aasm-hardening",
                                 E.parse("not bad")),))
     eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
-    assert eng.successors(eng.start) == [(True, True)]
+    posts = []
+    eng.successors(eng.start, posts)
+    assert posts == [(True, True)]
     assert eng.step("Keep", (), eng.start) == eng.start
     res = checker.check(model, model.properties[0])
     assert [s.transition_id for s in res.counterexample.steps] == ["Break"]

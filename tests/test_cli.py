@@ -204,6 +204,27 @@ def test_replay_round_trip(tmp_path, capsys):
     assert json.loads(out)["outcome"] == "UPHELD"
 
 
+@pytest.mark.parametrize("tamper, message", [
+    (lambda doc: doc.pop("steps"), "counterexample lacks 'steps'"),
+    (lambda doc: doc.update(depth=7), "depth 7 does not count the 2 steps"),
+    (lambda doc: doc["steps"][0].pop("action"), "step 1 lacks 'action'"),
+], ids=["no-steps", "wrong-depth", "no-action"])
+def test_replay_rejects_malformed_counterexample(tmp_path, capsys, tamper,
+                                                 message):
+    cx_path = tmp_path / "cx.json"
+    run_cli("check", "mcp", "--property", "P8_CredRevocation",
+            "--counterexample-out", str(cx_path))
+    doc = json.loads(cx_path.read_text())
+    tamper(doc)
+    cx_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("replay", str(cx_path), "--profile", "vulnerable") == 2
+    assert capsys.readouterr().err == f"error: CheckError: {message}\n"
+    cx_path.write_text(json.dumps([doc]))
+    assert run_cli("replay", str(cx_path), "--profile", "vulnerable") == 2
+    assert "unknown model None" in capsys.readouterr().err
+
+
 def test_replay_against_endpoint(tmp_path, capsys):
     cx_path = tmp_path / "cx.json"
     run_cli("check", "a2a", "--property", "P3_DelegationMonotonicity",

@@ -210,7 +210,9 @@ def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
             assert Counter(post for post in posts
                            if post is not None) == want
         del want[s]
-        got = Counter(eng.successors(s))
+        posts = []
+        eng.successors(s, posts)
+        got = Counter(posts)
         del got[s]
         assert got == want
         for prop, holds in tests:

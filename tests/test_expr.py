@@ -262,6 +262,29 @@ def test_round_trip_random(e):
     assert E.parse(E.print_expr(e)) == e
 
 
+_RENAMABLE = ["flag", "n", "mode", "caps", "ag1", "grant", "deleg", "x",
+              "AgentID", "Caps", "Nope"]
+
+
+def _quantifiers(e):
+    return [(E.binder(s), s.domain) for s in E.iter_subterms(e)
+            if E.binder(s) is not None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_exprs(), _quantified()), st.sets(st.sampled_from(_RENAMABLE)))
+def test_rename_maps_free_symbols_and_domains_only(e, names):
+    """Renamed to fresh names, the free symbols are the mapped free
+    symbols, and every quantifier keeps its variable and maps its
+    domain."""
+    mapping = {n: "fresh_" + n for n in names}
+    renamed = E.rename(e, mapping)
+    assert E.free_symbols(renamed) == {
+        mapping.get(n, n) for n in E.free_symbols(e)}
+    assert _quantifiers(renamed) == [
+        (var, mapping.get(dom, dom)) for var, dom in _quantifiers(e)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(st.sampled_from(["ag1", "ag2"]), st.booleans(),
                        min_size=2, max_size=2))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from agentconform import expr as E
 from agentconform import ir, irfmt
 from agentconform.builtins import BUILTIN_NAMES, builtin, builtin_clauses
 
@@ -36,6 +37,21 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(irfmt.ParseError) as exc:
         irfmt.parse_model(bad)
     assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("marker, bad", [
+    ("  guard:", "  guard: x = = 1"),
+    ("  update:", "  update: x := x + + 1"),
+    ("  invariant:", "  invariant: x = = 1"),
+    ("var ", "var y : BOOL init true and"),
+], ids=["guard", "update", "invariant", "init"])
+def test_expression_errors_name_the_file_line(marker, bad):
+    lines = irfmt.serialize_model(builtin("mcp")).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(marker))
+    lines[at] = bad
+    with pytest.raises(E.ExprSyntaxError) as exc:
+        irfmt.parse_model("\n".join(lines) + "\n")
+    assert exc.value.line == at + 1, str(exc.value)
 
 
 def test_missing_header_rejected():

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agentconform import checker, compose, report, tla
+from agentconform import expr as E
 from agentconform.builtins import BUILTIN_NAMES, builtin
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -131,6 +134,66 @@ def test_parser_value_forms():
     assert ":>" in log and "@@" in log
     cx = tla.to_counterexample(tla.parse_tlc_output(log), model)
     assert cx == res.counterexample
+
+
+@pytest.mark.parametrize("text", [
+    '"abc', '"', '(1 :> 2)', '({a} :> 2)', '{a b}', '{a,}', 'a b',
+    '(a :> 1) x', '(a :> 1 @@ a :> 2)', '(a 1)', '(a :> 1 b)', '', '{',
+    '-', 'a:b',
+], ids=["unterminated-string", "lone-quote", "int-key", "set-key",
+        "bad-set", "set-trailing-comma", "trailing-text",
+        "trailing-after-function", "repeated-key", "missing-arrow",
+        "bad-function", "empty", "open-set", "minus", "colon"])
+def test_value_parser_rejects_malformed_forms(text):
+    with pytest.raises(tla.TlcDialectError):
+        tla._parse_tlc_value(text)
+
+
+_IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True).filter(
+    lambda s: s not in ("TRUE", "FALSE"))
+# atoms TLC prints quoted, as it prints enum values
+_QUOTED = ["a b", "", "x,y", "{}", "TRUE", "@@", ":>", "(", "\u00e9"]
+_TLC_VALUES = st.recursive(
+    st.one_of(st.booleans(), st.integers(-20, 20), _IDENT,
+              st.sampled_from(_QUOTED)),
+    lambda inner: st.one_of(
+        st.frozensets(inner, max_size=3),
+        st.dictionaries(_IDENT, inner, min_size=1, max_size=3).map(
+            E.FMap.of)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TLC_VALUES, st.sets(_IDENT, max_size=3))
+def test_value_parser_round_trips_emitted_values(value, quoted):
+    enums = set(_QUOTED) | quoted
+    assert tla._parse_tlc_value(tla._emit_value(value, enums)) == value
+
+
+def _p8_log():
+    model = builtin("mcp")
+    res = checker.check(model, model.property_by_id("P8_CredRevocation"))
+    return model, tla.format_tlc_log(model, res)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda log: log.replace("<OpenSession(", "<NoSuch("),
+     "step 1 (NoSuch): unknown action 'NoSuch'"),
+    (lambda log: log.replace("<OpenSession(s1)", "<OpenSession(s1, s2)"),
+     "step 1 (OpenSession) has 2 arguments, not 1"),
+    (lambda log: log.replace(
+        '/\\ credentials = (s1 :> "ACTIVE" @@ s2 :> "NONE")\n', "", 1),
+     "step 1 (OpenSession) state lacks variable 'credentials'"),
+    (lambda log: log.replace(
+        '/\\ credentials = (s1 :> "NONE" @@ s2 :> "NONE")\n', "", 1),
+     "initial state lacks variable 'credentials'"),
+], ids=["unknown-action", "argument-count", "step-variable",
+        "initial-variable"])
+def test_to_counterexample_checks_the_trace(tamper, message):
+    model, log = _p8_log()
+    parse = tla.parse_tlc_output(tamper(log))
+    with pytest.raises(checker.CheckError, match=re.escape(message)):
+        tla.to_counterexample(parse, model)
 
 
 def _sha(text):
