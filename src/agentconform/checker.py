@@ -109,10 +109,13 @@ def state_dict(model: ir.ProtocolModel, vector: tuple) -> dict:
 class _Engine:
     """Compiled successor and invariant evaluation for one (model, bounds).
 
-    States inside the engine are flat tuples (see `compiled`); state
-    vectors, which lay maps out as `FMap` values, appear only at the
-    boundary: the initial state, counterexamples and `validate_trace`
-    input.
+    A state inside the engine is one int, each slot a bit field of it
+    (see `compiled`): a bool 1 bit, a counter its value, any other slot a
+    code into the slot's intern table. An intern field has room for
+    `max_states` + steps + 1 codes, more distinct values than a search
+    within the state budget can store. State vectors, which hold values
+    and lay maps out as `FMap` values, appear only at the boundary: the
+    initial state, counterexamples and `validate_trace`.
 
     A search engine writes one kernel, `successors(s, out)`: every
     enabled (transition, binding) step inlined, in sorted transition-id
@@ -140,9 +143,10 @@ class _Engine:
         self._step_fns = {}  # (transition id, binding) -> step function
         if not search:
             # to replay a few recorded steps, compile just those, with
-            # every slot's type checked at run time
+            # every slot's type checked at run time and every slot
+            # interned
             self.kinds = [None] * len(kinds)
-            self.env = C.environment()
+            self._pack({}, 0)
             return
         # deterministic expansion order
         pairs = [(t, tuple(zip((n for n, _ in t.params), combo)))
@@ -150,8 +154,15 @@ class _Engine:
                  for combo in itertools.product(
                      *(sorted(self.constants.get(d, ()))
                        for _, d in t.params))]
+        # a counter that starts in range stays there: every update of it
+        # is range-checked
+        counters = {self.slots[v.name][1]: self.caps[v.name]
+                    for v, x in zip(model.state_vars, self._initial)
+                    if v.name in self.caps and type(x) is int
+                    and 0 <= x <= self.caps[v.name]}
         while True:
-            self.kinds, self.env = kinds, C.environment()
+            self.kinds = kinds
+            self._pack(counters, len(pairs))
             compiled = [self._compile(t, binding) for t, binding in pairs]
             # a slot keeps a static kind only if every update stores it
             kinds = list(kinds)
@@ -162,12 +173,17 @@ class _Engine:
                             kinds[i] = None
             if kinds == self.kinds:
                 break
-        self.start = C.flatten(self._initial, self.slots, kinds)
         for (t, binding), (guard, plan, _) in zip(pairs, compiled):
             if guard is not False:
                 self._plans[t.id, binding] = (guard, plan)
         self.steps = list(self._plans)
         self.successors = C.kernel(self._plans.values(), self.env)
+
+    def _pack(self, counters, steps):
+        self.env = C.environment()
+        C.pack(self.slots, self.kinds, counters,
+               (self.bounds.max_states + steps + 1).bit_length(), self.env)
+        self.start = C.encode(self._initial, self.env)
 
     def _compile(self, t: ir.Transition, binding):
         return C.compile_step(t, binding, self.slots, self.kinds,
@@ -177,10 +193,10 @@ class _Engine:
     def initial(self) -> tuple:
         return self._initial
 
-    def canonical(self, state: tuple) -> tuple:
-        return C.unflatten(state, self.slots)
+    def canonical(self, state: int) -> tuple:
+        return C.decode(state, self.env)
 
-    def step(self, tid: str, binding, state: tuple):
+    def step(self, tid: str, binding, state: int):
         """Post-state of one recorded step, or None when the step is not
         enabled or its binding does not name the transition's parameters
         with atoms."""
@@ -196,7 +212,7 @@ class _Engine:
         return self._step_fns[key](state)
 
     def invariant(self, prop: ir.Property):
-        """The property's invariant as a predicate on flat states."""
+        """The property's invariant as a predicate on packed states."""
         return C.function(C.as_bool(
             C.compile_expr(prop.invariant, self.slots, self.kinds,
                            self.constants, self.atoms, self.env),
@@ -252,7 +268,7 @@ def _bfs(eng: _Engine, parents: dict):
 
 
 def _extract(eng: _Engine, prop: ir.Property, parents: dict,
-             final: tuple) -> Counterexample:
+             final: int) -> Counterexample:
     path = [final]
     while parents[path[-1]] is not None:
         path.append(parents[path[-1]])
@@ -329,21 +345,20 @@ def validate_trace(model: ir.ProtocolModel, cx: Counterexample,
                    bounds: Bounds = DEFAULT_BOUNDS) -> bool:
     """Internal soundness oracle: replays the trace symbolically.
 
-    True iff every step's guard holds in its pre-state, the recorded
-    post-state matches the declared updates, the property holds in every
-    state except the last, and the last state violates it.
+    True iff the trace starts in the model's initial state, every step's
+    guard holds in its pre-state, the recorded post-state matches the
+    declared updates, the property holds in every state except the last,
+    and the last state violates it.
     """
     eng = _Engine(model, bounds, search=False)
     if prop is None:
         prop = model.property_by_id(cx.property_id)
     for step in cx.steps:
         model.transition(step.transition_id)  # raises KeyError if unknown
-    holds = eng.invariant(prop)
-    # an initial state that does not fit the model's layout is no state
-    # of the model
-    cur = C.flatten(cx.initial, eng.slots, eng.kinds)
-    if cur is None:
+    if cx.initial != eng.initial():
         return False
+    holds = eng.invariant(prop)
+    cur = eng.start
     for step in cx.steps:
         if not holds(cur):
             return False

@@ -209,6 +209,9 @@ def _cmd_replay(args) -> int:
         raise CliError(f"counterexample names unknown model {model_name!r}")
     model = builtins.builtin(model_name)
     cx = checker.import_counterexample(model, text)
+    if not checker.validate_trace(model, cx):
+        raise CliError(f"the trace is no run of model {model_name!r} that "
+                       f"ends in a violation of {cx.property_id}")
     tests, skipped = generate_tests([cx])
     if not tests:
         reason = skipped[0][1] if skipped else "no test generated"

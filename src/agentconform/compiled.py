@@ -1,5 +1,5 @@
-"""Guards, updates and invariants compiled to Python source over a flat
-state tuple.
+"""Guards, updates and invariants compiled to Python source over packed
+states.
 
 The checker runs the functions this module writes as source text and
 builds with `compile()`; the tree-walking evaluator in `expr` stays the
@@ -9,15 +9,32 @@ same sub-evaluations. Python evaluates operands and call arguments left
 to right, as the evaluator does, so a slow path written as a call whose
 arguments are the sub-expressions' source keeps that order.
 
-Layout. A flat state is one tuple. A scalar variable takes one slot, a map
-one slot per leaf key path, in declaration order and then sorted key order.
-Map key sets never change (`FMap.set` rejects unknown keys), so `Index`
-becomes slot arithmetic. A variable's shape is None for a scalar and
-(keys, child shape, stride) for a map, whose children share one shape.
-A flat state holds the same values as a state vector (`expr.Value`) and
-differs from it only in map layout; a map needed as a whole value is built
-back into an `E.FMap`. Atoms (name strings) and frozensets hash in C and
-cache their hashes.
+Layout. A state's values sit in slots. A scalar variable takes one slot,
+a map one slot per leaf key path, in declaration order and then sorted
+key order. Map key sets never change (`FMap.set` rejects unknown keys),
+so `Index` becomes slot arithmetic. A variable's shape is None for a
+scalar and (keys, child shape, stride) for a map, whose children share
+one shape.
+
+Packing. Inside the engine a state is one int, and each slot is a
+fixed-width bit field of it (`pack`). A bool slot takes 1 bit and a
+counter slot holds its value 0..cap. Every other slot holds a code into
+the slot's intern table, which grows as the search meets new values;
+values equal as Python values (True and 1) share a code, as they were
+equal as tuple elements. An intern field is as wide as the engine's
+budget of distinct values, but codes are small, so only its low bits
+vary. Fields are laid out from bit 0 in rank order: bools, then
+counters, then atoms, then sets and slots of no static kind, each rank
+in slot order. The sparse intern fields thus sit on top, a state's int
+ends a few bits past the start of the last one (339 bits on the
+chained-servers composition, 438 in slot order), and guards mostly read
+low fields. Python hashes ints modulo 2**61 - 1, so bits 61 apart alias
+in the hash. In rank order the 65,090 chained-servers states have as
+many distinct hashes; on the other four compositions there are 66-81%
+as many distinct hashes as states. A shared hash costs a dict probe,
+not a wrong answer. `encode` and `decode` convert between state vectors and
+packed states; a map needed as a whole value is built back into an
+`E.FMap` by `_build`.
 
 Binding. Transition parameters are compiled per binding and quantifiers
 are unrolled over their (bounded) domains, so every bound name is a
@@ -27,18 +44,27 @@ false disables its binding outright.
 
 Kinds. Each slot has a static kind ("bool", "int", "atom" or "set") when
 the initial state and every update agree on it, else None. Compiled code
-checks a value's type at run time only where its kind is not static.
+checks a value's type at run time only where its kind is not static, and
+only a slot of static kind bool, or a counter of static kind int, holds
+its value instead of a code.
 
 Source. A compiled value is (kind, src, form): src is a Python expression
-that reads the flat state as `s[i]`, and form is ("slot", i),
-("const", v) or None. Bools, ints and atom names are literals in src;
+over the packed state `s`, and form is ("slot", i), ("const", v) or
+None. A bool field reads as `(s & B != 0)`, a counter as `(s >> k & m)`
+and an intern field as `_v<i>[s >> k & m]`; a comparison of a field with
+a constant compares the field's bits, `s & M == C`, with the constant
+encoded at compile time. Bools, ints and atom names are literals in src;
 every other constant (sets, maps, shapes, exception classes) is a global
 `_k<n>` of the environment `env` the source is compiled in. The
-environment also binds the slow paths: `_compare`, `_require` and `_bool`
-from `expr`, and `_raise`, `_lookup`, `_at`, `_binterm`, `_build`,
-`_offset` and `_fit` below. A map that lives in slots compiles to
-(_IN_SLOTS, shape, base) instead, where base is its first slot or the
-source of an int expression computing it.
+environment also binds the packing (`_L`, the fields, and `_v<i>` and
+`_c<i>`, slot i's values by code and codes by value) and the slow paths:
+`_compare`, `_require` and `_bool` from `expr`, and `_raise`, `_lookup`,
+`_at`, `_binterm`, `_build`, `_offset`, `_fit`, `_get` and `_put` below.
+A map that lives in slots compiles to (_IN_SLOTS, shape, base) instead,
+where base is its first slot or the source of an int expression computing
+it. A step writes its post-state as one expression, `s & K | V | ...`:
+K keeps the fields it does not store, V holds its constant stores, and
+each other store is its value's code shifted into place.
 
 Functions. `function` turns a value's source into `lambda s: <src>`,
 `kernel` writes one `successors(s, out)` for all of an engine's steps,
@@ -96,43 +122,88 @@ def _leaves(v, shape, out):
 def layout(names, values):
     """(slots, kinds) of a state vector: slots maps each variable to
     (shape, first slot), and kinds lists each slot's kind."""
-    slots, flat = {}, []
+    slots, leaves = {}, []
     for name, v in zip(names, values):
-        slots[name] = (shape_of(v), len(flat))
-        _leaves(v, slots[name][0], flat)
-    return slots, [_static_kind(x) for x in flat]
+        slots[name] = (shape_of(v), len(leaves))
+        _leaves(v, slots[name][0], leaves)
+    return slots, [_static_kind(x) for x in leaves]
 
 
-def flatten(values, slots, kinds):
-    """The flat form of a state vector, or None when the state does not
-    fit the layout: a map with other keys, or a slot of another kind."""
-    if len(values) != len(slots):
-        return None
-    out = []
-    for v, (shape, _) in zip(values, slots.values()):
-        try:
-            if shape_of(v) != shape:
-                return None
-        except E.ExprTypeError:
-            return None
-        _leaves(v, shape, out)
-    if any(k is not None and _static_kind(x) != k
-           for x, k in zip(out, kinds)):
-        return None
-    return tuple(out)
+_BOOLS = (False, True)
 
 
-def _build(s, i, shape):
+class _Codes(dict):
+    """value -> code of one intern field, growing on lookup; values[code]
+    is the value. A code past limit would not fit the field."""
+    __slots__ = ("values", "limit")
+
+    def __missing__(self, v):
+        code = len(self.values)
+        if code > self.limit:
+            raise OverflowError(f"more than {self.limit + 1} distinct "
+                                f"values in one state slot")
+        self[v] = code
+        self.values.append(v)
+        return code
+
+
+def pack(slots, kinds, counters, width, env):
+    """Lays the slots out as bit fields of one int and binds the layout
+    into env. counters maps a slot that only ever holds 0..cap to cap;
+    every slot that is neither a static bool nor such a counter of
+    static kind int is interned, in a field `width` bits wide."""
+    ranks = [0 if k == "bool" else 1 if k == "int" and i in counters
+             else 2 if k == "atom" else 3 for i, k in enumerate(kinds)]
+    fields, masks, shift = [None] * len(kinds), [0] * len(kinds), 0
+    for rank, i in sorted(zip(ranks, range(len(kinds)))):
+        if rank == 0:
+            fields[i] = (shift, 1, _BOOLS, None)
+        elif rank == 1:
+            cap = counters[i]
+            fields[i] = (shift, (1 << cap.bit_length()) - 1,
+                         range(cap + 1), None)
+        else:
+            codes = _Codes()
+            codes.values, codes.limit = [], (1 << width) - 1
+            env[f"_v{i}"], env[f"_c{i}"] = codes.values, codes
+            fields[i] = (shift, codes.limit, codes.values, codes)
+        masks[i] = fields[i][1] << shift
+        shift += fields[i][1].bit_length()
+    env["_L"], env["_FULL"] = fields, (1 << shift) - 1
+    # per variable: the mask of its fields, its values decoded so far by
+    # their bits, its first slot and its shape
+    env["_vars"] = [(sum(masks[base:base + size(shape)]), {}, base, shape)
+                    for shape, base in slots.values()]
+
+
+def encode(values, env) -> int:
+    """The packed form of a state vector that fits the layout."""
+    leaves, s = [], 0
+    for v, (_, _, _, shape) in zip(values, env["_vars"]):
+        _leaves(v, shape, leaves)
+    for v, (shift, _, _, codes) in zip(leaves, env["_L"]):
+        s |= (v if codes is None else codes[v]) << shift
+    return s
+
+
+def _build(L, s, i, shape):
     if shape is None:
-        return s[i]
+        return _get(L, s, i)
     keys, child, stride = shape
-    return E.FMap(tuple((k, _build(s, i + n * stride, child))
+    return E.FMap(tuple((k, _build(L, s, i + n * stride, child))
                         for n, k in enumerate(keys)))
 
 
-def unflatten(s, slots) -> tuple:
-    """The state vector of a flat state."""
-    return tuple(_build(s, i, shape) for shape, i in slots.values())
+def decode(s, env) -> tuple:
+    """The state vector of a packed state. A variable's value is built
+    once per bit pattern and then shared by every state that holds it."""
+    out = []
+    for mask, seen, base, shape in env["_vars"]:
+        bits = s & mask
+        if bits not in seen:
+            seen[bits] = _build(env["_L"], s, base, shape)
+        out.append(seen[bits])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +259,26 @@ def _fit(v, shape, message):
     return out
 
 
+def _get(L, s, i):
+    """The value in slot i of a packed state."""
+    shift, mask, values, _ = L[i]
+    return values[s >> shift & mask]
+
+
+def _put(L, n, i, *vs):
+    """The packed state n with the values vs stored in slots i, i + 1, ..."""
+    for v in vs:
+        shift, mask, _, codes = L[i]
+        n = n & ~(mask << shift) | (v if codes is None else codes[v]) << shift
+        i += 1
+    return n
+
+
 _GLOBALS = {"__builtins__": builtins, "_compare": E._compare,
             "_require": E._require, "_bool": E._bool, "_raise": _raise,
             "_lookup": _lookup, "_at": _at, "_binterm": _binterm,
-            "_build": _build, "_offset": _offset, "_fit": _fit}
+            "_build": _build, "_offset": _offset, "_fit": _fit,
+            "_get": _get, "_put": _put}
 
 
 def environment() -> dict:
@@ -256,7 +343,7 @@ def value(res, env):
     if res[0] is not _IN_SLOTS:
         return res
     _, shape, base = res
-    return ("map", f"_build(s, {base}, {_lit(shape, env)})", None)
+    return ("map", f"_build(_L, s, {base}, {_lit(shape, env)})", None)
 
 
 def as_bool(res, what, env):
@@ -321,13 +408,25 @@ def compile_expr(e, slots, kinds, constants, atoms, env, scope=None):
     return _raiser(E.ExprTypeError, f"not an expression: {e!r}", env)
 
 
+def _slot(kinds, i, env):
+    """(kind, src, form) of slot i's value in the packed state s."""
+    shift, mask, values, codes = env["_L"][i]
+    if values is _BOOLS:
+        src = f"(s & {1 << shift:#x} != 0)"
+    elif codes is None:
+        src = f"(s >> {shift} & {mask:#x})"
+    else:
+        src = f"_v{i}[s >> {shift} & {mask:#x}]"
+    return (kinds[i], src, ("slot", i))
+
+
 def _name(n, slots, kinds, constants, atoms, env, scope):
     if n in scope:
         return _const(scope[n], env)
     if n in slots:
         shape, base = slots[n]
         if shape is None:
-            return (kinds[base], f"s[{base}]", ("slot", base))
+            return _slot(kinds, base, env)
         return (_IN_SLOTS, shape, base)
     if n in constants:
         return _const(frozenset(constants[n]), env)
@@ -381,13 +480,29 @@ def _cmp(op, left, right, env):
                        env, ls, rs)
     if op in ("=", "#"):
         if _is_const(left):  # the state read first, the constant second
-            ls, rs = rs, ls
-        return ("bool", f"({ls} {'==' if op == '=' else '!='} {rs})", None)
+            left, right = right, left
+        eq = "==" if op == "=" else "!="
+        if left[2] is not None and left[2][0] == "slot" \
+                and _is_const(right):
+            bits = _field_bits(left[2][1], right[2][1], env)
+            if bits is not None:
+                return ("bool", f"(s & {bits[0]:#x} {eq} {bits[1]:#x})",
+                        None)
+        return ("bool", f"({left[1]} {eq} {right[1]})", None)
     if lk != "int":
         return _raiser(E.ExprTypeError,
                        f"ordering {op!r} requires ints, got {lk}", env,
                        ls, rs)
     return ("bool", f"({ls} {op} {rs})", None)
+
+
+def _field_bits(i, v, env):
+    """(the field mask, v's code in place) for slot i, or None when v
+    has no code there (a counter value out of range)."""
+    shift, mask, values, codes = env["_L"][i]
+    if codes is None and v not in values:
+        return None
+    return mask << shift, (v if codes is None else codes[v]) << shift
 
 
 def _binterm_expr(op, left, right, env):
@@ -418,12 +533,12 @@ def _index(base, key, kinds, env):
                            f"index {k!r} outside map key domain", env)
         at = base + offsets[k]
         if child is None:
-            return (kinds[at], f"s[{at}]", ("slot", at))
+            return _slot(kinds, at, env)
         return (_IN_SLOTS, child, at)
     at = f"_at({base}, {_lit(offsets, env)}, {ks})"
     if child is not None:
         return (_IN_SLOTS, child, at)
-    return (None, f"s[{at}]", None)
+    return (None, f"_get(_L, s, {at})", None)
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +574,12 @@ def _writer(target, rhs, keys, slots, cap, env):
     """(op, slots, kind) of one update: op for the plan, the slots it may
     write and the kind it stores there.
 
-    An op is ("const", slot, src) for an in-range constant stored at a
+    An op is ("const", slot, value) for an in-range constant stored at a
     fixed slot, ("slot", slot, src, cap, kind) for another value stored
     there, and ("keyed", index, src, cap, kind, past, fit) for a target
     whose slot `index` computes at run time; past is the source that
     raises for a target past a map leaf, and fit, for a map value, is
-    (shape, width, message) of the slots it fills. As in the checker's
+    (shape, message) of the slots it fills. As in the checker's
     reference semantics and TLA+'s EXCEPT, the right-hand side and the
     keys read the pre-state, a counter is range-checked before the keys
     are evaluated, and updates of one variable apply in order, each on
@@ -487,7 +602,7 @@ def _writer(target, rhs, keys, slots, cap, env):
         at = base + sum(level[k[2][1]] for k, level in zip(keys, levels))
         if _is_const(rhs) and not (cap is not None and type(rform[1]) is int
                                    and not 0 <= rform[1] <= cap):
-            return ("const", at, rs), (at,), rk
+            return ("const", at, rform[1]), (at,), rk
         return ("slot", at, rs, cap, rk), (at,), rk
     index = "".join([f"_offset({base}, {_lit(levels, env)}",
                      *(", " + k[1] for k in keys), ")"]) if keys \
@@ -497,7 +612,7 @@ def _writer(target, rhs, keys, slots, cap, env):
                        f"update target {target} indexes past a map leaf",
                        env)[1]
     fit = None if sub is None else (
-        _lit(sub, env), size(sub),
+        _lit(sub, env),
         repr(f"update {target} would change the shape of {var!r}"))
     op = ("keyed", index, rs, cap, rk, past, fit)
     if past:
@@ -505,7 +620,52 @@ def _writer(target, rhs, keys, slots, cap, env):
     return op, every, rk if sub is None else None
 
 
-def _step_lines(guard, plan, emit, prune):
+def _fields(group, env):
+    """(K, V, terms) of stores to fixed slots, group mapping each slot to
+    (value source, or None for the constant v, v): K masks their fields,
+    V holds the constants' codes in place, and terms are the sources that
+    put the other values' codes in place."""
+    L, keep, bits, terms = env["_L"], 0, 0, []
+    for at, (src, v) in group.items():
+        shift, mask, _, codes = L[at]
+        keep |= mask << shift
+        if src is None:
+            bits |= (v if codes is None else codes[v]) << shift
+        else:
+            code = f"({src})" if codes is None else f"_c{at}[{src}]"
+            terms.append(f" | {code} << {shift}" if shift else f" | {code}")
+    return keep, bits, terms
+
+
+def _merge(base, fields, env):
+    """Source of the packed state base with the stores (K, V, terms)
+    applied."""
+    keep, bits, terms = fields
+    return "".join([f"{base} & {env['_FULL'] ^ keep:#x}",
+                    f" | {bits:#x}" if bits else "", *terms])
+
+
+def _post_lines(stores, env):
+    """Lines computing the post-state n from s by the stores, in order:
+    each is (slot, value source or None, constant) for a fixed slot, or
+    (index source, value source) for a slot computed at run time."""
+    lines, base, group = [], "s", {}
+    for store in stores + [None]:
+        if group and (store is None or type(store[0]) is not int
+                      or store[0] in group):
+            lines.append(f"n = {_merge(base, _fields(group, env), env)}")
+            base, group = "n", {}
+        if store is None:
+            break
+        if type(store[0]) is int:
+            group[store[0]] = store[1:]
+        else:
+            lines.append(f"n = _put(_L, {base}, {store[0]}, {store[1]})")
+            base = "n"
+    return lines
+
+
+def _step_lines(guard, plan, emit, prune, env):
     """The body lines of one step, indented one level: the guard, then
     each update's evaluation and range check in order, then
     emit.format(post-state source). With prune, a step whose updates all
@@ -516,32 +676,39 @@ def _step_lines(guard, plan, emit, prune):
         lines.append(pad + text)
 
     cond = None if guard is True else guard
-    if prune and all(op[0] == "const" for op in plan):
-        fixed = {at: src for _, at, src in plan}  # the last store wins
-        if not fixed:  # a self-loop whenever enabled
+    consts = all(op[0] == "const" for op in plan)
+    if consts:
+        if prune and not plan:  # a self-loop whenever enabled
             if cond is not None:
                 line(cond)  # evaluated for what it raises
             return lines
-        change = " or ".join(f"s[{at}] != {src}"
-                             for at, src in fixed.items())
-        cond = change if cond is None else f"{cond} and ({change})"
+        # the last store to a slot wins
+        fields = _fields({at: (None, v) for _, at, v in plan}, env)
+        if prune:
+            change = f"s & {fields[0]:#x} != {fields[1]:#x}"
+            cond = change if cond is None else f"{cond} and {change}"
     if cond is not None:
         line(f"if {cond}:")
         pad += "    "
-    stores = []  # (slot source, value source, read-free)
+    if consts:
+        line(emit.format(_merge("s", fields, env) if plan else "s"))
+        return lines
+    stores = []  # as _post_lines reads them
+    deferred = []  # stores whose value source is evaluated at the store
     for j, op in enumerate(plan):
         if op[0] == "const":
-            stores.append((op[1], op[2], True))
+            stores.append((op[1], None, op[2]))
             continue
         if op[0] == "slot" and op[3] is None:
-            stores.append((op[1], op[2], False))  # evaluated at the store
+            deferred.append(len(stores))
+            stores.append((op[1], op[2], None))
             continue
         # this update may stop the step or raise: the values deferred so
         # far are evaluated before it, in order
-        for n, (at, src, done) in enumerate(stores):
-            if not done:
-                line(f"w{n} = {src}")
-                stores[n] = (at, f"w{n}", True)
+        for n in deferred:
+            line(f"w{n} = {stores[n][1]}")
+            stores[n] = (stores[n][0], f"w{n}", None)
+        deferred = []
         _, at, src, cap, kind = op[:5]
         v = f"v{j}"
         line(f"{v} = {src}")
@@ -550,7 +717,7 @@ def _step_lines(guard, plan, emit, prune):
                  f"if type({v}) is not int or 0 <= {v} <= {cap}:")
             pad += "    "
         if op[0] == "slot":
-            stores.append((at, v, True))
+            stores.append((at, v, None))
             continue
         past, fit = op[5:]
         line(f"i{j} = {at}")
@@ -558,18 +725,14 @@ def _step_lines(guard, plan, emit, prune):
             line(past)
             return lines
         if fit is None:
-            stores.append((f"i{j}", v, True))
+            stores.append((f"i{j}", v))
         else:
-            shape, width, message = fit
+            shape, message = fit
             line(f"l{j} = _fit({v}, {shape}, {message})")
-            stores.append((f"i{j}:i{j} + {width}", f"l{j}", True))
-    if stores:
-        line("n = list(s)")
-        for at, src, _ in stores:
-            line(f"n[{at}] = {src}")
-        line(emit.format("tuple(n)"))
-    else:
-        line(emit.format("s"))
+            stores.append((f"i{j}", f"*l{j}"))
+    for text in _post_lines(stores, env):
+        line(text)
+    line(emit.format("n"))
     return lines
 
 
@@ -588,7 +751,7 @@ def kernel(steps, env):
     already holds (a self-loop) is skipped."""
     lines = ["def successors(s, out):", "    add = out.append"]
     for guard, plan in steps:
-        lines += _step_lines(guard, plan, "add({})", prune=True)
+        lines += _step_lines(guard, plan, "add({})", True, env)
     return _define(lines, "successors", env)
 
 
@@ -598,5 +761,5 @@ def step_function(guard, plan, env):
     if guard is False:
         return lambda s: None
     return _define(["def step(s):",
-                    *_step_lines(guard, plan, "return {}", prune=False),
+                    *_step_lines(guard, plan, "return {}", False, env),
                     "    return None"], "step", env)

@@ -200,16 +200,27 @@ def test_validate_trace_rejects_states_and_bindings_of_no_model_run():
     initial[i] = E.FMap.of({"s1": "NONE"})
     assert not checker.validate_trace(
         model, dataclasses.replace(cx, initial=tuple(initial)))
-    # a value of another kind than the variable's is evaluated as such
+    # a value of another kind than the variable's: not the initial state
     initial = list(cx.initial)
     initial[names.index("msg_count")] = True
-    with pytest.raises(E.ExprTypeError, match="expected int, got bool"):
-        checker.validate_trace(
-            model, dataclasses.replace(cx, initial=tuple(initial)))
+    assert not checker.validate_trace(
+        model, dataclasses.replace(cx, initial=tuple(initial)))
     # a binding that does not bind the transition's parameter
     first = dataclasses.replace(cx.steps[0], binding=(("t", "s1"),))
     assert not checker.validate_trace(
         model, dataclasses.replace(cx, steps=(first,) + cx.steps[1:]))
+
+
+def test_validate_trace_rejects_a_trace_not_starting_in_init():
+    """The counterexample started in its first post-state: a run of the
+    model's steps, but not from the model's initial state."""
+    model = builtin("mcp")
+    cx = checker.check(
+        model, model.property_by_id("P8_CredRevocation")).counterexample
+    shifted = dataclasses.replace(cx, initial=cx.steps[0].post_state,
+                                  steps=cx.steps[1:], depth=cx.depth - 1)
+    assert shifted.depth == 1
+    assert checker.validate_trace(model, shifted) is False
 
 
 def test_validate_trace_accepts_a_self_loop_step():
@@ -234,8 +245,9 @@ def test_validate_trace_accepts_a_self_loop_step():
     eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
     posts = []
     eng.successors(eng.start, posts)
-    assert posts == [(True, True)]
-    assert eng.step("Keep", (), eng.start) == eng.start
+    assert [eng.canonical(s) for s in posts] == [(True, True)]
+    assert eng.canonical(eng.step("Keep", (), eng.start)) == \
+        eng.canonical(eng.start)
     res = checker.check(model, model.properties[0])
     assert [s.transition_id for s in res.counterexample.steps] == ["Break"]
     keep = checker.TraceStep("Keep", (), res.counterexample.initial)

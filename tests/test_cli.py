@@ -225,6 +225,36 @@ def test_replay_rejects_malformed_counterexample(tmp_path, capsys, tamper,
     assert "unknown model None" in capsys.readouterr().err
 
 
+def _drop_first_step(doc):
+    doc["steps"].pop(0)
+    doc["depth"] = 1
+
+
+def _start_after_first_step(doc):
+    doc["initial"] = doc["steps"].pop(0)["state"]
+    doc["depth"] = 1
+
+
+@pytest.mark.parametrize("tamper", [_drop_first_step,
+                                    _start_after_first_step],
+                         ids=["drop-first-step", "shifted-initial"])
+def test_replay_rejects_a_trace_of_no_model_run(tmp_path, capsys, tamper):
+    """A document that decodes but is no run of the model from its
+    initial state gets no replay verdict."""
+    cx_path = tmp_path / "cx.json"
+    run_cli("check", "mcp", "--property", "P8_CredRevocation",
+            "--counterexample-out", str(cx_path))
+    doc = json.loads(cx_path.read_text())
+    tamper(doc)
+    cx_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("replay", str(cx_path), "--profile", "vulnerable") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the trace is no run of model 'mcp' that "
+                            "ends in a violation of P8_CredRevocation\n")
+
+
 def test_replay_against_endpoint(tmp_path, capsys):
     cx_path = tmp_path / "cx.json"
     run_cli("check", "a2a", "--property", "P3_DelegationMonotonicity",

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from agentconform import checker, compose, ir, report, tla
-from agentconform import compiled as C
 from agentconform import expr as E
 from agentconform.builtins import BUILTIN_NAMES, builtin
 
@@ -186,33 +185,41 @@ def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
     only self-loops, and only those of constant stores); with steps,
     `step()` over the engine's steps gives the oracle's successors
     exactly, self-loops included; and each invariant evaluates as the
-    tree-walking evaluator does. Returns the number of states."""
+    tree-walking evaluator does. Each engine state is decoded to its state
+    vector once, and each oracle successor is compared as a state vector
+    by looking it up among the decoded ones. Returns the number of
+    states."""
     eng = checker._Engine(model, bounds)
     tests = [(p, eng.invariant(p)) for p in props]
     sorts = {v.name: v.sort for v in model.state_vars}
-    parents = {eng.start: None}
-    for s in itertools.chain((eng.start,), checker._bfs(eng, parents)):
-        state = checker.state_dict(model, eng.canonical(s))
+    names = model.var_names
+    vectors, packed = {}, {}  # engine state <-> its state vector
 
-        def flat(post):  # compared as flat states, which hash in C
-            out = []
-            for name, (shape, base) in eng.slots.items():
-                if post[name] is state[name]:  # not updated
-                    out += s[base:base + C.size(shape)]
-                else:
-                    C._leaves(post[name], shape, out)
-            return tuple(out)
-        want = Counter(flat(post) for post in _successors(
-            model, state, eng.constants, eng.atoms, sorts, bounds))
-        if steps:
-            posts = (eng.step(tid, binding, s)
-                     for tid, binding in eng.steps)
-            assert Counter(post for post in posts
-                           if post is not None) == want
-        del want[s]
+    def vector(post):  # of an oracle state, a dict
+        return tuple(map(post.__getitem__, names))
+
+    def decode(states):
+        for p in states:
+            if p not in vectors:
+                vectors[p] = eng.canonical(p)
+                packed[vectors[p]] = p  # a vector decoded twice fails below
+
+    parents = {eng.start: None}
+    decode(parents)  # every later state is decoded as a post-state first
+    for s in itertools.chain((eng.start,), checker._bfs(eng, parents)):
+        state = dict(zip(names, vectors[s]))
         posts = []
         eng.successors(s, posts)
         got = Counter(posts)
+        stepped = Counter(post for post in (
+            eng.step(tid, binding, s) for tid, binding in eng.steps)
+            if post is not None) if steps else Counter()
+        decode(got + stepped)
+        want = Counter(packed.get(v, v) for v in map(vector, _successors(
+            model, state, eng.constants, eng.atoms, sorts, bounds)))
+        if steps:
+            assert stepped == want
+        del want[s]
         del got[s]
         assert got == want
         for prop, holds in tests:

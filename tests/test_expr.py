@@ -331,18 +331,22 @@ def _outcome(fn):
 @given(st.one_of(_exprs(), _quantified(), _terms()), _states())
 def test_compiled_matches_evaluator(e, state):
     """Same value, or the same exception type and message, with slot kinds
-    known statically and with every kind left to run-time checks."""
+    known statically (`n` packed as a counter) and with every kind left to
+    run-time checks (every slot interned)."""
     names = list(state)
     values = [state[n] for n in names]
     slots, kinds = C.layout(names, values)
-    flat = C.flatten(values, slots, kinds)
     want = _outcome(lambda: E.evaluate(e, state, CONSTANTS, ATOMS))
     want_bool = _outcome(lambda: E.evaluate_bool(e, state, CONSTANTS, ATOMS))
-    for slot_kinds in (kinds, [None] * len(kinds)):
+    for slot_kinds, counters in ((kinds, {slots["n"][1]: 3}),
+                                 ([None] * len(kinds), {})):
         env = C.environment()
+        C.pack(slots, slot_kinds, counters, 8, env)
+        packed = C.encode(values, env)
+        assert C.decode(packed, env) == tuple(values)
         res = C.compile_expr(e, slots, slot_kinds, CONSTANTS, ATOMS, env)
         fn = C.function(C.value(res, env)[1], env)
         test = C.function(C.as_bool(res, "top-level expression", env)[1],
                           env)
-        assert _outcome(lambda: fn(flat)) == want
-        assert _outcome(lambda: test(flat)) == want_bool
+        assert _outcome(lambda: fn(packed)) == want
+        assert _outcome(lambda: test(packed)) == want_bool
