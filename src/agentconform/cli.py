@@ -44,13 +44,17 @@ def _parse_bounds(spec: str, models) -> checker.Bounds:
         except ValueError:
             raise CliError(f"bounds value for {key!r} must be an int")
         if key == "depth":
+            # depth=0 checks the initial state only
+            if value < 0:
+                raise CliError("bounds value for 'depth' must be at least 0")
             bounds = checker.replace(bounds, max_depth=value)
-        elif key == "states":
-            bounds = checker.replace(bounds, max_states=value)
         elif value < 1:
             # an empty domain or a zero counter cap disables the transitions
-            # a violation needs, turning FAILs into vacuous PASSes
+            # a violation needs, turning FAILs into vacuous PASSes; a state
+            # budget below 1 cannot hold even the initial state
             raise CliError(f"bounds value for {key!r} must be at least 1")
+        elif key == "states":
+            bounds = checker.replace(bounds, max_states=value)
         elif key == "counter_max":
             bounds = checker.replace(bounds, counter_max=value)
         else:
@@ -79,11 +83,14 @@ def _load_model(ref: str):
 
 def _exit_code(results) -> int:
     """EXIT_ERROR if any check result is an error, else EXIT_VIOLATION if
-    any is a FAIL, else EXIT_OK."""
+    any is a FAIL, else EXIT_ERROR if any search was cut off by its
+    bounds (no PASS is known for it), else EXIT_OK."""
     verdicts = [res.verdict for res in results]
     if any(v.startswith("ERROR") for v in verdicts):
         return EXIT_ERROR
-    return EXIT_VIOLATION if "FAIL" in verdicts else EXIT_OK
+    if "FAIL" in verdicts:
+        return EXIT_VIOLATION
+    return EXIT_ERROR if "BOUND_EXHAUSTED" in verdicts else EXIT_OK
 
 
 def _write_out(out, text: str):

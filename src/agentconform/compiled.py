@@ -50,9 +50,10 @@ its value instead of a code.
 
 Source. A compiled value is (kind, src, form): src is a Python expression
 over the packed state `s`, and form is ("slot", i), ("const", v) or
-None. A bool field reads as `(s & B != 0)`, a counter as `(s >> k & m)`
-and an intern field as `_v<i>[s >> k & m]`; a comparison of a field with
-a constant compares the field's bits, `s & M == C`, with the constant
+None. Every field read starts from the field's masked value `(s & M)`: a
+bool field reads as `((s & B) != 0)`, a counter as `((s & M) >> k)` and
+an intern field as `_v<i>[(s & M) >> k]`; a comparison of a field with a
+constant compares the field's bits, `(s & M) == C`, with the constant
 encoded at compile time. Bools, ints and atom names are literals in src;
 every other constant (sets, maps, shapes, exception classes) is a global
 `_k<n>` of the environment `env` the source is compiled in. The
@@ -66,17 +67,24 @@ it. A step writes its post-state as one expression, `s & K | V | ...`:
 K keeps the fields it does not store, V holds its constant stores, and
 each other store is its value's code shifted into place.
 
-Functions. `function` turns a value's source into `lambda s: <src>`,
-`kernel` writes one `successors(s, out)` for all of an engine's steps,
-and `step_function` one function for a single step. `compile()` is memoised
-on the source text, so a model checked again (another property, another
-run in one process) reuses its code objects.
+Functions. `function` turns a value's source into `value(s)`, `kernel`
+writes one `successors(s, out)` for all of an engine's steps, and
+`step_function` one function for a single step. All three are defined
+by `_define`, which reads each mask that the function reads two or more
+times once, into a local `m<j> = s & M` at the top of the function, and
+spells those reads with the local; a mask read once stays inline, where
+short-circuiting may skip it. `s & M` on an int cannot raise, so this
+moves no exception and no evaluation of anything that can. `compile()`
+is memoised on the source text, so a model checked again (another
+property, another run in one process) reuses its code objects.
 """
 
 from __future__ import annotations
 
 import builtins
+import collections
 import functools
+import re
 
 from . import expr as E
 
@@ -298,14 +306,44 @@ def _lit(v, env) -> str:
     return name
 
 
+# A field read: the state masked to the read's fields, in parentheses of
+# its own. A post-state `s & K | ...` never is: `add(s & K)` passes one
+# to a call, which the look-behind tells apart. The pattern starts with
+# the literal `(`, which `re` scans for quickly.
+_READ = re.compile(r"\((?<![\w)\]]\()s & (0x[0-9a-f]+)\)")
+
+
+def _hoist(src: str) -> str:
+    """The definition src of a function of the packed state s, with every
+    mask its body reads two or more times applied once, into a local at
+    the top of the body, in order of first read."""
+    header, _, body = src.partition("\n")
+    reads = collections.Counter(_READ.findall(body))
+    local = {m: f"m{j}" for j, m in enumerate(
+        m for m, n in reads.items() if n > 1)}
+    return "\n".join([header, *(f"    {v} = s & {m}"
+                               for m, v in local.items()),
+                      _READ.sub(lambda r: local.get(r[1], r[0]), body)])
+
+
 @functools.lru_cache(maxsize=1024)
-def _code(src: str, mode: str):
-    return compile(src, "<agentconform.compiled>", mode)
+def _code(src: str):
+    return compile(_hoist(src), "<agentconform.compiled>", "exec")
+
+
+def _define(lines, name, env):
+    """The function `name` that lines define in env, with the masks it
+    reads two or more times hoisted (`_hoist`)."""
+    namespace = {}
+    exec(_code("\n".join(lines) + "\n"), env, namespace)
+    return namespace[name]
 
 
 def function(src: str, env: dict):
-    """The function s -> value of a compiled value's source."""
-    return eval(_code("lambda s: " + src, "eval"), env)
+    """The function s -> value of a compiled value's source, written by
+    `_define` as `value(s)`, so a mask the source reads two or more
+    times is read once."""
+    return _define(["def value(s):", f"    return {src}"], "value", env)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +449,13 @@ def compile_expr(e, slots, kinds, constants, atoms, env, scope=None):
 def _slot(kinds, i, env):
     """(kind, src, form) of slot i's value in the packed state s."""
     shift, mask, values, codes = env["_L"][i]
+    read = f"(s & {mask << shift:#x})"
     if values is _BOOLS:
-        src = f"(s & {1 << shift:#x} != 0)"
-    elif codes is None:
-        src = f"(s >> {shift} & {mask:#x})"
-    else:
-        src = f"_v{i}[s >> {shift} & {mask:#x}]"
-    return (kinds[i], src, ("slot", i))
+        return (kinds[i], f"({read} != 0)", ("slot", i))
+    if shift:
+        read = f"({read} >> {shift})"
+    return (kinds[i], read if codes is None else f"_v{i}[{read}]",
+            ("slot", i))
 
 
 def _name(n, slots, kinds, constants, atoms, env, scope):
@@ -486,8 +524,8 @@ def _cmp(op, left, right, env):
                 and _is_const(right):
             bits = _field_bits(left[2][1], right[2][1], env)
             if bits is not None:
-                return ("bool", f"(s & {bits[0]:#x} {eq} {bits[1]:#x})",
-                        None)
+                return ("bool",
+                        f"((s & {bits[0]:#x}) {eq} {bits[1]:#x})", None)
         return ("bool", f"({left[1]} {eq} {right[1]})", None)
     if lk != "int":
         return _raiser(E.ExprTypeError,
@@ -685,7 +723,7 @@ def _step_lines(guard, plan, emit, prune, env):
         # the last store to a slot wins
         fields = _fields({at: (None, v) for _, at, v in plan}, env)
         if prune:
-            change = f"s & {fields[0]:#x} != {fields[1]:#x}"
+            change = f"(s & {fields[0]:#x}) != {fields[1]:#x}"
             cond = change if cond is None else f"{cond} and {change}"
     if cond is not None:
         line(f"if {cond}:")
@@ -736,19 +774,15 @@ def _step_lines(guard, plan, emit, prune, env):
     return lines
 
 
-def _define(lines, name, env):
-    namespace = {}
-    exec(_code("\n".join(lines) + "\n", "exec"), env, namespace)
-    return namespace[name]
-
-
 def kernel(steps, env):
     """successors(s, out): appends the post-states of the compiled steps
     (guard, plan) to the list out, in order, each as soon as its step is
     evaluated, so a step that raises leaves the post-states of the steps
     before it in out. A step whose counter update leaves its range gives
     no post-state, and a step that only stores constants the state
-    already holds (a self-loop) is skipped."""
+    already holds (a self-loop) is skipped. A mask the steps read two
+    or more times, in guards, self-loop tests or updates, is applied once
+    per state, before the first step."""
     lines = ["def successors(s, out):", "    add = out.append"]
     for guard, plan in steps:
         lines += _step_lines(guard, plan, "add({})", True, env)

@@ -43,14 +43,41 @@ def test_check_bounds_parsing(capsys):
 
 
 @pytest.mark.parametrize("spec", ["sessions=0", "counter_max=0",
-                                  "agents=-1"])
+                                  "agents=-1", "depth=-3", "states=0",
+                                  "states=-40"])
 def test_check_rejects_degenerate_bounds(spec, capsys):
+    """A domain cap, counter_max or state budget below 1, or a negative
+    depth, is rejected before anything runs."""
     rc = run_cli("check", "mcp", "--property", "P8_CredRevocation",
                  "--bounds", spec)
     assert rc == 2
     key = spec.partition("=")[0]
-    assert f"bounds value for {key!r} must be at least 1" in \
+    least = 0 if key == "depth" else 1
+    assert f"bounds value for {key!r} must be at least {least}" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("check", "mcp", "--property", "P8_CredRevocation"), 1),
+    (("compose", "chained-servers"), 5)])
+def test_truncated_search_exits_2(argv, lines, capsys):
+    """A search its bounds cut off is no PASS: BOUND_EXHAUSTED exits 2.
+    depth=0 is legal and checks the initial state only."""
+    for depth in ("1", "0"):
+        assert run_cli(*argv, "--bounds", f"depth={depth}") == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == lines
+        assert all(line.endswith(": BOUND_EXHAUSTED") for line in out)
+
+
+def test_fail_outranks_a_truncated_search():
+    """ERROR -> 2, else FAIL -> 1, else BOUND_EXHAUSTED -> 2, else 0."""
+    def code(*verdicts):
+        return cli._exit_code([checker.CheckResult(v, 1) for v in verdicts])
+    assert code("PASS", "PASS") == 0
+    assert code("PASS", "BOUND_EXHAUSTED") == 2
+    assert code("BOUND_EXHAUSTED", "FAIL", "PASS") == 1
+    assert code("FAIL", "ERROR: boom", "BOUND_EXHAUSTED") == 2
 
 
 def test_check_unknown_property_names_the_choices(capsys):

@@ -11,12 +11,14 @@ a deliberate change of search semantics:
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from agentconform import checker, compose, ir, report, tla
+from agentconform import compiled as C
 from agentconform import expr as E
 from agentconform.builtins import BUILTIN_NAMES, builtin
 
@@ -247,6 +249,31 @@ def test_engine_matches_evaluator_on_every_state(name):
         model, checker.DEFAULT_BOUNDS, props,
         steps=name != "chained-servers")
     assert states == (1152 if name == "updates" else STATE_COUNTS[name])
+
+
+def test_kernel_reads_each_mask_once(monkeypatch):
+    """In the chained-servers kernel every field read starts from the
+    masked state `s & M`, never from a shift of the whole state, and each
+    mask is applied in one place: a mask two or more steps read is a
+    local set once at the top, and a mask read once stays inline."""
+    sources = []
+    define = C._define
+
+    def spy(lines, name, env):
+        sources.append(C._hoist("\n".join(lines) + "\n"))
+        return define(lines, name, env)
+    monkeypatch.setattr(C, "_define", spy)
+    checker._Engine(_chained_servers(), checker.DEFAULT_BOUNDS)
+    src, = sources
+    # every `s & M` but the post-states `add(s & K ...)` and `n = s & K ...`
+    masks = Counter(re.findall(r"(?<!add\()(?<!n = )\bs & (0x[0-9a-f]+)",
+                               src))
+    hoisted = re.findall(r"^    (m\d+) = s & (0x[0-9a-f]+)$", src, re.M)
+    assert masks and max(masks.values()) == 1
+    assert len(hoisted) >= 3 and re.search(r"\(s & 0x", src)
+    for local, _ in hoisted:
+        assert len(re.findall(rf"\b{local}\b", src)) >= 3  # set, read twice
+    assert not re.search(r"\bs >> \d+", src)
 
 
 def test_engine_matches_oracle_on_random_models():
