@@ -243,7 +243,10 @@ def _cmd_report(args) -> int:
                for _, a, b, bridge in compose.builtin_compositions()]
     matrix = report.bundled_matrix(bounds=_parse_bounds(args.bounds, models))
     _write_out(args.out, report.render(matrix, args.format))
-    return EXIT_VIOLATION if matrix.spec_level_count else EXIT_OK
+    if matrix.spec_level_count:
+        return EXIT_VIOLATION
+    cut_off = any(c.model_verdict == "BOUND_EXHAUSTED" for c in matrix.cells)
+    return EXIT_ERROR if cut_off else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

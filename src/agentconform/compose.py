@@ -158,7 +158,7 @@ def _bridge_transitions(route: Route, a_side: dict, b_side: dict):
     # the tainted variant always touches B-side state
     tainted_updates.append((ir.UpdateTarget("cross_writes", ()),
                             E.parse("cross_writes + 1")))
-    tainted_updates.extend(irfmt._parse_update(route.extra_updates, 0))
+    tainted_updates.extend(irfmt.parse_updates(route.extra_updates, 0))
     tainted = make(stem + "_tainted", base_guard + [taint], tainted_updates)
     return (clean, tainted)
 

@@ -22,6 +22,7 @@ always emits `#`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Union
 
@@ -181,8 +182,12 @@ Expr = Union[Forall, Exists, Implies, And, Or, Not, Cmp, BinTerm, Index,
 
 _KEYWORDS = {"forall", "exists", "in", "notin", "subseteq", "and", "or",
              "not", "true", "false", "union"}
-_PUNCT = ("=>", "!=", "<=", ">=", ":=", "=", "#", "<", ">", ":", "[", "]",
-          "{", "}", "(", ")", ",", "+")
+# One token per match, after any blanks: a newline, a word, an ASCII
+# integer, a punctuator (longest first), or any other character, which is
+# an error.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:(?P<NL>\n)|(?P<WORD>[^\W\d]\w*)|(?P<INT>[0-9]+)"
+    r"|(?P<PUNCT>=>|!=|<=|>=|:=|[=#<>:\[\]{}(),+])|(?P<BAD>[^ \t\r]))")
 
 
 @dataclass
@@ -195,46 +200,21 @@ class _Tok:
 
 def _tokenize(text: str, line_offset: int = 0) -> list:
     toks = []
-    i, line, col = 0, 1 + line_offset, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KEYWORD" if word in _KEYWORDS else "IDENT"
+    line, line_start = 1 + line_offset, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        word, col = m[kind], m.start(kind) - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "WORD" and (word[0].isalpha() or word[0] == "_"):
+            toks.append(_Tok("KEYWORD" if word in _KEYWORDS else "IDENT",
+                             word, line, col))
+        elif kind in ("INT", "PUNCT"):
             toks.append(_Tok(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(_Tok("PUNCT", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ExprSyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("EOF", "", line, col))
+        else:  # BAD, or a word that opens with a digit such as '²'
+            raise ExprSyntaxError(f"unexpected character {word[0]!r}",
+                                  line, col)
+    toks.append(_Tok("EOF", "", line, len(text) - line_start + 1))
     return toks
 
 

@@ -2,10 +2,17 @@
 
 The format is UTF-8 structured text: top-level `key: value` lines, `var`
 declarations, and brace-delimited blocks (`constants { }`, `transition ID
-{ }`, `property ID { }`, `aps { }`, `clause { }`). Inside a block, a line
-may hold several `key: value` pairs separated by two or more spaces; a
-value may be a bare token run, a double-quoted string, or an inline
-`{ ... }` group (used for source references).
+{ }`, `property ID { }`, `aps { }`, `clause { }`). A line may hold several
+`key: value` pairs.
+
+One rule splits every list in the format: text splits at a separator
+only where the separator sits outside brackets and double-quoted strings,
+and inside a brace group that opens at top level only braces count, as in
+the block reader. The separator is `,` between parameters and map-literal
+entries, `;` between updates, and two or more spaces before `key:` between
+pairs. A value in double quotes is the text between them; a `source` value
+is one `{ ... }` group of the same pairs, or the invented-assumption
+marker. Either ends its pair where it closes.
 
 Models stay reviewable data assets: everything, including guard and
 invariant expressions, is plain text with provenance attached.
@@ -31,72 +38,69 @@ class ParseError(Exception):
 # Low-level line scanning
 
 _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*:")
+_PAIR_SEP = f"  +(?={_KEY_RE.pattern})"
+_QUOTED_RE = re.compile(r'"([^"]*)"')
+_GROUP_RE = re.compile(r"(\{[^{}]*\})")
+_BLOCK_RE = re.compile(r"(constants|aps|transition|property|clause)"
+                       r"(?:\s+([A-Za-z_][A-Za-z0-9_\-]*))?\s*\{(.*)")
+
+
+def _split_top(text: str, sep: str, line: int) -> list:
+    """Split `text` at each match of the regex `sep` that sits outside
+    brackets and double-quoted strings; return the stripped, non-empty
+    parts. A brace group opened at top level is read as the block reader
+    reads it: only its braces count."""
+    parts, start = [], 0
+    depth = group = 0
+    quote = None  # offset of the open quote
+    # one literal per alternative lets the regex engine skip plain text
+    for m in re.finditer(sep + r'|"|\{|\}|\[|\]|\(|\)', text):
+        tok = m.group()
+        if group:
+            group += (tok == "{") - (tok == "}")
+        elif quote is not None:
+            if tok == '"':
+                quote = None
+        elif tok == '"':
+            quote = m.start()
+        elif tok == "{" and depth == 0:
+            group = 1
+        elif tok in "[({":
+            depth += 1
+        elif tok in "])}":
+            depth -= 1
+        elif depth == 0:
+            parts.append(text[start:m.start()])
+            start = m.end()
+    if quote is not None:
+        raise ParseError("unterminated string", line, quote + 1)
+    parts.append(text[start:])
+    return [p.strip() for p in parts if p.strip()]
 
 
 def _scan_pairs(text: str, line: int):
-    """Split a block line into (key, value) pairs.
-
-    A new pair starts at an identifier followed by ':' that is either at the
-    start of the line or preceded by two-plus spaces. Quoted strings and
-    brace groups are kept intact.
-    """
+    """Split a line into (key, value) pairs. A quoted value or a `source`
+    group ends where it closes, so the next `key:` may follow it after
+    any number of spaces."""
     pairs = []
-    i, n = 0, len(text)
-    while i < n:
-        while i < n and text[i] == " ":
-            i += 1
-        if i >= n:
-            break
-        m = _KEY_RE.match(text, i)
-        if not m:
-            raise ParseError(f"expected 'key:' at {text[i:i+20]!r}", line, i + 1)
-        key = text[i:m.end() - 1]
-        i = m.end()
-        while i < n and text[i] == " ":
-            i += 1
-        # value: quoted string, brace group, or run until '  key:' boundary
-        if i < n and text[i] == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", line, i + 1)
-            pairs.append((key, text[i + 1:j]))
-            i = j + 1
-        elif i < n and text[i] == "{" and key in ("source", "constants", "aps"):
-            depth, j = 0, i
-            while j < n:
-                if text[j] == "{":
-                    depth += 1
-                elif text[j] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if depth != 0:
-                raise ParseError("unbalanced '{' in value", line, i + 1)
-            pairs.append((key, text[i:j + 1]))
-            i = j + 1
-        else:
-            j = i
-            depth = 0
-            while j < n:
-                c = text[j]
-                if c in "{[(":
-                    depth += 1
-                elif c in "}])":
-                    depth -= 1
-                elif c == '"':
-                    j = text.find('"', j + 1)
-                    if j < 0:
-                        raise ParseError("unterminated string", line, i + 1)
-                elif depth == 0 and c == " " and text[j:j + 2] == "  ":
-                    k = j
-                    while k < n and text[k] == " ":
-                        k += 1
-                    if _KEY_RE.match(text, k):
-                        break
-                j += 1
-            pairs.append((key, text[i:j].strip()))
-            i = j
+    for part in _split_top(text, _PAIR_SEP, line):
+        while part:
+            m = _KEY_RE.match(part)
+            if not m:
+                raise ParseError(f"expected 'key:' at {part[:20]!r}", line)
+            key, value = m.group()[:-1], part[m.end():].lstrip(" ")
+            if value.startswith('"'):
+                head = _QUOTED_RE.match(value)
+            elif key == "source" and value.startswith("{"):
+                head = _GROUP_RE.match(value)
+                if not head:
+                    raise ParseError(f"source is not one {{ }} group: "
+                                     f"{value!r}", line)
+            else:
+                pairs.append((key, value.strip()))
+                break
+            pairs.append((key, head[1]))
+            part = value[head.end():].lstrip(" ")
     return pairs
 
 
@@ -109,58 +113,38 @@ class _Block:
 
 
 def _read_blocks(text: str):
-    """Split a document into a top-level pair list plus named blocks."""
-    top = []
-    blocks = []
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        raw = lines[i]
-        lineno = i + 1
-        stripped = raw.strip()
-        i += 1
-        if not stripped or stripped.startswith("#"):
-            continue
-        m = re.match(r"^(constants|aps|transition|property|clause)"
-                     r"(?:\s+([A-Za-z_][A-Za-z0-9_\-]*))?\s*\{(.*)$", stripped)
-        if m:
-            kind, name, rest = m.group(1), m.group(2) or "", m.group(3)
-            body_lines = []
-            depth = 1 + rest.count("{") - rest.count("}")
-            if depth == 0:
-                # single-line block: `constants { ... }`
-                inner = rest[:rest.rfind("}")]
-                body_lines.append((inner, lineno))
+    """Split a document into a top-level pair list plus named blocks. A
+    block's lines are all collected before any of them is scanned."""
+    top, blocks = [], []
+    depth = 0
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if depth == 0:
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            m = _BLOCK_RE.match(stripped)
+            if m:
+                block, body = _Block(m[1], m[2] or "", [], lineno), []
+                raw, depth = m[3], 1
+            elif stripped.startswith("var "):
+                decl = ("decl", stripped[4:], lineno)
+                blocks.append(_Block("var", "", [decl], lineno))
+                continue
             else:
-                if rest.strip():
-                    body_lines.append((rest, lineno))
-                while i < len(lines):
-                    ln = lines[i]
-                    lineno2 = i + 1
-                    i += 1
-                    depth += ln.count("{") - ln.count("}")
-                    if depth == 0:
-                        tail = ln[:ln.rfind("}")]
-                        if tail.strip():
-                            body_lines.append((tail, lineno2))
-                        break
-                    body_lines.append((ln, lineno2))
-                else:
-                    raise ParseError(f"unterminated block {kind!r}", lineno)
-            pairs = []
-            for body, ln_no in body_lines:
-                body = body.strip()
-                if not body or body.startswith("#"):
-                    continue
-                for k, v in _scan_pairs(body, ln_no):
-                    pairs.append((k, v, ln_no))
-            blocks.append(_Block(kind, name, pairs, lineno))
-        elif stripped.startswith("var "):
-            blocks.append(_Block("var", "", [("decl", stripped[4:], lineno)],
-                                 lineno))
-        else:
-            for k, v in _scan_pairs(stripped, lineno):
-                top.append((k, v, lineno))
+                top.extend((k, v, lineno)
+                           for k, v in _scan_pairs(stripped, lineno))
+                continue
+        depth += raw.count("{") - raw.count("}")
+        body.append((raw[:raw.rfind("}")] if depth == 0 else raw, lineno))
+        if depth == 0:
+            for part, ln in body:
+                part = part.strip()
+                if part and not part.startswith("#"):
+                    block.pairs.extend((k, v, ln)
+                                       for k, v in _scan_pairs(part, ln))
+            blocks.append(block)
+    if depth:
+        raise ParseError(f"unterminated block {block.kind!r}", block.line)
     return top, blocks
 
 
@@ -189,20 +173,6 @@ def parse_sort(text: str, line: int = 0) -> ir.Sort:
     raise ParseError(f"unknown sort {text!r}", line)
 
 
-def _split_top_commas(text: str):
-    parts, depth, start = [], 0, 0
-    for j, c in enumerate(text):
-        if c in "{[(":
-            depth += 1
-        elif c in "}])":
-            depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(text[start:j])
-            start = j + 1
-    parts.append(text[start:])
-    return [p.strip() for p in parts if p.strip()]
-
-
 def _expr(text: str, line: int) -> E.Expr:
     """An expression written on this line of the document (0: unknown),
     so that a syntax error names the line."""
@@ -217,7 +187,7 @@ def parse_init(text: str, line: int = 0) -> ir.InitSpec:
         if not text.endswith("]"):
             raise ParseError("unterminated map-literal init", line)
         entries = []
-        for part in _split_top_commas(text[1:-1]):
+        for part in _split_top(text[1:-1], ",", line):
             if ":" not in part:
                 raise ParseError(f"bad map-literal entry {part!r}", line)
             k, v = part.split(":", 1)
@@ -233,7 +203,7 @@ def _parse_source_value(value: str, line: int) -> ir.SourceRef:
     value = value.strip()
     if value == ir.INVENTED_MARKER:
         return ir.INVENTED_REF
-    if not (value.startswith("{") and value.endswith("}")):
+    if not _GROUP_RE.fullmatch(value):
         raise ParseError(f"bad source reference {value!r}", line)
     fields = dict((k, v) for k, v in _scan_pairs(value[1:-1].strip(), line))
     return ir.SourceRef(fields.get("doc", ""), fields.get("section", ""),
@@ -242,7 +212,7 @@ def _parse_source_value(value: str, line: int) -> ir.SourceRef:
 
 def _parse_params(value: str, line: int):
     params = []
-    for part in _split_top_commas(value):
+    for part in _split_top(value, ",", line):
         m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s+in\s+"
                          r"([A-Za-z_][A-Za-z0-9_]*)", part)
         if not m:
@@ -251,12 +221,11 @@ def _parse_params(value: str, line: int):
     return tuple(params)
 
 
-def _parse_update(value: str, line: int):
+def parse_updates(value: str, line: int):
+    """`target := expr; ...` as ((UpdateTarget, Expr), ...); `line` is
+    the document line, for error messages (0: unknown)."""
     updates = []
-    for part in value.split(";"):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _split_top(value, ";", line):
         if ":=" not in part:
             raise ParseError(f"update missing ':=' in {part!r}", line)
         lhs_text, rhs_text = part.split(":=", 1)
@@ -290,7 +259,7 @@ def _parse_transition(block: _Block) -> ir.Transition:
         elif key == "guard":
             guard = _expr(value, line)
         elif key == "update":
-            updates.extend(_parse_update(value, line))
+            updates.extend(parse_updates(value, line))
         elif key == "modality":
             modality = value
         elif key == "adv":
@@ -435,7 +404,12 @@ def parse_clauses(text: str):
         if modality not in ir.MODALITIES:
             raise ParseError(f"clause {cid}: bad modality {modality!r}",
                              block.line)
-        precedence = int(fields.get("precedence", "1"))
+        try:
+            precedence = int(fields.get("precedence", "1"))
+        except ValueError:
+            raise ParseError(f"clause {cid}: precedence "
+                             f"{fields['precedence']!r} is not an integer",
+                             block.line) from None
         if not 1 <= precedence <= 5:
             raise ParseError(f"clause {cid}: precedence {precedence} out of "
                              "range [1,5]", block.line)

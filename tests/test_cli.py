@@ -70,6 +70,15 @@ def test_truncated_search_exits_2(argv, lines, capsys):
         assert all(line.endswith(": BOUND_EXHAUSTED") for line in out)
 
 
+def test_report_with_every_search_cut_off_exits_2(capsys):
+    """`report` triages a BOUND_EXHAUSTED cell as `pass`, but no search
+    completed, so with no spec-level violation the exit code is 2."""
+    assert run_cli("report", "--bounds", "depth=0") == 2
+    out = capsys.readouterr().out
+    assert "spec-level violations: 0" in out
+    assert run_cli("report") == 1
+
+
 def test_fail_outranks_a_truncated_search():
     """ERROR -> 2, else FAIL -> 1, else BOUND_EXHAUSTED -> 2, else 0."""
     def code(*verdicts):

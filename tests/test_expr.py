@@ -53,6 +53,18 @@ def test_syntax_errors_carry_position():
         E.parse("a = ")
 
 
+@pytest.mark.parametrize("text, col", [("x = \u00b2", 5), ("x = 1\u00b2", 6),
+                                       ("\u0663 + 1", 1)])
+def test_only_ascii_digits_make_integers(text, col):
+    """A non-ASCII digit is an unexpected character at its position, not
+    an integer that int() then rejects."""
+    with pytest.raises(E.ExprSyntaxError) as exc:
+        E.parse(text, 3)
+    assert (exc.value.line, exc.value.col) == (4, col)
+    assert E.parse("x\u00b2 = 12") == E.Cmp("=", E.Name("x\u00b2"),
+                                             E.IntLit(12))
+
+
 def test_print_round_trip_on_model_formulas():
     samples = [
         "forall t in Tasks : session_state[t] = CLOSED => "

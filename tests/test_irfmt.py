@@ -1,5 +1,8 @@
 """Model and clause file format: parsing, serialization, round trips."""
 
+import random
+from importlib import resources
+
 import pytest
 
 from agentconform import expr as E
@@ -75,3 +78,65 @@ def test_clause_fields():
     assert c.modality in ir.MODALITIES
     assert c.source.document and c.source.section
     assert isinstance(c.ambiguous, bool)
+
+
+def test_non_integer_precedence_names_the_clause_line():
+    text = ("# store\n\nclause {\n  id: c1  protocol: p  modality: MAY\n"
+            "  precedence: high\n  source: { doc: d  quote: \"q\" }\n}\n")
+    with pytest.raises(irfmt.ParseError) as exc:
+        irfmt.parse_clauses(text)
+    assert exc.value.line == 3
+    assert "'high'" in str(exc.value)
+
+
+def test_non_ascii_digit_in_init_names_its_line():
+    text = "protocol: p\nsnapshot: s\nvar v : COUNTER(2) init \u00b2\n"
+    with pytest.raises(E.ExprSyntaxError) as exc:
+        irfmt.parse_model(text)
+    assert exc.value.line == 3
+
+
+def test_pairs_split_outside_brackets_and_quotes():
+    pairs = irfmt._scan_pairs(
+        'a: [x,  b: y]  c: "d  e: f"  source: { h: "x"  i: j } k: "l"m: n',
+        7)
+    assert pairs == [("a", "[x,  b: y]"), ("c", "d  e: f"),
+                     ("source", '{ h: "x"  i: j }'), ("k", "l"), ("m", "n")]
+    assert irfmt._split_top("x := {a; b}; y := (1; 2)", ";", 7) == [
+        "x := {a; b}", "y := (1; 2)"]
+    with pytest.raises(irfmt.ParseError) as exc:
+        irfmt._scan_pairs('a: "open  b: c', 7)
+    assert (exc.value.line, exc.value.col) == (7, 4)
+
+
+_EDIT_CHARS = ('"', "{", "}", "[", "]", "(", ")", ",", ";", ":", "#", "\n",
+               "\u00b2", " ", "  ", "   ")
+
+
+def test_mutated_bundled_files_fail_only_with_positioned_errors():
+    """Seeded one-character edits of the bundled .ir and .clauses files
+    either parse or raise ParseError/ExprSyntaxError naming a line; no
+    other exception escapes the loader."""
+    data = resources.files("agentconform.data")
+    chars = set("".join(_EDIT_CHARS))
+    docs = []
+    for sub, parse in (("models", irfmt.parse_model),
+                       ("clauses", irfmt.parse_clauses)):
+        for f in sorted((data / sub).iterdir(), key=lambda f: f.name):
+            text = f.read_text(encoding="utf-8")
+            special = [i for i, c in enumerate(text) if c in chars]
+            docs.append((text, special, parse))
+    rng = random.Random(14)
+    for _ in range(400):
+        text, special, parse = rng.choice(docs)
+        op, ch = rng.randrange(3), rng.choice(_EDIT_CHARS)
+        if op == 0:  # insert anywhere
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + ch + text[i:]
+        else:  # delete or replace one special character
+            i = rng.choice(special)
+            text = text[:i] + (ch if op == 2 else "") + text[i + 1:]
+        try:
+            parse(text)
+        except (irfmt.ParseError, E.ExprSyntaxError) as exc:
+            assert exc.line >= 1
