@@ -106,64 +106,98 @@ def state_dict(model: ir.ProtocolModel, vector: tuple) -> dict:
     return {v.name: vector[i] for i, v in enumerate(model.state_vars)}
 
 
+def _instance(model: ir.ProtocolModel, bounds: Bounds):
+    """The bounded instance: (constants, atoms, counter caps, initial
+    vector, its `compiled.layout`)."""
+    constants = bounded_constants(model, bounds)
+    initial = tuple(v.initial_value(constants) for v in model.state_vars)
+    return (constants, model.atom_universe(),
+            {v.name: counter_cap(v.sort, bounds) for v in model.state_vars
+             if isinstance(v.sort, ir.CounterSort)},
+            initial, C.layout(model.var_names, initial))
+
+
+def _pairs(model: ir.ProtocolModel, constants: dict) -> list:
+    """Every (transition, ((param, atom), ...)) in expansion order."""
+    return [(t, tuple(zip((n for n, _ in t.params), combo)))
+            for t in sorted(model.transitions, key=lambda t: t.id)
+            for combo in itertools.product(
+                *(sorted(constants.get(d, ())) for _, d in t.params))]
+
+
+def _apply(slots, t: ir.Transition, binding, vector: tuple, constants,
+           atoms, caps) -> Optional[tuple]:
+    """The post-state vector of t under binding from the state vector, by
+    the reference evaluator, or None when the guard is false or a counter
+    leaves its range. slots is the initial state's `compiled.layout`, its
+    keys the variables in vector order. The order and errors are the
+    kernel's (`compiled._writer`): the guard must be a bool; an update's
+    right-hand side is evaluated, range-checked and then its keys read,
+    all in the pre-state; updates of one variable apply in order."""
+    pre = dict(zip(slots, vector))
+    scope = {**pre, **dict(binding)}
+    if not E.evaluate_bool(t.guard, scope, constants, atoms):
+        return None
+    for target, rhs in t.updates:
+        v = E.evaluate(rhs, scope, constants, atoms)
+        cap = caps.get(target.var)
+        if cap is not None and type(v) is int and not 0 <= v <= cap:
+            return None
+        keys = [E.evaluate(k, scope, constants, atoms) for k in target.keys]
+        pre[target.var] = _store(target, pre[target.var], keys, v,
+                                 slots[target.var][0])
+    return tuple(map(pre.__getitem__, slots))
+
+
+def _store(target: ir.UpdateTarget, old, keys, v, shape):
+    """old with v at the key path keys. The layout shape fixes a map's
+    keys and shape: a store past a leaf or of another shape raises."""
+    if keys:
+        if shape is None:
+            raise E.ExprTypeError(
+                f"update target {target} indexes past a map leaf")
+        return old.set(keys[0], _store(target, old[keys[0]], keys[1:], v,
+                                       shape[1]))
+    if shape is not None:
+        C._fit(v, shape, f"update {target} would change the shape of "
+                         f"{target.var!r}")
+    return v
+
+
 class _Engine:
     """Compiled successor and invariant evaluation for one (model, bounds).
 
-    A state inside the engine is one int, each slot a bit field of it
-    (see `compiled`): a bool 1 bit, a counter its value, any other slot a
-    code into the slot's intern table. An intern field has room for
-    `max_states` + steps + 1 codes, more distinct values than a search
-    within the state budget can store. State vectors, which hold values
-    and lay maps out as `FMap` values, appear only at the boundary: the
-    initial state, counterexamples and `validate_trace`.
-
-    A search engine writes one kernel, `successors(s, out)`: every
-    enabled (transition, binding) step inlined, in sorted transition-id
-    and then binding order, appending each post-state to `out`, and
-    compiled with a single `compile()`. The kernel serves the search
-    only: it skips a step that only stores constants the state already
-    holds, whose post-state is the state itself, which BFS has always
-    seen. `step()` runs one step in full, self-loops included, for
-    `_extract` and `validate_trace`; it compiles a step on first use.
+    A state inside the engine is one packed int (see `compiled`), whose
+    intern fields have room for `max_states` + steps + 1 codes, more
+    distinct values than a search within the state budget can store.
+    State vectors appear only at the boundary: the initial state and
+    counterexamples. The kernel, `successors(s, out)`, inlines every
+    enabled step of `_pairs` in that order and serves the search only: it
+    skips a step that only stores constants the state already holds, a
+    self-loop BFS has always seen.
     """
 
-    def __init__(self, model: ir.ProtocolModel, bounds: Bounds,
-                 search: bool = True):
+    def __init__(self, model: ir.ProtocolModel, bounds: Bounds):
         self.model = model
         self.bounds = bounds
-        self.constants = bounded_constants(model, bounds)
-        self.atoms = model.atom_universe()
-        self._initial = tuple(v.initial_value(self.constants)
-                              for v in model.state_vars)
-        self.slots, kinds = C.layout(model.var_names, self._initial)
-        self.caps = {v.name: counter_cap(v.sort, bounds)
-                     for v in model.state_vars
-                     if isinstance(v.sort, ir.CounterSort)}
-        self._plans = {}  # (transition id, binding) -> (guard, plan)
-        self._step_fns = {}  # (transition id, binding) -> step function
-        if not search:
-            # to replay a few recorded steps, compile just those, with
-            # every slot's type checked at run time and every slot
-            # interned
-            self.kinds = [None] * len(kinds)
-            self._pack({}, 0)
-            return
-        # deterministic expansion order
-        pairs = [(t, tuple(zip((n for n, _ in t.params), combo)))
-                 for t in sorted(model.transitions, key=lambda t: t.id)
-                 for combo in itertools.product(
-                     *(sorted(self.constants.get(d, ()))
-                       for _, d in t.params))]
+        self.constants, self.atoms, self.caps, initial, \
+            (self.slots, kinds) = _instance(model, bounds)
+        self.pairs = _pairs(model, self.constants)
         # a counter that starts in range stays there: every update of it
         # is range-checked
         counters = {self.slots[v.name][1]: self.caps[v.name]
-                    for v, x in zip(model.state_vars, self._initial)
+                    for v, x in zip(model.state_vars, initial)
                     if v.name in self.caps and type(x) is int
                     and 0 <= x <= self.caps[v.name]}
+        width = (bounds.max_states + len(self.pairs) + 1).bit_length()
         while True:
-            self.kinds = kinds
-            self._pack(counters, len(pairs))
-            compiled = [self._compile(t, binding) for t, binding in pairs]
+            self.kinds, self.env = kinds, C.environment()
+            C.pack(self.slots, kinds, counters, width, self.env)
+            self.start = C.encode(initial, self.env)
+            compiled = [C.compile_step(t, binding, self.slots, kinds,
+                                       self.constants, self.atoms,
+                                       self.caps, self.env)
+                        for t, binding in self.pairs]
             # a slot keeps a static kind only if every update stores it
             kinds = list(kinds)
             for _, _, writes in compiled:
@@ -173,43 +207,11 @@ class _Engine:
                             kinds[i] = None
             if kinds == self.kinds:
                 break
-        for (t, binding), (guard, plan, _) in zip(pairs, compiled):
-            if guard is not False:
-                self._plans[t.id, binding] = (guard, plan)
-        self.steps = list(self._plans)
-        self.successors = C.kernel(self._plans.values(), self.env)
-
-    def _pack(self, counters, steps):
-        self.env = C.environment()
-        C.pack(self.slots, self.kinds, counters,
-               (self.bounds.max_states + steps + 1).bit_length(), self.env)
-        self.start = C.encode(self._initial, self.env)
-
-    def _compile(self, t: ir.Transition, binding):
-        return C.compile_step(t, binding, self.slots, self.kinds,
-                              self.constants, self.atoms, self.caps,
-                              self.env)
-
-    def initial(self) -> tuple:
-        return self._initial
+        self.successors = C.kernel(
+            [(g, plan) for g, plan, _ in compiled if g is not False], self.env)
 
     def canonical(self, state: int) -> tuple:
         return C.decode(state, self.env)
-
-    def step(self, tid: str, binding, state: int):
-        """Post-state of one recorded step, or None when the step is not
-        enabled or its binding does not name the transition's parameters
-        with atoms."""
-        t = self.model.transition(tid)
-        bound = dict(binding)
-        if set(bound) != {n for n, _ in t.params} \
-                or any(type(a) is not str for a in bound.values()):
-            return None
-        key = (tid, binding)
-        if key not in self._step_fns:
-            guard, plan = self._plans.get(key) or self._compile(t, bound)[:2]
-            self._step_fns[key] = C.step_function(guard, plan, self.env)
-        return self._step_fns[key](state)
 
     def invariant(self, prop: ir.Property):
         """The property's invariant as a predicate on packed states."""
@@ -272,15 +274,15 @@ def _extract(eng: _Engine, prop: ir.Property, parents: dict,
     path = [final]
     while parents[path[-1]] is not None:
         path.append(parents[path[-1]])
-    path.reverse()
+    path = [eng.canonical(s) for s in reversed(path)]
     # the first step from pre reaching post is the one BFS recorded
     steps = tuple(
-        next(TraceStep(tid, binding, eng.canonical(post))
-             for tid, binding in eng.steps
-             if eng.step(tid, binding, pre) == post)
+        next(TraceStep(t.id, binding, post) for t, binding in eng.pairs
+             if _apply(eng.slots, t, binding, pre, eng.constants, eng.atoms,
+                       eng.caps) == post)
         for pre, post in zip(path, path[1:]))
-    return Counterexample(eng.model.name, prop.id, len(steps),
-                          eng.canonical(path[0]), steps)
+    return Counterexample(eng.model.name, prop.id, len(steps), path[0],
+                          steps)
 
 
 def check(model: ir.ProtocolModel, prop: ir.Property,
@@ -343,29 +345,35 @@ def enumerate_states(model: ir.ProtocolModel,
 def validate_trace(model: ir.ProtocolModel, cx: Counterexample,
                    prop: Optional[ir.Property] = None,
                    bounds: Bounds = DEFAULT_BOUNDS) -> bool:
-    """Internal soundness oracle: replays the trace symbolically.
+    """Internal soundness oracle: replays the trace with the reference
+    evaluator (`_apply`), independent of the compiled kernel.
 
-    True iff the trace starts in the model's initial state, every step's
-    guard holds in its pre-state, the recorded post-state matches the
-    declared updates, the property holds in every state except the last,
-    and the last state violates it.
+    True iff the trace starts in the model's initial state, each step
+    binds its transition's parameters to atoms, is enabled and reaches
+    its recorded post-state, and the property holds in every state but
+    the last, which violates it. The replay goes on from the states it
+    computes.
     """
-    eng = _Engine(model, bounds, search=False)
     if prop is None:
         prop = model.property_by_id(cx.property_id)
-    for step in cx.steps:
-        model.transition(step.transition_id)  # raises KeyError if unknown
-    if cx.initial != eng.initial():
+    # raises KeyError for an unknown action
+    steps = [(model.transition(s.transition_id), s) for s in cx.steps]
+    constants, atoms, caps, initial, (slots, _) = _instance(model, bounds)
+
+    def holds(vector):
+        return E.evaluate_bool(prop.invariant, dict(zip(slots, vector)),
+                               constants, atoms)
+    if cx.initial != initial:
         return False
-    holds = eng.invariant(prop)
-    cur = eng.start
-    for step in cx.steps:
-        if not holds(cur):
+    cur = initial
+    for t, step in steps:
+        bound = dict(step.binding)
+        if not holds(cur) or set(bound) != {n for n, _ in t.params} \
+                or any(type(a) is not str for a in bound.values()):
             return False
-        post = eng.step(step.transition_id, step.binding, cur)
-        if post is None or eng.canonical(post) != step.post_state:
+        cur = _apply(slots, t, step.binding, cur, constants, atoms, caps)
+        if cur != step.post_state:
             return False
-        cur = post
     return not holds(cur) and cx.depth == len(cx.steps)
 
 

@@ -67,16 +67,16 @@ it. A step writes its post-state as one expression, `s & K | V | ...`:
 K keeps the fields it does not store, V holds its constant stores, and
 each other store is its value's code shifted into place.
 
-Functions. `function` turns a value's source into `value(s)`, `kernel`
-writes one `successors(s, out)` for all of an engine's steps, and
-`step_function` one function for a single step. All three are defined
-by `_define`, which reads each mask that the function reads two or more
-times once, into a local `m<j> = s & M` at the top of the function, and
-spells those reads with the local; a mask read once stays inline, where
-short-circuiting may skip it. `s & M` on an int cannot raise, so this
-moves no exception and no evaluation of anything that can. `compile()`
-is memoised on the source text, so a model checked again (another
-property, another run in one process) reuses its code objects.
+Functions. `function` turns a value's source into `value(s)`, and
+`kernel` writes one `successors(s, out)` for all of an engine's steps,
+for the search only. Both use `_define`, which reads each mask that the
+function reads two or more times once, into a local `m<j> = s & M` at
+the top of the function, and spells those reads with the local; a mask
+read once stays inline, where short-circuiting may skip it. `s & M` on
+an int cannot raise, so this moves no exception and no evaluation of
+anything that can. `compile()` is memoised on the source text, so a
+model checked again (another property, another run in one process)
+reuses its code objects.
 """
 
 from __future__ import annotations
@@ -586,7 +586,7 @@ def compile_step(t, binding, slots, kinds, constants, atoms, caps, env):
     """(guard, plan, writes) of one transition under one binding.
 
     guard is the guard's source, or True or False when it folds to a
-    constant. plan lists the updates for `kernel` and `step_function`.
+    constant. plan lists the updates for `kernel`.
     writes lists, per update, the slots it may write and the kind it
     stores there (None: not known statically). caps maps a counter
     variable to its largest value.
@@ -703,34 +703,31 @@ def _post_lines(stores, env):
     return lines
 
 
-def _step_lines(guard, plan, emit, prune, env):
-    """The body lines of one step, indented one level: the guard, then
-    each update's evaluation and range check in order, then
-    emit.format(post-state source). With prune, a step whose updates all
-    store constants emits nothing in a state that already holds them."""
+def _step_lines(guard, plan, env):
+    """The kernel's lines for one step: the guard, each update's
+    evaluation and range check in order, then `add(post-state)`, which a
+    step storing only constants the state holds skips."""
     lines, pad = [], "    "
 
     def line(text):
         lines.append(pad + text)
 
     cond = None if guard is True else guard
-    consts = all(op[0] == "const" for op in plan)
-    if consts:
-        if prune and not plan:  # a self-loop whenever enabled
+    if all(op[0] == "const" for op in plan):
+        if not plan:  # a self-loop whenever enabled
             if cond is not None:
                 line(cond)  # evaluated for what it raises
             return lines
         # the last store to a slot wins
         fields = _fields({at: (None, v) for _, at, v in plan}, env)
-        if prune:
-            change = f"(s & {fields[0]:#x}) != {fields[1]:#x}"
-            cond = change if cond is None else f"{cond} and {change}"
+        change = f"(s & {fields[0]:#x}) != {fields[1]:#x}"
+        cond = change if cond is None else f"{cond} and {change}"
+        line(f"if {cond}:")
+        line(f"    add({_merge('s', fields, env)})")
+        return lines
     if cond is not None:
         line(f"if {cond}:")
         pad += "    "
-    if consts:
-        line(emit.format(_merge("s", fields, env) if plan else "s"))
-        return lines
     stores = []  # as _post_lines reads them
     deferred = []  # stores whose value source is evaluated at the store
     for j, op in enumerate(plan):
@@ -770,7 +767,7 @@ def _step_lines(guard, plan, emit, prune, env):
             stores.append((f"i{j}", f"*l{j}"))
     for text in _post_lines(stores, env):
         line(text)
-    line(emit.format("n"))
+    line("add(n)")
     return lines
 
 
@@ -785,15 +782,6 @@ def kernel(steps, env):
     per state, before the first step."""
     lines = ["def successors(s, out):", "    add = out.append"]
     for guard, plan in steps:
-        lines += _step_lines(guard, plan, "add({})", True, env)
+        lines += _step_lines(guard, plan, env)
     return _define(lines, "successors", env)
 
-
-def step_function(guard, plan, env):
-    """step(s): the post-state of one compiled step, or None when its
-    guard is false or a counter update leaves its range."""
-    if guard is False:
-        return lambda s: None
-    return _define(["def step(s):",
-                    *_step_lines(guard, plan, "return {}", False, env),
-                    "    return None"], "step", env)

@@ -198,9 +198,9 @@ class _Tok:
     col: int
 
 
-def _tokenize(text: str, line_offset: int = 0) -> list:
+def _tokenize(text: str, line_offset: int = 0, col_offset: int = 0) -> list:
     toks = []
-    line, line_start = 1 + line_offset, 0
+    line, line_start = 1 + line_offset, -col_offset
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         word, col = m[kind], m.start(kind) - line_start + 1
@@ -342,9 +342,9 @@ class _Parser:
         self.error(f"unexpected token {t.text!r}")
 
 
-def parse(text: str, line_offset: int = 0) -> Expr:
+def parse(text: str, line_offset: int = 0, col_offset: int = 0) -> Expr:
     """Parse an expression; raises ExprSyntaxError with position on failure."""
-    p = _Parser(_tokenize(text, line_offset))
+    p = _Parser(_tokenize(text, line_offset, col_offset))
     e = p.expr()
     if p.peek().kind != "EOF":
         p.error(f"trailing input {p.peek().text!r}")

@@ -1,9 +1,9 @@
 """Loader and serializer for the IR file format and clause files.
 
-The format is UTF-8 structured text: top-level `key: value` lines, `var`
-declarations, and brace-delimited blocks (`constants { }`, `transition ID
-{ }`, `property ID { }`, `aps { }`, `clause { }`). A line may hold several
-`key: value` pairs.
+The format is UTF-8 structured text: the top-level pairs `protocol:` and
+`snapshot:`, `var` declarations, and brace-delimited blocks (`constants
+{ }`, `transition ID { }`, `property ID { }`, `aps { }`, `clause { }`). A
+line may hold several `key: value` pairs.
 
 One rule splits every list in the format: text splits at a separator
 only where the separator sits outside brackets and double-quoted strings,
@@ -37,20 +37,20 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Low-level line scanning
 
-_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*:")
+_KEY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_\-]*): *")
 _PAIR_SEP = f"  +(?={_KEY_RE.pattern})"
 _QUOTED_RE = re.compile(r'"([^"]*)"')
 _GROUP_RE = re.compile(r"(\{[^{}]*\})")
-_BLOCK_RE = re.compile(r"(constants|aps|transition|property|clause)"
+_BLOCK_RE = re.compile(r"\s*(constants|aps|transition|property|clause)"
                        r"(?:\s+([A-Za-z_][A-Za-z0-9_\-]*))?\s*\{(.*)")
 
 
-def _split_top(text: str, sep: str, line: int) -> list:
-    """Split `text` at each match of the regex `sep` that sits outside
-    brackets and double-quoted strings; return the stripped, non-empty
-    parts. A brace group opened at top level is read as the block reader
-    reads it: only its braces count."""
-    parts, start = [], 0
+def _split_top(text: str, sep: str, line: int, col: int = 1) -> list:
+    """Split `text`, at column col, at each match of the regex `sep` that
+    sits outside brackets and double-quoted strings into its stripped,
+    non-empty (part, column)s. A brace group opened at top level is read
+    as the block reader reads it: only its braces count."""
+    cuts, start = [], 0
     depth = group = 0
     quote = None  # offset of the open quote
     # one literal per alternative lets the regex engine skip plain text
@@ -70,37 +70,41 @@ def _split_top(text: str, sep: str, line: int) -> list:
         elif tok in "])}":
             depth -= 1
         elif depth == 0:
-            parts.append(text[start:m.start()])
+            cuts.append((start, m.start()))
             start = m.end()
     if quote is not None:
-        raise ParseError("unterminated string", line, quote + 1)
-    parts.append(text[start:])
-    return [p.strip() for p in parts if p.strip()]
+        raise ParseError("unterminated string", line, col + quote)
+    cuts.append((start, len(text)))
+    return [(p.rstrip(), col + b - len(p)) for a, b in cuts
+            if (p := text[a:b].lstrip())]
 
 
-def _scan_pairs(text: str, line: int):
-    """Split a line into (key, value) pairs. A quoted value or a `source`
-    group ends where it closes, so the next `key:` may follow it after
-    any number of spaces."""
+def _scan_pairs(text: str, line: int, col: int = 1):
+    """Split text at column col of a line into (key, value, line, value
+    column) pairs. A quoted value or a `source` group ends where it
+    closes, so the next `key:` may follow it after any number of spaces."""
     pairs = []
-    for part in _split_top(text, _PAIR_SEP, line):
+    for part, at in _split_top(text, _PAIR_SEP, line, col):
         while part:
             m = _KEY_RE.match(part)
             if not m:
-                raise ParseError(f"expected 'key:' at {part[:20]!r}", line)
-            key, value = m.group()[:-1], part[m.end():].lstrip(" ")
+                raise ParseError(f"expected 'key:' at {part[:20]!r}", line, at)
+            key, value = m[1], part[m.end():]
+            at += m.end()
             if value.startswith('"'):
                 head = _QUOTED_RE.match(value)
             elif key == "source" and value.startswith("{"):
                 head = _GROUP_RE.match(value)
                 if not head:
                     raise ParseError(f"source is not one {{ }} group: "
-                                     f"{value!r}", line)
+                                     f"{value!r}", line, at)
             else:
-                pairs.append((key, value.strip()))
+                lead = len(value) - len(value.lstrip())
+                pairs.append((key, value.strip(), line, at + lead))
                 break
-            pairs.append((key, head[1]))
+            pairs.append((key, head[1], line, at + head.start(1)))
             part = value[head.end():].lstrip(" ")
+            at += len(value) - len(part)
     return pairs
 
 
@@ -108,7 +112,7 @@ def _scan_pairs(text: str, line: int):
 class _Block:
     kind: str  # top | constants | transition | property | aps | clause
     name: str
-    pairs: list  # (key, value, line)
+    pairs: list  # (key, value, line, column of the value)
     line: int
 
 
@@ -118,30 +122,32 @@ def _read_blocks(text: str):
     top, blocks = [], []
     depth = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
+        col = 1
         if depth == 0:
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            m = _BLOCK_RE.match(stripped)
+            m = _BLOCK_RE.match(raw)
             if m:
                 block, body = _Block(m[1], m[2] or "", [], lineno), []
-                raw, depth = m[3], 1
+                raw, depth, col = m[3], 1, m.start(3) + 1
             elif stripped.startswith("var "):
-                decl = ("decl", stripped[4:], lineno)
+                decl = ("decl", stripped[4:], lineno, raw.index("var ") + 5)
                 blocks.append(_Block("var", "", [decl], lineno))
                 continue
             else:
-                top.extend((k, v, lineno)
-                           for k, v in _scan_pairs(stripped, lineno))
+                top.extend(_scan_pairs(raw, lineno))
                 continue
         depth += raw.count("{") - raw.count("}")
-        body.append((raw[:raw.rfind("}")] if depth == 0 else raw, lineno))
+        if depth < 0:
+            raise ParseError(f"unmatched '}}' in block {block.kind!r}", lineno)
+        body.append((raw[:raw.rfind("}")] if depth == 0 else raw, lineno,
+                     col))
         if depth == 0:
-            for part, ln in body:
-                part = part.strip()
-                if part and not part.startswith("#"):
-                    block.pairs.extend((k, v, ln)
-                                       for k, v in _scan_pairs(part, ln))
+            for part, ln, at in body:
+                stripped = part.strip()
+                if stripped and not stripped.startswith("#"):
+                    block.pairs.extend(_scan_pairs(part, ln, at))
             blocks.append(block)
     if depth:
         raise ParseError(f"unterminated block {block.kind!r}", block.line)
@@ -173,27 +179,29 @@ def parse_sort(text: str, line: int = 0) -> ir.Sort:
     raise ParseError(f"unknown sort {text!r}", line)
 
 
-def _expr(text: str, line: int) -> E.Expr:
-    """An expression written on this line of the document (0: unknown),
-    so that a syntax error names the line."""
-    return E.parse(text, max(line - 1, 0))
+def _expr(text: str, line: int, col: int = 1) -> E.Expr:
+    """An expression, stripped, written at this line (0: unknown) and
+    column of the document, so that a syntax error names both."""
+    lead = len(text) - len(text.lstrip())
+    return E.parse(text.strip(), max(line - 1, 0), col - 1 + lead)
 
 
-def parse_init(text: str, line: int = 0) -> ir.InitSpec:
+def parse_init(text: str, line: int = 0, col: int = 1) -> ir.InitSpec:
+    col += len(text) - len(text.lstrip())
     text = text.strip()
     if text.startswith("all "):
-        return ir.InitAll(_expr(text[4:], line))
+        return ir.InitAll(_expr(text[4:], line, col + 4))
     if text.startswith("["):
         if not text.endswith("]"):
-            raise ParseError("unterminated map-literal init", line)
+            raise ParseError("unterminated map-literal init", line, col)
         entries = []
-        for part in _split_top(text[1:-1], ",", line):
+        for part, at in _split_top(text[1:-1], ",", line, col + 1):
             if ":" not in part:
-                raise ParseError(f"bad map-literal entry {part!r}", line)
+                raise ParseError(f"bad map-literal entry {part!r}", line, at)
             k, v = part.split(":", 1)
-            entries.append((k.strip(), _expr(v.strip(), line)))
+            entries.append((k.strip(), _expr(v, line, at + len(k) + 1)))
         return ir.InitMap(tuple(entries))
-    return ir.InitExpr(_expr(text, line))
+    return ir.InitExpr(_expr(text, line, col))
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +213,14 @@ def _parse_source_value(value: str, line: int) -> ir.SourceRef:
         return ir.INVENTED_REF
     if not _GROUP_RE.fullmatch(value):
         raise ParseError(f"bad source reference {value!r}", line)
-    fields = dict((k, v) for k, v in _scan_pairs(value[1:-1].strip(), line))
+    fields = {k: v for k, v, *_ in _scan_pairs(value[1:-1].strip(), line)}
     return ir.SourceRef(fields.get("doc", ""), fields.get("section", ""),
                         fields.get("quote", ""))
 
 
 def _parse_params(value: str, line: int):
     params = []
-    for part in _split_top(value, ",", line):
+    for part, _ in _split_top(value, ",", line):
         m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s+in\s+"
                          r"([A-Za-z_][A-Za-z0-9_]*)", part)
         if not m:
@@ -221,23 +229,23 @@ def _parse_params(value: str, line: int):
     return tuple(params)
 
 
-def parse_updates(value: str, line: int):
-    """`target := expr; ...` as ((UpdateTarget, Expr), ...); `line` is
-    the document line, for error messages (0: unknown)."""
+def parse_updates(value: str, line: int, col: int = 1):
+    """`target := expr; ...` as ((UpdateTarget, Expr), ...); value sits
+    at this line (0: unknown) and column, for error messages."""
     updates = []
-    for part in _split_top(value, ";", line):
+    for part, at in _split_top(value, ";", line, col):
         if ":=" not in part:
-            raise ParseError(f"update missing ':=' in {part!r}", line)
+            raise ParseError(f"update missing ':=' in {part!r}", line, at)
         lhs_text, rhs_text = part.split(":=", 1)
-        lhs = _expr(lhs_text.strip(), line)
+        lhs = _expr(lhs_text, line, at)
         keys = []
         while isinstance(lhs, E.Index):
             keys.insert(0, lhs.key)
             lhs = lhs.base
         if not isinstance(lhs, E.Name):
-            raise ParseError(f"bad update target in {part!r}", line)
+            raise ParseError(f"bad update target in {part!r}", line, at)
         updates.append((ir.UpdateTarget(lhs.name, tuple(keys)),
-                        _expr(rhs_text.strip(), line)))
+                        _expr(rhs_text, line, at + len(lhs_text) + 2)))
     return tuple(updates)
 
 
@@ -249,7 +257,7 @@ def _parse_transition(block: _Block) -> ir.Transition:
     guard = E.BoolLit(True)
     updates = []
     refs = []
-    for key, value, line in block.pairs:
+    for key, value, line, col in block.pairs:
         if key == "kind":
             kind = value
         elif key == "actor":
@@ -257,9 +265,9 @@ def _parse_transition(block: _Block) -> ir.Transition:
         elif key == "params":
             params = _parse_params(value, line)
         elif key == "guard":
-            guard = _expr(value, line)
+            guard = _expr(value, line, col)
         elif key == "update":
-            updates.extend(parse_updates(value, line))
+            updates.extend(parse_updates(value, line, col))
         elif key == "modality":
             modality = value
         elif key == "adv":
@@ -282,13 +290,13 @@ def _parse_property(block: _Block) -> ir.Property:
     principle = cls = ""
     invariant = None
     refs = []
-    for key, value, line in block.pairs:
+    for key, value, line, col in block.pairs:
         if key == "principle":
             principle = value
         elif key == "class":
             cls = value
         elif key == "invariant":
-            invariant = _expr(value, line)
+            invariant = _expr(value, line, col)
         elif key == "source":
             refs.append(_parse_source_value(value, line))
         else:
@@ -307,7 +315,7 @@ def _parse_property(block: _Block) -> ir.Property:
 
 def _parse_constants(block: _Block):
     constants = []
-    for key, value, line in block.pairs:
+    for key, value, line, _ in block.pairs:
         value = value.strip()
         if not (value.startswith("[") and value.endswith("]")):
             raise ParseError(f"constants {key!r}: expected [a, b, ...]", line)
@@ -319,14 +327,15 @@ def _parse_constants(block: _Block):
 def parse_model(text: str, *, origin: str = "<string>") -> ir.ProtocolModel:
     top, blocks = _read_blocks(text)
     fields = {}
-    for k, v, line in top:
+    for k, v, line, _ in top:
+        if k not in ("protocol", "snapshot"):
+            raise ParseError(f"unknown top-level key {k!r}", line)
         if k in fields:
             raise ParseError(f"duplicate top-level key {k!r}", line)
         fields[k] = v
-    if "protocol" not in fields:
-        raise ParseError(f"{origin}: missing 'protocol:' header", 1)
-    if "snapshot" not in fields:
-        raise ParseError(f"{origin}: missing 'snapshot:' header", 1)
+    for k in ("protocol", "snapshot"):
+        if k not in fields:
+            raise ParseError(f"{origin}: missing '{k}:' header", 1)
 
     constants = ()
     aps = ()
@@ -338,9 +347,9 @@ def parse_model(text: str, *, origin: str = "<string>") -> ir.ProtocolModel:
         if block.kind == "constants":
             constants = _parse_constants(block)
         elif block.kind == "aps":
-            aps = tuple((k, v) for k, v, _ in block.pairs)
+            aps = tuple((k, v) for k, v, *_ in block.pairs)
         elif block.kind == "var":
-            decl, line = block.pairs[0][1], block.pairs[0][2]
+            _, decl, line, col = block.pairs[0]
             m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+?)\s+init\s+(.+)$",
                          decl)
             if not m:
@@ -351,7 +360,7 @@ def parse_model(text: str, *, origin: str = "<string>") -> ir.ProtocolModel:
             seen_ids.add(name)
             state_vars.append(ir.StateVarDecl(
                 name, parse_sort(m.group(2), line),
-                parse_init(m.group(3), line)))
+                parse_init(m.group(3), line, col + m.start(3))))
         elif block.kind == "transition":
             if block.name in seen_ids:
                 raise ParseError(f"duplicate id {block.name!r}", block.line)
@@ -389,7 +398,7 @@ def parse_clauses(text: str):
                              block.line)
         fields = {}
         source = ir.SourceRef("")
-        for k, v, line in block.pairs:
+        for k, v, line, _ in block.pairs:
             if k == "source":
                 source = _parse_source_value(v, line)
             else:

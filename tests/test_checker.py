@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from agentconform import checker, expr as E, ir, report
+from agentconform import checker, expr as E, ir, report, tla
+from agentconform import compiled as C
 from agentconform.builtins import builtin
 
 from _oracle import oracle_check
@@ -225,7 +226,7 @@ def test_validate_trace_rejects_a_trace_not_starting_in_init():
 
 def test_validate_trace_accepts_a_self_loop_step():
     """The search skips a step that only stores constants the state
-    already holds, but a trace may still take it: `step()` runs it."""
+    already holds, but a trace may still take it: `_apply` runs it."""
     def step(tid, guard, var, rhs):
         return ir.Transition(
             tid, "Protocol", "sys", (), E.parse(guard),
@@ -246,14 +247,40 @@ def test_validate_trace_accepts_a_self_loop_step():
     posts = []
     eng.successors(eng.start, posts)
     assert [eng.canonical(s) for s in posts] == [(True, True)]
-    assert eng.canonical(eng.step("Keep", (), eng.start)) == \
-        eng.canonical(eng.start)
+    start = eng.canonical(eng.start)
+    assert checker._apply(eng.slots, model.transition("Keep"), (),
+                          start, eng.constants, eng.atoms,
+                          eng.caps) == start == (True, False)
     res = checker.check(model, model.properties[0])
     assert [s.transition_id for s in res.counterexample.steps] == ["Break"]
     keep = checker.TraceStep("Keep", (), res.counterexample.initial)
     looped = dataclasses.replace(res.counterexample, depth=2,
                                  steps=(keep,) + res.counterexample.steps)
     assert checker.validate_trace(model, looped)
+
+
+def test_validate_trace_compiles_nothing(monkeypatch):
+    """`validate_trace` replays with the reference evaluator: the bundled
+    TLC logs' counterexamples validate while compiled code cannot be
+    defined."""
+    def refuse(*args):
+        raise AssertionError("compiled code defined")
+    monkeypatch.setattr(C, "_define", refuse)
+    validated = 0
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.log")):
+        model = builtin(path.stem.split("_", 1)[0])
+        parse = tla.parse_tlc_output(path.read_text())
+        if parse.violated:
+            cx = tla.to_counterexample(parse, model)
+            assert checker.validate_trace(model, cx), path.name
+            broken = dataclasses.replace(cx, steps=cx.steps[:-1],
+                                         depth=cx.depth - 1)
+            assert not checker.validate_trace(model, broken), path.name
+            validated += 1
+    assert validated >= 5
+    model = builtin("mcp")  # the search does need compiled code
+    assert checker.check(model, model.properties[0]).verdict == \
+        "ERROR: compiled code defined"
 
 
 def test_steps_before_a_raising_step_are_searched_first():

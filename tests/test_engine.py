@@ -8,6 +8,7 @@ a deliberate change of search semantics:
     PYTHONPATH=src python tests/test_engine.py
 """
 
+import dataclasses
 import itertools
 import json
 import random
@@ -175,6 +176,92 @@ def test_updates_of_one_variable_apply_in_order(invariant, updates,
         assert f"  /\\ {tla_text}" in tla.emit_module(model).splitlines()
 
 
+def _shape_model():
+    """Dom = {a, b} and m : MAP(Dom -> BOOL). Wipe stores {} into m, which
+    would change its shape, and Deep writes m[a][b], past a map leaf; each
+    then sets done, which the invariant forbids."""
+    def step(tid, keys, rhs):
+        return ir.Transition(
+            tid, "Protocol", "sys", (), E.parse("true"),
+            ((ir.UpdateTarget("m", tuple(E.parse(k) for k in keys)),
+              E.parse(rhs)),
+             (ir.UpdateTarget("done", ()), E.parse("true"))),
+            "MAY", (ir.SourceRef("test", "shapes"),))
+
+    return ir.ProtocolModel(
+        name="shapes", snapshot="2025-01",
+        constants=(("Dom", ("a", "b")),),
+        state_vars=(
+            ir.StateVarDecl("m", ir.MapSort("Dom", ir.BoolSort()),
+                            ir.InitAll(E.parse("false"))),
+            ir.StateVarDecl("done", ir.BoolSort(),
+                            ir.InitExpr(E.parse("false"))),
+        ),
+        transitions=(step("Wipe", (), "{}"), step("Deep", ("a", "b"), "true")),
+        properties=(ir.Property("INV", "P0", "aasm-hardening",
+                                E.parse("not done")),))
+
+
+@pytest.mark.parametrize("tid,message", [
+    ("Wipe", "update m would change the shape of 'm'"),
+    ("Deep", "update target m[a][b] indexes past a map leaf"),
+], ids=["Wipe", "Deep"])
+def test_validate_trace_raises_the_kernels_update_errors(tid, message):
+    """A store that would change a map's shape and a write past a map
+    leaf raise the kernel's ExprTypeError in `validate_trace` too. A
+    naive evaluator step (the oracle's) takes Wipe to m = {}."""
+    model = _shape_model()
+    prop = model.properties[0]
+    alone = dataclasses.replace(model, transitions=(model.transition(tid),))
+    assert checker.check(alone, prop).verdict == f"ERROR: {message}"
+    initial = (E.FMap.of({"a": False, "b": False}), False)
+    post = (frozenset(), True) if tid == "Wipe" else (initial[0], True)
+    if tid == "Wipe":
+        sorts = {v.name: v.sort for v in model.state_vars}
+        assert _successors(alone, dict(zip(model.var_names, initial)),
+                           {"Dom": ["a", "b"]}, model.atom_universe(),
+                           sorts, checker.DEFAULT_BOUNDS) == \
+            [{"m": frozenset(), "done": True}]
+    cx = checker.Counterexample(model.name, prop.id, 1, initial,
+                                (checker.TraceStep(tid, (), post),))
+    with pytest.raises(E.ExprTypeError) as exc:
+        checker.validate_trace(model, cx)
+    assert str(exc.value) == message
+
+
+def test_map_levels_come_from_the_initial_layout():
+    """A map stored into a map leaf stays a leaf value: a later store of
+    a bool there is no shape change, in the kernel as in `_apply`, so the
+    trace through both steps is found and validated."""
+    def step(tid, stage, keys, rhs):
+        return ir.Transition(
+            tid, "Protocol", "sys", (), E.parse(f"stage = {stage}"),
+            ((ir.UpdateTarget("m", tuple(E.parse(k) for k in keys)),
+              E.parse(rhs)),
+             (ir.UpdateTarget("stage", ()), E.parse(f"{stage + 1}"))),
+            "MAY", (ir.SourceRef("test", "leaves"),))
+
+    flags = ir.MapSort("Dom", ir.BoolSort())
+    model = ir.ProtocolModel(
+        name="leaves", snapshot="2025-01",
+        constants=(("Dom", ("a", "b")),),
+        state_vars=(
+            ir.StateVarDecl("m", flags, ir.InitAll(E.parse("false"))),
+            ir.StateVarDecl("n", flags, ir.InitAll(E.parse("true"))),
+            ir.StateVarDecl("stage", ir.CounterSort(3),
+                            ir.InitExpr(E.parse("0"))),
+        ),
+        transitions=(step("Nest", 0, ("a",), "n"),
+                     step("Flat", 1, ("a",), "true")),
+        properties=(ir.Property("INV", "P0", "aasm-hardening",
+                                E.parse("stage < 2")),))
+    res = checker.check(model, model.properties[0])
+    assert [s.transition_id for s in res.counterexample.steps] == \
+        ["Nest", "Flat"]
+    assert checker.validate_trace(model, res.counterexample)
+    assert _assert_engine_matches_oracle(model, checker.DEFAULT_BOUNDS) == 3
+
+
 def _chained_servers():
     return next(compose.compose(a, b, bridge)
                 for pattern, a, b, bridge in compose.builtin_compositions()
@@ -185,12 +272,12 @@ def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
     """In every reachable state: the kernel's post-states other than the
     state itself are the oracle's, with multiplicity (the kernel drops
     only self-loops, and only those of constant stores); with steps,
-    `step()` over the engine's steps gives the oracle's successors
-    exactly, self-loops included; and each invariant evaluates as the
-    tree-walking evaluator does. Each engine state is decoded to its state
-    vector once, and each oracle successor is compared as a state vector
-    by looking it up among the decoded ones. Returns the number of
-    states."""
+    `checker._apply` over the engine's (transition, binding) pairs gives
+    the oracle's successors exactly, self-loops included; and each
+    invariant evaluates as the tree-walking evaluator does. Each engine
+    state is decoded to its state vector once, and each oracle successor
+    is compared as a state vector by looking it up among the decoded
+    ones. Returns the number of states."""
     eng = checker._Engine(model, bounds)
     tests = [(p, eng.invariant(p)) for p in props]
     sorts = {v.name: v.sort for v in model.state_vars}
@@ -213,14 +300,16 @@ def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
         posts = []
         eng.successors(s, posts)
         got = Counter(posts)
-        stepped = Counter(post for post in (
-            eng.step(tid, binding, s) for tid, binding in eng.steps)
-            if post is not None) if steps else Counter()
-        decode(got + stepped)
-        want = Counter(packed.get(v, v) for v in map(vector, _successors(
+        decode(got)
+        want = Counter(map(vector, _successors(
             model, state, eng.constants, eng.atoms, sorts, bounds)))
         if steps:
-            assert stepped == want
+            applied = Counter(post for post in (
+                checker._apply(eng.slots, t, binding, vectors[s],
+                               eng.constants, eng.atoms, eng.caps)
+                for t, binding in eng.pairs) if post is not None)
+            assert applied == want
+        want = Counter({packed.get(v, v): n for v, n in want.items()})
         del want[s]
         del got[s]
         assert got == want
@@ -233,9 +322,9 @@ def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("updates",
                                                     "chained-servers"))
 def test_engine_matches_evaluator_on_every_state(name):
-    """The kernel, `step()` and every matrix cell's invariant against the
-    oracle and the evaluator; on chained-servers (65,090 states) the
-    kernel alone."""
+    """The kernel, `checker._apply` and every matrix cell's invariant
+    against the oracle and the evaluator; on chained-servers (65,090
+    states) the kernel alone."""
     if name == "updates":
         model = _update_model()
         props = model.properties

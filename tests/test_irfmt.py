@@ -42,19 +42,27 @@ def test_parse_errors_carry_line_numbers():
     assert exc.value.line == 4
 
 
-@pytest.mark.parametrize("marker, bad", [
-    ("  guard:", "  guard: x = = 1"),
-    ("  update:", "  update: x := x + + 1"),
-    ("  invariant:", "  invariant: x = = 1"),
-    ("var ", "var y : BOOL init true and"),
-], ids=["guard", "update", "invariant", "init"])
-def test_expression_errors_name_the_file_line(marker, bad):
+@pytest.mark.parametrize("marker, bad, at", [
+    ("  guard:", "  guard: x = = 1", "= 1"),
+    ("  update:", "  update: x := x + + 1", "+ 1"),
+    ("  invariant:", "  invariant: x = = 1", "= 1"),
+    ("var ", "var y : BOOL init true and", ""),
+    ("  update:", "  update: y := true;  x := x + + 1", "+ 1"),
+    ("  invariant:", "  invariant:  x = = 1", "= 1"),
+    ("var ", "var m : MAP(D -> BOOL) init all  true and", ""),
+    ("var ", "var m : MAP(D -> BOOL) init [a: true,  b: 1 +]", "]"),
+], ids=["guard", "update", "invariant", "init", "second-update",
+        "spaced-invariant", "init-all", "init-map"])
+def test_expression_errors_name_the_file_line(marker, bad, at):
+    """The error names the file line, and the column in that line, not in
+    the expression: that of the last `at` (its end when `at` is empty)."""
     lines = irfmt.serialize_model(builtin("mcp")).splitlines()
-    at = next(i for i, line in enumerate(lines) if line.startswith(marker))
-    lines[at] = bad
+    row = next(i for i, line in enumerate(lines) if line.startswith(marker))
+    lines[row] = bad
     with pytest.raises(E.ExprSyntaxError) as exc:
         irfmt.parse_model("\n".join(lines) + "\n")
-    assert exc.value.line == at + 1, str(exc.value)
+    col = bad.rindex(at) + 1 if at else len(bad) + 1
+    assert (exc.value.line, exc.value.col) == (row + 1, col), str(exc.value)
 
 
 def test_missing_header_rejected():
@@ -93,17 +101,44 @@ def test_non_ascii_digit_in_init_names_its_line():
     text = "protocol: p\nsnapshot: s\nvar v : COUNTER(2) init \u00b2\n"
     with pytest.raises(E.ExprSyntaxError) as exc:
         irfmt.parse_model(text)
+    assert (exc.value.line, exc.value.col) == (3, 25)
+
+
+def test_misspelled_top_level_keys_are_rejected():
+    """A key other than `protocol` and `snapshot` outside a block is a
+    ParseError naming it and its line, not a silently dropped pair."""
+    text = (resources.files("agentconform.data") / "models" /
+            "acp-client.ir").read_text(encoding="utf-8")
+    assert "\nconstants {" in text
+    for bad, key in ((text.replace("\nconstants {", "\nconstants: {", 1),
+                      "constants"),
+                     (text + "snapshoot: x\n", "snapshoot")):
+        with pytest.raises(irfmt.ParseError) as exc:
+            irfmt.parse_model(bad)
+        row = next(i for i, line in enumerate(bad.splitlines(), 1)
+                   if line.startswith(key + ":"))
+        assert exc.value.line == row
+        assert f"unknown top-level key {key!r}" in str(exc.value)
+
+
+def test_stray_closing_brace_is_rejected_on_its_line():
+    text = ("protocol: p\nsnapshot: s\nconstants { D: [t1, t2} E: [x] }\n"
+            "var v : BOOL init true\ntransition T {\n  kind: Protocol\n}\n")
+    with pytest.raises(irfmt.ParseError) as exc:
+        irfmt.parse_model(text)
     assert exc.value.line == 3
+    assert "unmatched '}'" in str(exc.value)
 
 
 def test_pairs_split_outside_brackets_and_quotes():
     pairs = irfmt._scan_pairs(
         'a: [x,  b: y]  c: "d  e: f"  source: { h: "x"  i: j } k: "l"m: n',
         7)
-    assert pairs == [("a", "[x,  b: y]"), ("c", "d  e: f"),
-                     ("source", '{ h: "x"  i: j }'), ("k", "l"), ("m", "n")]
+    assert pairs == [("a", "[x,  b: y]", 7, 4), ("c", "d  e: f", 7, 20),
+                     ("source", '{ h: "x"  i: j }', 7, 38), ("k", "l", 7, 59),
+                     ("m", "n", 7, 64)]
     assert irfmt._split_top("x := {a; b}; y := (1; 2)", ";", 7) == [
-        "x := {a; b}", "y := (1; 2)"]
+        ("x := {a; b}", 1), ("y := (1; 2)", 14)]
     with pytest.raises(irfmt.ParseError) as exc:
         irfmt._scan_pairs('a: "open  b: c', 7)
     assert (exc.value.line, exc.value.col) == (7, 4)

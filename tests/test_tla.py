@@ -85,8 +85,7 @@ def test_emission_explores_checker_instance(name, bounds):
     start = lines.index("Init ==") + 1
     init = lines[start:lines.index("", start)]
     enums = tla._enum_values(model)
-    state = checker.state_dict(model,
-                               checker._Engine(model, bounds).initial())
+    state = checker.state_dict(model, checker._instance(model, bounds)[3])
     assert init == [f"  /\\ {var} = {tla._emit_value(value, enums)}"
                     for var, value in state.items()]
 
