@@ -8,11 +8,11 @@ per-layer completeness metadata, surfaced here as the stack gap table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
 from . import ir
 from . import irfmt
+from .record import Record
 
 
 class BuiltinError(Exception):
@@ -29,11 +29,13 @@ APS_LAYERS = ("L1", "L2", "L3", "L4", "L5", "L6")
 APS_STATUSES = ("SPECIFIED", "SPEC_GAP", "UNDERCONSTRAINED")
 
 
-@dataclass(frozen=True)
-class ApsCell:
-    layer: str
-    protocol: str
-    status: str
+class ApsCell(Record):
+    __slots__ = ("layer", "protocol", "status")
+
+    def __init__(self, layer: str, protocol: str, status: str):
+        object.__setattr__(self, "layer", layer)
+        object.__setattr__(self, "protocol", protocol)
+        object.__setattr__(self, "status", status)
 
 
 _model_cache: dict = {}

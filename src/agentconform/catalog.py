@@ -9,11 +9,11 @@ module only maps it in the layer table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import expr as E
 from . import ir
+from .record import Record
 
 
 class CatalogError(Exception):
@@ -31,12 +31,16 @@ def _shape(sort) -> str:
     return type(sort).__name__[:-len("Sort")].upper()
 
 
-@dataclass(frozen=True)
-class PrincipleTemplate:
-    id: str  # P1..P8, WF, SL
-    name: str
-    schematic: str  # invariant text with {role} placeholders
-    roles: tuple  # ((role, shape), ...); shape "DOMAIN" binds a constant set
+class PrincipleTemplate(Record):
+    __slots__ = ("id", "name", "schematic", "roles")
+
+    def __init__(self, id: str, name: str, schematic: str, roles: tuple):
+        object.__setattr__(self, "id", id)  # P1..P8, WF, SL
+        object.__setattr__(self, "name", name)
+        # invariant text with {role} placeholders
+        object.__setattr__(self, "schematic", schematic)
+        # ((role, shape), ...); shape "DOMAIN" binds a constant set
+        object.__setattr__(self, "roles", roles)
 
     @property
     def property_id(self) -> str:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import compiled as C
 from . import expr as E
 from . import ir
+from .record import Record, replace
 
 
 class CheckError(Exception):
@@ -30,12 +30,16 @@ class StateOverflowError(CheckError):
     pass
 
 
-@dataclass(frozen=True)
-class Bounds:
-    domain_caps: tuple = ()  # ((domain-name lowercased, cap), ...)
-    counter_max: int = 3
-    max_depth: int = 20
-    max_states: int = 10**6
+class Bounds(Record):
+    __slots__ = ("domain_caps", "counter_max", "max_depth", "max_states")
+
+    def __init__(self, domain_caps: tuple = (), counter_max: int = 3,
+                 max_depth: int = 20, max_states: int = 10**6):
+        # ((domain-name lowercased, cap), ...)
+        object.__setattr__(self, "domain_caps", domain_caps)
+        object.__setattr__(self, "counter_max", counter_max)
+        object.__setattr__(self, "max_depth", max_depth)
+        object.__setattr__(self, "max_states", max_states)
 
     def cap_for(self, domain: str) -> Optional[int]:
         for name, cap in self.domain_caps:
@@ -72,27 +76,37 @@ def counter_cap(sort: ir.Sort, bounds: Bounds) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    transition_id: str
-    binding: tuple  # ((param, atom name), ...)
-    post_state: tuple  # state vector
+class TraceStep(Record):
+    __slots__ = ("transition_id", "binding", "post_state")
+
+    def __init__(self, transition_id: str, binding: tuple, post_state: tuple):
+        object.__setattr__(self, "transition_id", transition_id)
+        # ((param, atom name), ...)
+        object.__setattr__(self, "binding", binding)
+        object.__setattr__(self, "post_state", post_state)  # state vector
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    model: str
-    property_id: str
-    depth: int
-    initial: tuple  # state vector
-    steps: tuple
+class Counterexample(Record):
+    __slots__ = ("model", "property_id", "depth", "initial", "steps")
+
+    def __init__(self, model: str, property_id: str, depth: int,
+                 initial: tuple, steps: tuple):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "property_id", property_id)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "initial", initial)  # state vector
+        object.__setattr__(self, "steps", steps)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    verdict: str  # PASS | FAIL | BOUND_EXHAUSTED
-    states_explored: int
-    counterexample: Optional[Counterexample] = None
+class CheckResult(Record):
+    __slots__ = ("verdict", "states_explored", "counterexample")
+
+    def __init__(self, verdict: str, states_explored: int,
+                 counterexample: Optional[Counterexample] = None):
+        # PASS | FAIL | BOUND_EXHAUSTED
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "states_explored", states_explored)
+        object.__setattr__(self, "counterexample", counterexample)
 
     @property
     def failed(self) -> bool:

@@ -13,7 +13,7 @@ import urllib.parse
 from pathlib import Path
 
 from . import __version__, builtins, checker, compose, irfmt, report, tla
-from .replay import generate_tests, run as replay_run
+from .record import replace
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -47,16 +47,16 @@ def _parse_bounds(spec: str, models) -> checker.Bounds:
             # depth=0 checks the initial state only
             if value < 0:
                 raise CliError("bounds value for 'depth' must be at least 0")
-            bounds = checker.replace(bounds, max_depth=value)
+            bounds = replace(bounds, max_depth=value)
         elif value < 1:
             # an empty domain or a zero counter cap disables the transitions
             # a violation needs, turning FAILs into vacuous PASSes; a state
             # budget below 1 cannot hold even the initial state
             raise CliError(f"bounds value for {key!r} must be at least 1")
         elif key == "states":
-            bounds = checker.replace(bounds, max_states=value)
+            bounds = replace(bounds, max_states=value)
         elif key == "counter_max":
-            bounds = checker.replace(bounds, counter_max=value)
+            bounds = replace(bounds, counter_max=value)
         else:
             caps[key] = value
     if caps:
@@ -207,6 +207,8 @@ def _parse_endpoint(url: str, model_name: str) -> tuple:
 
 
 def _cmd_replay(args) -> int:
+    # the harness pulls in http.client and ssl; only this command needs it
+    from .replay import generate_tests, run as replay_run
     text = Path(args.counterexample).read_text()
     try:
         model_name = json.loads(text).get("model")

@@ -16,12 +16,11 @@ from prose threat descriptions, not quoted from any protocol document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import expr as E
 from . import ir
 from . import irfmt
 from .builtins import builtin
+from .record import Record, replace
 
 
 class ComposeError(Exception):
@@ -88,21 +87,29 @@ def _prefix_model(model: ir.ProtocolModel, prefix: str):
 # ---------------------------------------------------------------------------
 # Bridge specification
 
-@dataclass(frozen=True)
-class Route:
+class Route(Record):
     """One routing rule: when the A-side action could fire, the bridge
     may inject the B-side action's effect."""
-    source: str  # transition id in model A
-    target: str  # transition id in model B
-    tainted_when: str = ""  # expr over composed symbols; "" = never
-    forwards_credential: bool = False
-    extra_updates: str = ""  # update text over composed symbols
+    __slots__ = ("source", "target", "tainted_when", "forwards_credential",
+                 "extra_updates")
+
+    def __init__(self, source: str, target: str, tainted_when: str = "",
+                 forwards_credential: bool = False, extra_updates: str = ""):
+        object.__setattr__(self, "source", source)  # transition id in model A
+        object.__setattr__(self, "target", target)  # transition id in model B
+        # expr over composed symbols; "" = never
+        object.__setattr__(self, "tainted_when", tainted_when)
+        object.__setattr__(self, "forwards_credential", forwards_credential)
+        # update text over composed symbols
+        object.__setattr__(self, "extra_updates", extra_updates)
 
 
-@dataclass(frozen=True)
-class BridgeSpec:
-    name: str
-    routes: tuple
+class BridgeSpec(Record):
+    __slots__ = ("name", "routes")
+
+    def __init__(self, name: str, routes: tuple):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "routes", routes)
 
 
 _BRIDGE_VARS = (

@@ -23,8 +23,9 @@ always emits `#`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Union
+
+from .record import Record, replace
 
 
 class ExprError(Exception):
@@ -49,10 +50,24 @@ class UnboundSymbolError(ExprError):
 # ---------------------------------------------------------------------------
 # Values
 
-@dataclass(frozen=True)
-class FMap:
-    """Immutable finite map with atom keys, hashable by construction."""
-    items: tuple  # tuple of (key: str, Value), sorted by key
+class FMap(Record):
+    """Immutable finite map with atom keys, hashable by construction. The
+    hash is taken once; maps with different hashes differ, so equality
+    compares hashes before items."""
+    __slots__ = ("items", "_hash")
+    _fields = ("items",)
+
+    def __init__(self, items: tuple):  # ((key: str, Value), ...) by key
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "_hash", hash((items,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not FMap:
+            return NotImplemented
+        return self._hash == other._hash and self.items == other.items
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def of(mapping) -> "FMap":
@@ -98,79 +113,105 @@ def value_kind(v) -> str:
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    domain: str
-    body: "Expr"
+class Forall(Record):
+    __slots__ = ("var", "domain", "body")
+
+    def __init__(self, var: str, domain: str, body: "Expr"):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    domain: str
-    body: "Expr"
+class Exists(Record):
+    __slots__ = ("var", "domain", "body")
+
+    def __init__(self, var: str, domain: str, body: "Expr"):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Implies:
-    lhs: "Expr"
-    rhs: "Expr"
+class Implies(Record):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: "Expr", rhs: "Expr"):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class And:
-    items: tuple
+class And(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        object.__setattr__(self, "items", items)
 
 
-@dataclass(frozen=True)
-class Or:
-    items: tuple
+class Or(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        object.__setattr__(self, "items", items)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Expr"
+class Not(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "Expr"):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # = # < <= > >= in notin subseteq
-    lhs: "Expr"
-    rhs: "Expr"
+class Cmp(Record):
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: "Expr", rhs: "Expr"):
+        object.__setattr__(self, "op", op)  # = # < <= > >= in notin subseteq
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class BinTerm:
-    op: str  # + union
-    lhs: "Expr"
-    rhs: "Expr"
+class BinTerm(Record):
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: "Expr", rhs: "Expr"):
+        object.__setattr__(self, "op", op)  # + union
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Index:
-    base: "Expr"
-    key: "Expr"
+class Index(Record):
+    __slots__ = ("base", "key")
+
+    def __init__(self, base: "Expr", key: "Expr"):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "key", key)
 
 
-@dataclass(frozen=True)
-class SetLit:
-    items: tuple
+class SetLit(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        object.__setattr__(self, "items", items)
 
 
-@dataclass(frozen=True)
-class Name:
-    name: str
+class Name(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class BoolLit(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        object.__setattr__(self, "value", value)
 
 
 Expr = Union[Forall, Exists, Implies, And, Or, Not, Cmp, BinTerm, Index,
@@ -190,12 +231,14 @@ _TOKEN_RE = re.compile(
     r"|(?P<PUNCT>=>|!=|<=|>=|:=|[=#<>:\[\]{}(),+])|(?P<BAD>[^ \t\r]))")
 
 
-@dataclass
 class _Tok:
-    kind: str  # IDENT INT PUNCT KEYWORD EOF
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # IDENT INT PUNCT KEYWORD EOF
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str, line_offset: int = 0, col_offset: int = 0) -> list:

@@ -9,10 +9,10 @@ carry the explicit marker for modeling assumptions instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import expr as E
+from .record import Record
 
 INVENTED_MARKER = "invented — modeling assumption"
 
@@ -31,40 +31,49 @@ class IrError(Exception):
 # ---------------------------------------------------------------------------
 # Sorts
 
-@dataclass(frozen=True)
-class BoolSort:
+class BoolSort(Record):
+    __slots__ = ()
+
     def __str__(self):
         return "BOOL"
 
 
-@dataclass(frozen=True)
-class CounterSort:
-    max: int
+class CounterSort(Record):
+    __slots__ = ("max",)
+
+    def __init__(self, max: int):
+        object.__setattr__(self, "max", max)
 
     def __str__(self):
         return f"COUNTER({self.max})"
 
 
-@dataclass(frozen=True)
-class EnumSort:
-    values: tuple
+class EnumSort(Record):
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple):
+        object.__setattr__(self, "values", values)
 
     def __str__(self):
         return "ENUM[" + ", ".join(self.values) + "]"
 
 
-@dataclass(frozen=True)
-class SetSort:
-    over: str  # domain name
+class SetSort(Record):
+    __slots__ = ("over",)
+
+    def __init__(self, over: str):
+        object.__setattr__(self, "over", over)  # domain name
 
     def __str__(self):
         return f"SET({self.over})"
 
 
-@dataclass(frozen=True)
-class MapSort:
-    key: str  # domain name
-    value: "Sort"
+class MapSort(Record):
+    __slots__ = ("key", "value")
+
+    def __init__(self, key: str, value: "Sort"):
+        object.__setattr__(self, "key", key)  # domain name
+        object.__setattr__(self, "value", value)
 
     def __str__(self):
         return f"MAP({self.key} -> {self.value})"
@@ -115,19 +124,26 @@ def value_in_sort(v, sort: Sort, constants) -> bool:
 # ---------------------------------------------------------------------------
 # Initial-value specs (kept structured for serialization round-trips)
 
-@dataclass(frozen=True)
-class InitExpr:
-    expr: E.Expr
+class InitExpr(Record):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: E.Expr):
+        object.__setattr__(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class InitAll:
-    expr: E.Expr  # same value for every key of a map
+class InitAll(Record):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: E.Expr):
+        # same value for every key of a map
+        object.__setattr__(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class InitMap:
-    entries: tuple  # ((key, E.Expr), ...)
+class InitMap(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        object.__setattr__(self, "entries", entries)  # ((key, E.Expr), ...)
 
 
 InitSpec = Union[InitExpr, InitAll, InitMap]
@@ -136,11 +152,13 @@ InitSpec = Union[InitExpr, InitAll, InitMap]
 # ---------------------------------------------------------------------------
 # Domain types
 
-@dataclass(frozen=True)
-class SourceRef:
-    document: str
-    section: str = ""
-    quote: str = ""
+class SourceRef(Record):
+    __slots__ = ("document", "section", "quote")
+
+    def __init__(self, document: str, section: str = "", quote: str = ""):
+        object.__setattr__(self, "document", document)
+        object.__setattr__(self, "section", section)
+        object.__setattr__(self, "quote", quote)
 
     @property
     def invented(self) -> bool:
@@ -150,23 +168,30 @@ class SourceRef:
 INVENTED_REF = SourceRef(INVENTED_MARKER)
 
 
-@dataclass(frozen=True)
-class NormativeClause:
-    id: str
-    protocol: str
-    modality: str
-    actor: str
-    behavior: str
-    source: SourceRef
-    ambiguous: bool = False
-    precedence: int = 1
+class NormativeClause(Record):
+    __slots__ = ("id", "protocol", "modality", "actor", "behavior", "source",
+                 "ambiguous", "precedence")
+
+    def __init__(self, id: str, protocol: str, modality: str, actor: str,
+                 behavior: str, source: SourceRef, ambiguous: bool = False,
+                 precedence: int = 1):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "protocol", protocol)
+        object.__setattr__(self, "modality", modality)
+        object.__setattr__(self, "actor", actor)
+        object.__setattr__(self, "behavior", behavior)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "ambiguous", ambiguous)
+        object.__setattr__(self, "precedence", precedence)
 
 
-@dataclass(frozen=True)
-class StateVarDecl:
-    name: str
-    sort: Sort
-    init: InitSpec
+class StateVarDecl(Record):
+    __slots__ = ("name", "sort", "init")
+
+    def __init__(self, name: str, sort: Sort, init: InitSpec):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "init", init)
 
     def initial_value(self, constants):
         return eval_init(self.init, self.sort, constants)
@@ -190,46 +215,68 @@ def eval_init(init: InitSpec, sort: Sort, constants):
     raise IrError(f"bad init spec {init!r}")
 
 
-@dataclass(frozen=True)
-class UpdateTarget:
-    var: str
-    keys: tuple = ()  # key expressions for map targets, outermost first
+class UpdateTarget(Record):
+    __slots__ = ("var", "keys")
+
+    def __init__(self, var: str, keys: tuple = ()):
+        object.__setattr__(self, "var", var)
+        # key expressions for map targets, outermost first
+        object.__setattr__(self, "keys", keys)
 
     def __str__(self):
         return self.var + "".join(f"[{E.print_expr(k)}]" for k in self.keys)
 
 
-@dataclass(frozen=True)
-class Transition:
-    id: str
-    kind: str  # Protocol | Environment | Adversary
-    actor: str
-    params: tuple  # ((name, domain), ...)
-    guard: E.Expr
-    updates: tuple  # ((UpdateTarget, E.Expr), ...); unlisted vars unchanged
-    modality: str = "NOT_SPECIFIED"
-    source_refs: tuple = ()
-    adv: Optional[str] = None  # ADV-1 / ADV-2 / ADV-3 for Adversary kind
+class Transition(Record):
+    __slots__ = ("id", "kind", "actor", "params", "guard", "updates",
+                 "modality", "source_refs", "adv")
+
+    def __init__(self, id: str, kind: str, actor: str, params: tuple,
+                 guard: E.Expr, updates: tuple,
+                 modality: str = "NOT_SPECIFIED", source_refs: tuple = (),
+                 adv: Optional[str] = None):
+        object.__setattr__(self, "id", id)
+        # Protocol | Environment | Adversary
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "actor", actor)
+        object.__setattr__(self, "params", params)  # ((name, domain), ...)
+        object.__setattr__(self, "guard", guard)
+        # ((UpdateTarget, E.Expr), ...); unlisted vars unchanged
+        object.__setattr__(self, "updates", updates)
+        object.__setattr__(self, "modality", modality)
+        object.__setattr__(self, "source_refs", source_refs)
+        # ADV-1 / ADV-2 / ADV-3 for Adversary kind
+        object.__setattr__(self, "adv", adv)
 
 
-@dataclass(frozen=True)
-class Property:
-    id: str
-    principle: str
-    cls: str  # property class
-    invariant: E.Expr
-    source_refs: tuple = ()
+class Property(Record):
+    __slots__ = ("id", "principle", "cls", "invariant", "source_refs")
+
+    def __init__(self, id: str, principle: str, cls: str, invariant: E.Expr,
+                 source_refs: tuple = ()):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "principle", principle)
+        object.__setattr__(self, "cls", cls)  # property class
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "source_refs", source_refs)
 
 
-@dataclass(frozen=True)
-class ProtocolModel:
-    name: str
-    snapshot: str
-    constants: tuple  # ((domain, (atom, ...)), ...), declaration order
-    state_vars: tuple
-    transitions: tuple
-    properties: tuple
-    aps: tuple = ()  # ((layer, status), ...) bundled metadata, may be empty
+class ProtocolModel(Record):
+    __slots__ = ("name", "snapshot", "constants", "state_vars", "transitions",
+                 "properties", "aps")
+
+    def __init__(self, name: str, snapshot: str, constants: tuple,
+                 state_vars: tuple, transitions: tuple, properties: tuple,
+                 aps: tuple = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "snapshot", snapshot)
+        # ((domain, (atom, ...)), ...), declaration order
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "state_vars", state_vars)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "properties", properties)
+        # ((layer, status), ...) bundled metadata, may be empty
+        object.__setattr__(self, "aps", aps)
 
     @property
     def constants_map(self) -> dict:
@@ -273,17 +320,22 @@ class ProtocolModel:
 # ---------------------------------------------------------------------------
 # Validation
 
-@dataclass(frozen=True)
-class Finding:
-    code: str  # undeclared-symbol | init-sort-mismatch | missing-provenance
-    #            | missing-adv-tag | bad-param-domain
-    subject: str  # transition/property/var id
-    detail: str
+class Finding(Record):
+    __slots__ = ("code", "subject", "detail")
+
+    def __init__(self, code: str, subject: str, detail: str):
+        # undeclared-symbol | init-sort-mismatch | missing-provenance
+        # | missing-adv-tag | bad-param-domain
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "subject", subject)  # transition/property/var
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple
+class ValidationReport(Record):
+    __slots__ = ("findings",)
+
+    def __init__(self, findings: tuple):
+        object.__setattr__(self, "findings", findings)
 
     @property
     def ok(self) -> bool:
@@ -368,12 +420,19 @@ def validate(model: ProtocolModel) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # Clause coverage
 
-@dataclass(frozen=True)
-class CoverageReport:
-    protocol: str
-    resolved: tuple  # ((transition id, bool), ...) Protocol-kind only
-    uncovered_must: tuple  # clause ids with no transition/property backing
-    ambiguity_contacts: tuple  # ((property id, (clause id, ...)), ...)
+class CoverageReport(Record):
+    __slots__ = ("protocol", "resolved", "uncovered_must",
+                 "ambiguity_contacts")
+
+    def __init__(self, protocol: str, resolved: tuple, uncovered_must: tuple,
+                 ambiguity_contacts: tuple):
+        object.__setattr__(self, "protocol", protocol)
+        # ((transition id, bool), ...) Protocol-kind only
+        object.__setattr__(self, "resolved", resolved)
+        # clause ids with no transition/property backing
+        object.__setattr__(self, "uncovered_must", uncovered_must)
+        # ((property id, (clause id, ...)), ...)
+        object.__setattr__(self, "ambiguity_contacts", ambiguity_contacts)
 
     @property
     def all_resolved(self) -> bool:

@@ -21,7 +21,6 @@ invariant expressions, is plain text with provenance attached.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import expr as E
 from . import ir
@@ -41,6 +40,7 @@ _KEY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_\-]*): *")
 _PAIR_SEP = f"  +(?={_KEY_RE.pattern})"
 _QUOTED_RE = re.compile(r'"([^"]*)"')
 _GROUP_RE = re.compile(r"(\{[^{}]*\})")
+_BRACE_RE = re.compile(r"[{}]")
 _BLOCK_RE = re.compile(r"\s*(constants|aps|transition|property|clause)"
                        r"(?:\s+([A-Za-z_][A-Za-z0-9_\-]*))?\s*\{(.*)")
 
@@ -108,12 +108,14 @@ def _scan_pairs(text: str, line: int, col: int = 1):
     return pairs
 
 
-@dataclass
 class _Block:
-    kind: str  # top | constants | transition | property | aps | clause
-    name: str
-    pairs: list  # (key, value, line, column of the value)
-    line: int
+    __slots__ = ("kind", "name", "pairs", "line")
+
+    def __init__(self, kind: str, name: str, pairs: list, line: int):
+        self.kind = kind  # var constants transition property aps clause
+        self.name = name
+        self.pairs = pairs  # (key, value, line, column of the value)
+        self.line = line
 
 
 def _read_blocks(text: str):
@@ -138,17 +140,30 @@ def _read_blocks(text: str):
             else:
                 top.extend(_scan_pairs(raw, lineno))
                 continue
-        depth += raw.count("{") - raw.count("}")
-        if depth < 0:
+        if "}" not in raw:
+            depth += raw.count("{")
+        else:
+            for brace in _BRACE_RE.finditer(raw):
+                depth += 1 if brace[0] == "{" else -1
+                if depth == 0:
+                    break
+        if depth:
+            body.append((raw, lineno, col))
+            continue
+        # the block closes at this brace; nothing may follow it
+        rest = raw[brace.end():]
+        if rest.count("}") > rest.count("{"):
             raise ParseError(f"unmatched '}}' in block {block.kind!r}", lineno)
-        body.append((raw[:raw.rfind("}")] if depth == 0 else raw, lineno,
-                     col))
-        if depth == 0:
-            for part, ln, at in body:
-                stripped = part.strip()
-                if stripped and not stripped.startswith("#"):
-                    block.pairs.extend(_scan_pairs(part, ln, at))
-            blocks.append(block)
+        if rest.strip():
+            raise ParseError(f"text after the '}}' that closes block "
+                             f"{block.kind!r}", lineno,
+                             col + len(raw) - len(rest.lstrip()))
+        body.append((raw[:brace.start()], lineno, col))
+        for part, ln, at in body:
+            stripped = part.strip()
+            if stripped and not stripped.startswith("#"):
+                block.pairs.extend(_scan_pairs(part, ln, at))
+        blocks.append(block)
     if depth:
         raise ParseError(f"unterminated block {block.kind!r}", block.line)
     return top, blocks
@@ -389,7 +404,9 @@ def load_model(path) -> ir.ProtocolModel:
 # Clause files
 
 def parse_clauses(text: str):
-    _, blocks = _read_blocks(text)
+    top, blocks = _read_blocks(text)
+    for k, _, line, _ in top:
+        raise ParseError(f"unknown top-level key {k!r}", line)
     clauses = []
     seen = set()
     for block in blocks:

@@ -11,7 +11,6 @@ cited clauses do not uniquely determine the behavior.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import catalog
 from . import checker
@@ -19,6 +18,7 @@ from . import compose
 from . import ir
 from .builtins import APS_LAYERS, APS_PROTOCOLS, BUILTIN_NAMES, aps_table
 from .builtins import builtin, builtin_clauses
+from .record import Record
 
 TRIAGE_VERDICTS = ("spec-fail", "impl-fail", "both-fail", "model-fail",
                    "ambiguity-fail", "pass")
@@ -43,10 +43,13 @@ class IncompleteMatrixError(ReportError):
         self.missing = tuple(sorted(missing))
 
 
-@dataclass(frozen=True)
-class Annotations:
-    manual_model_fail: bool = False
-    ambiguous_clauses: tuple = ()
+class Annotations(Record):
+    __slots__ = ("manual_model_fail", "ambiguous_clauses")
+
+    def __init__(self, manual_model_fail: bool = False,
+                 ambiguous_clauses: tuple = ()):
+        object.__setattr__(self, "manual_model_fail", manual_model_fail)
+        object.__setattr__(self, "ambiguous_clauses", ambiguous_clauses)
 
 
 def triage(model_result: checker.CheckResult, replay_outcome: str,
@@ -79,24 +82,36 @@ def triage(model_result: checker.CheckResult, replay_outcome: str,
     return "pass"
 
 
-@dataclass(frozen=True)
-class MatrixCell:
-    protocol: str
-    principle: str
-    model_verdict: str
-    replay_verdict: str
-    taxonomy_class: str
-    triage: str
-    depth: int | None
-    aps_layer: str
-    counterexample: checker.Counterexample | None = None
+class MatrixCell(Record):
+    __slots__ = ("protocol", "principle", "model_verdict", "replay_verdict",
+                 "taxonomy_class", "triage", "depth", "aps_layer",
+                 "counterexample")
+
+    def __init__(self, protocol: str, principle: str, model_verdict: str,
+                 replay_verdict: str, taxonomy_class: str, triage: str,
+                 depth: int | None, aps_layer: str,
+                 counterexample: checker.Counterexample | None = None):
+        object.__setattr__(self, "protocol", protocol)
+        object.__setattr__(self, "principle", principle)
+        object.__setattr__(self, "model_verdict", model_verdict)
+        object.__setattr__(self, "replay_verdict", replay_verdict)
+        object.__setattr__(self, "taxonomy_class", taxonomy_class)
+        object.__setattr__(self, "triage", triage)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "aps_layer", aps_layer)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
-@dataclass(frozen=True)
-class ConformanceMatrix:
-    cells: tuple  # 55 MatrixCell, row-major (protocol, principle)
-    totals: tuple  # ((triage verdict, count), ...)
-    snapshots: tuple  # ((protocol, snapshot date), ...)
+class ConformanceMatrix(Record):
+    __slots__ = ("cells", "totals", "snapshots")
+
+    def __init__(self, cells: tuple, totals: tuple, snapshots: tuple):
+        # 55 MatrixCell, row-major (protocol, principle)
+        object.__setattr__(self, "cells", cells)
+        # ((triage verdict, count), ...)
+        object.__setattr__(self, "totals", totals)
+        # ((protocol, snapshot date), ...)
+        object.__setattr__(self, "snapshots", snapshots)
 
     def cell(self, protocol: str, principle: str) -> MatrixCell:
         for c in self.cells:
@@ -109,14 +124,20 @@ class ConformanceMatrix:
         return sum(n for v, n in self.totals if v in SPEC_LEVEL)
 
 
-@dataclass(frozen=True)
-class CellInput:
-    protocol: str
-    principle: str
-    model_result: checker.CheckResult
-    prop: ir.Property
-    replay_outcome: str = "NOT_RUN"
-    annotations: Annotations = Annotations()
+class CellInput(Record):
+    __slots__ = ("protocol", "principle", "model_result", "prop",
+                 "replay_outcome", "annotations")
+
+    def __init__(self, protocol: str, principle: str,
+                 model_result: checker.CheckResult, prop: ir.Property,
+                 replay_outcome: str = "NOT_RUN",
+                 annotations: Annotations = Annotations()):
+        object.__setattr__(self, "protocol", protocol)
+        object.__setattr__(self, "principle", principle)
+        object.__setattr__(self, "model_result", model_result)
+        object.__setattr__(self, "prop", prop)
+        object.__setattr__(self, "replay_outcome", replay_outcome)
+        object.__setattr__(self, "annotations", annotations)
 
 
 def build_matrix(inputs, snapshots) -> ConformanceMatrix:

@@ -19,11 +19,11 @@ invoked here; interop is exercised against stored logs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import checker
 from . import expr as E
 from . import ir
+from .record import Record
 
 
 class TlaError(Exception):
@@ -115,10 +115,13 @@ def emit_expr(e, enums) -> str:
 # ---------------------------------------------------------------------------
 # Module emission
 
-@dataclass(frozen=True)
-class TlaArtifact:
-    module_text: str
-    config_texts: tuple  # ((property id, config text), ...)
+class TlaArtifact(Record):
+    __slots__ = ("module_text", "config_texts")
+
+    def __init__(self, module_text: str, config_texts: tuple):
+        object.__setattr__(self, "module_text", module_text)
+        # ((property id, config text), ...)
+        object.__setattr__(self, "config_texts", config_texts)
 
 
 def _module_name(model: ir.ProtocolModel) -> str:
@@ -251,13 +254,18 @@ def emit_artifact(model: ir.ProtocolModel,
 # ---------------------------------------------------------------------------
 # TLC log parsing
 
-@dataclass(frozen=True)
-class TlcLogParse:
-    violated: str | None
-    depth: int
-    trace: tuple  # ((action label, {var: value}), ...); label "" for initial
-    states_generated: int
-    distinct_states: int
+class TlcLogParse(Record):
+    __slots__ = ("violated", "depth", "trace", "states_generated",
+                 "distinct_states")
+
+    def __init__(self, violated: str | None, depth: int, trace: tuple,
+                 states_generated: int, distinct_states: int):
+        object.__setattr__(self, "violated", violated)
+        object.__setattr__(self, "depth", depth)
+        # ((action label, {var: value}), ...); label "" for initial
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "states_generated", states_generated)
+        object.__setattr__(self, "distinct_states", distinct_states)
 
 
 _ERROR_RE = re.compile(r"^Error: Invariant (\w+) is violated\.")

@@ -4,7 +4,6 @@ Each test prints one PASS/FAIL line on the terminal (bypassing capture)
 so a full run shows the per-criterion outcome at a glance.
 """
 
-import dataclasses
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -13,6 +12,7 @@ import pytest
 
 from agentconform import checker, compose, ir, report, tla
 from agentconform.builtins import builtin, builtin_clauses, aps_table
+from agentconform.record import replace
 from agentconform.replay import generate_tests, run as replay_run
 
 from _oracle import oracle_check
@@ -62,7 +62,7 @@ def test_acceptance_2_p3_adversary_attribution(capsys):
         assert adv_steps
         assert all(model.transition(s.transition_id).adv == "ADV-3"
                    for s in adv_steps)
-        honest = dataclasses.replace(
+        honest = replace(
             model, transitions=tuple(t for t in model.transitions
                                      if t.kind != "Adversary"))
         assert checker.check(honest, prop).verdict == "PASS"

@@ -1,6 +1,5 @@
 """Bounded model checker: verdicts, minimality, determinism, trace tools."""
 
-import dataclasses
 import json
 import random
 import re
@@ -11,6 +10,7 @@ import pytest
 from agentconform import checker, expr as E, ir, report, tla
 from agentconform import compiled as C
 from agentconform.builtins import builtin
+from agentconform.record import replace
 
 from _oracle import oracle_check
 
@@ -40,13 +40,13 @@ def test_pass_requires_exhaustion():
     prop = model.property_by_id("P8_CredRevocation")
     res = checker.check(model, prop)
     assert res.verdict == "PASS"
-    shallow = dataclasses.replace(checker.DEFAULT_BOUNDS, max_depth=1)
+    shallow = replace(checker.DEFAULT_BOUNDS, max_depth=1)
     assert checker.check(model, prop, shallow).verdict == "BOUND_EXHAUSTED"
 
 
 def test_state_budget_reported():
     model = builtin("a2a")
-    tiny = dataclasses.replace(checker.DEFAULT_BOUNDS, max_states=5)
+    tiny = replace(checker.DEFAULT_BOUNDS, max_states=5)
     res = checker.check(model,
                         model.property_by_id("P2_CapabilityAttestation"),
                         tiny)
@@ -80,9 +80,9 @@ def test_unbound_invariant_is_error_verdict():
 def _with_first_transition(model, **changes):
     """The model with its first transition (by id) changed."""
     first = min(model.transitions, key=lambda t: t.id)
-    changed = dataclasses.replace(
+    changed = replace(
         first, **{k: f(first) for k, f in changes.items()})
-    return dataclasses.replace(model, transitions=tuple(
+    return replace(model, transitions=tuple(
         changed if t is first else t for t in model.transitions))
 
 
@@ -114,7 +114,7 @@ def test_domain_caps_truncate():
 
 @pytest.mark.parametrize("limit", [{"max_states": 5}, {"max_depth": 1}])
 def test_enumerate_overflow_raises(limit):
-    bounds = dataclasses.replace(checker.DEFAULT_BOUNDS, **limit)
+    bounds = replace(checker.DEFAULT_BOUNDS, **limit)
     with pytest.raises(checker.StateOverflowError):
         checker.enumerate_states(builtin("a2a"), bounds)
 
@@ -186,7 +186,7 @@ def test_validate_trace_rejects_tampering():
     model = builtin("mcp")
     res = checker.check(model, model.property_by_id("P8_CredRevocation"))
     cx = res.counterexample
-    broken = dataclasses.replace(cx, steps=cx.steps[:1])
+    broken = replace(cx, steps=cx.steps[:1])
     assert not checker.validate_trace(model, broken)
 
 
@@ -200,16 +200,16 @@ def test_validate_trace_rejects_states_and_bindings_of_no_model_run():
     i = names.index("session_state")
     initial[i] = E.FMap.of({"s1": "NONE"})
     assert not checker.validate_trace(
-        model, dataclasses.replace(cx, initial=tuple(initial)))
+        model, replace(cx, initial=tuple(initial)))
     # a value of another kind than the variable's: not the initial state
     initial = list(cx.initial)
     initial[names.index("msg_count")] = True
     assert not checker.validate_trace(
-        model, dataclasses.replace(cx, initial=tuple(initial)))
+        model, replace(cx, initial=tuple(initial)))
     # a binding that does not bind the transition's parameter
-    first = dataclasses.replace(cx.steps[0], binding=(("t", "s1"),))
+    first = replace(cx.steps[0], binding=(("t", "s1"),))
     assert not checker.validate_trace(
-        model, dataclasses.replace(cx, steps=(first,) + cx.steps[1:]))
+        model, replace(cx, steps=(first,) + cx.steps[1:]))
 
 
 def test_validate_trace_rejects_a_trace_not_starting_in_init():
@@ -218,7 +218,7 @@ def test_validate_trace_rejects_a_trace_not_starting_in_init():
     model = builtin("mcp")
     cx = checker.check(
         model, model.property_by_id("P8_CredRevocation")).counterexample
-    shifted = dataclasses.replace(cx, initial=cx.steps[0].post_state,
+    shifted = replace(cx, initial=cx.steps[0].post_state,
                                   steps=cx.steps[1:], depth=cx.depth - 1)
     assert shifted.depth == 1
     assert checker.validate_trace(model, shifted) is False
@@ -254,7 +254,7 @@ def test_validate_trace_accepts_a_self_loop_step():
     res = checker.check(model, model.properties[0])
     assert [s.transition_id for s in res.counterexample.steps] == ["Break"]
     keep = checker.TraceStep("Keep", (), res.counterexample.initial)
-    looped = dataclasses.replace(res.counterexample, depth=2,
+    looped = replace(res.counterexample, depth=2,
                                  steps=(keep,) + res.counterexample.steps)
     assert checker.validate_trace(model, looped)
 
@@ -273,7 +273,7 @@ def test_validate_trace_compiles_nothing(monkeypatch):
         if parse.violated:
             cx = tla.to_counterexample(parse, model)
             assert checker.validate_trace(model, cx), path.name
-            broken = dataclasses.replace(cx, steps=cx.steps[:-1],
+            broken = replace(cx, steps=cx.steps[:-1],
                                          depth=cx.depth - 1)
             assert not checker.validate_trace(model, broken), path.name
             validated += 1
@@ -407,7 +407,7 @@ def random_model(rng: random.Random, index: int) -> ir.ProtocolModel:
 
 # depth bound exceeds any random model's state count, so both the engine
 # and the oracle always exhaust and PASS verdicts are comparable
-RANDOM_BOUNDS = dataclasses.replace(
+RANDOM_BOUNDS = replace(
     checker.DEFAULT_BOUNDS, max_depth=500, max_states=200000)
 
 

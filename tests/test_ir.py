@@ -1,11 +1,10 @@
 """IR validation and clause coverage."""
 
-import dataclasses
-
 import pytest
 
 from agentconform import ir
 from agentconform.builtins import BUILTIN_NAMES, builtin, builtin_clauses
+from agentconform.record import replace
 
 
 def test_bundled_models_validate_clean():
@@ -16,9 +15,9 @@ def test_bundled_models_validate_clean():
 def test_undeclared_symbol_flagged():
     from agentconform import expr as E
     model = builtin("mcp")
-    bad_prop = dataclasses.replace(
+    bad_prop = replace(
         model.properties[0], invariant=E.parse("no_such_var = true"))
-    bad = dataclasses.replace(
+    bad = replace(
         model, properties=model.properties[:-1] + (bad_prop,))
     report = ir.validate(bad)
     assert report.by_code("undeclared-symbol")
@@ -28,8 +27,8 @@ def test_adversary_needs_adv_tag():
     model = builtin("mcp")
     t = model.transition("InjectOutput")
     assert t.kind == "Adversary"
-    stripped = dataclasses.replace(t, adv=None)
-    bad = dataclasses.replace(
+    stripped = replace(t, adv=None)
+    bad = replace(
         model, transitions=tuple(
             stripped if x.id == t.id else x for x in model.transitions))
     assert ir.validate(bad).by_code("missing-adv-tag")
@@ -38,8 +37,8 @@ def test_adversary_needs_adv_tag():
 def test_protocol_transitions_need_real_provenance():
     model = builtin("mcp")
     t = model.transition("OpenSession")
-    blank = dataclasses.replace(t, source_refs=())
-    bad = dataclasses.replace(
+    blank = replace(t, source_refs=())
+    bad = replace(
         model, transitions=tuple(
             blank if x.id == t.id else x for x in model.transitions))
     assert ir.validate(bad).by_code("missing-provenance")
@@ -49,8 +48,8 @@ def test_init_sort_mismatch():
     model = builtin("mcp")
     v = model.state_vars[0]
     from agentconform import expr as E
-    bad_var = dataclasses.replace(v, init=ir.InitExpr(E.parse("42")))
-    bad = dataclasses.replace(
+    bad_var = replace(v, init=ir.InitExpr(E.parse("42")))
+    bad = replace(
         model, state_vars=(bad_var,) + model.state_vars[1:])
     assert ir.validate(bad).by_code("init-sort-mismatch")
 

@@ -121,6 +121,37 @@ def test_misspelled_top_level_keys_are_rejected():
         assert f"unknown top-level key {key!r}" in str(exc.value)
 
 
+@pytest.mark.parametrize("line, col", [
+    ("constants { D: [a] } E: [b]", 22),
+    ("constants { D: [a] }  transition T {", 23),
+    ("constants { D: [a] } {", 22),
+], ids=["pair", "block", "brace"])
+def test_text_after_a_closing_brace_is_rejected(line, col):
+    """A block ends at the brace that closes it; anything after that brace
+    on its line is a ParseError naming the line and the column where the
+    text starts, not silently dropped or read as part of the block."""
+    text = f"protocol: p\nsnapshot: s\n{line}\n}}\n"
+    with pytest.raises(irfmt.ParseError) as exc:
+        irfmt.parse_model(text)
+    assert (exc.value.line, exc.value.col) == (3, col), str(exc.value)
+    assert "text after the '}' that closes block 'constants'" \
+        in str(exc.value)
+
+
+def test_clause_file_rejects_top_level_keys():
+    """A clause file holds clause blocks only: a pair outside them is a
+    ParseError naming its key and line."""
+    clause = ("clause {\n  id: c1  protocol: p  modality: MAY\n"
+              "  source: { doc: d  quote: \"q\" }\n}\n")
+    for text, key, row in (("foo: bar\n" + clause, "foo", 1),
+                           (clause + "\n# end\nid: c2\n", "id", 7)):
+        with pytest.raises(irfmt.ParseError) as exc:
+            irfmt.parse_clauses(text)
+        assert exc.value.line == row
+        assert f"unknown top-level key {key!r}" in str(exc.value)
+    assert [c.id for c in irfmt.parse_clauses(clause)] == ["c1"]
+
+
 def test_stray_closing_brace_is_rejected_on_its_line():
     text = ("protocol: p\nsnapshot: s\nconstants { D: [t1, t2} E: [x] }\n"
             "var v : BOOL init true\ntransition T {\n  kind: Protocol\n}\n")
