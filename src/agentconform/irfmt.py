@@ -12,7 +12,10 @@ the block reader. The separator is `,` between parameters and map-literal
 entries, `;` between updates, and two or more spaces before `key:` between
 pairs. A value in double quotes is the text between them; a `source` value
 is one `{ ... }` group of the same pairs, or the invented-assumption
-marker. Either ends its pair where it closes.
+marker. Either ends its pair where it closes. A key that a transition,
+property, clause or source group does not have is an error, and so is a
+second pair with the same key in any block or group, except `update` and
+`source` in a transition and `source` in a property.
 
 Models stay reviewable data assets: everything, including guard and
 invariant expressions, is plain text with provenance attached.
@@ -169,6 +172,19 @@ def _read_blocks(text: str):
     return top, blocks
 
 
+def _check_keys(pairs, what: str, keys=None, repeatable=()):
+    """Reject a key outside `keys` (None: any key is allowed) and a second
+    pair with a key not in `repeatable`, naming the key and the line and
+    column of its value."""
+    seen = set()
+    for key, _, line, col in pairs:
+        if keys is not None and key not in keys:
+            raise ParseError(f"unknown {what} key {key!r}", line, col)
+        if key in seen and key not in repeatable:
+            raise ParseError(f"duplicate {what} key {key!r}", line, col)
+        seen.add(key)
+
+
 # ---------------------------------------------------------------------------
 # Sorts and init specs
 
@@ -222,13 +238,23 @@ def parse_init(text: str, line: int = 0, col: int = 1) -> ir.InitSpec:
 # ---------------------------------------------------------------------------
 # Element parsers
 
-def _parse_source_value(value: str, line: int) -> ir.SourceRef:
-    value = value.strip()
+_SOURCE_KEYS = ("doc", "section", "quote")
+_TRANSITION_KEYS = ("kind", "actor", "params", "guard", "update", "modality",
+                    "adv", "source")
+_PROPERTY_KEYS = ("principle", "class", "invariant", "source")
+_CLAUSE_KEYS = ("id", "protocol", "modality", "actor", "behavior",
+                "ambiguous", "precedence", "source")
+
+
+def _parse_source_value(value: str, line: int, col: int = 1) -> ir.SourceRef:
+    """A `source` value (stripped) that starts at this line and column."""
     if value == ir.INVENTED_MARKER:
         return ir.INVENTED_REF
     if not _GROUP_RE.fullmatch(value):
-        raise ParseError(f"bad source reference {value!r}", line)
-    fields = {k: v for k, v, *_ in _scan_pairs(value[1:-1].strip(), line)}
+        raise ParseError(f"bad source reference {value!r}", line, col)
+    pairs = _scan_pairs(value[1:-1], line, col + 1)
+    _check_keys(pairs, "source", _SOURCE_KEYS)
+    fields = {k: v for k, v, *_ in pairs}
     return ir.SourceRef(fields.get("doc", ""), fields.get("section", ""),
                         fields.get("quote", ""))
 
@@ -272,6 +298,8 @@ def _parse_transition(block: _Block) -> ir.Transition:
     guard = E.BoolLit(True)
     updates = []
     refs = []
+    _check_keys(block.pairs, "transition", _TRANSITION_KEYS,
+                ("update", "source"))
     for key, value, line, col in block.pairs:
         if key == "kind":
             kind = value
@@ -287,10 +315,8 @@ def _parse_transition(block: _Block) -> ir.Transition:
             modality = value
         elif key == "adv":
             adv = value
-        elif key == "source":
-            refs.append(_parse_source_value(value, line))
-        else:
-            raise ParseError(f"unknown transition key {key!r}", line)
+        else:  # source
+            refs.append(_parse_source_value(value, line, col))
     if kind not in ir.KINDS:
         raise ParseError(f"transition {block.name!r}: bad kind {kind!r}",
                          block.line)
@@ -305,6 +331,7 @@ def _parse_property(block: _Block) -> ir.Property:
     principle = cls = ""
     invariant = None
     refs = []
+    _check_keys(block.pairs, "property", _PROPERTY_KEYS, ("source",))
     for key, value, line, col in block.pairs:
         if key == "principle":
             principle = value
@@ -312,10 +339,8 @@ def _parse_property(block: _Block) -> ir.Property:
             cls = value
         elif key == "invariant":
             invariant = _expr(value, line, col)
-        elif key == "source":
-            refs.append(_parse_source_value(value, line))
-        else:
-            raise ParseError(f"unknown property key {key!r}", line)
+        else:  # source
+            refs.append(_parse_source_value(value, line, col))
     if principle not in ir.PRINCIPLES:
         raise ParseError(f"property {block.name!r}: bad principle "
                          f"{principle!r}", block.line)
@@ -330,6 +355,7 @@ def _parse_property(block: _Block) -> ir.Property:
 
 def _parse_constants(block: _Block):
     constants = []
+    _check_keys(block.pairs, "constants")
     for key, value, line, _ in block.pairs:
         value = value.strip()
         if not (value.startswith("[") and value.endswith("]")):
@@ -341,13 +367,8 @@ def _parse_constants(block: _Block):
 
 def parse_model(text: str, *, origin: str = "<string>") -> ir.ProtocolModel:
     top, blocks = _read_blocks(text)
-    fields = {}
-    for k, v, line, _ in top:
-        if k not in ("protocol", "snapshot"):
-            raise ParseError(f"unknown top-level key {k!r}", line)
-        if k in fields:
-            raise ParseError(f"duplicate top-level key {k!r}", line)
-        fields[k] = v
+    _check_keys(top, "top-level", ("protocol", "snapshot"))
+    fields = {k: v for k, v, *_ in top}
     for k in ("protocol", "snapshot"):
         if k not in fields:
             raise ParseError(f"{origin}: missing '{k}:' header", 1)
@@ -362,6 +383,7 @@ def parse_model(text: str, *, origin: str = "<string>") -> ir.ProtocolModel:
         if block.kind == "constants":
             constants = _parse_constants(block)
         elif block.kind == "aps":
+            _check_keys(block.pairs, "aps")
             aps = tuple((k, v) for k, v, *_ in block.pairs)
         elif block.kind == "var":
             _, decl, line, col = block.pairs[0]
@@ -405,19 +427,19 @@ def load_model(path) -> ir.ProtocolModel:
 
 def parse_clauses(text: str):
     top, blocks = _read_blocks(text)
-    for k, _, line, _ in top:
-        raise ParseError(f"unknown top-level key {k!r}", line)
+    _check_keys(top, "top-level", ())
     clauses = []
     seen = set()
     for block in blocks:
         if block.kind != "clause":
             raise ParseError(f"unexpected block {block.kind!r} in clause file",
                              block.line)
+        _check_keys(block.pairs, "clause", _CLAUSE_KEYS)
         fields = {}
         source = ir.SourceRef("")
-        for k, v, line, _ in block.pairs:
+        for k, v, line, col in block.pairs:
             if k == "source":
-                source = _parse_source_value(v, line)
+                source = _parse_source_value(v, line, col)
             else:
                 fields[k] = v
         cid = fields.get("id", "")

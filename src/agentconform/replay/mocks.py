@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -146,6 +147,9 @@ class _A2aState:
 
 class _A2aHandler(BaseHTTPRequestHandler):
     state: _A2aState = None
+    # seconds a connection may stay silent before the server drops it, so
+    # a client that never sends cannot hold the server thread (or close())
+    timeout = 5.0
 
     def log_message(self, fmt, *args):  # keep test output clean
         pass
@@ -224,7 +228,11 @@ class _A2aHandler(BaseHTTPRequestHandler):
 
 
 class A2aMock:
-    """Delegation endpoint served over real loopback HTTP."""
+    """Delegation endpoint served over real loopback HTTP.
+
+    The server thread blocks in accept and serves one connection at a
+    time, one request per connection; close() wakes it with a connection
+    of its own and joins it."""
 
     def __init__(self, profile: str):
         _check_profile(profile)
@@ -232,21 +240,26 @@ class A2aMock:
         self.state = _A2aState(profile)
         handler = type("Handler", (_A2aHandler,), {"state": self.state})
         self._server = HTTPServer(("127.0.0.1", 0), handler)
-        # shutdown() waits for serve_forever to notice it, which takes up
-        # to one poll interval (0.5 s by default)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.01},
-            daemon=True)
+        self._closing = False
+        self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
+
+    def _serve(self):
+        while not self._closing:
+            self._server.handle_request()  # no timeout: waits for a client
 
     @property
     def address(self):
         return self._server.server_address
 
     def close(self):
-        self._server.shutdown()
+        if self._closing:
+            return
+        self._closing = True
+        # the wake-up connection sends nothing; its handler reads EOF
+        socket.create_connection(self.address).close()
+        self._thread.join()
         self._server.server_close()
-        self._thread.join(timeout=5)
 
     def __enter__(self):
         return self

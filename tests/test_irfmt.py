@@ -206,3 +206,107 @@ def test_mutated_bundled_files_fail_only_with_positioned_errors():
             parse(text)
         except (irfmt.ParseError, E.ExprSyntaxError) as exc:
             assert exc.line >= 1
+
+
+def _parse_error(parse, text: str) -> irfmt.ParseError:
+    with pytest.raises(irfmt.ParseError) as exc:
+        parse(text)
+    return exc.value
+
+
+def test_source_group_rejects_unknown_keys():
+    """A misspelled key inside `source: { }` is a ParseError naming it at
+    the line and column of its value, in a model and in a clause file."""
+    good = 'source: { doc: RFC  section: "1"  quote: "q" }'
+    bad = good.replace("doc:", "dco:")
+    model = ("protocol: p\nsnapshot: s\nvar v : BOOL init true\n"
+             "transition T {\n  kind: Protocol  actor: a\n"
+             f"  guard: v\n  {good}\n}}\n")
+    assert irfmt.parse_model(model).transitions[0].source_refs == (
+        ir.SourceRef("RFC", "1", "q"),)
+    clause = ("clause {\n  id: c1  protocol: p  modality: MAY\n"
+              f"  {good}\n}}\n")
+    for parse, text, row in ((irfmt.parse_model, model, 7),
+                             (irfmt.parse_clauses, clause, 3)):
+        err = _parse_error(parse, text.replace(good, bad))
+        assert "unknown source key 'dco'" in str(err)
+        assert (err.line, err.col) == (row, 3 + bad.index("RFC"))
+
+
+@pytest.mark.parametrize("pair", ["modalty: MUST", "colour: red"])
+def test_clause_rejects_unknown_keys(pair):
+    """A key a clause does not have is a ParseError naming the key and its
+    line, not a pair that is silently dropped."""
+    text = ("# store\nclause {\n  id: c1  protocol: p  actor: a\n"
+            f"  {pair}\n  source: {{ doc: d  quote: \"q\" }}\n}}\n")
+    err = _parse_error(irfmt.parse_clauses, text)
+    key = pair.split(":")[0]
+    assert f"unknown clause key {key!r}" in str(err)
+    assert err.line == 4
+
+
+def test_repeated_single_valued_keys_are_rejected():
+    """A second pair with a single-valued key is a ParseError naming the
+    key and the line of the second pair; it does not replace the first."""
+    model = (resources.files("agentconform.data") / "models" /
+             "acp-client.ir").read_text(encoding="utf-8")
+    start = model.index("transition NewSession {")
+    head, block = model[:start], model[start:]
+    # (old, new, text on the line of the second pair, block kind, key)
+    edits = (
+        ("  guard: session_state[s] = NONE\n",
+         "  guard: session_state[s] = NONE\n  guard: false\n",
+         "guard: false", "transition", "guard"),
+        ("kind: Protocol  actor: editor",
+         "kind: Protocol  kind: Adversary  actor: editor",
+         "kind: Adversary", "transition", "kind"),
+        ('section: "Session setup"  quote:',
+         'section: "Session setup"  doc: x  quote:',
+         "doc: x", "source", "doc"),
+        ("  principle: P8  class: spec-mandated\n",
+         "  principle: P8  class: spec-mandated  class: x\n",
+         "class: x", "property", "class"),
+    )
+    for old, new, marker, what, key in edits:
+        if what == "property":
+            assert model.count(old) == 1
+            bad = model.replace(old, new)
+        else:
+            bad = head + block.replace(old, new, 1)
+        row = next(i for i, line in enumerate(bad.splitlines(), 1)
+                   if marker in line)
+        err = _parse_error(irfmt.parse_model, bad)
+        assert f"duplicate {what} key {key!r}" in str(err)
+        assert err.line == row, str(err)
+    constants = next(line for line in model.splitlines()
+                     if line.startswith("constants {"))
+    err = _parse_error(irfmt.parse_model, model.replace(
+        constants, constants[:-1] + " Sessions: [x] }"))
+    assert "duplicate constants key 'Sessions'" in str(err)
+
+    clause = ("clause {\n  id: C1  protocol: p  modality: MAY\n"
+              "  source: { doc: d  quote: \"q\" }\n}\n")
+    for old, new, key, row in (
+            ("id: C1", "id: C1  id: C2", "id", 2),
+            ("}\n}", "}\n  source: { doc: e  quote: \"r\" }\n}", "source",
+             4)):
+        err = _parse_error(irfmt.parse_clauses, clause.replace(old, new))
+        assert f"duplicate clause key {key!r}" in str(err)
+        assert err.line == row
+
+
+def test_update_and_source_may_repeat():
+    """`update` and `source` pairs of a transition add up, and `source`
+    pairs of a property too."""
+    text = ("protocol: p\nsnapshot: s\nvar u : BOOL init true\n"
+            "var w : BOOL init true\n"
+            "transition T {\n  kind: Protocol  actor: a\n"
+            "  update: u := false\n  update: w := false\n"
+            "  source: { doc: d1 }\n  source: { doc: d2 }\n}\n"
+            "property P {\n  principle: P1  class: spec-mandated\n"
+            "  invariant: u\n  source: { doc: d3 }\n  source: { doc: d4 }\n}\n")
+    model = irfmt.parse_model(text)
+    t, p = model.transitions[0], model.properties[0]
+    assert [target.var for target, _ in t.updates] == ["u", "w"]
+    assert [r.document for r in t.source_refs] == ["d1", "d2"]
+    assert [r.document for r in p.source_refs] == ["d3", "d4"]

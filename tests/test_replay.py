@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import socket
+import threading
 import time
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from agentconform import checker
 from agentconform.builtins import builtin
 from agentconform.replay import (ReplayError, adapter_table, generate_tests,
                                  run)
-from agentconform.replay.mocks import A2aMock
+from agentconform.replay.mocks import A2aMock, _A2aHandler
 
 
 def _all_counterexamples():
@@ -129,3 +131,25 @@ def test_a2a_mock_closes_promptly():
             mocks.append(mock)
     assert time.perf_counter() - t0 < 1.0
     assert not any(m._thread.is_alive() for m in mocks)
+
+
+def test_a2a_mock_close_is_not_held_by_a_silent_client(monkeypatch):
+    """A client that connects and sends nothing is dropped after the
+    handler's read timeout, so close() returns and leaves no thread."""
+    assert 0 < _A2aHandler.timeout <= 10  # bounded by default
+    monkeypatch.setattr(_A2aHandler, "timeout", 0.2)
+    threads = threading.active_count()
+    mock = A2aMock("vulnerable")
+    silent = socket.create_connection(mock.address)
+    # close() runs in a thread of its own, so that a close() that hangs
+    # fails the test instead of hanging it
+    closer = threading.Thread(target=mock.close, daemon=True)
+    try:
+        closer.start()
+        closer.join(timeout=2.0)
+        assert not closer.is_alive(), "close() blocked on a silent client"
+    finally:
+        silent.close()
+    assert not mock._thread.is_alive()
+    assert threading.active_count() == threads
+    mock.close()  # a second close() is a no-op
