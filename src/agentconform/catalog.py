@@ -23,14 +23,6 @@ class CatalogError(Exception):
 NOT_CATALOGED = "NOT_CATALOGED"
 
 
-def _shape(sort) -> str:
-    """A sort's shape as the templates' roles spell it: "COUNTER", "BOOL",
-    "ENUM", "SET", or "MAP->" followed by the value's shape."""
-    if isinstance(sort, ir.MapSort):
-        return "MAP->" + _shape(sort.value)
-    return type(sort).__name__[:-len("Sort")].upper()
-
-
 class PrincipleTemplate(Record):
     __slots__ = ("id", "name", "schematic", "roles")
 
@@ -153,26 +145,13 @@ def default_binding(tmpl: PrincipleTemplate, model: ir.ProtocolModel,
 
 def instantiate(tmpl: PrincipleTemplate, binding: dict,
                 model: ir.ProtocolModel) -> ir.Property:
-    """Close the schematic over a role binding, classed by the taxonomy."""
-    domains = dict(model.constants)
-    for role, shape in tmpl.roles:
+    """Close the schematic over a role binding, classed by the taxonomy.
+    The invariant must be well-sorted in the model (`ir.sort_findings`),
+    which refuses a role bound to a symbol of another shape than the
+    role's."""
+    for role, _ in tmpl.roles:
         if role not in binding:
             raise CatalogError(f"binding missing role {role!r}")
-        sym = binding[role]
-        if shape == "DOMAIN":
-            if sym not in domains:
-                raise CatalogError(
-                    f"role {role!r}: {sym!r} is not a constant domain")
-            continue
-        try:
-            decl = model.var(sym)
-        except KeyError:
-            raise CatalogError(
-                f"role {role!r}: {sym!r} is not a state variable")
-        if _shape(decl.sort) != shape:
-            raise CatalogError(
-                f"role {role!r}: {sym!r} has sort {decl.sort}, "
-                f"expected {shape}")
     text = tmpl.schematic
     for role, sym in binding.items():
         text = text.replace("{" + role + "}", sym)
@@ -180,8 +159,12 @@ def instantiate(tmpl: PrincipleTemplate, binding: dict,
     cls, _note = taxonomy(model.name, tmpl.id)
     if cls == NOT_CATALOGED:
         cls = "aasm-hardening"
-    return ir.Property(tmpl.property_id, tmpl.id, cls, invariant,
+    prop = ir.Property(tmpl.property_id, tmpl.id, cls, invariant,
                        (ir.INVENTED_REF,))
+    findings = ir.sort_findings(model, [prop])
+    if findings:
+        raise CatalogError("; ".join(map(str, findings)))
+    return prop
 
 
 def instantiate_for(model: ir.ProtocolModel, principle: str,

@@ -128,7 +128,8 @@ def _instance(model: ir.ProtocolModel, bounds: Bounds):
     return (constants, model.atom_universe(),
             {v.name: counter_cap(v.sort, bounds) for v in model.state_vars
              if isinstance(v.sort, ir.CounterSort)},
-            initial, C.layout(model.var_names, initial))
+            initial, C.layout(model.var_names,
+                              [v.sort for v in model.state_vars], initial))
 
 
 def _pairs(model: ir.ProtocolModel, constants: dict) -> list:
@@ -144,8 +145,8 @@ def _apply(slots, t: ir.Transition, binding, vector: tuple, constants,
     """The post-state vector of t under binding from the state vector, by
     the reference evaluator, or None when the guard is false or a counter
     leaves its range. slots is the initial state's `compiled.layout`, its
-    keys the variables in vector order. The order and errors are the
-    kernel's (`compiled._writer`): the guard must be a bool; an update's
+    keys the variables in vector order. On a well-sorted model the order
+    and errors are the kernel's (`compiled._writer`): an update's
     right-hand side is evaluated, range-checked and then its keys read,
     all in the pre-state; updates of one variable apply in order."""
     pre = dict(zip(slots, vector))
@@ -155,36 +156,37 @@ def _apply(slots, t: ir.Transition, binding, vector: tuple, constants,
     for target, rhs in t.updates:
         v = E.evaluate(rhs, scope, constants, atoms)
         cap = caps.get(target.var)
-        if cap is not None and type(v) is int and not 0 <= v <= cap:
+        if cap is not None and not 0 <= v <= cap:
             return None
         keys = [E.evaluate(k, scope, constants, atoms) for k in target.keys]
-        pre[target.var] = _store(target, pre[target.var], keys, v,
-                                 slots[target.var][0])
+        pre[target.var] = _store(pre[target.var], keys, v)
     return tuple(map(pre.__getitem__, slots))
 
 
-def _store(target: ir.UpdateTarget, old, keys, v, shape):
-    """old with v at the key path keys. The layout shape fixes a map's
-    keys and shape: a store past a leaf or of another shape raises."""
-    if keys:
-        if shape is None:
-            raise E.ExprTypeError(
-                f"update target {target} indexes past a map leaf")
-        return old.set(keys[0], _store(target, old[keys[0]], keys[1:], v,
-                                       shape[1]))
-    if shape is not None:
-        C._fit(v, shape, f"update {target} would change the shape of "
-                         f"{target.var!r}")
-    return v
+def _store(old, keys, v):
+    """old with v at the key path keys; a key outside the map raises
+    KeyError."""
+    if not keys:
+        return v
+    return old.set(keys[0], _store(old[keys[0]], keys[1:], v))
+
+
+def _refuse_ill_sorted(model: ir.ProtocolModel, subjects):
+    """Raises IrError naming the `ir.sort_findings` of subjects, if any."""
+    findings = ir.sort_findings(model, subjects)
+    if findings:
+        raise ir.IrError("; ".join(map(str, findings)))
 
 
 class _Engine:
     """Compiled successor and invariant evaluation for one (model, bounds).
 
-    A state inside the engine is one packed int (see `compiled`), whose
-    intern fields have room for `max_states` + steps + 1 codes, more
-    distinct values than a search within the state budget can store.
-    State vectors appear only at the boundary: the initial state and
+    It compiles only what `ir.sort_findings` accepts, and raises IrError
+    naming the findings of an ill-sorted model or property. A state
+    inside the engine is one packed int (see `compiled`), whose intern
+    fields have room for `max_states` + steps + 1 codes, more distinct
+    values than a search within the state budget can store. State
+    vectors appear only at the boundary: the initial state and
     counterexamples. The kernel, `successors(s, out)`, inlines every
     enabled step of `_pairs` in that order and serves the search only: it
     skips a step that only stores constants the state already holds, a
@@ -192,6 +194,7 @@ class _Engine:
     """
 
     def __init__(self, model: ir.ProtocolModel, bounds: Bounds):
+        _refuse_ill_sorted(model, model.state_vars + model.transitions)
         self.model = model
         self.bounds = bounds
         self.constants, self.atoms, self.caps, initial, \
@@ -201,38 +204,26 @@ class _Engine:
         # is range-checked
         counters = {self.slots[v.name][1]: self.caps[v.name]
                     for v, x in zip(model.state_vars, initial)
-                    if v.name in self.caps and type(x) is int
-                    and 0 <= x <= self.caps[v.name]}
+                    if v.name in self.caps and 0 <= x <= self.caps[v.name]}
         width = (bounds.max_states + len(self.pairs) + 1).bit_length()
-        while True:
-            self.kinds, self.env = kinds, C.environment()
-            C.pack(self.slots, kinds, counters, width, self.env)
-            self.start = C.encode(initial, self.env)
-            compiled = [C.compile_step(t, binding, self.slots, kinds,
-                                       self.constants, self.atoms,
-                                       self.caps, self.env)
-                        for t, binding in self.pairs]
-            # a slot keeps a static kind only if every update stores it
-            kinds = list(kinds)
-            for _, _, writes in compiled:
-                for slots, kind in writes:
-                    for i in slots:
-                        if kinds[i] != kind:
-                            kinds[i] = None
-            if kinds == self.kinds:
-                break
+        self.env = C.environment()
+        C.pack(self.slots, kinds, counters, width, self.env)
+        self.start = C.encode(initial, self.env)
+        steps = [C.compile_step(t, binding, self.slots, self.constants,
+                                self.caps, self.env)
+                 for t, binding in self.pairs]
         self.successors = C.kernel(
-            [(g, plan) for g, plan, _ in compiled if g is not False], self.env)
+            [step for step in steps if step[0] is not False], self.env)
 
     def canonical(self, state: int) -> tuple:
         return C.decode(state, self.env)
 
     def invariant(self, prop: ir.Property):
         """The property's invariant as a predicate on packed states."""
-        return C.function(C.as_bool(
-            C.compile_expr(prop.invariant, self.slots, self.kinds,
-                           self.constants, self.atoms, self.env),
-            "top-level expression", self.env)[1], self.env)
+        _refuse_ill_sorted(self.model, (prop,))
+        return C.function(C.value(
+            C.compile_expr(prop.invariant, self.slots, self.constants,
+                           self.env), self.env)[0], self.env)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +296,8 @@ def check(model: ir.ProtocolModel, prop: ir.Property,
 
     PASS is reported only when the frontier is exhausted within bounds;
     hitting the depth or state budget yields BOUND_EXHAUSTED, never PASS.
-    A property, guard or update whose evaluation raises yields an ERROR
-    verdict.
+    An ill-sorted model or property (`ir.sort_findings`), or a key outside
+    a capped domain, yields an ERROR verdict naming the problem.
     """
     return check_all(model, [prop], bounds)[prop.id]
 
@@ -366,10 +357,12 @@ def validate_trace(model: ir.ProtocolModel, cx: Counterexample,
     binds its transition's parameters to atoms, is enabled and reaches
     its recorded post-state, and the property holds in every state but
     the last, which violates it. The replay goes on from the states it
-    computes.
+    computes. Raises IrError for an ill-sorted model or property, as the
+    engine does.
     """
     if prop is None:
         prop = model.property_by_id(cx.property_id)
+    _refuse_ill_sorted(model, model.state_vars + model.transitions + (prop,))
     # raises KeyError for an unknown action
     steps = [(model.transition(s.transition_id), s) for s in cx.steps]
     constants, atoms, caps, initial, (slots, _) = _instance(model, bounds)

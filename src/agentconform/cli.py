@@ -12,7 +12,7 @@ import sys
 import urllib.parse
 from pathlib import Path
 
-from . import __version__, builtins, checker, compose, irfmt, report, tla
+from . import __version__, builtins, checker, compose, ir, irfmt, report, tla
 from .record import replace
 
 EXIT_OK = 0
@@ -71,14 +71,19 @@ def _parse_bounds(spec: str, models) -> checker.Bounds:
 
 
 def _load_model(ref: str):
-    """A builtin name or a path to an .ir file."""
+    """A builtin name, or a path to an .ir file that validates clean."""
     if ref in builtins.BUILTIN_NAMES:
         return builtins.builtin(ref)
     path = Path(ref)
     if not path.exists():
         raise CliError(f"{ref!r} is neither a builtin model "
                        f"({', '.join(builtins.BUILTIN_NAMES)}) nor a file")
-    return irfmt.load_model(path)
+    model = irfmt.load_model(path)
+    findings = ir.validate(model).findings
+    if findings:
+        raise CliError(f"{ref} fails validation: "
+                       + "; ".join(map(str, findings)))
+    return model
 
 
 def _exit_code(results) -> int:

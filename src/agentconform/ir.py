@@ -91,15 +91,6 @@ def sort_atoms(sort: Sort) -> set:
     return set()
 
 
-def sort_domains(sort: Sort) -> set:
-    """Domain names a sort refers to."""
-    if isinstance(sort, SetSort):
-        return {sort.over}
-    if isinstance(sort, MapSort):
-        return {sort.key} | sort_domains(sort.value)
-    return set()
-
-
 def value_in_sort(v, sort: Sort, constants) -> bool:
     if isinstance(sort, BoolSort):
         return isinstance(v, bool)
@@ -198,21 +189,17 @@ class StateVarDecl(Record):
 
 
 def eval_init(init: InitSpec, sort: Sort, constants):
+    """The value of a well-sorted initial value (`sort_findings`)."""
     if isinstance(init, InitExpr):
         return E.evaluate(init.expr, {}, constants)
-    if isinstance(init, InitAll):
-        if not isinstance(sort, MapSort):
-            raise IrError("'init all' requires a MAP sort")
-        v = eval_init(InitExpr(init.expr), sort.value, constants) \
-            if not isinstance(sort.value, MapSort) \
-            else eval_init(InitAll(init.expr), sort.value, constants)
-        return E.FMap.of({k: v for k in constants.get(sort.key, ())})
+    if not isinstance(sort, MapSort):
+        raise IrError(f"initial value {init!r} needs a MAP sort")
     if isinstance(init, InitMap):
-        if not isinstance(sort, MapSort):
-            raise IrError("map-literal init requires a MAP sort")
         return E.FMap.of({k: E.evaluate(x, {}, constants)
                           for k, x in init.entries})
-    raise IrError(f"bad init spec {init!r}")
+    v = eval_init(init if isinstance(sort.value, MapSort)
+                  else InitExpr(init.expr), sort.value, constants)
+    return E.FMap.of({k: v for k in constants.get(sort.key, ())})
 
 
 class UpdateTarget(Record):
@@ -324,11 +311,14 @@ class Finding(Record):
     __slots__ = ("code", "subject", "detail")
 
     def __init__(self, code: str, subject: str, detail: str):
-        # undeclared-symbol | init-sort-mismatch | missing-provenance
-        # | missing-adv-tag | bad-param-domain
+        # undeclared-symbol | init-sort-mismatch | sort-mismatch
+        # | missing-provenance | missing-adv-tag | bad-param-domain
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "subject", subject)  # transition/property/var
         object.__setattr__(self, "detail", detail)
+
+    def __str__(self):
+        return f"{self.code} in {self.subject}: {self.detail}"
 
 
 class ValidationReport(Record):
@@ -345,63 +335,214 @@ class ValidationReport(Record):
         return [f for f in self.findings if f.code == code]
 
 
-def _declared_symbols(model: ProtocolModel) -> frozenset:
-    return frozenset(model.var_names) \
-        | frozenset(d for d, _ in model.constants) \
-        | model.atom_universe() \
-        | {"true", "false"}
+# An inferred sort is a tuple that starts with its kind: (BOOL,), (INT,),
+# (ATOM, atoms) for one of some atoms, (SET, atoms) for a set of them and
+# (MAP, key atoms, value sort). An ill-sorted term's sort is None, which
+# fits anywhere, so that each mistake is reported once.
+BOOL, INT, ATOM, SET, MAP = "BOOL", "INT", "an atom", "a SET", "a MAP"
+_BOOL, _INT = (BOOL,), (INT,)
+
+
+def _atoms(atoms) -> str:
+    return "{" + ", ".join(sorted(atoms)) + "}"
+
+
+def _show(s) -> str:
+    if s[0] == MAP:
+        return f"a MAP({_atoms(s[1])} -> {_show(s[2])})"
+    return s[0] if len(s) == 1 else f"{s[0]} of {_atoms(s[1])}"
+
+
+def _declared(sort: Sort, domains: dict):
+    """The inferred form of a declared sort, None past an unknown domain;
+    domains maps each domain to the sort of its atoms."""
+    if isinstance(sort, (BoolSort, CounterSort)):
+        return _BOOL if isinstance(sort, BoolSort) else _INT
+    if isinstance(sort, EnumSort):
+        return (ATOM, frozenset(sort.values))
+    if isinstance(sort, SetSort):
+        return sort.over in domains and (SET, domains[sort.over][1]) or None
+    value = _declared(sort.value, domains)
+    return value and sort.key in domains \
+        and (MAP, domains[sort.key][1], value) or None
+
+
+def _fits(s, want) -> bool:
+    """Whether a value of sort s may stand where sort want is declared."""
+    if s is None or want is None:
+        return True
+    if s[0] == want[0] == MAP:
+        return s[1] == want[1] and _fits(s[2], want[2])
+    return s[0] == want[0] and (len(s) == 1 or s[1] <= want[1])
+
+
+def _want(x, kind, what, scope, domains, bad):
+    """The sort of x, which must be of the given kind."""
+    s = _infer(x, scope, domains, bad)
+    if s is None or s[0] == kind:
+        return s
+    return bad(f"{what} {E.print_expr(x)} is {_show(s)}, not {kind}")
+
+
+def _key(k, keys, scope, domains, bad):
+    """Checks that the map key k is an atom of keys."""
+    s = _want(k, ATOM, "map key", scope, domains, bad)
+    if s is not None and keys is not None and not s[1] <= keys:
+        bad(f"map key {E.print_expr(k)} may be {_atoms(s[1] - keys)}, "
+            f"outside the key domain {_atoms(keys)}")
+
+
+# the operand kinds of a comparison other than = and # (INT for orderings)
+_OPERANDS = {"in": (ATOM, SET), "notin": (ATOM, SET), "subseteq": (SET, SET)}
+
+
+def _infer(e, scope: dict, domains: dict, bad):
+    """The sort of e. scope maps each name e may use to its sort, as
+    `expr.evaluate` resolves it: a bound variable, else a state variable,
+    a domain (the set of its atoms) or an atom. Each mismatch goes to
+    bad(problem) and gives its term the sort None."""
+    t = type(e)
+    if t is E.Name:
+        if e.name in scope:
+            return scope[e.name]
+        return bad(f"unknown name {e.name!r}")
+    if t is E.Cmp:
+        if e.op in ("=", "#"):
+            l = _infer(e.lhs, scope, domains, bad)
+            r = _infer(e.rhs, scope, domains, bad)
+            if l and r and l[0] != r[0]:
+                bad(f"cannot compare {_show(l)} {e.op} {_show(r)}")
+            return _BOOL
+        lhs, rhs = _OPERANDS.get(e.op, (INT, INT))
+        _want(e.lhs, lhs, "element" if lhs == ATOM else "operand", scope,
+              domains, bad)
+        _want(e.rhs, rhs, "operand", scope, domains, bad)
+        return _BOOL
+    if t is E.Index:
+        base = _want(e.base, MAP, "indexed term", scope, domains, bad)
+        _key(e.key, base and base[1], scope, domains, bad)
+        return base and base[2]
+    if t is E.IntLit or t is E.BoolLit:
+        return _INT if t is E.IntLit else _BOOL
+    if t is E.Forall or t is E.Exists:
+        if e.domain not in domains:
+            bad(f"unknown domain {e.domain!r}")
+        _want(e.body, BOOL, "quantifier body",
+              {**scope, e.var: domains.get(e.domain)}, domains, bad)
+        return _BOOL
+    if t is E.BinTerm:
+        kind = INT if e.op == "+" else SET
+        l = _want(e.lhs, kind, "operand", scope, domains, bad)
+        r = _want(e.rhs, kind, "operand", scope, domains, bad)
+        return _INT if kind == INT else l and r and (SET, l[1] | r[1])
+    if t is E.SetLit:
+        atoms = frozenset()
+        for x in e.items:
+            s = _want(x, ATOM, "set element", scope, domains, bad)
+            atoms = atoms | s[1] if s else atoms
+        return (SET, atoms)
+    for x in E.children(e):  # not, and, or, =>
+        _want(x, BOOL, "operand", scope, domains, bad)
+    return _BOOL
+
+
+def _expect(s, want, bad):
+    if not _fits(s, want):
+        bad(f"the value is {_show(s)}, not {_show(want)}")
+
+
+def _target(target: UpdateTarget, var_sorts, scope, domains, bad):
+    """The sort an update of target stores; checks its keys."""
+    if target.var not in var_sorts:
+        return bad(f"{target.var!r} is not a state variable")
+    s = var_sorts[target.var]
+    for k in target.keys:
+        if s is not None and s[0] != MAP:
+            s = bad(f"{target} indexes past a map leaf")
+        _key(k, s and s[1], scope, domains, bad)
+        s = s and s[2]
+    return s
+
+
+def _init_sorts(v: StateVarDecl, want, scope, domains, bad):
+    """Checks v's initial value, which reads no state: `all x` puts x at
+    every leaf, a map literal a value at each key of the domain, and a
+    counter starts in its range."""
+    init = v.init
+    if not isinstance(init, InitExpr) and not isinstance(v.sort, MapSort):
+        return bad(f"needs a MAP sort, not {v.sort}")
+    if isinstance(init, InitMap):
+        if {k for k, _ in init.entries} != want[1]:
+            bad(f"the keys are not those of {v.sort.key}")
+        for _, x in init.entries:
+            _expect(_infer(x, scope, domains, bad), want[2], bad)
+        return
+    while isinstance(init, InitAll) and want[0] == MAP:
+        want = want[2]
+    s = _infer(init.expr, scope, domains, bad)
+    _expect(s, want, bad)
+    if isinstance(v.sort, CounterSort) and s == _INT \
+            and not 0 <= E.evaluate(init.expr, {}, {}) <= v.sort.max:
+        bad(f"the value is outside {v.sort}")
+
+
+def sort_findings(model: ProtocolModel, subjects) -> list:
+    """The findings of sort inference over subjects, state variables,
+    transitions and properties of model. Every subterm gets one sort:
+    BOOL, INT, an atom of a known set, a SET of such atoms, or a MAP from
+    a domain's atoms to a sort. Guards and invariants are BOOL, operands
+    have the sorts `expr.evaluate` requires and set elements are atoms, a
+    map key is an atom of its key domain (as a parameter or quantified
+    variable is of its domain), and an update stores its target's sort.
+    Each mismatch, unknown name or unknown domain is a `sort-mismatch`
+    finding that names the subject and prints the expression; an initial
+    value, which reads no state, has `init-sort-mismatch` findings, and
+    a sort or parameter naming an unknown domain an `undeclared-symbol`
+    or `bad-param-domain` one. Never raises for content."""
+    domains = {d: (ATOM, frozenset(atoms)) for d, atoms in model.constants}
+    consts = {a: (ATOM, frozenset((a,))) for a in model.atom_universe()}
+    consts.update((d, (SET, atoms)) for d, (_, atoms) in domains.items())
+    var_sorts = {v.name: _declared(v.sort, domains) for v in model.state_vars}
+    state, out = {**consts, **var_sorts}, []
+
+    def reporter(subject, role, text):
+        return lambda problem: out.append(Finding(
+            "sort-mismatch", subject, f"{role} `{text()}`: {problem}"))
+
+    for x in subjects:
+        if isinstance(x, StateVarDecl) and var_sorts[x.name] is None:
+            out.append(Finding("undeclared-symbol", x.name,
+                               f"sort {x.sort} names an undeclared domain"))
+        elif isinstance(x, StateVarDecl):
+            _init_sorts(x, var_sorts[x.name], consts, domains,
+                        lambda problem, v=x.name: out.append(
+                            Finding("init-sort-mismatch", v, problem)))
+        elif isinstance(x, Property):
+            bad = reporter(x.id, "invariant", lambda: E.print_expr(x.invariant))
+            _expect(_infer(x.invariant, state, domains, bad), _BOOL, bad)
+        else:
+            out += [Finding("bad-param-domain", x.id, f"parameter {n!r} "
+                            f"ranges over unknown domain {d!r}")
+                    for n, d in x.params if d not in domains]
+            scope = {**state, **{n: domains.get(d) for n, d in x.params}}
+            bad = reporter(x.id, "guard", lambda: E.print_expr(x.guard))
+            _expect(_infer(x.guard, scope, domains, bad), _BOOL, bad)
+            for target, rhs in x.updates:
+                bad = reporter(x.id, "update",
+                               lambda: f"{target} := {E.print_expr(rhs)}")
+                want = _target(target, var_sorts, scope, domains, bad)
+                _expect(_infer(rhs, scope, domains, bad), want, bad)
+    return out
 
 
 def validate(model: ProtocolModel) -> ValidationReport:
-    """Structural well-formedness and provenance checks. Pure; never raises
-    for content problems, the report carries the findings."""
-    findings = []
-    declared = _declared_symbols(model)
-    consts = model.constants_map
-
-    def check_expr(e, subject, extra_bound=frozenset()):
-        for sym in sorted(E.free_symbols(e) - declared - extra_bound):
-            findings.append(Finding("undeclared-symbol", subject,
-                                    f"symbol {sym!r} is not declared"))
-        for sub in E.iter_subterms(e):
-            if isinstance(sub, (E.Forall, E.Exists)) \
-                    and sub.domain not in consts:
-                findings.append(Finding(
-                    "undeclared-symbol", subject,
-                    f"quantifier domain {sub.domain!r} is not declared"))
-
-    for v in model.state_vars:
-        for dom in sorted(sort_domains(v.sort)):
-            if dom not in consts:
-                findings.append(Finding(
-                    "undeclared-symbol", v.name,
-                    f"sort references unknown domain {dom!r}"))
-        try:
-            init = v.initial_value(consts)
-        except Exception as exc:  # init must at least evaluate
-            findings.append(Finding("init-sort-mismatch", v.name, str(exc)))
-            continue
-        if not value_in_sort(init, v.sort, consts):
-            findings.append(Finding(
-                "init-sort-mismatch", v.name,
-                f"initial value {init!r} not in sort {v.sort}"))
-
+    """Declarations and sorts (`sort_findings`), and provenance: every
+    Protocol-kind transition cites a source and every Adversary one
+    carries an ADV tag. Pure; never raises for content problems, the
+    report carries the findings."""
+    findings = sort_findings(
+        model, model.state_vars + model.transitions + model.properties)
     for t in model.transitions:
-        params = frozenset(n for n, _ in t.params)
-        for name, dom in t.params:
-            if dom not in consts:
-                findings.append(Finding(
-                    "bad-param-domain", t.id,
-                    f"parameter {name!r} ranges over unknown domain {dom!r}"))
-        check_expr(t.guard, t.id, params)
-        for target, rhs in t.updates:
-            if target.var not in model.var_names:
-                findings.append(Finding(
-                    "undeclared-symbol", t.id,
-                    f"update target {target.var!r} is not a state variable"))
-            for k in target.keys:
-                check_expr(k, t.id, params)
-            check_expr(rhs, t.id, params)
         if t.kind == "Protocol" and not t.source_refs:
             findings.append(Finding(
                 "missing-provenance", t.id,
@@ -410,10 +551,6 @@ def validate(model: ProtocolModel) -> ValidationReport:
             findings.append(Finding(
                 "missing-adv-tag", t.id,
                 f"Adversary transition needs one of {ADV_TAGS}, got {t.adv!r}"))
-
-    for p in model.properties:
-        check_expr(p.invariant, p.id)
-
     return ValidationReport(tuple(findings))
 
 

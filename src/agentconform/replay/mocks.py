@@ -162,9 +162,15 @@ class _A2aHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
-        return json.loads(self.rfile.read(length) or b"{}")
+    def _read_body(self):
+        """The request's JSON object, {} without a body, else None."""
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+            body = json.loads(self.rfile.read(length) or b"{}") \
+                if length >= 0 else None
+        except ValueError:  # no int, or bytes that are no JSON text
+            return None
+        return body if isinstance(body, dict) else None
 
     def _log(self, op):
         if self.state.profile == "hardened":
@@ -184,6 +190,9 @@ class _A2aHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         st = self.state
         body = self._read_body()
+        if body is None:
+            self._send(400, {"error": "request body is not a JSON object"})
+            return
         if self.path == "/tasks":
             tid = f"t{st.next_task}"
             st.next_task += 1

@@ -69,10 +69,12 @@ def test_worker_determinism():
 
 
 def test_unbound_invariant_is_error_verdict():
+    """The engine refuses an ill-sorted invariant with its finding."""
     model = builtin("a2a")
     prop = ir.Property("BAD", "P0", "aasm-hardening", E.parse("nosuch = true"))
     res = checker.check(model, prop)
-    assert res.verdict == "ERROR: unbound symbol 'nosuch'"
+    assert res.verdict == ("ERROR: sort-mismatch in BAD: invariant "
+                           "`nosuch = true`: unknown name 'nosuch'")
     assert checker.check_all(model, [prop])["BAD"] == res
     assert report.triage(res, "NOT_RUN", prop) == "model-fail"
 
@@ -86,16 +88,20 @@ def _with_first_transition(model, **changes):
         changed if t is first else t for t in model.transitions))
 
 
-@pytest.mark.parametrize("change", [
-    {"guard": lambda t: E.parse("nosuch = true")},
-    {"updates": lambda t: t.updates + (
+@pytest.mark.parametrize("change, finding", [
+    ({"guard": lambda t: E.parse("nosuch = true")},
+     "guard `nosuch = true`: unknown name 'nosuch'"),
+    ({"updates": lambda t: t.updates + (
         (ir.UpdateTarget("executed", ()), E.parse("nosuch")),)},
+     "update `executed := nosuch`: unknown name 'nosuch'"),
 ], ids=["guard", "update"])
-def test_unbound_transition_is_error_verdict(change):
-    """Properties decided before the failing step keep their verdict;
-    every other one is ERROR, as a per-property check reports it."""
+def test_unbound_transition_is_error_verdict(change, finding):
+    """The engine refuses a model with an ill-sorted transition: every
+    property is ERROR, naming the finding, as a per-property check
+    reports it."""
     model = _with_first_transition(builtin("mcp"), **change)
-    error = checker.CheckResult("ERROR: unbound symbol 'nosuch'", 0)
+    error = checker.CheckResult(
+        f"ERROR: sort-mismatch in CallTool: {finding}", 0)
     assert checker.check(
         model, model.property_by_id("P8_CredRevocation")) == error
     results = checker.check_all(model, model.properties)
@@ -286,10 +292,13 @@ def test_validate_trace_compiles_nothing(monkeypatch):
 def test_steps_before_a_raising_step_are_searched_first():
     """In a state where a later step's guard raises, the post-states of
     the steps before it are still checked, so a violation among them is a
-    FAIL; a search that reaches the raise is an ERROR."""
+    FAIL; a search that reaches the raise is an ERROR. The model is
+    well-sorted; the raise comes from the bounded instance, whose Dom
+    keeps only a, while sel starts at z."""
     flags = ir.MapSort("Dom", ir.BoolSort())
     model = ir.ProtocolModel(
-        name="raises", snapshot="2025-01", constants=(("Dom", ("a",)),),
+        name="raises", snapshot="2025-01",
+        constants=(("Dom", ("a", "z")),),
         state_vars=(
             ir.StateVarDecl("flags", flags, ir.InitAll(E.parse("false"))),
             ir.StateVarDecl("sel", ir.EnumSort(("a", "z")),
@@ -306,13 +315,16 @@ def test_steps_before_a_raising_step_are_searched_first():
                                 E.parse("not bad")),
                     ir.Property("TRUE", "P0", "aasm-hardening",
                                 E.parse("true"))))
-    results = checker.check_all(model, model.properties)
+    assert ir.validate(model).ok
+    bounds = checker.DEFAULT_BOUNDS.with_caps(dom=1)
+    results = checker.check_all(model, model.properties, bounds)
     assert results["INV"].verdict == "FAIL"
     assert results["INV"].counterexample.depth == 1
     assert results["TRUE"].verdict == \
         "ERROR: index 'z' outside map key domain"
     with pytest.raises(E.ExprTypeError, match="outside map key domain"):
-        checker.enumerate_states(model)
+        checker.enumerate_states(model, bounds)
+    assert checker.enumerate_states(model) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,10 @@ def test_check_over_model_files(tmp_path, capsys):
 
 def test_error_verdict_exits_2_in_every_command(tmp_path, monkeypatch,
                                                 capsys):
+    """An .ir file with an ill-sorted invariant is refused on load, before
+    any check runs, naming the findings; a composition checked against an
+    ill-sorted property gives an ERROR verdict naming its finding. Both
+    exit 2."""
     import re
     from agentconform import compose, ir, irfmt
     from agentconform import expr as E
@@ -351,16 +355,23 @@ def test_error_verdict_exits_2_in_every_command(tmp_path, monkeypatch,
     path = tmp_path / "acp-client.ir"
     path.write_text(re.sub(r"invariant: .*", "invariant: nosuch = true",
                            text))
+    finding = "invariant `nosuch = true`: unknown name 'nosuch'"
+    ids = [p.id for p in builtin("acp-client").properties]
+    for argv in (("check", str(path)), ("check", "mcp", str(path)),
+                 ("emit-tla", str(path))):
+        assert run_cli(*argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith(f"error: {path} fails validation: "), argv
+        assert err.count(finding) == len(ids), argv
+        for pid in ids:
+            assert f"sort-mismatch in {pid}: {finding}" in err, argv
     bad = ir.Property("BAD", "P0", "aasm-hardening", E.parse("nosuch = true"))
     monkeypatch.setattr(compose, "cs_properties", lambda model, pattern: [bad])
-    for argv, count in [(("check", str(path)), 3),
-                        (("check", str(path), str(path)), 6),
-                        (("compose", "tool-delegation"), 1)]:
-        assert run_cli(*argv) == 2, argv
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == count, argv
-        assert all(line.endswith(": ERROR: unbound symbol 'nosuch'")
-                   for line in lines), argv
+    assert run_cli("compose", "tool-delegation") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].endswith(f": ERROR: sort-mismatch in BAD: {finding}")
 
 
 def test_out_writes_file(tmp_path, capsys):

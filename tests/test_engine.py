@@ -177,9 +177,9 @@ def test_updates_of_one_variable_apply_in_order(invariant, updates,
 
 
 def _shape_model():
-    """Dom = {a, b} and m : MAP(Dom -> BOOL). Wipe stores {} into m, which
-    would change its shape, and Deep writes m[a][b], past a map leaf; each
-    then sets done, which the invariant forbids."""
+    """Dom = {a, b} and m : MAP(Dom -> BOOL). Wipe stores {} into m, a
+    set where a map belongs, and Deep writes m[a][b], past a map leaf;
+    each then sets done, which the invariant forbids."""
     def step(tid, keys, rhs):
         return ir.Transition(
             tid, "Protocol", "sys", (), E.parse("true"),
@@ -202,37 +202,38 @@ def _shape_model():
                                 E.parse("not done")),))
 
 
-@pytest.mark.parametrize("tid,message", [
-    ("Wipe", "update m would change the shape of 'm'"),
-    ("Deep", "update target m[a][b] indexes past a map leaf"),
-], ids=["Wipe", "Deep"])
-def test_validate_trace_raises_the_kernels_update_errors(tid, message):
-    """A store that would change a map's shape and a write past a map
-    leaf raise the kernel's ExprTypeError in `validate_trace` too. A
-    naive evaluator step (the oracle's) takes Wipe to m = {}."""
-    model = _shape_model()
+def _assert_refused(model, finding):
+    """`ir.validate` reports exactly the sort-mismatch finding, every
+    search of the model is an ERROR that names it, and `validate_trace`
+    refuses a trace of it."""
+    assert [str(f) for f in ir.validate(model).findings] == [finding]
     prop = model.properties[0]
-    alone = replace(model, transitions=(model.transition(tid),))
-    assert checker.check(alone, prop).verdict == f"ERROR: {message}"
-    initial = (E.FMap.of({"a": False, "b": False}), False)
-    post = (frozenset(), True) if tid == "Wipe" else (initial[0], True)
-    if tid == "Wipe":
-        sorts = {v.name: v.sort for v in model.state_vars}
-        assert _successors(alone, dict(zip(model.var_names, initial)),
-                           {"Dom": ["a", "b"]}, model.atom_universe(),
-                           sorts, checker.DEFAULT_BOUNDS) == \
-            [{"m": frozenset(), "done": True}]
-    cx = checker.Counterexample(model.name, prop.id, 1, initial,
-                                (checker.TraceStep(tid, (), post),))
-    with pytest.raises(E.ExprTypeError) as exc:
+    assert checker.check(model, prop).verdict == f"ERROR: {finding}"
+    with pytest.raises(ir.IrError, match=re.escape(finding)):
+        checker.enumerate_states(model)
+    initial = checker._instance(model, checker.DEFAULT_BOUNDS)[3]
+    cx = checker.Counterexample(model.name, prop.id, 0, initial, ())
+    with pytest.raises(ir.IrError, match=re.escape(finding)):
         checker.validate_trace(model, cx)
-    assert str(exc.value) == message
 
 
-def test_map_levels_come_from_the_initial_layout():
-    """A map stored into a map leaf stays a leaf value: a later store of
-    a bool there is no shape change, in the kernel as in `_apply`, so the
-    trace through both steps is found and validated."""
+@pytest.mark.parametrize("tid,finding", [
+    ("Wipe", "sort-mismatch in Wipe: update `m := {}`: the value is a SET "
+             "of {}, not a MAP({a, b} -> BOOL)"),
+    ("Deep", "sort-mismatch in Deep: update `m[a][b] := true`: m[a][b] "
+             "indexes past a map leaf"),
+], ids=["Wipe", "Deep"])
+def test_updates_out_of_a_maps_shape_are_sort_mismatches(tid, finding):
+    """A store that would change a map's shape and a write past a map
+    leaf are refused before anything runs."""
+    model = _shape_model()
+    _assert_refused(replace(model, transitions=(model.transition(tid),)),
+                    finding)
+
+
+def test_a_map_stored_into_a_leaf_is_a_sort_mismatch():
+    """Storing the map n into the BOOL leaf m[a] is refused before
+    anything runs."""
     def step(tid, stage, keys, rhs):
         return ir.Transition(
             tid, "Protocol", "sys", (), E.parse(f"stage = {stage}"),
@@ -255,11 +256,36 @@ def test_map_levels_come_from_the_initial_layout():
                      step("Flat", 1, ("a",), "true")),
         properties=(ir.Property("INV", "P0", "aasm-hardening",
                                 E.parse("stage < 2")),))
-    res = checker.check(model, model.properties[0])
-    assert [s.transition_id for s in res.counterexample.steps] == \
-        ["Nest", "Flat"]
-    assert checker.validate_trace(model, res.counterexample)
-    assert _assert_engine_matches_oracle(model, checker.DEFAULT_BOUNDS) == 3
+    _assert_refused(model, "sort-mismatch in Nest: update `m[a] := n`: the "
+                           "value is a MAP({a, b} -> BOOL), not BOOL")
+
+
+def test_a_map_copied_across_bounded_shapes_is_an_error():
+    """A map literal keeps its declared keys under a domain cap, so
+    copying it into a map over the capped domain is well-sorted but has
+    no slots to go to: the engine refuses the copy with an ERROR verdict,
+    and at full bounds the copy runs."""
+    model = ir.ProtocolModel(
+        name="copy", snapshot="2025-01", constants=(("Dom", ("a", "b")),),
+        state_vars=(
+            ir.StateVarDecl("m", ir.MapSort("Dom", ir.BoolSort()),
+                            ir.InitAll(E.parse("false"))),
+            ir.StateVarDecl("n", ir.MapSort("Dom", ir.BoolSort()),
+                            ir.InitMap((("a", E.parse("true")),
+                                        ("b", E.parse("true"))))),
+        ),
+        transitions=(ir.Transition(
+            "Copy", "Protocol", "sys", (), E.parse("true"),
+            ((ir.UpdateTarget("m", ()), E.parse("n")),), "MAY",
+            (ir.SourceRef("test", "copy"),)),),
+        properties=(ir.Property("INV", "P0", "aasm-hardening",
+                                E.parse("not m[a]")),))
+    assert ir.validate(model).ok
+    prop = model.properties[0]
+    assert checker.check(model, prop).counterexample.depth == 1
+    capped = checker.DEFAULT_BOUNDS.with_caps(dom=1)
+    assert checker.check(model, prop, capped).verdict == \
+        "ERROR: update m would change the shape of 'm'"
 
 
 def _chained_servers():

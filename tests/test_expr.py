@@ -1,10 +1,11 @@
 """Expression grammar, printer, and evaluator."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from agentconform import compiled as C
 from agentconform import expr as E
+from agentconform import ir
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +149,10 @@ _names = st.sampled_from(["flag", "n", "mode", "caps", "ag1", "ag2", "c1",
 # "Nope" is no domain
 _domains = st.sampled_from(["AgentID", "AgentID", "Caps", "Nope"])
 _RELOPS = ["=", "#", "<", "<=", ">", ">=", "in", "notin", "subseteq"]
-# map keys: mostly in the key domain, sometimes outside it, of the wrong
-# kind or unbound
-_keys = st.sampled_from(["x", "x", "x", "ag1", "ag2", "c1", "n",
-                         "nosuch"]).map(E.Name)
+# map keys: mostly in the key domain, sometimes outside it or outside its
+# bounded part (ag3, and who, a state read), of the wrong kind or unbound
+_keys = st.sampled_from(["x", "x", "x", "ag1", "ag2", "ag3", "who", "c1",
+                         "n", "nosuch"]).map(E.Name)
 
 
 def _leaf():
@@ -323,6 +324,7 @@ def _states():
         "flag": st.booleans(),
         "n": st.integers(min_value=0, max_value=3),
         "mode": st.sampled_from(["OPEN", "CLOSED"]),
+        "who": st.sampled_from(["ag1", "ag2", "ag3"]),
         "caps": _sets(),
         "grant": st.fixed_dictionaries({a: _sets() for a in agents}).map(
             E.FMap.of),
@@ -339,26 +341,56 @@ def _outcome(fn):
         return (type(exc), str(exc))
 
 
+# The differential's model: AgentID declares ag3, which the bounded
+# instance (CONSTANTS) leaves out, as a cap of 2 would.
+_SORTS = {"flag": ir.BoolSort(), "n": ir.CounterSort(3),
+          "mode": ir.EnumSort(("OPEN", "CLOSED")),
+          "who": ir.EnumSort(("ag1", "ag2", "ag3")),
+          "caps": ir.SetSort("Caps"),
+          "grant": ir.MapSort("AgentID", ir.SetSort("Caps")),
+          "deleg": ir.MapSort("AgentID",
+                              ir.MapSort("AgentID", ir.SetSort("Caps")))}
+_MODEL = ir.ProtocolModel(
+    "differential", "2025-01",
+    (("AgentID", ("ag1", "ag2", "ag3")), ("Caps", ("c1", "c2"))),
+    tuple(ir.StateVarDecl(n, s, ir.InitExpr(E.BoolLit(False)))
+          for n, s in _SORTS.items()), (), ())
+
+
+def _well_sorted(e) -> bool:
+    """e = e is well-sorted just when e is."""
+    check = ir.Property("E", "P0", "aasm-hardening", E.Cmp("=", e, e))
+    return not ir.sort_findings(_MODEL, [check])
+
+
+_STATE = {**STATE, "who": "ag3", "deleg": E.FMap.of({
+    "ag1": E.FMap.of({"ag1": frozenset(), "ag2": frozenset({"c1"})}),
+    "ag2": E.FMap.of({"ag1": frozenset({"c2"}), "ag2": frozenset()})})}
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_exprs(), _quantified(), _terms()), _states())
+@example(E.parse("mode notin caps"), _STATE)
+@example(E.parse("forall x in AgentID: c2 notin deleg[x][x]"), _STATE)
+@example(E.parse("deleg[ag3][ag1] = {}"), _STATE)
+@example(E.parse("deleg[ag1][ag3]"), _STATE)
+@example(E.parse("grant[ag1] = deleg[ag2][who]"), _STATE)
+@example(E.parse("n + 1 > 2 => caps # {}"), _STATE)
 def test_compiled_matches_evaluator(e, state):
-    """Same value, or the same exception type and message, with slot kinds
-    known statically (`n` packed as a counter) and with every kind left to
-    run-time checks (every slot interned)."""
+    """On every expression the sort checker accepts, the same value, or
+    the same exception type and message (a key outside the bounded
+    AgentID), with the slots' kinds from their sorts and `n` packed as a
+    counter."""
+    assume(_well_sorted(e))
     names = list(state)
     values = [state[n] for n in names]
-    slots, kinds = C.layout(names, values)
-    want = _outcome(lambda: E.evaluate(e, state, CONSTANTS, ATOMS))
-    want_bool = _outcome(lambda: E.evaluate_bool(e, state, CONSTANTS, ATOMS))
-    for slot_kinds, counters in ((kinds, {slots["n"][1]: 3}),
-                                 ([None] * len(kinds), {})):
-        env = C.environment()
-        C.pack(slots, slot_kinds, counters, 8, env)
-        packed = C.encode(values, env)
-        assert C.decode(packed, env) == tuple(values)
-        res = C.compile_expr(e, slots, slot_kinds, CONSTANTS, ATOMS, env)
-        fn = C.function(C.value(res, env)[1], env)
-        test = C.function(C.as_bool(res, "top-level expression", env)[1],
-                          env)
-        assert _outcome(lambda: fn(packed)) == want
-        assert _outcome(lambda: test(packed)) == want_bool
+    slots, kinds = C.layout(names, [_SORTS[n] for n in names], values)
+    env = C.environment()
+    C.pack(slots, kinds, {slots["n"][1]: 3}, 8, env)
+    packed = C.encode(values, env)
+    assert C.decode(packed, env) == tuple(values)
+    fn = C.function(C.value(C.compile_expr(e, slots, CONSTANTS, env),
+                            env)[0], env)
+    atoms = ATOMS | {"ag3"}
+    assert _outcome(lambda: fn(packed)) == \
+        _outcome(lambda: E.evaluate(e, state, CONSTANTS, atoms))

@@ -1,6 +1,7 @@
 """Counterexample replay against the mock endpoints."""
 
 import hashlib
+import http.client
 import json
 import socket
 import threading
@@ -153,3 +154,28 @@ def test_a2a_mock_close_is_not_held_by_a_silent_client(monkeypatch):
     assert not mock._thread.is_alive()
     assert threading.active_count() == threads
     mock.close()  # a second close() is a no-op
+
+
+def test_a2a_mock_answers_a_bad_body_with_400():
+    """A body that is no JSON, or JSON but no object, gets a 400 with a
+    JSON error body, and the mock goes on serving: a well-formed SendTask
+    then opens a task, and close() leaves no thread."""
+    threads = threading.active_count()
+
+    def post(data):
+        conn = http.client.HTTPConnection(*mock.address, timeout=5)
+        try:
+            conn.request("POST", "/tasks", body=data,
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
+    with A2aMock("vulnerable") as mock:
+        for body in (b"not json", b"[1]"):
+            assert post(body) == (
+                400, {"error": "request body is not a JSON object"}), body
+        assert post(b"{}") == (201, {"id": "t1", "state": "open",
+                                     "token": "task-tok-t1"})
+    assert not mock._thread.is_alive()
+    assert threading.active_count() == threads
