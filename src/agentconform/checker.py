@@ -171,21 +171,13 @@ def _store(old, keys, v):
     return old.set(keys[0], _store(old[keys[0]], keys[1:], v))
 
 
-def _refuse_ill_sorted(model: ir.ProtocolModel, subjects):
-    """Raises IrError naming the `ir.sort_findings` of subjects, if any."""
-    findings = ir.sort_findings(model, subjects)
-    if findings:
-        raise ir.IrError("; ".join(map(str, findings)))
-
-
 class _Engine:
     """Compiled successor and invariant evaluation for one (model, bounds).
 
     It compiles only what `ir.sort_findings` accepts, and raises IrError
     naming the findings of an ill-sorted model or property. A state
-    inside the engine is one packed int (see `compiled`), whose intern
-    fields have room for `max_states` + steps + 1 codes, more distinct
-    values than a search within the state budget can store. State
+    inside the engine is one packed int (see `compiled`), whose fields
+    are as wide as the slots' sorts need, whatever the bounds. State
     vectors appear only at the boundary: the initial state and
     counterexamples. The kernel, `successors(s, out)`, inlines every
     enabled step of `_pairs` in that order and serves the search only: it
@@ -194,20 +186,14 @@ class _Engine:
     """
 
     def __init__(self, model: ir.ProtocolModel, bounds: Bounds):
-        _refuse_ill_sorted(model, model.state_vars + model.transitions)
+        ir.refuse_ill_sorted(model, model.state_vars + model.transitions)
         self.model = model
         self.bounds = bounds
         self.constants, self.atoms, self.caps, initial, \
-            (self.slots, kinds) = _instance(model, bounds)
+            (self.slots, leaves) = _instance(model, bounds)
         self.pairs = _pairs(model, self.constants)
-        # a counter that starts in range stays there: every update of it
-        # is range-checked
-        counters = {self.slots[v.name][1]: self.caps[v.name]
-                    for v, x in zip(model.state_vars, initial)
-                    if v.name in self.caps and 0 <= x <= self.caps[v.name]}
-        width = (bounds.max_states + len(self.pairs) + 1).bit_length()
         self.env = C.environment()
-        C.pack(self.slots, kinds, counters, width, self.env)
+        C.pack(self.slots, leaves, model.constants_map, self.env)
         self.start = C.encode(initial, self.env)
         steps = [C.compile_step(t, binding, self.slots, self.constants,
                                 self.caps, self.env)
@@ -220,7 +206,7 @@ class _Engine:
 
     def invariant(self, prop: ir.Property):
         """The property's invariant as a predicate on packed states."""
-        _refuse_ill_sorted(self.model, (prop,))
+        ir.refuse_ill_sorted(self.model, (prop,))
         return C.function(C.value(
             C.compile_expr(prop.invariant, self.slots, self.constants,
                            self.env), self.env)[0], self.env)
@@ -362,7 +348,7 @@ def validate_trace(model: ir.ProtocolModel, cx: Counterexample,
     """
     if prop is None:
         prop = model.property_by_id(cx.property_id)
-    _refuse_ill_sorted(model, model.state_vars + model.transitions + (prop,))
+    ir.refuse_ill_sorted(model, model.state_vars + model.transitions + (prop,))
     # raises KeyError for an unknown action
     steps = [(model.transition(s.transition_id), s) for s in cx.steps]
     constants, atoms, caps, initial, (slots, _) = _instance(model, bounds)
@@ -397,19 +383,25 @@ def value_to_json(v):
     raise CheckError(f"unencodable value {v!r}")
 
 
+# per sort: the JSON type of its values
+_JSON_TYPES = {ir.BoolSort: bool, ir.CounterSort: int, ir.EnumSort: str,
+               ir.SetSort: list, ir.MapSort: dict}
+
+
 def value_from_json(obj, sort: ir.Sort):
-    if isinstance(sort, ir.BoolSort):
-        return bool(obj)
-    if isinstance(sort, ir.CounterSort):
-        return int(obj)
-    if isinstance(sort, ir.EnumSort):
-        return str(obj)
-    if isinstance(sort, ir.SetSort):
-        return frozenset(str(x) for x in obj)
-    if isinstance(sort, ir.MapSort):
+    """The value that obj, decoded JSON, gives a variable of this sort.
+    Raises TypeError unless obj has the sort's JSON type: a bool, an int
+    that is no bool, a string, a list of strings or an object."""
+    want = _JSON_TYPES[type(sort)]
+    if type(obj) is not want or want is list and any(
+            type(x) is not str for x in obj):
+        raise TypeError(f"{json.dumps(obj, default=repr)} is no {sort} value")
+    if want is list:
+        return frozenset(obj)
+    if want is dict:
         return E.FMap.of({k: value_from_json(v, sort.value)
                           for k, v in obj.items()})
-    raise CheckError(f"cannot decode against sort {sort}")
+    return obj
 
 
 def export_counterexample(model: ir.ProtocolModel, cx: Counterexample) -> str:
@@ -444,7 +436,7 @@ def decode_trace(model: ir.ProtocolModel, property_id, depth, initial,
                 raise CheckError(f"{where} lacks variable {v.name!r}")
         try:
             return tuple(value(obj[v.name], v.sort) for v in model.state_vars)
-        except (TypeError, ValueError, AttributeError) as exc:
+        except TypeError as exc:
             raise CheckError(f"{where} holds a bad value: {exc}") from None
 
     def trace_step(i, action, params, state):

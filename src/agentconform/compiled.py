@@ -18,19 +18,17 @@ one shape. A map's keys are its initial value's: its domain as bounded,
 or the keys a map literal declares.
 
 Packing. Inside the engine a state is one int, and each slot is a
-fixed-width bit field of it (`pack`). A bool slot takes 1 bit and a
-counter slot holds its value 0..cap. Every other slot holds a code into
-the slot's intern table, which grows as the search meets new values.
-An intern field is as wide as the engine's budget of distinct values,
-but codes are small, so only its low bits vary. Fields are laid out from
-bit 0 in rank order: bools, then counters, then atoms, then sets and
-other ints, each rank in slot order, so the sparse intern fields sit on
-top, a state's int ends a few bits past the start of the last one, and
-guards mostly read low fields (`field_order` in `BENCH_11.json`). Python
-hashes ints modulo 2**61 - 1, so bits 61 apart alias in the hash, which
-costs a dict probe, not a wrong answer. `encode` and `decode` convert
-between state vectors and packed states; a map needed as a whole value
-is built back into an `E.FMap` by `_build`.
+fixed-width bit field of it, laid out from bit 0 in slot order (`pack`).
+A field's width and its values' codes come from the slot's leaf sort
+alone: a BOOL takes 1 bit and a COUNTER(n) the bits of n, each holding
+its value; an ENUM is coded by a value's position among its declared
+values; and a SET(D) takes one bit per declared atom of D, its code the
+mask of its atoms. So the encoding is the same for any bounds, and a
+counter that starts above its cap, or a set holding an atom that a cap
+leaves out of D, fits its field. Set codes are found on demand, never
+by listing D's subsets. `encode` and `decode` convert between state
+vectors and packed states; a map needed as a whole value is built back
+into an `E.FMap` by `_build`.
 
 Binding. Transition parameters are compiled per binding and quantifiers
 are unrolled over their (bounded) domains, so every bound name is a
@@ -38,12 +36,10 @@ literal atom at compile time and a literal map key is a fixed slot.
 Sub-expressions without state reads are folded, and a guard that folds to
 false disables its binding outright.
 
-Kinds. A slot's kind ("bool", "int", "atom" or "set") is its variable's
-declared sort, so compiled code checks no value's type at run time: a
-bool slot, or a counter whose initial value is in range, holds its
-value, and every other slot a code. What a bounded instance can still
-raise is raised: a key outside a capped domain, and, when the engine is
-built, a whole-map store between maps whose bounded shapes differ.
+Sorts. Compiled code checks no value's type at run time: every slot's
+value is of its leaf sort. What a bounded instance can still raise is
+raised: a key outside a capped domain, and, when the engine is built, a
+whole-map store between maps whose bounded shapes differ.
 
 Source. A compiled value is (src, form): src is a Python expression over
 the packed state `s`, and form is ("slot", i), ("const", v) or None. A
@@ -51,16 +47,18 @@ map that lives in slots is (None, ("map", shape, base)) instead, where
 base is its first slot or the source of an int expression computing it.
 Every field read starts from the field's masked value `(s & M)`: a bool
 field reads as `((s & B) != 0)`, a counter as `((s & M) >> k)` and an
-intern field as `_v<i>[(s & M) >> k]`; a comparison of a field with a
-constant compares the field's bits, `(s & M) == C`, with the constant
-encoded at compile time. Bools, ints and atom names are literals in src;
-every other constant (sets, maps, shapes) is a global `_k<n>` of the
-environment `env` the source is compiled in, which also binds the
-packing (`_L`, the fields, and `_v<i>` and `_c<i>`, slot i's values by
-code and codes by value) and the helpers in `_GLOBALS`. A step writes
-its post-state as one expression, `s & K | V | ...`: K keeps the fields
-it does not store, V holds its constant stores, and each other store is
-its value's code shifted into place.
+enum or set field as `_v<i>[(s & M) >> k]`; a comparison of a field with
+a constant of its sort compares the field's bits, `(s & M) == C`, with
+the constant encoded at compile time, and one with a constant outside
+the sort compares the decoded value. Bools, ints and atom names are
+literals in src; every other constant (sets, maps, shapes) is a global
+`_k<n>` of the environment `env` the source is compiled in, which also
+binds the packing (`_L`, the fields, and `_v<i>` and `_c<i>`, an enum or
+set slot i's values by code and codes by value) and the helpers in
+`_GLOBALS`. A step writes its post-state as one expression,
+`s & K | V | ...`: K keeps the fields it does not store, V holds its
+constant stores, and each other store is its value's code shifted into
+place.
 
 Functions. `function` turns a value's source into `value(s)`, and
 `kernel` writes one `successors(s, out)` for all of an engine's steps,
@@ -109,68 +107,69 @@ def _leaves(v, shape, out):
             _leaves(x, shape[1], out)
 
 
-_KINDS = {ir.BoolSort: "bool", ir.CounterSort: "int", ir.EnumSort: "atom",
-          ir.SetSort: "set"}
-
-
 def layout(names, sorts, values):
-    """(slots, kinds) of a state vector whose variables have these
+    """(slots, leaves) of a state vector whose variables have these
     names and sorts: slots maps each variable to (shape, first slot),
-    and kinds lists each slot's kind, its variable's leaf sort."""
-    slots, kinds = {}, []
+    and leaves lists each slot's sort, its variable's leaf sort."""
+    slots, leaves = {}, []
     for name, sort, v in zip(names, sorts, values):
         shape = shape_of(v)
-        slots[name] = (shape, len(kinds))
+        slots[name] = (shape, len(leaves))
         while type(sort) is ir.MapSort:
             sort = sort.value
-        kinds += [_KINDS[type(sort)]] * size(shape)
-    return slots, kinds
+        leaves += [sort] * size(shape)
+    return slots, leaves
 
 
 _BOOLS = (False, True)
 
 
-class _Codes(dict):
-    """value -> code of one intern field, growing on lookup; values[code]
-    is the value. A code past limit would not fit the field."""
-    __slots__ = ("values", "limit")
+class _Sets(dict):
+    """Both ways between the sets of one SET(D) field and their codes,
+    filled on demand: a set's code is the mask of its atoms' bits, and
+    an atom outside D has none (KeyError)."""
+    __slots__ = ("bits",)
 
-    def __missing__(self, v):
-        code = len(self.values)
-        if code > self.limit:
-            raise OverflowError(f"more than {self.limit + 1} distinct "
-                                f"values in one state slot")
-        self[v] = code
-        self.values.append(v)
-        return code
-
-
-def pack(slots, kinds, counters, width, env):
-    """Lays the slots out as bit fields of one int and binds the layout
-    into env. counters maps an int slot that only ever holds 0..cap to
-    cap; every slot that is neither a bool nor such a counter is
-    interned, in a field `width` bits wide."""
-    ranks = [0 if k == "bool" else 1 if k == "int" and i in counters
-             else 2 if k == "atom" else 3 for i, k in enumerate(kinds)]
-    fields, masks, shift = [None] * len(kinds), [0] * len(kinds), 0
-    for rank, i in sorted(zip(ranks, range(len(kinds)))):
-        if rank == 0:
-            fields[i] = (shift, 1, _BOOLS, None)
-        elif rank == 1:
-            cap = counters[i]
-            fields[i] = (shift, (1 << cap.bit_length()) - 1,
-                         range(cap + 1), None)
+    def __missing__(self, key):
+        if type(key) is int:
+            v = frozenset(a for a, bit in self.bits.items() if key & bit)
         else:
-            codes = _Codes()
-            codes.values, codes.limit = [], (1 << width) - 1
-            env[f"_v{i}"], env[f"_c{i}"] = codes.values, codes
-            fields[i] = (shift, codes.limit, codes.values, codes)
-        masks[i] = fields[i][1] << shift
-        shift += fields[i][1].bit_length()
+            v = sum(map(self.bits.__getitem__, key))
+        self[key] = v
+        return v
+
+
+def _field(sort, domains):
+    """(width, values by code, codes by value) of a slot of this leaf
+    sort; codes is None where each value is its own code."""
+    if type(sort) is ir.BoolSort:
+        return 1, _BOOLS, None
+    if type(sort) is ir.CounterSort:
+        return sort.max.bit_length(), range(sort.max + 1), None
+    if type(sort) is ir.EnumSort:
+        return ((len(sort.values) - 1).bit_length(), sort.values,
+                {v: n for n, v in enumerate(sort.values)})
+    codes = _Sets()
+    codes.bits = {a: 1 << n for n, a in enumerate(domains[sort.over])}
+    return len(codes.bits), codes, codes
+
+
+def pack(slots, leaves, domains, env):
+    """Lays the slots out as bit fields of one int, in slot order, and
+    binds the layout into env. Each field's width and codes come from
+    its leaf sort, domains mapping each domain to its declared atoms."""
+    fields, shift = [], 0
+    for i, sort in enumerate(leaves):
+        width, values, codes = _field(sort, domains)
+        if codes is not None:
+            env[f"_v{i}"], env[f"_c{i}"] = values, codes
+        fields.append((shift, (1 << width) - 1, values, codes))
+        shift += width
     env["_L"], env["_FULL"] = fields, (1 << shift) - 1
     # per variable: the mask of its fields, its values decoded so far by
     # their bits, its first slot and its shape
-    env["_vars"] = [(sum(masks[base:base + size(shape)]), {}, base, shape)
+    env["_vars"] = [(sum(m << k for k, m, _, _ in
+                         fields[base:base + size(shape)]), {}, base, shape)
                     for shape, base in slots.values()]
 
 
@@ -446,11 +445,13 @@ def _cmp(op, left, right, env):
 
 def _field_bits(i, v, env):
     """(the field mask, v's code in place) for slot i, or None when v
-    has no code there (a counter value out of range)."""
+    has no code there, being outside the slot's sort."""
     shift, mask, values, codes = env["_L"][i]
-    if codes is None and v not in values:
+    try:
+        code = codes[v] if codes is not None else values.index(v)
+    except (KeyError, ValueError):
         return None
-    return mask << shift, (v if codes is None else codes[v]) << shift
+    return mask << shift, code << shift
 
 
 def _index(base, key, env):

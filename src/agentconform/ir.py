@@ -535,6 +535,13 @@ def sort_findings(model: ProtocolModel, subjects) -> list:
     return out
 
 
+def refuse_ill_sorted(model: ProtocolModel, subjects):
+    """Raises IrError naming the `sort_findings` of subjects, if any."""
+    findings = sort_findings(model, subjects)
+    if findings:
+        raise IrError("; ".join(map(str, findings)))
+
+
 def validate(model: ProtocolModel) -> ValidationReport:
     """Declarations and sorts (`sort_findings`), and provenance: every
     Protocol-kind transition cites a source and every Adversary one

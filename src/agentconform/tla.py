@@ -246,6 +246,10 @@ def emit_config(model: ir.ProtocolModel, property_id: str,
 def emit_artifact(model: ir.ProtocolModel,
                   bounds: checker.Bounds = checker.DEFAULT_BOUNDS
                   ) -> TlaArtifact:
+    """The module and one configuration per property; raises IrError
+    naming the findings of an ill-sorted model."""
+    ir.refuse_ill_sorted(
+        model, model.state_vars + model.transitions + model.properties)
     configs = tuple(
         (p.id, emit_config(model, p.id, bounds)) for p in model.properties)
     return TlaArtifact(emit_module(model, bounds), configs)

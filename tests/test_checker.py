@@ -168,9 +168,31 @@ def test_import_rejects_unknown_action():
      "a step's params are not a JSON object"),
     (lambda doc: doc["initial"].update(msg_count=[1]),
      "initial state holds a bad value"),
+    # a value of another JSON type than its sort's is refused, not coerced
+    (lambda doc: doc["initial"].update(error_raised=0),
+     "initial state holds a bad value: 0 is no BOOL value"),
+    (lambda doc: doc["steps"][0]["state"].update(prompt_tainted="false"),
+     'step 1 (OpenSession) state holds a bad value: "false" is no BOOL '
+     'value'),
+    (lambda doc: doc["initial"].update(audit_count=0.5),
+     "initial state holds a bad value: 0.5 is no COUNTER(3) value"),
+    (lambda doc: doc["initial"].update(msg_count=True),
+     "initial state holds a bad value: true is no COUNTER(3) value"),
+    (lambda doc: doc["initial"].update(error_mode=1),
+     "initial state holds a bad value: 1 is no ENUM[RESTRICTIVE, "
+     "PERMISSIVE] value"),
+    (lambda doc: doc["initial"].update(original_caps={"a1": "c1"}),
+     'initial state holds a bad value: "c1" is no SET(Caps) value'),
+    (lambda doc: doc["initial"].update(original_caps={"a1": ["c1", 2]}),
+     'initial state holds a bad value: ["c1", 2] is no SET(Caps) value'),
+    (lambda doc: doc["initial"].update(executed=["op_tool"]),
+     'initial state holds a bad value: ["op_tool"] is no MAP(Ops -> BOOL) '
+     'value'),
 ], ids=["step-params", "step-state", "initial-state", "steps", "initial",
         "property", "depth", "step-action", "step-params-key",
-        "step-state-key", "wrong-depth", "params-list", "bad-value"])
+        "step-state-key", "wrong-depth", "params-list", "bad-value",
+        "bool-int", "bool-string", "counter-float", "counter-bool",
+        "enum-int", "set-string", "set-int", "map-list"])
 def test_import_rejects_missing_keys(tamper, message):
     model = builtin("mcp")
     res = checker.check(model, model.property_by_id("P8_CredRevocation"))

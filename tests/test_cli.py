@@ -240,11 +240,18 @@ def test_replay_round_trip(tmp_path, capsys):
     assert json.loads(out)["outcome"] == "UPHELD"
 
 
+def _float_counters(doc):
+    for state in [doc["initial"]] + [step["state"] for step in doc["steps"]]:
+        state["audit_count"] = float(state["audit_count"])
+
+
 @pytest.mark.parametrize("tamper, message", [
     (lambda doc: doc.pop("steps"), "counterexample lacks 'steps'"),
     (lambda doc: doc.update(depth=7), "depth 7 does not count the 2 steps"),
     (lambda doc: doc["steps"][0].pop("action"), "step 1 lacks 'action'"),
-], ids=["no-steps", "wrong-depth", "no-action"])
+    (_float_counters,
+     "initial state holds a bad value: 0.0 is no COUNTER(3) value"),
+], ids=["no-steps", "wrong-depth", "no-action", "float-counters"])
 def test_replay_rejects_malformed_counterexample(tmp_path, capsys, tamper,
                                                  message):
     cx_path = tmp_path / "cx.json"

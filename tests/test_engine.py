@@ -288,10 +288,121 @@ def test_a_map_copied_across_bounded_shapes_is_an_error():
         "ERROR: update m would change the shape of 'm'"
 
 
-def _chained_servers():
+def _bundled_model(name):
+    """A builtin by name, or a builtin composition by its pattern."""
+    if name in BUILTIN_NAMES:
+        return builtin(name)
     return next(compose.compose(a, b, bridge)
                 for pattern, a, b, bridge in compose.builtin_compositions()
-                if pattern == "chained-servers")
+                if pattern == name)
+
+
+def _sort_width(sort, declared) -> int:
+    """Bits of one slot of this leaf sort: 1 for a BOOL, those of n for
+    a COUNTER(n), of k - 1 for an ENUM of k values, and one per declared
+    atom of D for a SET(D)."""
+    if isinstance(sort, ir.BoolSort):
+        return 1
+    if isinstance(sort, ir.CounterSort):
+        return sort.max.bit_length()
+    if isinstance(sort, ir.EnumSort):
+        return (len(sort.values) - 1).bit_length()
+    return len(declared[sort.over])
+
+
+def _state_bits(model) -> int:
+    """The sum of the slots' sort widths at the default bounds: a map
+    takes one slot per leaf of its initial value."""
+    constants = checker.bounded_constants(model, checker.DEFAULT_BOUNDS)
+    total = 0
+    for v in model.state_vars:
+        value, sort = v.initial_value(constants), v.sort
+        leaves = 1
+        while isinstance(sort, ir.MapSort):
+            leaves *= len(value.items)
+            value, sort = value.items[0][1], sort.value
+        total += leaves * _sort_width(sort, model.constants_map)
+    return total
+
+
+_COMPOSITIONS = tuple(p for p, *_ in compose.builtin_compositions())
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + _COMPOSITIONS)
+def test_state_encoding_comes_from_the_sorts(name):
+    """A packed state is as wide as its slots' sorts need: 33-37 bits on
+    the builtins, below Python's 61-bit int hash, and 74-78 on the
+    compositions. The encoding is a function of the model: the start
+    state and the field masks are the same for any state budget."""
+    model = _bundled_model(name)
+    eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
+    bits = eng.env["_FULL"].bit_length()
+    assert bits == _state_bits(model)
+    low, high = (33, 37) if name in BUILTIN_NAMES else (74, 78)
+    assert low <= bits <= high
+    if name in BUILTIN_NAMES:
+        assert eng.env["_FULL"] < 2**61
+    tiny = checker._Engine(
+        model, replace(checker.DEFAULT_BOUNDS, max_states=1))
+    assert (tiny.start, tiny.env["_FULL"]) == (eng.start, eng.env["_FULL"])
+    assert [f[:2] for f in tiny.env["_L"]] == [f[:2] for f in eng.env["_L"]]
+
+
+def _edge_model():
+    """Sort edges of the encoding: a SET(Caps) that starts at {c2}, out
+    of Caps capped to 1; a COUNTER(3) that starts at 3, above a
+    counter_max of 1; a COUNTER(0); a one-value ENUM; and a set compared
+    with {o1}, a set of another domain's atom, which has no code in a
+    SET(Caps) field."""
+    def var(name, sort, init):
+        return ir.StateVarDecl(name, sort, ir.InitExpr(E.parse(init)))
+
+    def step(tid, params, guard, *updates):
+        return ir.Transition(
+            tid, "Protocol", "sys", params, E.parse(guard),
+            tuple((ir.UpdateTarget(v), E.parse(rhs)) for v, rhs in updates),
+            "MAY", (ir.SourceRef("test", "edges"),))
+
+    return ir.ProtocolModel(
+        name="edges", snapshot="2025-01",
+        constants=(("Caps", ("c1", "c2")), ("Other", ("o1",))),
+        state_vars=(var("s", ir.SetSort("Caps"), "{c2}"),
+                    var("k", ir.CounterSort(3), "3"),
+                    var("z", ir.CounterSort(0), "0"),
+                    var("e", ir.EnumSort(("only",)), "only")),
+        transitions=(
+            step("Grant", (("c", "Caps"),), "c notin s and s # {o1}",
+                 ("s", "s union {c}")),
+            step("Reset", (), "k = 3 and s = {c1, c2}", ("k", "0"),
+                 ("s", "{}")),
+            step("Inc", (), "k # 3", ("k", "k + 1"), ("e", "only")),
+            step("Tick", (), "e = only", ("z", "z + 1"))),
+        properties=(ir.Property("INV", "P0", "aasm-hardening", E.parse(
+            "s subseteq Caps and s # {o1} and z = 0 and e = only")),))
+
+
+@pytest.mark.parametrize("bounds, states, verdict", [
+    (replace(checker.DEFAULT_BOUNDS.with_caps(caps=1), counter_max=1), 6,
+     ("FAIL", 0)),
+    (checker.DEFAULT_BOUNDS, 16, ("PASS", None)),
+], ids=["caps1-counter1", "default"])
+def test_sort_edges_match_the_oracle(bounds, states, verdict):
+    """On the edge model the kernel, `checker._apply` and the invariant
+    agree with the oracle and the evaluator on every reachable state,
+    and `enumerate_states` counts the same states."""
+    model = _edge_model()
+    assert ir.validate(model).ok
+    prop = model.properties[0]
+    reached = _assert_engine_matches_oracle(model, bounds, (prop,))
+    assert checker.enumerate_states(model, bounds) == reached == states
+    res = checker.check(model, prop, bounds)
+    depth = res.counterexample.depth if res.counterexample else None
+    assert (res.verdict, depth) == verdict == oracle_check(model, prop,
+                                                           bounds)
+
+
+def _chained_servers():
+    return _bundled_model("chained-servers")
 
 
 def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):

@@ -376,17 +376,19 @@ _STATE = {**STATE, "who": "ag3", "deleg": E.FMap.of({
 @example(E.parse("deleg[ag1][ag3]"), _STATE)
 @example(E.parse("grant[ag1] = deleg[ag2][who]"), _STATE)
 @example(E.parse("n + 1 > 2 => caps # {}"), _STATE)
+@example(E.parse("mode # ag1 and caps # {ag2} and who # OPEN and n # 4"),
+         _STATE)
 def test_compiled_matches_evaluator(e, state):
     """On every expression the sort checker accepts, the same value, or
     the same exception type and message (a key outside the bounded
-    AgentID), with the slots' kinds from their sorts and `n` packed as a
-    counter."""
+    AgentID), with each slot's field and codes from its sort and the
+    model's declared domains."""
     assume(_well_sorted(e))
     names = list(state)
     values = [state[n] for n in names]
-    slots, kinds = C.layout(names, [_SORTS[n] for n in names], values)
+    slots, leaves = C.layout(names, [_SORTS[n] for n in names], values)
     env = C.environment()
-    C.pack(slots, kinds, {slots["n"][1]: 3}, 8, env)
+    C.pack(slots, leaves, _MODEL.constants_map, env)
     packed = C.encode(values, env)
     assert C.decode(packed, env) == tuple(values)
     fn = C.function(C.value(C.compile_expr(e, slots, CONSTANTS, env),

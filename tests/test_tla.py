@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agentconform import checker, compose, report, tla
+from agentconform import checker, compose, ir, report, tla
 from agentconform import expr as E
 from agentconform.builtins import BUILTIN_NAMES, builtin
 
@@ -51,6 +51,23 @@ def test_emission_deterministic():
 def test_unknown_property_rejected():
     with pytest.raises(KeyError):
         tla.emit_config(builtin("mcp"), "NoSuchProp")
+
+
+def test_ill_sorted_model_refused():
+    """Emitted through the library, a model whose transition stores an
+    int into a BOOL variable raises IrError naming the finding."""
+    model = ir.ProtocolModel(
+        name="p", snapshot="s", constants=(),
+        state_vars=(ir.StateVarDecl("v", ir.BoolSort(),
+                                    ir.InitExpr(E.parse("false"))),),
+        transitions=(ir.Transition(
+            "T", "Protocol", "a", (), E.parse("true"),
+            ((ir.UpdateTarget("v"), E.parse("1")),), "MAY",
+            (ir.SourceRef("RFC", "1", "q"),)),),
+        properties=())
+    with pytest.raises(ir.IrError, match=re.escape(
+            "sort-mismatch in T: update `v := 1`")):
+        tla.emit_artifact(model)
 
 
 AGREEMENT_BOUNDS = {
