@@ -23,12 +23,14 @@ A field's width and its values' codes come from the slot's leaf sort
 alone: a BOOL takes 1 bit and a COUNTER(n) the bits of n, each holding
 its value; an ENUM is coded by a value's position among its declared
 values; and a SET(D) takes one bit per declared atom of D, its code the
-mask of its atoms. So the encoding is the same for any bounds, and a
-counter that starts above its cap, or a set holding an atom that a cap
-leaves out of D, fits its field. Set codes are found on demand, never
-by listing D's subsets. `encode` and `decode` convert between state
-vectors and packed states; a map needed as a whole value is built back
-into an `E.FMap` by `_build`.
+mask of its atoms. A counter is always a whole variable (a COUNTER
+under a MAP is a `bad-sort`), whose initial value and stores are
+range-checked. So every value fits its field, the encoding is the same
+for any bounds, and a counter that starts above its cap, or a set
+holding an atom that a cap leaves out of D, needs no path of its own.
+Set codes are found on demand, never by listing D's subsets. `encode`
+and `decode` convert between state vectors and packed states; a map
+needed as a whole value is built back into an `E.FMap` by `_build`.
 
 Binding. Transition parameters are compiled per binding and quantifiers
 are unrolled over their (bounded) domains, so every bound name is a
@@ -115,9 +117,7 @@ def layout(names, sorts, values):
     for name, sort, v in zip(names, sorts, values):
         shape = shape_of(v)
         slots[name] = (shape, len(leaves))
-        while type(sort) is ir.MapSort:
-            sort = sort.value
-        leaves += [sort] * size(shape)
+        leaves += [ir.leaf_sort(sort)] * size(shape)
     return slots, leaves
 
 

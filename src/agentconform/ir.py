@@ -91,6 +91,13 @@ def sort_atoms(sort: Sort) -> set:
     return set()
 
 
+def leaf_sort(sort: Sort) -> Sort:
+    """The sort of a map's innermost values; a non-map sort itself."""
+    while isinstance(sort, MapSort):
+        sort = sort.value
+    return sort
+
+
 def value_in_sort(v, sort: Sort, constants) -> bool:
     if isinstance(sort, BoolSort):
         return isinstance(v, bool)
@@ -311,7 +318,7 @@ class Finding(Record):
     __slots__ = ("code", "subject", "detail")
 
     def __init__(self, code: str, subject: str, detail: str):
-        # undeclared-symbol | init-sort-mismatch | sort-mismatch
+        # undeclared-symbol | bad-sort | init-sort-mismatch | sort-mismatch
         # | missing-provenance | missing-adv-tag | bad-param-domain
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "subject", subject)  # transition/property/var
@@ -498,7 +505,9 @@ def sort_findings(model: ProtocolModel, subjects) -> list:
     finding that names the subject and prints the expression; an initial
     value, which reads no state, has `init-sort-mismatch` findings, and
     a sort or parameter naming an unknown domain an `undeclared-symbol`
-    or `bad-param-domain` one. Never raises for content."""
+    or `bad-param-domain` one. A COUNTER is a `bad-sort` under a MAP:
+    only a counter variable's own stores are range-checked, so a map's
+    counters would have no bound. Never raises for content."""
     domains = {d: (ATOM, frozenset(atoms)) for d, atoms in model.constants}
     consts = {a: (ATOM, frozenset((a,))) for a in model.atom_universe()}
     consts.update((d, (SET, atoms)) for d, (_, atoms) in domains.items())
@@ -513,6 +522,10 @@ def sort_findings(model: ProtocolModel, subjects) -> list:
         if isinstance(x, StateVarDecl) and var_sorts[x.name] is None:
             out.append(Finding("undeclared-symbol", x.name,
                                f"sort {x.sort} names an undeclared domain"))
+        elif isinstance(x, StateVarDecl) and isinstance(x.sort, MapSort) \
+                and isinstance(leaf_sort(x.sort), CounterSort):
+            out.append(Finding("bad-sort", x.name,
+                               f"sort {x.sort} puts a COUNTER under a MAP"))
         elif isinstance(x, StateVarDecl):
             _init_sorts(x, var_sorts[x.name], consts, domains,
                         lambda problem, v=x.name: out.append(

@@ -203,7 +203,7 @@ def _shape_model():
 
 
 def _assert_refused(model, finding):
-    """`ir.validate` reports exactly the sort-mismatch finding, every
+    """`ir.validate` reports exactly the finding, every
     search of the model is an ERROR that names it, and `validate_trace`
     refuses a trace of it."""
     assert [str(f) for f in ir.validate(model).findings] == [finding]
@@ -258,6 +258,36 @@ def test_a_map_stored_into_a_leaf_is_a_sort_mismatch():
                                 E.parse("stage < 2")),))
     _assert_refused(model, "sort-mismatch in Nest: update `m[a] := n`: the "
                            "value is a MAP({a, b} -> BOOL), not BOOL")
+
+
+def test_a_counter_under_a_map_is_refused():
+    """c : MAP(Dom -> COUNTER(1)) would take one bit per key, and Bump
+    stores 2 and Set 5 there: the reference semantics, which range-check
+    only a counter variable, reach c[a] = 5 at depth 1, past the field's
+    width. The sort is refused before anything is packed, by the engine,
+    `validate_trace` and the TLA+ emitter alike."""
+    def step(tid, params, key, rhs):
+        return ir.Transition(
+            tid, "Protocol", "sys", params, E.parse("true"),
+            ((ir.UpdateTarget("c", (E.parse(key),)), E.parse(rhs)),),
+            "MAY", (ir.SourceRef("test", "counters"),))
+
+    model = ir.ProtocolModel(
+        name="counters", snapshot="2025-01",
+        constants=(("Dom", ("a", "b")),),
+        state_vars=(ir.StateVarDecl(
+            "c", ir.MapSort("Dom", ir.CounterSort(1)),
+            ir.InitAll(E.parse("0"))),),
+        transitions=(step("Bump", (("x", "Dom"),), "x", "c[x] + 1"),
+                     step("Set", (), "a", "5")),
+        properties=(ir.Property("INV", "P0", "aasm-hardening",
+                                E.parse("c[a] < 2")),))
+    assert oracle_check(model, model.properties[0]) == ("FAIL", 1)
+    finding = "bad-sort in c: sort MAP(Dom -> COUNTER(1)) puts a COUNTER " \
+              "under a MAP"
+    _assert_refused(model, finding)
+    with pytest.raises(ir.IrError, match=re.escape(finding)):
+        tla.emit_artifact(model)
 
 
 def test_a_map_copied_across_bounded_shapes_is_an_error():

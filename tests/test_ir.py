@@ -245,6 +245,19 @@ def test_init_sort_rule(init, detail):
     assert [str(f) for f in ir.validate(model).findings] == want
 
 
+@pytest.mark.parametrize("sort", ["MAP(Dom -> COUNTER(1))",
+                                  "MAP(Dom -> MAP(Dom -> COUNTER(3)))"])
+def test_a_counter_under_a_map_is_a_bad_sort(sort):
+    """Only a counter variable's own stores are range-checked, so a
+    COUNTER is refused as a map's value, at any depth."""
+    text = _SORT_MODEL.format(guard="true", update="flag := true",
+                              invariant="true").replace(
+        "var k : COUNTER(3) init 0", f"var k : {sort} init all 0")
+    from agentconform import irfmt
+    assert [str(f) for f in ir.validate(irfmt.parse_model(text)).findings] \
+        == [f"bad-sort in k: sort {sort} puts a COUNTER under a MAP"]
+
+
 def test_random_models_are_well_sorted():
     from test_checker import random_model
     rng = random.Random(20261019)
