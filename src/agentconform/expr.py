@@ -18,6 +18,16 @@ Grammar (canonical concrete syntax):
 increments and set-growing state updates can be written in the same language
 as guards and invariants. `!=` is an accepted alias for `#`; the printer
 always emits `#`.
+
+`parse` reads the tokens as plain strings from one `findall` of the token
+pattern and parses them by operator precedence (after Pratt, "Top Down
+Operator Precedence", POPL 1973): `_formula` takes `not`, a parenthesized
+expr or a comparison, then `and`, `or` and `=>` as far as its binding level
+allows, and `_term` takes `+`, `union` and indexing, so a primary is three
+calls deep. Positions are worked out only for an error: the same pattern is
+run again with `finditer`, and the error names the line and column of the
+token where parsing stopped, unless some character is no token at all, in
+which case the first such character is the error.
 """
 
 from __future__ import annotations
@@ -53,13 +63,17 @@ class UnboundSymbolError(ExprError):
 class FMap(Record):
     """Immutable finite map with atom keys, hashable by construction. The
     hash is taken once; maps with different hashes differ, so equality
-    compares hashes before items."""
-    __slots__ = ("items", "_hash")
+    compares hashes before items. A lookup goes through a key -> position
+    index, built at the first lookup and handed on to each map `set`
+    derives, which has the same keys; the index takes no part in equality,
+    hash, repr or pickling."""
+    __slots__ = ("items", "_hash", "_index")
     _fields = ("items",)
 
     def __init__(self, items: tuple):  # ((key: str, Value), ...) by key
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "_hash", hash((items,)))
+        object.__setattr__(self, "_index", None)
 
     def __eq__(self, other):
         if other.__class__ is not FMap:
@@ -73,22 +87,28 @@ class FMap(Record):
     def of(mapping) -> "FMap":
         return FMap(tuple(sorted(mapping.items())))
 
+    def _positions(self) -> dict:
+        index = self._index
+        if index is None:
+            index = {k: i for i, (k, _) in enumerate(self.items)}
+            object.__setattr__(self, "_index", index)
+        return index
+
     def __getitem__(self, key: str):
-        for k, v in self.items:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return self.items[self._positions()[key]][1]
 
     def __contains__(self, key: str) -> bool:
-        return any(k == key for k, _ in self.items)
+        return key in self._positions()
 
     def keys(self):
         return [k for k, _ in self.items]
 
     def set(self, key: str, value) -> "FMap":
-        if key not in self:
-            raise KeyError(key)
-        return FMap(tuple((k, value if k == key else v) for k, v in self.items))
+        i = self._positions()[key]
+        items = self.items
+        new = FMap(items[:i] + ((items[i][0], value),) + items[i + 1:])
+        object.__setattr__(new, "_index", self._index)
+        return new
 
 
 # An atom (a domain element or enum value) is its name string.
@@ -219,179 +239,187 @@ Expr = Union[Forall, Exists, Implies, And, Or, Not, Cmp, BinTerm, Index,
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokenizer and parser
 
 _KEYWORDS = {"forall", "exists", "in", "notin", "subseteq", "and", "or",
              "not", "true", "false", "union"}
-# One token per match, after any blanks: a newline, a word, an ASCII
-# integer, a punctuator (longest first), or any other character, which is
-# an error.
+_RELOPS = {"=", "#", "!=", "<", "<=", ">", ">=", "in", "notin", "subseteq"}
+# One token per match, after any blanks: a word, an ASCII integer, a
+# punctuator (longest first), or any other character. A word that opens
+# with a letter or `_` is a name or keyword; any other word (one that opens
+# with a digit such as '²') and any other character is an error.
 _TOKEN_RE = re.compile(
-    r"[ \t\r]*(?:(?P<NL>\n)|(?P<WORD>[^\W\d]\w*)|(?P<INT>[0-9]+)"
-    r"|(?P<PUNCT>=>|!=|<=|>=|:=|[=#<>:\[\]{}(),+])|(?P<BAD>[^ \t\r]))")
+    r"[ \t\r\n]*([^\W\d]\w*|[0-9]+|=>|!=|<=|>=|:=|[=#<>:\[\]{}(),+]"
+    r"|[^ \t\r\n])")
+_PUNCT = {"=>", "!=", "<=", ">=", ":=", "=", "#", "<", ">", ":", "[", "]",
+          "{", "}", "(", ")", ",", "+"}
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
+class _Fail(Exception):
+    """A syntax error at the token with `left` tokens (EOF included) left;
+    `parse` turns it into an ExprSyntaxError with a line and column."""
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # IDENT INT PUNCT KEYWORD EOF
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str, line_offset: int = 0, col_offset: int = 0) -> list:
-    toks = []
-    line, line_start = 1 + line_offset, -col_offset
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        word, col = m[kind], m.start(kind) - line_start + 1
-        if kind == "NL":
-            line, line_start = line + 1, m.end()
-        elif kind == "WORD" and (word[0].isalpha() or word[0] == "_"):
-            toks.append(_Tok("KEYWORD" if word in _KEYWORDS else "IDENT",
-                             word, line, col))
-        elif kind in ("INT", "PUNCT"):
-            toks.append(_Tok(kind, word, line, col))
-        else:  # BAD, or a word that opens with a digit such as '²'
-            raise ExprSyntaxError(f"unexpected character {word[0]!r}",
-                                  line, col)
-    toks.append(_Tok("EOF", "", line, len(text) - line_start + 1))
-    return toks
+    def __init__(self, message: str, left: int):
+        self.message = message
+        self.left = left
 
 
-_RELOPS = ("=", "#", "!=", "<", "<=", ">", ">=", "in", "notin", "subseteq")
+def _fail(toks: list, message: str):
+    raise _Fail(message, len(toks))
 
 
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
+def _expect(toks: list, text: str):
+    if toks[-1] != text:
+        _fail(toks, f"expected {text!r}, found {toks[-1]!r}")
+    toks.pop()
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+def _ident(toks: list) -> str:
+    t = toks[-1]
+    if not (t[:1].isalpha() or t[:1] == "_") or t in _KEYWORDS:
+        _fail(toks, f"expected identifier, found {t!r}")
+    return toks.pop()
 
-    def error(self, msg: str):
-        t = self.peek()
-        raise ExprSyntaxError(msg, t.line, t.col)
 
-    def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if t.text != text:
-            self.error(f"expected {text!r}, found {t.text!r}")
-        return self.next()
+# how far a formula extends: through `=>`, through `and`, or no further
+# than one negation, parenthesized expr or comparison
+_B_IMPL, _B_AND, _B_NOT = range(3)
 
-    def expect_ident(self) -> str:
-        t = self.peek()
-        if t.kind != "IDENT":
-            self.error(f"expected identifier, found {t.text!r}")
-        return self.next().text
 
-    # expr := quant | impl
-    def expr(self):
-        t = self.peek()
-        if t.text in ("forall", "exists"):
-            self.next()
-            var = self.expect_ident()
-            self.expect("in")
-            domain = self.expect_ident()
-            self.expect(":")
-            body = self.expr()  # body extends maximally right
-            return (Forall if t.text == "forall" else Exists)(var, domain, body)
-        return self.impl()
+def _expr(toks: list):
+    """expr := quant | impl"""
+    t = toks[-1]
+    if t == "forall" or t == "exists":
+        toks.pop()
+        var = _ident(toks)
+        _expect(toks, "in")
+        domain = _ident(toks)
+        _expect(toks, ":")
+        body = _expr(toks)  # body extends maximally right
+        return (Forall if t == "forall" else Exists)(var, domain, body)
+    return _formula(toks, _B_IMPL)
 
-    def impl(self):
-        lhs = self.disj()
-        if self.peek().text == "=>":
-            self.next()
-            return Implies(lhs, self.impl())
+
+def _formula(toks: list, level: int):
+    """A formula whose operators bind at least as tight as `level`: a
+    negation, a parenthesized expr or a term with an optional comparison,
+    then `and`, `or` and `=>` as far as `level` allows."""
+    t = toks[-1]
+    if t == "not":
+        toks.pop()
+        lhs = Not(_formula(toks, _B_NOT))
+    elif t == "(":
+        toks.pop()
+        lhs = _expr(toks)
+        _expect(toks, ")")
+    else:
+        lhs = _term(toks)
+        if toks[-1] in _RELOPS:
+            op = toks.pop()
+            lhs = Cmp("#" if op == "!=" else op, lhs, _term(toks))
+    if level == _B_NOT:
         return lhs
-
-    def disj(self):
-        items = [self.conj()]
-        while self.peek().text == "or":
-            self.next()
-            items.append(self.conj())
-        return items[0] if len(items) == 1 else Or(tuple(items))
-
-    def conj(self):
-        items = [self.neg()]
-        while self.peek().text == "and":
-            self.next()
-            items.append(self.neg())
-        return items[0] if len(items) == 1 else And(tuple(items))
-
-    def neg(self):
-        if self.peek().text == "not":
-            self.next()
-            return Not(self.neg())
-        return self.atom()
-
-    def atom(self):
-        t = self.peek()
-        if t.text == "(":
-            self.next()
-            e = self.expr()
-            self.expect(")")
-            return e
-        lhs = self.term()
-        nxt = self.peek().text
-        if nxt in _RELOPS:
-            self.next()
-            op = "#" if nxt == "!=" else nxt
-            return Cmp(op, lhs, self.term())
+    if toks[-1] == "and":
+        items = [lhs]
+        while toks[-1] == "and":
+            toks.pop()
+            items.append(_formula(toks, _B_NOT))
+        lhs = And(tuple(items))
+    if level == _B_AND:
         return lhs
+    if toks[-1] == "or":
+        items = [lhs]
+        while toks[-1] == "or":
+            toks.pop()
+            items.append(_formula(toks, _B_AND))
+        lhs = Or(tuple(items))
+    if toks[-1] == "=>":
+        toks.pop()
+        lhs = Implies(lhs, _formula(toks, _B_IMPL))  # right-associative
+    return lhs
 
-    def term(self):
-        lhs = self.addend()
-        while self.peek().text in ("+", "union"):
-            op = self.next().text
-            lhs = BinTerm(op, lhs, self.addend())
-        return lhs
 
-    def addend(self):
-        e = self.primary()
-        while self.peek().text == "[":
-            self.next()
-            key = self.term()
-            self.expect("]")
-            e = Index(e, key)
-        return e
-
-    def primary(self):
-        t = self.peek()
-        if t.kind == "IDENT":
-            return Name(self.next().text)
-        if t.kind == "INT":
-            return IntLit(int(self.next().text))
-        if t.text in ("true", "false"):
-            return BoolLit(self.next().text == "true")
-        if t.text == "{":
-            self.next()
+def _term(toks: list):
+    """term := addend (("+" | "union") addend)*, where
+    addend := primary ("[" term "]")*"""
+    lhs = None
+    while True:
+        t = toks[-1]
+        c = t[:1]
+        if t in _KEYWORDS:
+            if t != "true" and t != "false":
+                _fail(toks, f"unexpected token {t!r}")
+            e = BoolLit(toks.pop() == "true")
+        elif c.isalpha() or c == "_":
+            e = Name(toks.pop())
+        elif "0" <= c <= "9":
+            e = IntLit(int(toks.pop()))
+        elif t == "{":
+            toks.pop()
             items = []
-            if self.peek().text != "}":
-                items.append(self.term())
-                while self.peek().text == ",":
-                    self.next()
-                    items.append(self.term())
-            self.expect("}")
-            return SetLit(tuple(items))
-        self.error(f"unexpected token {t.text!r}")
+            if toks[-1] != "}":
+                items.append(_term(toks))
+                while toks[-1] == ",":
+                    toks.pop()
+                    items.append(_term(toks))
+            _expect(toks, "}")
+            e = SetLit(tuple(items))
+        else:
+            _fail(toks, f"unexpected token {t!r}")
+        while toks[-1] == "[":
+            toks.pop()
+            key = _term(toks)
+            _expect(toks, "]")
+            e = Index(e, key)
+        lhs = e if lhs is None else BinTerm(op, lhs, e)
+        op = toks[-1]
+        if op != "+" and op != "union":
+            return lhs
+        toks.pop()
+
+
+def _position(text: str, start: int, line_offset: int, col_offset: int):
+    """The (line, column) of offset `start` in text that begins at
+    column col_offset + 1 of line line_offset + 1."""
+    bol = text.rfind("\n", 0, start) + 1
+    if not bol:
+        return line_offset + 1, start + col_offset + 1
+    return line_offset + 1 + text.count("\n", 0, start), start - bol + 1
+
+
+def _syntax_error(text: str, index: int, message: str, line_offset: int,
+                  col_offset: int) -> ExprSyntaxError:
+    """The error to raise for `message` at token `index` (EOF when past the
+    last token), unless some token is no token at all: then the first such
+    one is the error, wherever the parser stopped."""
+    start = len(text)
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
+        tok = m[1]
+        if not (tok[0].isalpha() or tok[0] == "_" or "0" <= tok[0] <= "9"
+                or tok in _PUNCT):
+            message, start = f"unexpected character {tok[0]!r}", m.start(1)
+            break
+        if i == index:
+            start = m.start(1)
+    return ExprSyntaxError(message,
+                           *_position(text, start, line_offset, col_offset))
 
 
 def parse(text: str, line_offset: int = 0, col_offset: int = 0) -> Expr:
     """Parse an expression; raises ExprSyntaxError with position on failure."""
-    p = _Parser(_tokenize(text, line_offset, col_offset))
-    e = p.expr()
-    if p.peek().kind != "EOF":
-        p.error(f"trailing input {p.peek().text!r}")
-    return e
+    toks = _TOKEN_RE.findall(text)
+    toks.append("")  # EOF
+    toks.reverse()  # the next token is toks[-1]
+    n = len(toks)
+    try:
+        e = _expr(toks)
+        if toks[-1]:
+            _fail(toks, f"trailing input {toks[-1]!r}")
+        return e
+    except _Fail as f:
+        err = _syntax_error(text, n - f.left, f.message, line_offset,
+                            col_offset)
+    raise err
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,23 @@ property, clause or source group does not have is an error, and so is a
 second pair with the same key in any block or group, except `update` and
 `source` in a transition and `source` in a property.
 
+A name in a declared list (a `constants` domain's atoms, `ENUM[...]`
+values, transition `params`) is an identifier `[A-Za-z_][A-Za-z0-9_]*`
+and appears once; `COUNTER(n)` and a clause's `precedence` are ASCII
+digits. These rules are checked after the rest of the document has been
+read, so a document with any other error fails with that error.
+
+There is one reader, and it makes one pass over the lines. It uses string
+methods and one compiled pattern per construct: the block header, the
+`key:` head of a pair (also what tells a pair separator from other
+spaces), the `var` declaration, the sort, and the finder of quotes,
+braces and brackets that the list splitter steps through. Each pair
+keeps the line and column where its value starts, and each nested reader
+(sorts, lists, updates, expressions) is handed the column its text starts
+at, so every error names the line and the column in that line without a
+second reading. An expression text is parsed once per document: a repeat
+such as `false` reuses the first parse.
+
 Models stay reviewable data assets: everything, including guard and
 invariant expressions, is plain text with provenance attached.
 """
@@ -39,74 +56,110 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Low-level line scanning
 
-_KEY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_\-]*): *")
-_PAIR_SEP = f"  +(?={_KEY_RE.pattern})"
-_QUOTED_RE = re.compile(r'"([^"]*)"')
-_GROUP_RE = re.compile(r"(\{[^{}]*\})")
-_BRACE_RE = re.compile(r"[{}]")
+# One compiled pattern per construct; everything else is string methods,
+# which cost nothing to set up.
+_KEY = r"[A-Za-z_][A-Za-z0-9_\-]*"
+_KEY_RE = re.compile(f"({_KEY}): *")  # the head of a `key: value` pair
 _BLOCK_RE = re.compile(r"\s*(constants|aps|transition|property|clause)"
-                       r"(?:\s+([A-Za-z_][A-Za-z0-9_\-]*))?\s*\{(.*)")
+                       rf"(?:\s+({_KEY}))?\s*\{{(.*)")
+_VAR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+?)\s+init\s+(.+)")
+_QUOTE_OR_BRACKET = re.compile(r'["{}\[\]()]')
+# the pair separator: two or more spaces before `key:`
+_PAIR_SEP = "  "
 
 
-def _split_top(text: str, sep: str, line: int, col: int = 1) -> list:
-    """Split `text`, at column col, at each match of the regex `sep` that
-    sits outside brackets and double-quoted strings into its stripped,
-    non-empty (part, column)s. A brace group opened at top level is read
-    as the block reader reads it: only its braces count."""
-    cuts, start = [], 0
-    depth = group = 0
-    quote = None  # offset of the open quote
-    # one literal per alternative lets the regex engine skip plain text
-    for m in re.finditer(sep + r'|"|\{|\}|\[|\]|\(|\)', text):
-        tok = m.group()
-        if group:
-            group += (tok == "{") - (tok == "}")
-        elif quote is not None:
-            if tok == '"':
-                quote = None
-        elif tok == '"':
-            quote = m.start()
-        elif tok == "{" and depth == 0:
+def _is_name(text: str) -> bool:
+    """An identifier: [A-Za-z_][A-Za-z0-9_]*."""
+    return text.isascii() and text.isidentifier()
+
+
+def _group_end(text: str) -> int:
+    """The end of the `{ ... }` group with no brace inside that opens
+    text, or -1."""
+    close = text.find("}", 1)
+    if text[:1] != "{" or close < 0 or text.find("{", 1, close) >= 0:
+        return -1
+    return close + 1
+
+
+def _split(text: str, sep: str, line: int, col: int = 1) -> list:
+    """Split `text`, at column col, at each separator `sep` (`,`, `;` or
+    _PAIR_SEP) that sits outside brackets and double-quoted strings into
+    its stripped, non-empty (part, column)s. A quoted string is skipped to
+    its closing quote, and a brace group opened at top level is read as
+    the block reader reads it: only its braces count. Separators are
+    looked for only in the runs between quotes, braces and brackets that
+    lie at depth 0."""
+    cuts, start, depth, pos, end = [], 0, 0, 0, len(text)
+    while pos < end:
+        m = _QUOTE_OR_BRACKET.search(text, pos)
+        stop = m.start() if m else end
+        if not depth:  # the separators in text[pos:stop]
+            i = text.find(sep, pos, stop)
+            while i >= 0:
+                j = i + len(sep)
+                if sep == _PAIR_SEP:
+                    while text.startswith(" ", j):
+                        j += 1
+                    if not _KEY_RE.match(text, j):
+                        j = 0
+                if j:
+                    cuts.append((start, i))
+                    start = j
+                i = text.find(sep, j or i + 1, stop)
+        if m is None:
+            break
+        tok, pos = m[0], m.end()
+        if tok == '"':
+            pos = text.find('"', pos) + 1
+            if not pos:
+                raise ParseError("unterminated string", line, col + m.start())
+        elif tok == "{" and not depth:
             group = 1
+            while group:
+                close = text.find("}", pos)
+                if close < 0:  # the group runs to the end of the text
+                    pos = end
+                    break
+                group += text.count("{", pos, close) - 1
+                pos = close + 1
         elif tok in "[({":
             depth += 1
-        elif tok in "])}":
+        else:
             depth -= 1
-        elif depth == 0:
-            cuts.append((start, m.start()))
-            start = m.end()
-    if quote is not None:
-        raise ParseError("unterminated string", line, col + quote)
-    cuts.append((start, len(text)))
+    cuts.append((start, end))
     return [(p.rstrip(), col + b - len(p)) for a, b in cuts
             if (p := text[a:b].lstrip())]
 
 
-def _scan_pairs(text: str, line: int, col: int = 1):
+def _scan_pairs(text: str, line: int, col: int = 1) -> list:
     """Split text at column col of a line into (key, value, line, value
     column) pairs. A quoted value or a `source` group ends where it
     closes, so the next `key:` may follow it after any number of spaces."""
     pairs = []
-    for part, at in _split_top(text, _PAIR_SEP, line, col):
+    for part, at in _split(text, _PAIR_SEP, line, col):
         while part:
             m = _KEY_RE.match(part)
             if not m:
                 raise ParseError(f"expected 'key:' at {part[:20]!r}", line, at)
-            key, value = m[1], part[m.end():]
-            at += m.end()
-            if value.startswith('"'):
-                head = _QUOTED_RE.match(value)
-            elif key == "source" and value.startswith("{"):
-                head = _GROUP_RE.match(value)
-                if not head:
+            key, head = m[1], m.end()
+            value, at = part[head:], at + head
+            first = value[:1]
+            if first == '"':
+                # the splitter found this quote's closing one in the part
+                end = value.index('"', 1) + 1
+                pairs.append((key, value[1:end - 1], line, at + 1))
+            elif first == "{" and key == "source":
+                end = _group_end(value)
+                if end < 0:
                     raise ParseError(f"source is not one {{ }} group: "
                                      f"{value!r}", line, at)
-            else:
-                lead = len(value) - len(value.lstrip())
-                pairs.append((key, value.strip(), line, at + lead))
+                pairs.append((key, value[:end], line, at))
+            else:  # a part ends stripped, so only its lead is left
+                rest = value.lstrip()
+                pairs.append((key, rest, line, at + len(value) - len(rest)))
                 break
-            pairs.append((key, head[1], line, at + head.start(1)))
-            part = value[head.end():].lstrip(" ")
+            part = value[end:].lstrip(" ")
             at += len(value) - len(part)
     return pairs
 
@@ -130,7 +183,7 @@ def _read_blocks(text: str):
         col = 1
         if depth == 0:
             stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
+            if not stripped or stripped[0] == "#":
                 continue
             m = _BLOCK_RE.match(raw)
             if m:
@@ -141,31 +194,36 @@ def _read_blocks(text: str):
                 blocks.append(_Block("var", "", [decl], lineno))
                 continue
             else:
-                top.extend(_scan_pairs(raw, lineno))
+                top += _scan_pairs(stripped, lineno,
+                                   1 + len(raw) - len(raw.lstrip()))
                 continue
-        if "}" not in raw:
-            depth += raw.count("{")
+        # braces up to the one that closes the block, if this line has it
+        pos = 0
+        while (close := raw.find("}", pos)) >= 0:
+            depth += raw.count("{", pos, close) - 1
+            pos = close + 1
+            if not depth:
+                break
         else:
-            for brace in _BRACE_RE.finditer(raw):
-                depth += 1 if brace[0] == "{" else -1
-                if depth == 0:
-                    break
+            depth += raw.count("{", pos)
         if depth:
             body.append((raw, lineno, col))
             continue
         # the block closes at this brace; nothing may follow it
-        rest = raw[brace.end():]
+        rest = raw[pos:]
         if rest.count("}") > rest.count("{"):
             raise ParseError(f"unmatched '}}' in block {block.kind!r}", lineno)
         if rest.strip():
             raise ParseError(f"text after the '}}' that closes block "
                              f"{block.kind!r}", lineno,
                              col + len(raw) - len(rest.lstrip()))
-        body.append((raw[:brace.start()], lineno, col))
+        body.append((raw[:pos - 1], lineno, col))
+        pairs = block.pairs
         for part, ln, at in body:
             stripped = part.strip()
-            if stripped and not stripped.startswith("#"):
-                block.pairs.extend(_scan_pairs(part, ln, at))
+            if stripped and stripped[0] != "#":
+                pairs += _scan_pairs(stripped, ln,
+                                     at + len(part) - len(part.lstrip()))
         blocks.append(block)
     if depth:
         raise ParseError(f"unterminated block {block.kind!r}", block.line)
@@ -185,54 +243,97 @@ def _check_keys(pairs, what: str, keys=None, repeatable=()):
         seen.add(key)
 
 
+def _late(late, message: str, line: int, col: int):
+    """Reject a declared name or a number. With a list `late` the error is
+    kept there, to be raised once the whole document has been read, so
+    that a document with any other error fails with that error; with None
+    it is raised now."""
+    err = ParseError(message, line, col)
+    if late is None:
+        raise err
+    late.append(err)
+
+
+def _names(text: str, what: str, line: int, col: int, late) -> tuple:
+    """The names of a comma-separated list at this line and column, each
+    an identifier and none twice; an empty entry is skipped."""
+    names = []
+    for item in text.split(","):
+        name = item.strip()
+        if name:
+            at = col + len(item) - len(item.lstrip())
+            if not _is_name(name):
+                _late(late, f"{what}: {name!r} is not an identifier", line, at)
+            elif name in names:
+                _late(late, f"{what}: duplicate name {name!r}", line, at)
+            names.append(name)
+        col += len(item) + 1
+    return tuple(names)
+
+
 # ---------------------------------------------------------------------------
 # Sorts and init specs
 
-def parse_sort(text: str, line: int = 0) -> ir.Sort:
+_SORT_RE = re.compile(r"COUNTER\(\s*(\d+)\s*\)|ENUM\[(.*)\]"
+                      r"|SET\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)"
+                      r"|MAP\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*->\s*(.*)\)")
+
+
+def parse_sort(text: str, line: int = 0, col: int = 1, late=None) -> ir.Sort:
+    """A sort written at this line (0: unknown) and column."""
+    col += len(text) - len(text.lstrip())
     text = text.strip()
     if text == "BOOL":
         return ir.BoolSort()
-    m = re.fullmatch(r"COUNTER\(\s*(\d+)\s*\)", text)
-    if m:
-        return ir.CounterSort(int(m.group(1)))
-    m = re.fullmatch(r"ENUM\[(.*)\]", text)
-    if m:
-        values = tuple(v.strip() for v in m.group(1).split(",") if v.strip())
+    m = _SORT_RE.fullmatch(text)
+    if m is None:
+        raise ParseError(f"unknown sort {text!r}", line)
+    digits, values, elem, dom, value = m.groups()
+    if digits is not None:
+        if not digits.isascii():
+            _late(late, f"COUNTER bound {digits!r} is not ASCII digits", line,
+                  col + m.start(1))
+        return ir.CounterSort(int(digits))
+    if values is not None:
+        values = _names(values, "ENUM", line, col + 5, late)
         if not values:
             raise ParseError("empty ENUM", line)
         return ir.EnumSort(values)
-    m = re.fullmatch(r"SET\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)", text)
-    if m:
-        return ir.SetSort(m.group(1))
-    m = re.fullmatch(r"MAP\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*->\s*(.*)\)", text)
-    if m:
-        return ir.MapSort(m.group(1), parse_sort(m.group(2), line))
-    raise ParseError(f"unknown sort {text!r}", line)
+    if elem is not None:
+        return ir.SetSort(elem)
+    return ir.MapSort(dom, parse_sort(value, line, col + m.start(5), late))
 
 
-def _expr(text: str, line: int, col: int = 1) -> E.Expr:
+def _expr(text: str, line: int, col: int, memo: dict) -> E.Expr:
     """An expression, stripped, written at this line (0: unknown) and
-    column of the document, so that a syntax error names both."""
-    lead = len(text) - len(text.lstrip())
-    return E.parse(text.strip(), max(line - 1, 0), col - 1 + lead)
+    column of the document, so that a syntax error names both. `memo` maps
+    the texts already parsed in this document to their expressions."""
+    e = memo.get(text)
+    if e is None:
+        lead = len(text) - len(text.lstrip())
+        e = memo[text] = E.parse(text.strip(), max(line - 1, 0),
+                                 col - 1 + lead)
+    return e
 
 
-def parse_init(text: str, line: int = 0, col: int = 1) -> ir.InitSpec:
+def parse_init(text: str, line: int = 0, col: int = 1,
+               memo=None) -> ir.InitSpec:
+    memo = {} if memo is None else memo
     col += len(text) - len(text.lstrip())
     text = text.strip()
     if text.startswith("all "):
-        return ir.InitAll(_expr(text[4:], line, col + 4))
+        return ir.InitAll(_expr(text[4:], line, col + 4, memo))
     if text.startswith("["):
         if not text.endswith("]"):
             raise ParseError("unterminated map-literal init", line, col)
         entries = []
-        for part, at in _split_top(text[1:-1], ",", line, col + 1):
+        for part, at in _split(text[1:-1], ",", line, col + 1):
             if ":" not in part:
                 raise ParseError(f"bad map-literal entry {part!r}", line, at)
             k, v = part.split(":", 1)
-            entries.append((k.strip(), _expr(v, line, at + len(k) + 1)))
+            entries.append((k.strip(), _expr(v, line, at + len(k) + 1, memo)))
         return ir.InitMap(tuple(entries))
-    return ir.InitExpr(_expr(text, line, col))
+    return ir.InitExpr(_expr(text, line, col, memo))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +351,7 @@ def _parse_source_value(value: str, line: int, col: int = 1) -> ir.SourceRef:
     """A `source` value (stripped) that starts at this line and column."""
     if value == ir.INVENTED_MARKER:
         return ir.INVENTED_REF
-    if not _GROUP_RE.fullmatch(value):
+    if _group_end(value) != len(value):
         raise ParseError(f"bad source reference {value!r}", line, col)
     pairs = _scan_pairs(value[1:-1], line, col + 1)
     _check_keys(pairs, "source", _SOURCE_KEYS)
@@ -259,26 +360,30 @@ def _parse_source_value(value: str, line: int, col: int = 1) -> ir.SourceRef:
                         fields.get("quote", ""))
 
 
-def _parse_params(value: str, line: int):
-    params = []
-    for part, _ in _split_top(value, ",", line):
-        m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s+in\s+"
-                         r"([A-Za-z_][A-Za-z0-9_]*)", part)
-        if not m:
+def _parse_params(value: str, line: int, col: int, late: list):
+    params, names = [], set()
+    for part, at in _split(value, ",", line, col):
+        name, *rest = part.split()  # NAME in NAME
+        if rest[:1] != ["in"] or len(rest) != 2 or not _is_name(name) \
+                or not _is_name(rest[1]):
             raise ParseError(f"bad parameter {part!r}", line)
-        params.append((m.group(1), m.group(2)))
+        if name in names:
+            _late(late, f"params: duplicate name {name!r}", line, at)
+        names.add(name)
+        params.append((name, rest[1]))
     return tuple(params)
 
 
-def parse_updates(value: str, line: int, col: int = 1):
+def parse_updates(value: str, line: int, col: int = 1, memo=None):
     """`target := expr; ...` as ((UpdateTarget, Expr), ...); value sits
     at this line (0: unknown) and column, for error messages."""
+    memo = {} if memo is None else memo
     updates = []
-    for part, at in _split_top(value, ";", line, col):
+    for part, at in _split(value, ";", line, col):
         if ":=" not in part:
             raise ParseError(f"update missing ':=' in {part!r}", line, at)
         lhs_text, rhs_text = part.split(":=", 1)
-        lhs = _expr(lhs_text, line, at)
+        lhs = _expr(lhs_text, line, at, memo)
         keys = []
         while isinstance(lhs, E.Index):
             keys.insert(0, lhs.key)
@@ -286,11 +391,11 @@ def parse_updates(value: str, line: int, col: int = 1):
         if not isinstance(lhs, E.Name):
             raise ParseError(f"bad update target in {part!r}", line, at)
         updates.append((ir.UpdateTarget(lhs.name, tuple(keys)),
-                        _expr(rhs_text, line, at + len(lhs_text) + 2)))
+                        _expr(rhs_text, line, at + len(lhs_text) + 2, memo)))
     return tuple(updates)
 
 
-def _parse_transition(block: _Block) -> ir.Transition:
+def _parse_transition(block: _Block, memo: dict, late: list) -> ir.Transition:
     kind = actor = ""
     modality = "NOT_SPECIFIED"
     adv = None
@@ -306,11 +411,11 @@ def _parse_transition(block: _Block) -> ir.Transition:
         elif key == "actor":
             actor = value
         elif key == "params":
-            params = _parse_params(value, line)
+            params = _parse_params(value, line, col, late)
         elif key == "guard":
-            guard = _expr(value, line, col)
+            guard = _expr(value, line, col, memo)
         elif key == "update":
-            updates.extend(parse_updates(value, line, col))
+            updates += parse_updates(value, line, col, memo)
         elif key == "modality":
             modality = value
         elif key == "adv":
@@ -327,7 +432,7 @@ def _parse_transition(block: _Block) -> ir.Transition:
                          tuple(updates), modality, tuple(refs), adv)
 
 
-def _parse_property(block: _Block) -> ir.Property:
+def _parse_property(block: _Block, memo: dict) -> ir.Property:
     principle = cls = ""
     invariant = None
     refs = []
@@ -338,7 +443,7 @@ def _parse_property(block: _Block) -> ir.Property:
         elif key == "class":
             cls = value
         elif key == "invariant":
-            invariant = _expr(value, line, col)
+            invariant = _expr(value, line, col, memo)
         else:  # source
             refs.append(_parse_source_value(value, line, col))
     if principle not in ir.PRINCIPLES:
@@ -353,15 +458,16 @@ def _parse_property(block: _Block) -> ir.Property:
     return ir.Property(block.name, principle, cls, invariant, tuple(refs))
 
 
-def _parse_constants(block: _Block):
+def _parse_constants(block: _Block, late: list):
     constants = []
     _check_keys(block.pairs, "constants")
-    for key, value, line, _ in block.pairs:
+    for key, value, line, col in block.pairs:
+        col += len(value) - len(value.lstrip())
         value = value.strip()
         if not (value.startswith("[") and value.endswith("]")):
             raise ParseError(f"constants {key!r}: expected [a, b, ...]", line)
-        atoms = tuple(a.strip() for a in value[1:-1].split(",") if a.strip())
-        constants.append((key, atoms))
+        constants.append((key, _names(value[1:-1], f"constants {key!r}",
+                                      line, col + 1, late)))
     return tuple(constants)
 
 
@@ -379,39 +485,40 @@ def parse_model(text: str, *, origin: str = "<string>") -> ir.ProtocolModel:
     transitions = []
     properties = []
     seen_ids = set()
+    memo, late = {}, []
     for block in blocks:
-        if block.kind == "constants":
-            constants = _parse_constants(block)
-        elif block.kind == "aps":
-            _check_keys(block.pairs, "aps")
-            aps = tuple((k, v) for k, v, *_ in block.pairs)
-        elif block.kind == "var":
+        if block.kind == "var":
             _, decl, line, col = block.pairs[0]
-            m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+?)\s+init\s+(.+)$",
-                         decl)
+            m = _VAR_RE.fullmatch(decl)
             if not m:
                 raise ParseError(f"bad var declaration {decl!r}", line)
-            name = m.group(1)
+            name = m[1]
             if name in seen_ids:
                 raise ParseError(f"duplicate id {name!r}", line)
             seen_ids.add(name)
             state_vars.append(ir.StateVarDecl(
-                name, parse_sort(m.group(2), line),
-                parse_init(m.group(3), line, col + m.start(3))))
+                name, parse_sort(m[2], line, col + m.start(2), late),
+                parse_init(m[3], line, col + m.start(3), memo)))
         elif block.kind == "transition":
             if block.name in seen_ids:
                 raise ParseError(f"duplicate id {block.name!r}", block.line)
             seen_ids.add(block.name)
-            transitions.append(_parse_transition(block))
+            transitions.append(_parse_transition(block, memo, late))
         elif block.kind == "property":
             if block.name in seen_ids:
                 raise ParseError(f"duplicate id {block.name!r}", block.line)
             seen_ids.add(block.name)
-            properties.append(_parse_property(block))
+            properties.append(_parse_property(block, memo))
+        elif block.kind == "constants":
+            constants = _parse_constants(block, late)
+        elif block.kind == "aps":
+            _check_keys(block.pairs, "aps")
+            aps = tuple((k, v) for k, v, *_ in block.pairs)
         else:
             raise ParseError(f"unexpected block {block.kind!r} in model file",
                              block.line)
-
+    if late:
+        raise late[0]
     return ir.ProtocolModel(fields["protocol"], fields["snapshot"], constants,
                             tuple(state_vars), tuple(transitions),
                             tuple(properties), aps)
@@ -428,7 +535,7 @@ def load_model(path) -> ir.ProtocolModel:
 def parse_clauses(text: str):
     top, blocks = _read_blocks(text)
     _check_keys(top, "top-level", ())
-    clauses = []
+    clauses, late = [], []
     seen = set()
     for block in blocks:
         if block.kind != "clause":
@@ -452,15 +559,20 @@ def parse_clauses(text: str):
         if modality not in ir.MODALITIES:
             raise ParseError(f"clause {cid}: bad modality {modality!r}",
                              block.line)
+        digits = fields.get("precedence", "1")
         try:
-            precedence = int(fields.get("precedence", "1"))
+            precedence = int(digits)
         except ValueError:
-            raise ParseError(f"clause {cid}: precedence "
-                             f"{fields['precedence']!r} is not an integer",
-                             block.line) from None
+            raise ParseError(f"clause {cid}: precedence {digits!r} is not an "
+                             "integer", block.line) from None
         if not 1 <= precedence <= 5:
             raise ParseError(f"clause {cid}: precedence {precedence} out of "
                              "range [1,5]", block.line)
+        if not (digits.isascii() and digits.isdigit()):
+            at = next((line, col) for k, _, line, col in block.pairs
+                      if k == "precedence")
+            _late(late, f"clause {cid}: precedence {digits!r} is not ASCII "
+                  "digits", *at)
         if modality != "NOT_SPECIFIED" and not source.quote:
             raise ParseError(f"clause {cid}: modality {modality} requires a "
                              "verbatim quote", block.line)
@@ -468,6 +580,8 @@ def parse_clauses(text: str):
             cid, fields.get("protocol", ""), modality,
             fields.get("actor", ""), fields.get("behavior", ""), source,
             fields.get("ambiguous", "false") == "true", precedence))
+    if late:
+        raise late[0]
     return clauses
 
 

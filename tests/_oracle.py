@@ -43,34 +43,65 @@ def _set_nested(value, keys, new):
     return value.set(keys[0], _set_nested(value[keys[0]], keys[1:], new))
 
 
-def _successors(model, state, constants, atoms, sorts, bounds):
+def _reads(t, sorts):
+    """The state variables whose values fix t's effect under a binding:
+    those its guard and updates name, and each variable it stores into
+    below the top."""
+    names = set(E.free_symbols(t.guard))
+    for target, rhs in t.updates:
+        names |= E.free_symbols(rhs)
+        for k in target.keys:
+            names |= E.free_symbols(k)
+        if target.keys:
+            names.add(target.var)
+    return sorted(names & sorts.keys())
+
+
+def _effect(t, combo, state, constants, atoms, sorts, bounds):
+    """The variables t stores into, with their new values, under this
+    binding; None when its guard is false or a counter leaves its range."""
+    env = {n: a for (n, _), a in zip(t.params, combo)}
+    scope = {**state, **env}
+    if not E.evaluate(t.guard, scope, constants, atoms):
+        return None
+    new = {}
+    for target, rhs in t.updates:
+        val = E.evaluate(rhs, scope, constants, atoms)
+        cap = _counter_cap(sorts[target.var], bounds)
+        if cap is not None and isinstance(val, int) \
+                and not isinstance(val, bool) \
+                and (val < 0 or val > cap):
+            return None
+        if target.keys:
+            keys = [E.evaluate(k, scope, constants, atoms)
+                    for k in target.keys]
+            new[target.var] = _set_nested(
+                new.get(target.var, state[target.var]), keys, val)
+        else:
+            new[target.var] = val
+    return new
+
+
+def _successors(model, state, constants, atoms, sorts, bounds, memo=None):
+    """The successor of state under each enabled (transition, binding),
+    with multiplicity. `memo`, a dict local to one search, keeps each
+    transition's effects under all its bindings, keyed by the values of
+    the variables it reads."""
+    memo = {} if memo is None else memo
     out = []
-    for t in model.transitions:
-        domains = [constants.get(d, ()) for _, d in t.params]
-        for combo in itertools.product(*domains):
-            env = {n: a for (n, _), a in zip(t.params, combo)}
-            scope = {**state, **env}
-            if not E.evaluate(t.guard, scope, constants, atoms):
-                continue
-            new = dict(state)
-            ok = True
-            for target, rhs in t.updates:
-                val = E.evaluate(rhs, scope, constants, atoms)
-                cap = _counter_cap(sorts[target.var], bounds)
-                if cap is not None and isinstance(val, int) \
-                        and not isinstance(val, bool) \
-                        and (val < 0 or val > cap):
-                    ok = False
-                    break
-                if target.keys:
-                    keys = [E.evaluate(k, scope, constants, atoms)
-                            for k in target.keys]
-                    new[target.var] = _set_nested(
-                        new[target.var], keys, val)
-                else:
-                    new[target.var] = val
-            if ok:
-                out.append(new)
+    for i, t in enumerate(model.transitions):
+        if i not in memo:
+            domains = [constants.get(d, ()) for _, d in t.params]
+            memo[i] = (_reads(t, sorts), list(itertools.product(*domains)),
+                       {})
+        reads, combos, effects = memo[i]
+        seen = tuple([state[v] for v in reads])
+        if seen not in effects:
+            effects[seen] = [_effect(t, combo, state, constants, atoms,
+                                     sorts, bounds) for combo in combos]
+        for effect in effects[seen]:
+            if effect is not None:
+                out.append({**state, **effect})
     return out
 
 
@@ -87,6 +118,7 @@ def oracle_check(model, prop, bounds: Bounds = DEFAULT_BOUNDS):
 
     best = {}  # frozen state -> least depth reached
     found = []  # least violation depth seen so far
+    memo = {}
 
     def visit(state, depth):
         if len(best) > bounds.max_states:
@@ -103,7 +135,7 @@ def oracle_check(model, prop, bounds: Bounds = DEFAULT_BOUNDS):
         if depth >= bounds.max_depth:
             return
         for nxt in _successors(model, state, constants, atoms, sorts,
-                               bounds):
+                               bounds, memo):
             visit(nxt, depth + 1)
 
     visit(init, 0)

@@ -450,6 +450,7 @@ def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
     sorts = {v.name: v.sort for v in model.state_vars}
     names = model.var_names
     vectors, packed = {}, {}  # engine state <-> its state vector
+    memo = {}  # the oracle's effects, for this model and bounds only
 
     def vector(post):  # of an oracle state, a dict
         return tuple(map(post.__getitem__, names))
@@ -471,7 +472,7 @@ def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
         # a vector is hashed once, to look up its engine state; one that
         # no engine state decodes to stays a vector and fails below
         want = Counter(packed.get(v, v) for v in map(vector, _successors(
-            model, state, eng.constants, eng.atoms, sorts, bounds)))
+            model, state, eng.constants, eng.atoms, sorts, bounds, memo)))
         if steps:
             applied = Counter(packed.get(post, post) for post in (
                 checker._apply(eng.slots, t, binding, vectors[s],

@@ -162,17 +162,40 @@ def test_stray_closing_brace_is_rejected_on_its_line():
 
 
 def test_pairs_split_outside_brackets_and_quotes():
-    pairs = irfmt._scan_pairs(
-        'a: [x,  b: y]  c: "d  e: f"  source: { h: "x"  i: j } k: "l"m: n',
-        7)
-    assert pairs == [("a", "[x,  b: y]", 7, 4), ("c", "d  e: f", 7, 20),
-                     ("source", '{ h: "x"  i: j }', 7, 38), ("k", "l", 7, 59),
-                     ("m", "n", 7, 64)]
-    assert irfmt._split_top("x := {a; b}; y := (1; 2)", ";", 7) == [
-        ("x := {a; b}", 1), ("y := (1; 2)", 14)]
-    with pytest.raises(irfmt.ParseError) as exc:
-        irfmt._scan_pairs('a: "open  b: c', 7)
-    assert (exc.value.line, exc.value.col) == (7, 4)
+    """Pairs split at two or more spaces before `key:`, but not inside
+    brackets or quotes; a quoted value or a `source` group ends where it
+    closes. Each value's column shows in the error for a key that repeats
+    the first one."""
+    line = ('a: [x,  b: y]  c: "d  e: f"  source: { h: "x"  i: j } '
+            'k: "l"m: n')
+    head = "protocol: p\nsnapshot: s\n\n\n\naps {\n"
+    assert irfmt.parse_model(head + line + "\n}\n").aps == (
+        ("a", "[x,  b: y]"), ("c", "d  e: f"),
+        ("source", '{ h: "x"  i: j }'), ("k", "l"), ("m", "n"))
+    for old, new, col in (("c: ", "a: ", 20), ("k: ", "a: ", 59),
+                          ("m: ", "a: ", 64),
+                          ("a: ", "source: ", 38 + len("source") - 1)):
+        bad = line.replace(old, new, 1)
+        err = _parse_error(irfmt.parse_model, head + bad + "\n}\n")
+        assert f"duplicate aps key {new[:-2]!r}" in str(err)
+        assert (err.line, err.col) == (7, col), str(err)
+    err = _parse_error(irfmt.parse_model,
+                       "protocol: p\nsnapshot: s\n\n\n\n\n"
+                       'a: "open  b: c\n')
+    assert "unterminated string" in str(err)
+    assert (err.line, err.col) == (7, 4)
+
+    # updates split at `;` outside braces and parentheses: the `;` a
+    # right-hand side keeps is a syntax error at its column in the line
+    head = ("protocol: p\nsnapshot: s\nvar x : BOOL init true\n"
+            "transition T {\n  kind: Protocol  actor: a\n")
+    for update, at in (("x := {a; b}; y := (1; 2)", "; b"),
+                       ("x := {a, b}; y := (1; 2)", "; 2")):
+        row = f"  update: {update}"
+        with pytest.raises(E.ExprSyntaxError) as exc:
+            irfmt.parse_model(head + row + "\n}\n")
+        assert "unexpected character ';'" in str(exc.value)
+        assert (exc.value.line, exc.value.col) == (6, row.index(at) + 1)
 
 
 _EDIT_CHARS = ('"', "{", "}", "[", "]", "(", ")", ",", ";", ":", "#", "\n",
@@ -310,3 +333,89 @@ def test_update_and_source_may_repeat():
     assert [target.var for target, _ in t.updates] == ["u", "w"]
     assert [r.document for r in t.source_refs] == ["d1", "d2"]
     assert [r.document for r in p.source_refs] == ["d3", "d4"]
+
+
+_MODEL_HEAD = ("protocol: p\nsnapshot: s\n"
+               "constants { Sessions: [s1, s2]  Agents: [a1, a2] }\n")
+
+
+def _rejected_at(parse, text: str, marker: str, message: str):
+    """parse(text) is a ParseError naming `message` at the first `marker`:
+    its line, and its column in that line."""
+    err = _parse_error(parse, text)
+    row, line = next((i, line) for i, line in
+                     enumerate(text.splitlines(), 1) if marker in line)
+    assert message in str(err)
+    assert (err.line, err.col) == (row, line.index(marker) + 1), str(err)
+
+
+def test_constants_atom_must_be_an_identifier():
+    """`a1 x` would be emitted as `CONSTANTS s1, a1 x, a2` in TLA+."""
+    text = _MODEL_HEAD.replace("[a1, a2]", "[a1 x, a2]")
+    _rejected_at(irfmt.parse_model, text, "a1 x",
+                 "constants 'Agents': 'a1 x' is not an identifier")
+
+
+def test_constants_atoms_must_be_distinct():
+    """`D: [a, a]` would be checked as a one-atom domain."""
+    text = _MODEL_HEAD.replace("[a1, a2]", "[a1, a1]")
+    _rejected_at(irfmt.parse_model, text, "a1]",
+                 "constants 'Agents': duplicate name 'a1'")
+
+
+def test_enum_values_must_be_distinct_identifiers():
+    for sort, marker, message in (
+            ("ENUM[A, B C]", "B C", "ENUM: 'B C' is not an identifier"),
+            ("MAP(Agents -> ENUM[A, A])", "A]", "ENUM: duplicate name 'A'")):
+        text = _MODEL_HEAD + f"var v : {sort} init A\n"
+        _rejected_at(irfmt.parse_model, text, marker, message)
+
+
+def test_transition_params_must_be_distinct():
+    """Two `s` would be emitted as `\\E s \\in Sessions : \\E s \\in
+    Sessions : NewSession(s, s)`."""
+    text = (_MODEL_HEAD + "var v : BOOL init true\ntransition NewSession {\n"
+            "  kind: Protocol  actor: a  params: s in Sessions, s in Agents\n"
+            "}\n")
+    _rejected_at(irfmt.parse_model, text, "s in Agents",
+                 "params: duplicate name 's'")
+
+
+@pytest.mark.parametrize("digits", ["٣", "３"])
+def test_counter_bound_takes_ascii_digits_only(digits):
+    """`COUNTER(٣)` was read as `COUNTER(3)`."""
+    text = _MODEL_HEAD + f"var n : COUNTER({digits}) init 0\n"
+    _rejected_at(irfmt.parse_model, text, digits,
+                 f"COUNTER bound {digits!r} is not ASCII digits")
+    assert irfmt.parse_sort("COUNTER( 3 )") == ir.CounterSort(3)
+    with pytest.raises(irfmt.ParseError):
+        irfmt.parse_sort(f"COUNTER({digits})")
+
+
+@pytest.mark.parametrize("digits", ["+3", "٣", "0_3"])
+def test_clause_precedence_takes_ascii_digits_only(digits):
+    """`int()` reads `+3`, `٣` and `0_3` as 3."""
+    text = ("clause {\n  id: c1  protocol: p  modality: MAY\n"
+            f"  precedence: {digits}\n"
+            "  source: { doc: d  quote: \"q\" }\n}\n")
+    _rejected_at(irfmt.parse_clauses, text, digits,
+                 f"clause c1: precedence {digits!r} is not ASCII digits")
+    assert irfmt.parse_clauses(text.replace(digits, "03"))[0].precedence == 3
+
+
+def test_other_errors_come_before_name_rejections():
+    """A document the reader rejected before these rules fails with the
+    same error: a name or number the rules reject is reported only once
+    the rest of the document has been read."""
+    text = (_MODEL_HEAD.replace("[a1, a2]", "[a1, a1]")
+            + "var v : COUNTER(٣) init 0\n"
+            + "transition T {\n  kind: Protocol  actor: a\n"
+            "  params: s in Sessions, s in Sessions\n  guard: v = = 1\n}\n")
+    with pytest.raises(E.ExprSyntaxError):
+        irfmt.parse_model(text)
+    _rejected_at(irfmt.parse_model, text.replace("= = 1", "= 1"), "a1]",
+                 "constants 'Agents': duplicate name 'a1'")
+    clause = ("clause {\n  id: c1  protocol: p  modality: MAY\n"
+              "  precedence: +3\n}\n")
+    err = _parse_error(irfmt.parse_clauses, clause)
+    assert "modality MAY requires a verbatim quote" in str(err)
