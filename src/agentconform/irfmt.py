@@ -64,6 +64,7 @@ _BLOCK_RE = re.compile(r"\s*(constants|aps|transition|property|clause)"
                        rf"(?:\s+({_KEY}))?\s*\{{(.*)")
 _VAR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+?)\s+init\s+(.+)")
 _QUOTE_OR_BRACKET = re.compile(r'["{}\[\]()]')
+_GROUP_RE = re.compile(r"\{[^{}]*\}")  # a `source` group
 # the pair separator: two or more spaces before `key:`
 _PAIR_SEP = "  "
 
@@ -71,15 +72,6 @@ _PAIR_SEP = "  "
 def _is_name(text: str) -> bool:
     """An identifier: [A-Za-z_][A-Za-z0-9_]*."""
     return text.isascii() and text.isidentifier()
-
-
-def _group_end(text: str) -> int:
-    """The end of the `{ ... }` group with no brace inside that opens
-    text, or -1."""
-    close = text.find("}", 1)
-    if text[:1] != "{" or close < 0 or text.find("{", 1, close) >= 0:
-        return -1
-    return close + 1
 
 
 def _split(text: str, sep: str, line: int, col: int = 1) -> list:
@@ -150,11 +142,12 @@ def _scan_pairs(text: str, line: int, col: int = 1) -> list:
                 end = value.index('"', 1) + 1
                 pairs.append((key, value[1:end - 1], line, at + 1))
             elif first == "{" and key == "source":
-                end = _group_end(value)
-                if end < 0:
+                group = _GROUP_RE.match(value)
+                if not group:
                     raise ParseError(f"source is not one {{ }} group: "
                                      f"{value!r}", line, at)
-                pairs.append((key, value[:end], line, at))
+                end = group.end()
+                pairs.append((key, group[0], line, at))
             else:  # a part ends stripped, so only its lead is left
                 rest = value.lstrip()
                 pairs.append((key, rest, line, at + len(value) - len(rest)))
@@ -351,7 +344,7 @@ def _parse_source_value(value: str, line: int, col: int = 1) -> ir.SourceRef:
     """A `source` value (stripped) that starts at this line and column."""
     if value == ir.INVENTED_MARKER:
         return ir.INVENTED_REF
-    if _group_end(value) != len(value):
+    if not _GROUP_RE.fullmatch(value):
         raise ParseError(f"bad source reference {value!r}", line, col)
     pairs = _scan_pairs(value[1:-1], line, col + 1)
     _check_keys(pairs, "source", _SOURCE_KEYS)
@@ -363,14 +356,15 @@ def _parse_source_value(value: str, line: int, col: int = 1) -> ir.SourceRef:
 def _parse_params(value: str, line: int, col: int, late: list):
     params, names = [], set()
     for part, at in _split(value, ",", line, col):
-        name, *rest = part.split()  # NAME in NAME
-        if rest[:1] != ["in"] or len(rest) != 2 or not _is_name(name) \
-                or not _is_name(rest[1]):
+        words = part.split()  # NAME in NAME
+        if len(words) != 3 or words[1] != "in" or not _is_name(words[0]) \
+                or not _is_name(words[2]):
             raise ParseError(f"bad parameter {part!r}", line)
+        name, _, domain = words
         if name in names:
             _late(late, f"params: duplicate name {name!r}", line, at)
         names.add(name)
-        params.append((name, rest[1]))
+        params.append((name, domain))
     return tuple(params)
 
 
