@@ -82,34 +82,37 @@ def _split(text: str, sep: str, line: int, col: int = 1) -> list:
     the block reader reads it: only its braces count. Separators are
     looked for only in the runs between quotes, braces and brackets that
     lie at depth 0."""
-    cuts, start, depth, pos, end = [], 0, 0, 0, len(text)
-    while pos < end:
-        m = _QUOTE_OR_BRACKET.search(text, pos)
-        stop = m.start() if m else end
+    parts, start, depth, pos, end = [], 0, 0, 0, len(text)
+    search, find = _QUOTE_OR_BRACKET.search, text.find
+    while True:
+        m = search(text, pos)
+        stop = end if m is None else m.start()
         if not depth:  # the separators in text[pos:stop]
-            i = text.find(sep, pos, stop)
+            i = find(sep, pos, stop)
             while i >= 0:
                 j = i + len(sep)
                 if sep == _PAIR_SEP:
                     while text.startswith(" ", j):
                         j += 1
                     if not _KEY_RE.match(text, j):
-                        j = 0
-                if j:
-                    cuts.append((start, i))
-                    start = j
-                i = text.find(sep, j or i + 1, stop)
+                        i = find(sep, i + 1, stop)
+                        continue
+                part = text[start:i].lstrip()
+                if part:
+                    parts.append((part.rstrip(), col + i - len(part)))
+                start = j
+                i = find(sep, j, stop)
         if m is None:
             break
-        tok, pos = m[0], m.end()
+        tok, pos = m[0], stop + 1
         if tok == '"':
-            pos = text.find('"', pos) + 1
+            pos = find('"', pos) + 1
             if not pos:
-                raise ParseError("unterminated string", line, col + m.start())
+                raise ParseError("unterminated string", line, col + stop)
         elif tok == "{" and not depth:
             group = 1
             while group:
-                close = text.find("}", pos)
+                close = find("}", pos)
                 if close < 0:  # the group runs to the end of the text
                     pos = end
                     break
@@ -119,9 +122,10 @@ def _split(text: str, sep: str, line: int, col: int = 1) -> list:
             depth += 1
         else:
             depth -= 1
-    cuts.append((start, end))
-    return [(p.rstrip(), col + b - len(p)) for a, b in cuts
-            if (p := text[a:b].lstrip())]
+    part = text[start:].lstrip()
+    if part:
+        parts.append((part.rstrip(), col + end - len(part)))
+    return parts
 
 
 def _scan_pairs(text: str, line: int, col: int = 1) -> list:
@@ -213,10 +217,10 @@ def _read_blocks(text: str):
         body.append((raw[:pos - 1], lineno, col))
         pairs = block.pairs
         for part, ln, at in body:
-            stripped = part.strip()
+            stripped = part.lstrip()
             if stripped and stripped[0] != "#":
-                pairs += _scan_pairs(stripped, ln,
-                                     at + len(part) - len(part.lstrip()))
+                pairs += _scan_pairs(stripped.rstrip(), ln,
+                                     at + len(part) - len(stripped))
         blocks.append(block)
     if depth:
         raise ParseError(f"unterminated block {block.kind!r}", block.line)

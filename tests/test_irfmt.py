@@ -174,7 +174,7 @@ def test_pairs_split_outside_brackets_and_quotes():
         ("source", '{ h: "x"  i: j }'), ("k", "l"), ("m", "n"))
     for old, new, col in (("c: ", "a: ", 20), ("k: ", "a: ", 59),
                           ("m: ", "a: ", 64),
-                          ("a: ", "source: ", 38 + len("source") - 1)):
+                          ("a: ", "source: ", 43)):
         bad = line.replace(old, new, 1)
         err = _parse_error(irfmt.parse_model, head + bad + "\n}\n")
         assert f"duplicate aps key {new[:-2]!r}" in str(err)
