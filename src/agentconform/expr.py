@@ -342,7 +342,7 @@ def _formula(toks: list, level: int):
 def _term(toks: list):
     """term := addend (("+" | "union") addend)*, where
     addend := primary ("[" term "]")*"""
-    lhs = None
+    lhs = op = None
     while True:
         t = toks[-1]
         c = t[:1]
@@ -419,7 +419,7 @@ def parse(text: str, line_offset: int = 0, col_offset: int = 0) -> Expr:
     except _Fail as f:
         err = _syntax_error(text, n - f.left, f.message, line_offset,
                             col_offset)
-    raise err
+    raise err  # outside the handler: the error has no _Fail as context
 
 
 # ---------------------------------------------------------------------------
