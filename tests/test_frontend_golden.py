@@ -17,7 +17,8 @@ name in a declared list (constants atoms, ENUM values, transition
 parameters) that is not a distinct identifier, and a `COUNTER(n)` or
 clause `precedence` that is not ASCII digits. Each such input parsed
 before and is now a ParseError; their number is pinned below. Regenerate
-the file only for a deliberate change of what the reader accepts:
+the file only for a deliberate change of what the reader accepts, and then
+set NEW_REJECTION_COUNT to 0:
 
     PYTHONPATH=src python tests/test_frontend_golden.py
 """
