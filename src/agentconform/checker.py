@@ -27,7 +27,13 @@ class CheckError(Exception):
 
 
 class StateOverflowError(CheckError):
-    pass
+    """The depth or state budget ended a search with a live frontier;
+    `states` is the count of states it reached, as BOUND_EXHAUSTED
+    reports it."""
+
+    def __init__(self, message: str, states: int):
+        super().__init__(message)
+        self.states = states
 
 
 class Bounds(Record):
@@ -179,10 +185,13 @@ class _Engine:
     inside the engine is one packed int (see `compiled`), whose fields
     are as wide as the slots' sorts need, whatever the bounds. State
     vectors appear only at the boundary: the initial state and
-    counterexamples. The kernel, `successors(s, out)`, inlines every
-    enabled step of `_pairs` in that order and serves the search only: it
-    skips a step that only stores constants the state already holds, a
-    self-loop BFS has always seen.
+    counterexamples. The kernel, `expand(frontier, seen, out)`
+    (`compiled.kernel`), serves the search only: one call expands a whole
+    BFS level, inlining every enabled step of `_pairs` in that order, and
+    dedups each post-state inline against `seen`. It skips a step that
+    only stores constants the state already holds, a self-loop BFS has
+    always seen, and stops before a state once `seen` holds more than
+    `budget` states.
     """
 
     def __init__(self, model: ir.ProtocolModel, bounds: Bounds):
@@ -198,8 +207,11 @@ class _Engine:
         steps = [C.compile_step(t, binding, self.slots, self.constants,
                                 self.caps, self.env)
                  for t, binding in self.pairs]
-        self.successors = C.kernel(
-            [step for step in steps if step[0] is not False], self.env)
+        # the initial state is never over the budget
+        self.budget = max(bounds.max_states, 1)
+        self.expand = C.kernel(
+            [step for step in steps if step[0] is not False], self.env,
+            self.budget)
 
     def canonical(self, state: int) -> tuple:
         return C.decode(state, self.env)
@@ -216,48 +228,43 @@ class _Engine:
 # Public operations
 
 def _bfs(eng: _Engine, parents: dict):
-    """Yields each newly reached state in deterministic BFS order.
+    """Yields, per BFS level, the list of its newly reached states in
+    deterministic BFS order.
 
     `parents` holds only the initial state (mapped to None) on entry; every
-    reached state is recorded as `parents[post] = pre`. The kernel appends
-    a state's post-states to `posts`, each of them is hashed once, by
-    `setdefault`, and is new when that grew `parents`; the kernel leaves
-    out constant-store self-loops, which could never be new. A step whose
-    evaluation raises ends the search, but only once the post-states of
-    the steps before it, already in `posts`, are searched. Raises
+    reached state is recorded as `parents[post] = pre`, by the first
+    (pre, step) to reach it. Each level is one call of the kernel over
+    the whole frontier, which hashes each post-state once, against
+    `parents`, and appends the new ones to the level. A step whose
+    evaluation raises ends the search, but only once the states reached
+    before it are searched: they are yielded first. Raises
     StateOverflowError when the depth or state budget ends the search
-    with a live frontier.
+    with a live frontier: past the budget, only the states within it
+    are yielded.
     """
-    bounds = eng.bounds
-    successors, record = eng.successors, parents.setdefault
+    bounds, expand, budget = eng.bounds, eng.expand, eng.budget
     frontier = list(parents)
-    seen = len(parents)
     depth = 0
     while frontier:
         if depth >= bounds.max_depth:
             raise StateOverflowError(
-                f"depth bound {bounds.max_depth} hit with live frontier")
+                f"depth bound {bounds.max_depth} hit with live frontier",
+                len(parents))
         depth += 1
-        next_frontier = []
-        for pre in frontier:
-            posts, raised = [], None
-            try:
-                successors(pre, posts)
-            except Exception as exc:
-                raised = exc
-            for post in posts:
-                record(post, pre)
-                if len(parents) == seen:
-                    continue
-                seen += 1
-                if seen > bounds.max_states:
-                    raise StateOverflowError(
-                        f"more than {bounds.max_states} states")
-                yield post
-                next_frontier.append(post)
-            if raised is not None:
-                raise raised
-        frontier = next_frontier
+        level, raised = [], None
+        try:
+            expand(frontier, parents, level)
+        except Exception as exc:
+            raised = exc
+        over = len(parents) - budget
+        if over > 0:
+            yield level[:len(level) - over]
+            raise StateOverflowError(
+                f"more than {bounds.max_states} states", budget + 1)
+        yield level
+        if raised is not None:
+            raise raised
+        frontier = level
 
 
 def _extract(eng: _Engine, prop: ir.Property, parents: dict,
@@ -289,21 +296,24 @@ def check(model: ir.ProtocolModel, prop: ir.Property,
 
 
 def _search(eng: _Engine, prop: ir.Property) -> CheckResult:
-    """One property's BFS; the explored-state count is frozen at the
-    first violating state, whose trace is minimal because BFS visits
-    states in depth order."""
+    """One property's BFS; the explored-state count is the first
+    violating state's place in discovery order, and its trace is minimal
+    because BFS visits states in depth order."""
     parents = {eng.start: None}
+    explored = 0
     try:
         holds = eng.invariant(prop)
-        for state in itertools.chain((eng.start,), _bfs(eng, parents)):
-            if not holds(state):
-                return CheckResult("FAIL", len(parents),
-                                   _extract(eng, prop, parents, state))
-    except StateOverflowError:
-        return CheckResult("BOUND_EXHAUSTED", len(parents))
+        for level in itertools.chain(([eng.start],), _bfs(eng, parents)):
+            for state in level:
+                explored += 1
+                if not holds(state):
+                    return CheckResult("FAIL", explored,
+                                       _extract(eng, prop, parents, state))
+    except StateOverflowError as exc:
+        return CheckResult("BOUND_EXHAUSTED", exc.states)
     except Exception as exc:  # a guard, update or invariant that raises
         return CheckResult(f"ERROR: {exc}", 0)
-    return CheckResult("PASS", len(parents))
+    return CheckResult("PASS", explored)
 
 
 def check_all(model: ir.ProtocolModel, properties,

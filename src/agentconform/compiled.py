@@ -35,7 +35,8 @@ needed as a whole value is built back into an `E.FMap` by `_build`.
 Binding. Transition parameters are compiled per binding and quantifiers
 are unrolled over their (bounded) domains, so every bound name is a
 literal atom at compile time and a literal map key is a fixed slot.
-Sub-expressions without state reads are folded, and a guard that folds to
+Sub-expressions without state reads are folded, an operand of `and` or
+`or` that repeats an earlier one is dropped, and a guard that folds to
 false disables its binding outright.
 
 Sorts. Compiled code checks no value's type at run time: every slot's
@@ -63,14 +64,22 @@ constant stores, and each other store is its value's code shifted into
 place.
 
 Functions. `function` turns a value's source into `value(s)`, and
-`kernel` writes one `successors(s, out)` for all of an engine's steps,
-for the search only. Both use `_define`, which reads each mask that the
-function reads two or more times once, into a local `m<j> = s & M` at
-the top of the function, and spells those reads with the local; a mask
-read once stays inline, where short-circuiting may skip it. `s & M` on
-an int cannot raise, so this moves no exception and no evaluation of
-anything that can. `compile()` is memoised on the source text, so a
-model checked again (another property, another run in one process)
+`kernel` writes one `expand(frontier, seen, out)` for all of an
+engine's steps, for the search only. `expand` is a whole BFS level: it
+loops over the frontier's states inside the compiled code, and each
+post-state n of a state s that the dict `seen` does not hold it records
+as `seen[n] = s` and appends to the list `out`, so the search's dedup
+happens inline, where the post-state is made. Both functions use
+`_define`, which evaluates what the per-state body reads two or more
+times once per state, into locals at the top of the body: each mask, as
+`m<j> = (s & M)`, and then each pure int expression over such locals,
+such as a field test `(m0 == 0x1)` or a counter increment
+`(((s & M) >> k) + 1)`, as `h<j>`. What is read once stays inline,
+where short-circuiting may skip it. `s & M` and `==`, `!=`, `>>`, `+`
+and `&` on ints cannot raise, so this moves no exception and no
+evaluation of anything that can; decode tables, code tables and helper
+calls are never hoisted. `compile()` is memoised on the source text, so
+a model checked again (another property, another run in one process)
 reuses its code objects.
 """
 
@@ -264,43 +273,75 @@ def _lit(v, env) -> str:
 
 
 # A field read: the state masked to the read's fields, in parentheses of
-# its own. A post-state `s & K | ...` never is: `add(s & K)` passes one
-# to a call, which the look-behind tells apart. The pattern starts with
-# the literal `(`, which `re` scans for quickly.
+# its own, not a call's, which the look-behind tells apart. The pattern
+# starts with the literal `(`, which `re` scans for quickly.
 _READ = re.compile(r"\((?<![\w)\]]\()s & (0x[0-9a-f]+)\)")
 
+# A pure int expression over hoisted locals: a comparison, shift, sum or
+# mask of two operands, each a local or an int literal, in parentheses of
+# its own. Atom names are quoted, so none matches. These two patterns are
+# compiled (and cached by `re`) only when a kernel is first written.
+_PURE = (r"\((?<![\w)\]]\()(?:[mh]\d+|0x[0-9a-f]+|\d+) "
+         r"(?:==|!=|>>|\+|&) (?:[mh]\d+|0x[0-9a-f]+|\d+)\)")
+# a hoisted local, not inside a quoted atom name
+_LOCAL = r"(?<![\w'])[mh]\d+\b"
 
-def _hoist(src: str) -> str:
-    """The definition src of a function of the packed state s, with every
-    mask its body reads two or more times applied once, into a local at
-    the top of the body, in order of first read."""
-    header, _, body = src.partition("\n")
+
+def _hoist(head: str, body: str) -> str:
+    """The definition of a function of the packed state s: head, then
+    body, which runs once per state, with every mask that body reads two
+    or more times applied once, into a local `m<j>`, and then every pure
+    int expression over such locals (`_PURE`) that it reads two or more
+    times evaluated once, into a local `h<j>`. An expression nested in
+    another is hoisted first, and the outer one then reads its local; a
+    local that ends up read only once is put back where it is read. The
+    locals are set at the top of body, in order of first read. `s & M`,
+    `==`, `!=`, `>>`, `+` and `&` on ints cannot raise, so hoisting moves
+    no exception and no evaluation of anything that can."""
+    pad = body[:len(body) - len(body.lstrip(" "))]
     reads = collections.Counter(_READ.findall(body))
-    local = {m: f"m{j}" for j, m in enumerate(
+    local = {f"(s & {m})": f"m{j}" for j, m in enumerate(
         m for m, n in reads.items() if n > 1)}
-    return "\n".join([header, *(f"    {v} = s & {m}"
-                               for m, v in local.items()),
-                      _READ.sub(lambda r: local.get(r[1], r[0]), body)])
+    body = _READ.sub(lambda r: local.get(r[0], r[0]), body)
+    masks = len(local)
+    while True:
+        uses = collections.Counter(re.findall(_PURE, body))
+        new = [e for e, n in uses.items() if n > 1]
+        if not new:
+            break
+        local.update((e, f"h{j}")
+                     for j, e in enumerate(new, len(local) - masks))
+        body = re.sub(_PURE, lambda r: local.get(r[0], r[0]), body)
+    terms = {v: e for e, v in local.items()}
+    uses = collections.Counter(re.findall(_LOCAL,
+                                          body + "".join(terms.values())))
+    for v in [v for v in terms if uses[v] == 1]:
+        e, once = terms.pop(v), re.compile(rf"(?<![\w']){v}\b")
+        terms = {w: once.sub(e, x) for w, x in terms.items()}
+        body = once.sub(e, body)
+    return "\n".join([head, *(f"{pad}{v} = {e}" for v, e in terms.items()),
+                      body])
 
 
 @functools.lru_cache(maxsize=1024)
-def _code(src: str):
-    return compile(_hoist(src), "<agentconform.compiled>", "exec")
+def _code(head: str, body: str):
+    return compile(_hoist(head, body), "<agentconform.compiled>", "exec")
 
 
-def _define(lines, name, env):
-    """The function `name` that lines define in env, with the masks it
-    reads two or more times hoisted (`_hoist`)."""
+def _define(head, body, name, env):
+    """The function `name` that the lines head and then body define in
+    env, body running once per state, with what body reads two or more
+    times hoisted (`_hoist`)."""
     namespace = {}
-    exec(_code("\n".join(lines) + "\n"), env, namespace)
+    exec(_code("\n".join(head), "\n".join(body) + "\n"), env, namespace)
     return namespace[name]
 
 
 def function(src: str, env: dict):
     """The function s -> value of a compiled value's source, written by
-    `_define` as `value(s)`, so a mask the source reads two or more
-    times is read once."""
-    return _define(["def value(s):", f"    return {src}"], "value", env)
+    `_define` as `value(s)`, so what the source reads two or more times
+    is read once."""
+    return _define(["def value(s):"], [f"    return {src}"], "value", env)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +443,9 @@ def _name(n, slots, constants, env, scope):
 def _junction(is_or, items, env):
     """`or` (`and`) of bool values, evaluated left to right until one is
     true (false). Constant items are folded where they decide nothing or
-    everything."""
+    everything, and an item whose source an earlier item has is dropped:
+    it is reached only when that one, evaluated in the same state, was
+    false (true), so `x or x` is `x`."""
     srcs = []
     for item in items:
         if _is_const(item):
@@ -412,7 +455,8 @@ def _junction(is_or, items, env):
                 return item  # decides before anything is evaluated
             srcs.append(item[0])
             break  # decides; later items are never evaluated
-        srcs.append(item[0])
+        if item[0] not in srcs:
+            srcs.append(item[0])
     if not srcs:
         return _const(not is_or, env)
     if len(srcs) == 1:
@@ -583,12 +627,18 @@ def _post_lines(stores, env):
 
 def _step_lines(guard, plan, env):
     """The kernel's lines for one step: the guard, each update's
-    evaluation and range check in order, then `add(post-state)`, which a
-    step storing only constants the state holds skips."""
-    lines, pad = [], "    "
+    evaluation and range check in order, then the post-state n, handed
+    out unless `seen` holds it; a step storing only constants the state
+    holds computes no post-state."""
+    lines, pad = [], "        "
 
     def line(text):
         lines.append(pad + text)
+
+    def hand_out():
+        line("if n not in seen:")
+        line("    seen[n] = s")
+        line("    add(n)")
 
     cond = None if guard is True else guard
     if all(op[0] == "const" for op in plan):
@@ -601,7 +651,9 @@ def _step_lines(guard, plan, env):
         change = f"(s & {fields[0]:#x}) != {fields[1]:#x}"
         cond = change if cond is None else f"{cond} and {change}"
         line(f"if {cond}:")
-        line(f"    add({_merge('s', fields, env)})")
+        pad += "    "
+        line(f"n = {_merge('s', fields, env)}")
+        hand_out()
         return lines
     if cond is not None:
         line(f"if {cond}:")
@@ -640,21 +692,26 @@ def _step_lines(guard, plan, env):
             stores.append((f"i{j}", f"*l{j}"))
     for text in _post_lines(stores, env):
         line(text)
-    line("add(n)")
+    hand_out()
     return lines
 
 
-def kernel(steps, env):
-    """successors(s, out): appends the post-states of the compiled steps
-    (guard, plan) to the list out, in order, each as soon as its step is
-    evaluated, so a step that raises leaves the post-states of the steps
-    before it in out. A step whose counter update leaves its range gives
-    no post-state, and a step that only stores constants the state
-    already holds (a self-loop) is skipped. A mask the steps read two
-    or more times, in guards, self-loop tests or updates, is applied once
-    per state, before the first step."""
-    lines = ["def successors(s, out):", "    add = out.append"]
-    for guard, plan in steps:
-        lines += _step_lines(guard, plan, env)
-    return _define(lines, "successors", env)
-
+def kernel(steps, env, budget):
+    """expand(frontier, seen, out): one BFS level. For each state s of
+    the list frontier, in order, it evaluates the compiled steps (guard,
+    plan) in order, and each post-state n that the dict seen does not
+    hold it records as `seen[n] = s` and appends to the list out, as
+    soon as its step is evaluated. So a step that raises leaves in seen
+    and out the post-states of the states and steps before it. A step
+    whose counter update leaves its range gives no post-state, and a
+    step that only stores constants the state already holds (a
+    self-loop) is skipped. It stops before a state once seen holds more
+    than budget states. What the steps read two or more times, masks
+    and pure int expressions over them, is evaluated once per state,
+    before the first step (`_hoist`)."""
+    head = ["def expand(frontier, seen, out):", "    add = out.append",
+            "    for s in frontier:", f"        if len(seen) > {budget}:",
+            "            return"]
+    body = [text for guard, plan in steps
+            for text in _step_lines(guard, plan, env)]
+    return _define(head, body, "expand", env)

@@ -419,7 +419,11 @@ def parse(text: str, line_offset: int = 0, col_offset: int = 0) -> Expr:
     except _Fail as f:
         err = _syntax_error(text, n - f.left, f.message, line_offset,
                             col_offset)
-    raise err  # outside the handler: the error has no _Fail as context
+    except RecursionError:  # at the token the parser was reading
+        err = _syntax_error(text, n - len(toks),
+                            "expression nested too deeply", line_offset,
+                            col_offset)
+    raise err  # outside the handler: the error has no context
 
 
 # ---------------------------------------------------------------------------

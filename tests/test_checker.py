@@ -17,6 +17,14 @@ from _oracle import oracle_check
 GOLDEN = Path(__file__).parent / "golden"
 
 
+class NeverSeen(dict):
+    """A `seen` map for the kernel that holds no state: `expand` hands
+    out every post-state it computes, duplicates included."""
+
+    def __contains__(self, state):
+        return False
+
+
 def test_mcp_p8_minimal_counterexample():
     model = builtin("mcp")
     res = checker.check(model, model.property_by_id("P8_CredRevocation"))
@@ -273,7 +281,7 @@ def test_validate_trace_accepts_a_self_loop_step():
                                 E.parse("not bad")),))
     eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
     posts = []
-    eng.successors(eng.start, posts)
+    eng.expand([eng.start], NeverSeen(), posts)
     assert [eng.canonical(s) for s in posts] == [(True, True)]
     start = eng.canonical(eng.start)
     assert checker._apply(eng.slots, model.transition("Keep"), (),

@@ -24,7 +24,7 @@ from agentconform.builtins import BUILTIN_NAMES, builtin
 from agentconform.record import replace
 
 from _oracle import _successors, oracle_check
-from test_checker import RANDOM_BOUNDS, random_model
+from test_checker import NeverSeen, RANDOM_BOUNDS, random_model
 
 GOLDEN = Path(__file__).parent / "golden" / "states.json"
 
@@ -463,10 +463,10 @@ def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
 
     parents = {eng.start: None}
     decode(parents)  # every later state is decoded as a post-state first
-    for s in itertools.chain((eng.start,), checker._bfs(eng, parents)):
+    for s in itertools.chain([eng.start], *checker._bfs(eng, parents)):
         state = dict(zip(names, vectors[s]))
         posts = []
-        eng.successors(s, posts)
+        eng.expand([s], NeverSeen(), posts)
         got = Counter(posts)
         decode(got)
         # a vector is hashed once, to look up its engine state; one that
@@ -509,24 +509,29 @@ def test_engine_matches_evaluator_on_every_state(name):
     assert states == (1152 if name == "updates" else STATE_COUNTS[name])
 
 
+def _kernel_source(monkeypatch, model):
+    """The source of the model's kernel, as `compiled._define` runs it."""
+    sources = []
+    define = C._define
+
+    def spy(head, body, name, env):
+        sources.append(C._hoist("\n".join(head), "\n".join(body) + "\n"))
+        return define(head, body, name, env)
+    monkeypatch.setattr(C, "_define", spy)
+    checker._Engine(model, checker.DEFAULT_BOUNDS)
+    src, = sources
+    return src
+
+
 def test_kernel_reads_each_mask_once(monkeypatch):
     """In the chained-servers kernel every field read starts from the
     masked state `s & M`, never from a shift of the whole state, and each
     mask is applied in one place: a mask two or more steps read is a
     local set once at the top, and a mask read once stays inline."""
-    sources = []
-    define = C._define
-
-    def spy(lines, name, env):
-        sources.append(C._hoist("\n".join(lines) + "\n"))
-        return define(lines, name, env)
-    monkeypatch.setattr(C, "_define", spy)
-    checker._Engine(_chained_servers(), checker.DEFAULT_BOUNDS)
-    src, = sources
-    # every `s & M` but the post-states `add(s & K ...)` and `n = s & K ...`
-    masks = Counter(re.findall(r"(?<!add\()(?<!n = )\bs & (0x[0-9a-f]+)",
-                               src))
-    hoisted = re.findall(r"^    (m\d+) = s & (0x[0-9a-f]+)$", src, re.M)
+    src = _kernel_source(monkeypatch, _chained_servers())
+    # every `s & M` but the post-states `n = s & K ...`
+    masks = Counter(re.findall(r"(?<!n = )\bs & (0x[0-9a-f]+)", src))
+    hoisted = re.findall(r"^ +(m\d+) = \(s & (0x[0-9a-f]+)\)$", src, re.M)
     assert masks and max(masks.values()) == 1
     assert len(hoisted) >= 3 and re.search(r"\(s & 0x", src)
     for local, _ in hoisted:
@@ -534,11 +539,152 @@ def test_kernel_reads_each_mask_once(monkeypatch):
     assert not re.search(r"\bs >> \d+", src)
 
 
+def test_kernel_evaluates_each_repeated_term_once(monkeypatch):
+    """In the chained-servers kernel a field test or counter increment
+    that several steps read, such as `(m0 == 0x1)` or
+    `(((s & M) >> k) + 1)`, is a local `h<j>` set once per state and read
+    at least twice; no pure int expression over the locals appears twice,
+    no decode table, code table or helper call is hoisted, and no
+    junction repeats an operand."""
+    src = _kernel_source(monkeypatch, _chained_servers())
+    terms = re.findall(r"^ +(h\d+) = (.*)$", src, re.M)
+    assert len(terms) >= 5
+    for local, term in terms:
+        assert len(re.findall(rf"\b{local}\b", src)) >= 3  # set, read twice
+        assert not re.search(r"_[vck]\d|\w\(", term), term
+    assert max(Counter(re.findall(C._PURE, src)).values()) == 1
+    assert not re.search(r"\((\w+) (or|and) \1\)", src)
+    assert " or " in src
+
+
 def test_engine_matches_oracle_on_random_models():
     rng = random.Random(20261018)
     for i in range(40):
         model = random_model(rng, i)
         _assert_engine_matches_oracle(model, RANDOM_BOUNDS, model.properties)
+
+
+def _reference_bfs(eng):
+    """(states, depths, parents) of the BFS, as state vectors, one state
+    at a time: each post-state comes from `checker._apply` over
+    `eng.pairs` in order, and the first (pre, step) to reach a state is
+    its parent. states lists the states in discovery order, the initial
+    one first, and depths their BFS depths."""
+    start = eng.canonical(eng.start)
+    states, depths, parents = [start], [0], {start: None}
+    for pre, depth in zip(states, depths):  # both grow as BFS goes
+        for t, binding in eng.pairs:
+            post = checker._apply(eng.slots, t, binding, pre, eng.constants,
+                                  eng.atoms, eng.caps)
+            if post is not None and post not in parents:
+                parents[post] = pre
+                states.append(post)
+                depths.append(depth + 1)
+    return states, depths, parents
+
+
+def _reference_result(depths, bad, bounds):
+    """(verdict, states_explored, depth) of a search of the reference
+    states in order, with these depths, of which the one at index bad
+    (None: none) is the first to violate the property. The budget stops
+    the search at the first state past max_states (the initial state
+    counts, and is always searched), the depth bound before the first
+    state deeper than max_depth, or after the last if it is that deep."""
+    for i, depth in enumerate(depths):
+        if depth > bounds.max_depth:
+            return ("BOUND_EXHAUSTED", i, None)
+        if i >= max(bounds.max_states, 1):
+            return ("BOUND_EXHAUSTED", i + 1, None)
+        if i == bad:
+            return ("FAIL", i + 1, depth)
+    if depths[-1] >= bounds.max_depth:
+        return ("BOUND_EXHAUSTED", len(depths), None)
+    return ("PASS", len(depths), None)
+
+
+def _result(res):
+    cx = res.counterexample
+    return (res.verdict, res.states_explored, cx.depth if cx else None)
+
+
+def _assert_bfs_matches_reference(model, bounds):
+    """`checker._bfs` hands out the reference's states in its order, and
+    builds its parents."""
+    eng = checker._Engine(model, bounds)
+    parents = {eng.start: None}
+    got = [eng.start] + [s for level in checker._bfs(eng, parents)
+                         for s in level]
+    states, _, ref_parents = _reference_bfs(eng)
+    assert [eng.canonical(s) for s in got] == states
+    assert {eng.canonical(s): None if pre is None else eng.canonical(pre)
+            for s, pre in parents.items()} == ref_parents
+    assert list(parents) == got
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("updates",))
+def test_bfs_order_and_parents_match_one_state_at_a_time(name):
+    """The level kernel reaches states in the order of a BFS that
+    expands one state and one step at a time, and records the same first
+    (pre, step) as each state's parent."""
+    model = _update_model() if name == "updates" else builtin(name)
+    _assert_bfs_matches_reference(model, checker.DEFAULT_BOUNDS)
+
+
+def test_bfs_order_and_parents_match_on_random_models():
+    rng = random.Random(20261020)
+    for i in range(50):
+        _assert_bfs_matches_reference(random_model(rng, i), RANDOM_BOUNDS)
+
+
+@pytest.mark.parametrize("name", ["a2a", "mcp"])
+def test_state_budget_edges_match_the_reference(name):
+    """For every budget from 1 to 60 states, each property's verdict,
+    explored-state count and counterexample depth are the reference
+    search's."""
+    model = builtin(name)
+    eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
+    states, depths, _ = _reference_bfs(eng)
+    bad = {p.id: next((i for i, v in enumerate(states)
+                       if not E.evaluate_bool(p.invariant,
+                                              dict(zip(eng.slots, v)),
+                                              eng.constants, eng.atoms)),
+                      None)
+           for p in model.properties}
+    for budget in range(1, 61):
+        bounds = replace(checker.DEFAULT_BOUNDS, max_states=budget)
+        results = checker.check_all(model, model.properties, bounds)
+        for prop in model.properties:
+            assert _result(results[prop.id]) == _reference_result(
+                depths, bad[prop.id], bounds), (budget, prop.id)
+
+
+@pytest.mark.parametrize("bound, states", [
+    ({"max_states": 1}, 2), ({"max_states": 10}, 11),
+    ({"max_states": 1000}, 1001), ({"max_depth": 1}, 10),
+    ({"max_depth": 2}, 60), ({"max_depth": 3}, 280)])
+def test_federated_delegation_bound_counts(bound, states):
+    """CS_DomainIsolation on federated-delegation, cut off by each bound,
+    reports the states it reached: one past the budget, or every state
+    through the depth bound. Past the budget the kernel stops, so the
+    search holds at most one state's post-states more than the budget."""
+    model = _bundled_model("federated-delegation")
+    prop, = (p for p in compose.cs_properties(model, "federated-delegation")
+             if p.id == "CS_DomainIsolation")
+    bounds = replace(checker.DEFAULT_BOUNDS, **bound)
+    assert _result(checker.check(model, prop, bounds)) == (
+        "BOUND_EXHAUSTED", states, None)
+    eng = checker._Engine(model, bounds)
+    parents = {eng.start: None}
+    with pytest.raises(checker.StateOverflowError) as exc:
+        for _ in checker._bfs(eng, parents):
+            pass
+    assert exc.value.states == states
+    if "max_states" in bound:
+        last = parents[next(reversed(parents))]  # the state expanded last
+        posts = []
+        eng.expand([last], NeverSeen(), posts)
+        assert bounds.max_states < len(parents) <= \
+            bounds.max_states + len(set(posts))
 
 
 if __name__ == "__main__":

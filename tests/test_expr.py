@@ -1,5 +1,7 @@
 """Expression grammar, printer, and evaluator."""
 
+import sys
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -64,6 +66,19 @@ def test_only_ascii_digits_make_integers(text, col):
     assert (exc.value.line, exc.value.col) == (4, col)
     assert E.parse("x\u00b2 = 12") == E.Cmp("=", E.Name("x\u00b2"),
                                              E.IntLit(12))
+
+
+def test_deep_nesting_is_a_positioned_syntax_error():
+    """Parentheses nested past the interpreter's recursion limit give a
+    syntax error at the token the parser had reached, not a
+    RecursionError; nesting that fits still parses."""
+    depth = sys.getrecursionlimit()
+    text = "(" * depth + "true" + ")" * depth
+    with pytest.raises(E.ExprSyntaxError, match=r"^expression nested too "
+                       r"deeply \(line 3, col \d+\)$") as exc:
+        E.parse(text, 2, 10)
+    assert exc.value.line == 3 and 11 < exc.value.col <= depth + 10
+    assert E.parse("(" * 100 + "true" + ")" * 100) == E.BoolLit(True)
 
 
 def test_print_round_trip_on_model_formulas():

@@ -104,6 +104,17 @@ def test_non_ascii_digit_in_init_names_its_line():
     assert (exc.value.line, exc.value.col) == (3, 25)
 
 
+def test_deep_nesting_in_init_names_its_line():
+    """An init nested 500 parentheses deep is a syntax error at a
+    parenthesis of line 3, not a RecursionError."""
+    text = ("protocol: p\nsnapshot: s\nvar v : BOOL init "
+            + "(" * 500 + "true" + ")" * 500 + "\n")
+    with pytest.raises(E.ExprSyntaxError,
+                       match="expression nested too deeply") as exc:
+        irfmt.parse_model(text)
+    assert exc.value.line == 3 and 19 <= exc.value.col < 519
+
+
 def test_misspelled_top_level_keys_are_rejected():
     """A key other than `protocol` and `snapshot` outside a block is a
     ParseError naming it and its line, not a silently dropped pair."""
