@@ -187,11 +187,13 @@ class _Engine:
     vectors appear only at the boundary: the initial state and
     counterexamples. The kernel, `expand(frontier, seen, out)`
     (`compiled.kernel`), serves the search only: one call expands a whole
-    BFS level, inlining every enabled step of `_pairs` in that order, and
-    dedups each post-state inline against `seen`. It skips a step that
-    only stores constants the state already holds, a self-loop BFS has
-    always seen, and stops before a state once `seen` holds more than
-    `budget` states.
+    BFS level, handing out the post-states of the steps of `_pairs` in
+    that order and deduping each inline against `seen`, and stops before
+    a state once `seen` holds more than `budget` states. It memoises the
+    steps' effects in `memo`, keyed by the bits of a state that the steps
+    read: the steps run once per key, and every other state of that key
+    applies the recorded deltas. The memo lives and dies with the engine,
+    so the searches of one `check_all` share it.
     """
 
     def __init__(self, model: ir.ProtocolModel, bounds: Bounds):
@@ -209,9 +211,10 @@ class _Engine:
                  for t, binding in self.pairs]
         # the initial state is never over the budget
         self.budget = max(bounds.max_states, 1)
+        self.memo = {}  # the kernel's step effects, shared by searches
         self.expand = C.kernel(
             [step for step in steps if step[0] is not False], self.env,
-            self.budget)
+            self.budget, self.memo)
 
     def canonical(self, state: int) -> tuple:
         return C.decode(state, self.env)

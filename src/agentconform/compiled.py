@@ -69,18 +69,18 @@ engine's steps, for the search only. `expand` is a whole BFS level: it
 loops over the frontier's states inside the compiled code, and each
 post-state n of a state s that the dict `seen` does not hold it records
 as `seen[n] = s` and appends to the list `out`, so the search's dedup
-happens inline, where the post-state is made. Both functions use
-`_define`, which evaluates what the per-state body reads two or more
-times once per state, into locals at the top of the body: each mask, as
-`m<j> = (s & M)`, and then each pure int expression over such locals,
-such as a field test `(m0 == 0x1)` or a counter increment
-`(((s & M) >> k) + 1)`, as `h<j>`. What is read once stays inline,
-where short-circuiting may skip it. `s & M` and `==`, `!=`, `>>`, `+`
-and `&` on ints cannot raise, so this moves no exception and no
-evaluation of anything that can; decode tables, code tables and helper
-calls are never hoisted. `compile()` is memoised on the source text, so
-a model checked again (another property, another run in one process)
-reuses its code objects.
+happens inline. The steps' effects are memoised by the bits they read:
+a state's key is `s & R`, R masking every field a step reads, and a
+step that stores the fields W turns every state of one key into
+`s & ~W | (n & W)`. So each key's steps run once, on its first state,
+which records their deltas (~W, n & W) in step order, and every later
+state of that key is one table lookup and the deltas applied. The
+composed models have 527-5,734 keys for 65,090-208,636 states. Both
+functions use `_define`, which applies each mask the body reads two or
+more times once, into a local `m<j>` at the top of the body; what is
+read once stays inline, where short-circuiting may skip it. `compile()`
+is memoised on the source text, so a model checked again (another
+property, another run in one process) reuses its code objects.
 """
 
 from __future__ import annotations
@@ -277,49 +277,18 @@ def _lit(v, env) -> str:
 # starts with the literal `(`, which `re` scans for quickly.
 _READ = re.compile(r"\((?<![\w)\]]\()s & (0x[0-9a-f]+)\)")
 
-# A pure int expression over hoisted locals: a comparison, shift, sum or
-# mask of two operands, each a local or an int literal, in parentheses of
-# its own. Atom names are quoted, so none matches. These two patterns are
-# compiled (and cached by `re`) only when a kernel is first written.
-_PURE = (r"\((?<![\w)\]]\()(?:[mh]\d+|0x[0-9a-f]+|\d+) "
-         r"(?:==|!=|>>|\+|&) (?:[mh]\d+|0x[0-9a-f]+|\d+)\)")
-# a hoisted local, not inside a quoted atom name
-_LOCAL = r"(?<![\w'])[mh]\d+\b"
-
 
 def _hoist(head: str, body: str) -> str:
     """The definition of a function of the packed state s: head, then
-    body, which runs once per state, with every mask that body reads two
-    or more times applied once, into a local `m<j>`, and then every pure
-    int expression over such locals (`_PURE`) that it reads two or more
-    times evaluated once, into a local `h<j>`. An expression nested in
-    another is hoisted first, and the outer one then reads its local; a
-    local that ends up read only once is put back where it is read. The
-    locals are set at the top of body, in order of first read. `s & M`,
-    `==`, `!=`, `>>`, `+` and `&` on ints cannot raise, so hoisting moves
-    no exception and no evaluation of anything that can."""
+    body, with every mask that body reads two or more times applied
+    once, into a local `m<j>` set at the top of body, in order of first
+    read. `s & M` cannot raise, so this moves no exception."""
     pad = body[:len(body) - len(body.lstrip(" "))]
     reads = collections.Counter(_READ.findall(body))
     local = {f"(s & {m})": f"m{j}" for j, m in enumerate(
         m for m, n in reads.items() if n > 1)}
     body = _READ.sub(lambda r: local.get(r[0], r[0]), body)
-    masks = len(local)
-    while True:
-        uses = collections.Counter(re.findall(_PURE, body))
-        new = [e for e, n in uses.items() if n > 1]
-        if not new:
-            break
-        local.update((e, f"h{j}")
-                     for j, e in enumerate(new, len(local) - masks))
-        body = re.sub(_PURE, lambda r: local.get(r[0], r[0]), body)
-    terms = {v: e for e, v in local.items()}
-    uses = collections.Counter(re.findall(_LOCAL,
-                                          body + "".join(terms.values())))
-    for v in [v for v in terms if uses[v] == 1]:
-        e, once = terms.pop(v), re.compile(rf"(?<![\w']){v}\b")
-        terms = {w: once.sub(e, x) for w, x in terms.items()}
-        body = once.sub(e, body)
-    return "\n".join([head, *(f"{pad}{v} = {e}" for v, e in terms.items()),
+    return "\n".join([head, *(f"{pad}{v} = {e}" for e, v in local.items()),
                       body])
 
 
@@ -330,8 +299,8 @@ def _code(head: str, body: str):
 
 def _define(head, body, name, env):
     """The function `name` that the lines head and then body define in
-    env, body running once per state, with what body reads two or more
-    times hoisted (`_hoist`)."""
+    env, with the masks body reads two or more times applied once
+    (`_hoist`)."""
     namespace = {}
     exec(_code("\n".join(head), "\n".join(body) + "\n"), env, namespace)
     return namespace[name]
@@ -339,8 +308,8 @@ def _define(head, body, name, env):
 
 def function(src: str, env: dict):
     """The function s -> value of a compiled value's source, written by
-    `_define` as `value(s)`, so what the source reads two or more times
-    is read once."""
+    `_define` as `value(s)`, so a mask the source reads two or more times
+    is applied once."""
     return _define(["def value(s):"], [f"    return {src}"], "value", env)
 
 
@@ -547,9 +516,10 @@ def _writer(target, rhs, keys, slots, cap, env):
 
     An op is ("const", slot, value) for an in-range constant stored at a
     fixed slot, ("slot", slot, src, cap) for another value stored there,
-    and ("keyed", index, src, cap, shape) for a target whose slot
+    and ("keyed", index, src, cap, shape, region) for a target whose slot
     `index` computes at run time, shape being the source of the shape of
-    the slots a map value fills, else None. As in the checker's reference
+    the slots a map value fills, else None, and region the mask of the
+    variable's fields. As in the checker's reference
     semantics and TLA+'s EXCEPT, the right-hand side and the keys read
     the pre-state, a counter is range-checked before the keys are
     evaluated, and updates of one variable apply in order, each on top
@@ -577,7 +547,7 @@ def _writer(target, rhs, keys, slots, cap, env):
                      *(", " + k[0] for k in keys), ")"]) if keys \
         else str(base)
     return ("keyed", index, rhs[0], cap,
-            None if sub is None else _lit(sub, env))
+            None if sub is None else _lit(sub, env), _var_mask(base, env))
 
 
 def _fields(group, env):
@@ -626,41 +596,32 @@ def _post_lines(stores, env):
 
 
 def _step_lines(guard, plan, env):
-    """The kernel's lines for one step: the guard, each update's
-    evaluation and range check in order, then the post-state n, handed
-    out unless `seen` holds it; a step storing only constants the state
-    holds computes no post-state."""
-    lines, pad = [], "        "
+    """(lines, writes) of one step: lines evaluate the guard, then each
+    update's value and range check in order, and compute the post-state
+    n; writes masks the fields the step stores, the whole region of the
+    map for a store through a run-time key. A step without updates only
+    evaluates its guard, for what it raises."""
+    lines, pad, writes = [], "        ", 0
 
     def line(text):
         lines.append(pad + text)
 
-    def hand_out():
-        line("if n not in seen:")
-        line("    seen[n] = s")
-        line("    add(n)")
-
     cond = None if guard is True else guard
-    if all(op[0] == "const" for op in plan):
-        if not plan:  # a self-loop whenever enabled
-            if cond is not None:
-                line(cond)  # evaluated for what it raises
-            return lines
-        # the last store to a slot wins
-        fields = _fields({at: (None, v) for _, at, v in plan}, env)
-        change = f"(s & {fields[0]:#x}) != {fields[1]:#x}"
-        cond = change if cond is None else f"{cond} and {change}"
-        line(f"if {cond}:")
-        pad += "    "
-        line(f"n = {_merge('s', fields, env)}")
-        hand_out()
-        return lines
+    if not plan:  # a self-loop whenever enabled
+        if cond is not None:
+            line(cond)
+        return lines, writes
     if cond is not None:
         line(f"if {cond}:")
         pad += "    "
     stores = []  # as _post_lines reads them
     deferred = []  # stores whose value source is evaluated at the store
+    L = env["_L"]
     for j, op in enumerate(plan):
+        if op[0] == "keyed":
+            writes |= op[5]
+        else:
+            writes |= L[op[1]][1] << L[op[1]][0]
         if op[0] == "const":
             stores.append((op[1], None, op[2]))
             continue
@@ -692,26 +653,86 @@ def _step_lines(guard, plan, env):
             stores.append((f"i{j}", f"*l{j}"))
     for text in _post_lines(stores, env):
         line(text)
-    hand_out()
-    return lines
+    return lines, writes
 
 
-def kernel(steps, env, budget):
+# A map read whole or through a run-time key, or stored through one: the
+# slot the helper starts from lies in the map's variable.
+_MAP_AT = r"(?:_get\(_L, s, |_build\(_L, s, |_offset\()(?:_at\()*(\d+)"
+
+
+def _reads(src, env):
+    """The mask of the fields that the step source src reads, or that a
+    post-state carries from s through a store at a run-time key: each
+    masked read `(s & M)`, and the whole variable of each map a helper
+    reads or stores through a run-time key."""
+    mask = 0
+    for m in _READ.findall(src):
+        mask |= int(m, 16)
+    for i in map(int, re.findall(_MAP_AT, src)):
+        mask |= _var_mask(i, env)
+    return mask
+
+
+def _var_mask(i, env):
+    """The mask of the fields of the variable that holds slot i."""
+    return next(mask for mask, _, base, shape in env["_vars"]
+                if base <= i < base + size(shape))
+
+
+def kernel(steps, env, budget, memo):
     """expand(frontier, seen, out): one BFS level. For each state s of
-    the list frontier, in order, it evaluates the compiled steps (guard,
-    plan) in order, and each post-state n that the dict seen does not
-    hold it records as `seen[n] = s` and appends to the list out, as
-    soon as its step is evaluated. So a step that raises leaves in seen
-    and out the post-states of the states and steps before it. A step
-    whose counter update leaves its range gives no post-state, and a
-    step that only stores constants the state already holds (a
-    self-loop) is skipped. It stops before a state once seen holds more
-    than budget states. What the steps read two or more times, masks
-    and pure int expressions over them, is evaluated once per state,
-    before the first step (`_hoist`)."""
-    head = ["def expand(frontier, seen, out):", "    add = out.append",
-            "    for s in frontier:", f"        if len(seen) > {budget}:",
-            "            return"]
-    body = [text for guard, plan in steps
-            for text in _step_lines(guard, plan, env)]
-    return _define(head, body, "expand", env)
+    the list frontier, in order, it hands out the post-states of the
+    compiled steps (guard, plan) in order: each post-state n that the
+    dict seen does not hold it records as `seen[n] = s` and appends to
+    the list out. It stops before a state once seen holds more than
+    budget states.
+
+    memo maps a key `s & R` to the steps' deltas (~W, n & W) in step
+    order, W masking the fields a step stores (see the module docstring).
+    R covers every field that a guard, value, key or range check reads,
+    and the whole variable of a map read whole or read or stored through
+    a run-time key. A state whose key memo holds applies the deltas;
+    otherwise the steps run, handing out each post-state as it is made,
+    and their deltas are stored once all of them have run. So a step
+    that raises stores nothing: it leaves in seen and out the post-states
+    of the states and steps before it, and the next state of its key
+    raises again. A delta is left out only for a self-loop of a step that
+    stores nothing outside R, which is a self-loop in every state of the
+    key. Each mask the steps read two or more times is applied once per
+    miss (`_hoist`)."""
+    steps = [_step_lines(guard, plan, env) for guard, plan in steps]
+    reads = _reads("\n".join(text for lines, _ in steps for text in lines),
+                   env)
+    full, body = env["_FULL"], []
+    for lines, writes in steps:
+        body += lines
+        if not writes:
+            continue
+        pad = lines[-1][:len(lines[-1]) - len(lines[-1].lstrip(" "))]
+        if writes & ~reads == 0:  # a self-loop here is one for the key
+            body.append(f"{pad}if n != s:")
+            pad += "    "
+        body += [f"{pad}rec(({full ^ writes:#x}, n & {writes:#x}))",
+                 f"{pad}if n not in seen:", f"{pad}    seen[n] = s",
+                 f"{pad}    add(n)"]
+    env["_memo"] = memo  # no cycle: env holds no function
+    return _define([
+        "def expand(frontier, seen, out, memo=_memo):",
+        "    add = out.append",
+        "    get = memo.get",
+        "    for s in frontier:",
+        f"        if len(seen) > {budget}:",
+        "            return",
+        f"        r = s & {reads:#x}",
+        "        d = get(r)",
+        "        if d is not None:",
+        "            for k, v in d:",
+        "                n = s & k | v",
+        "                if n not in seen:",
+        "                    seen[n] = s",
+        "                    add(n)",
+        "            continue",
+        "        d = []",
+        "        rec = d.append"], body + ["        memo[r] = d"], "expand",
+        env)

@@ -405,8 +405,33 @@ def _syntax_error(text: str, index: int, message: str, line_offset: int,
                            *_position(text, start, line_offset, col_offset))
 
 
+# The most levels an expression may have. The sort check, the evaluator,
+# the compiler and the printers recurse a few frames per level, so a
+# taller expression would exhaust the interpreter's stack after parsing.
+_MAX_HEIGHT = 100
+
+
+def _height(e) -> int:
+    """The levels of the expression e, counted without recursing."""
+    height, level = 0, [e]
+    while level:
+        height += 1
+        below = []
+        for x in level:
+            for name in x.__slots__:
+                v = getattr(x, name)
+                if type(v) is tuple:
+                    below += v
+                elif isinstance(v, Record):
+                    below.append(v)
+        level = below
+    return height
+
+
 def parse(text: str, line_offset: int = 0, col_offset: int = 0) -> Expr:
-    """Parse an expression; raises ExprSyntaxError with position on failure."""
+    """Parse an expression; raises ExprSyntaxError with position on failure.
+    An expression of more than `_MAX_HEIGHT` levels is an error at its
+    first token."""
     toks = _TOKEN_RE.findall(text)
     toks.append("")  # EOF
     toks.reverse()  # the next token is toks[-1]
@@ -415,6 +440,9 @@ def parse(text: str, line_offset: int = 0, col_offset: int = 0) -> Expr:
         e = _expr(toks)
         if toks[-1]:
             _fail(toks, f"trailing input {toks[-1]!r}")
+        # each level has a token of its own
+        if n > _MAX_HEIGHT and _height(e) > _MAX_HEIGHT:
+            raise _Fail("expression nested too deeply", n)
         return e
     except _Fail as f:
         err = _syntax_error(text, n - f.left, f.message, line_offset,

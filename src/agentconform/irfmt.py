@@ -8,9 +8,10 @@ line may hold several `key: value` pairs.
 One rule splits every list in the format: text splits at a separator
 only where the separator sits outside brackets and double-quoted strings,
 and inside a brace group that opens at top level only braces count, as in
-the block reader. The separator is `,` between parameters and map-literal
-entries, `;` between updates, and two or more spaces before `key:` between
-pairs. A value in double quotes is the text between them; a `source` value
+the block reader. No reader counts a brace inside a double-quoted string
+or on a comment line (a line whose text starts with `#`). The separator
+is `,` between parameters and map-literal entries, `;` between updates,
+and two or more spaces before `key:` between pairs. A value in double quotes is the text between them; a `source` value
 is one `{ ... }` group of the same pairs, or the invented-assumption
 marker. Either ends its pair where it closes. A key that a transition,
 property, clause or source group does not have is an error, and so is a
@@ -64,9 +65,25 @@ _BLOCK_RE = re.compile(r"\s*(constants|aps|transition|property|clause)"
                        rf"(?:\s+({_KEY}))?\s*\{{(.*)")
 _VAR_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+?)\s+init\s+(.+)")
 _QUOTE_OR_BRACKET = re.compile(r'["{}\[\]()]')
-_GROUP_RE = re.compile(r"\{[^{}]*\}")  # a `source` group
+# a `source` group: its quoted strings, then at most one unpaired quote,
+# which the pair splitter then reports where it is
+_GROUP_RE = re.compile(r'\{(?:[^{}"]|"[^"]*")*"?[^{}"]*\}')
 # the pair separator: two or more spaces before `key:`
 _PAIR_SEP = "  "
+
+
+def _shield(text: str) -> str:
+    """text with each brace inside a double-quoted string replaced by
+    `_`, for the brace counters to read: columns stay where they are.
+    Quotes pair from the left; text after an unpaired one is not quoted."""
+    if '"' not in text:
+        return text
+    parts = text.split('"')
+    quoted = parts[1:-1:2]
+    if not any("{" in q or "}" in q for q in quoted):
+        return text
+    parts[1:-1:2] = [q.replace("{", "_").replace("}", "_") for q in quoted]
+    return '"'.join(parts)
 
 
 def _is_name(text: str) -> bool:
@@ -79,13 +96,14 @@ def _split(text: str, sep: str, line: int, col: int = 1) -> list:
     _PAIR_SEP) that sits outside brackets and double-quoted strings into
     its stripped, non-empty (part, column)s. A quoted string is skipped to
     its closing quote, and a brace group opened at top level is read as
-    the block reader reads it: only its braces count. Separators are
+    the block reader reads it: only its braces outside quotes count. Separators are
     looked for only in the runs between quotes, braces and brackets that
     lie at depth 0."""
     parts, start, depth, pos, end = [], 0, 0, 0, len(text)
-    search, find = _QUOTE_OR_BRACKET.search, text.find
+    scan = _shield(text)
+    search, find = _QUOTE_OR_BRACKET.search, scan.find
     while True:
-        m = search(text, pos)
+        m = search(scan, pos)
         stop = end if m is None else m.start()
         if not depth:  # the separators in text[pos:stop]
             i = find(sep, pos, stop)
@@ -116,7 +134,7 @@ def _split(text: str, sep: str, line: int, col: int = 1) -> list:
                 if close < 0:  # the group runs to the end of the text
                     pos = end
                     break
-                group += text.count("{", pos, close) - 1
+                group += scan.count("{", pos, close) - 1
                 pos = close + 1
         elif tok in "[({":
             depth += 1
@@ -173,7 +191,8 @@ class _Block:
 
 def _read_blocks(text: str):
     """Split a document into a top-level pair list plus named blocks. A
-    block's lines are all collected before any of them is scanned."""
+    block's lines are all collected before any of them is scanned, and
+    its comment lines are dropped."""
     top, blocks = [], []
     depth = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -194,21 +213,23 @@ def _read_blocks(text: str):
                 top += _scan_pairs(stripped, lineno,
                                    1 + len(raw) - len(raw.lstrip()))
                 continue
+        if raw.lstrip().startswith("#"):  # a comment line
+            continue
         # braces up to the one that closes the block, if this line has it
-        pos = 0
-        while (close := raw.find("}", pos)) >= 0:
-            depth += raw.count("{", pos, close) - 1
+        scan, pos = _shield(raw), 0
+        while (close := scan.find("}", pos)) >= 0:
+            depth += scan.count("{", pos, close) - 1
             pos = close + 1
             if not depth:
                 break
         else:
-            depth += raw.count("{", pos)
+            depth += scan.count("{", pos)
         if depth:
             body.append((raw, lineno, col))
             continue
         # the block closes at this brace; nothing may follow it
         rest = raw[pos:]
-        if rest.count("}") > rest.count("{"):
+        if scan.count("}", pos) > scan.count("{", pos):
             raise ParseError(f"unmatched '}}' in block {block.kind!r}", lineno)
         if rest.strip():
             raise ParseError(f"text after the '}}' that closes block "

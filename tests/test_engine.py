@@ -438,7 +438,8 @@ def _chained_servers():
 def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
     """In every reachable state: the kernel's post-states other than the
     state itself are the oracle's, with multiplicity (the kernel drops
-    only self-loops, and only those of constant stores); with steps,
+    only self-loops, and only those of steps storing no field outside
+    the memo key); with steps,
     `checker._apply` over the engine's (transition, binding) pairs gives
     the oracle's successors exactly, self-loops included; and each
     invariant evaluates as the tree-walking evaluator does. Each engine
@@ -539,20 +540,20 @@ def test_kernel_reads_each_mask_once(monkeypatch):
     assert not re.search(r"\bs >> \d+", src)
 
 
-def test_kernel_evaluates_each_repeated_term_once(monkeypatch):
-    """In the chained-servers kernel a field test or counter increment
-    that several steps read, such as `(m0 == 0x1)` or
-    `(((s & M) >> k) + 1)`, is a local `h<j>` set once per state and read
-    at least twice; no pure int expression over the locals appears twice,
-    no decode table, code table or helper call is hoisted, and no
-    junction repeats an operand."""
+def test_kernel_hoists_only_masks_and_repeats_no_operand(monkeypatch):
+    """The chained-servers kernel looks each state's key up once, and its
+    step code, which runs once per key, hoists nothing but masks: every
+    local set before the first step is `m<j> = (s & M)`. No junction
+    repeats an operand."""
     src = _kernel_source(monkeypatch, _chained_servers())
-    terms = re.findall(r"^ +(h\d+) = (.*)$", src, re.M)
-    assert len(terms) >= 5
-    for local, term in terms:
-        assert len(re.findall(rf"\b{local}\b", src)) >= 3  # set, read twice
-        assert not re.search(r"_[vck]\d|\w\(", term), term
-    assert max(Counter(re.findall(C._PURE, src)).values()) == 1
+    assert len(re.findall(r"^ +r = s & 0x[0-9a-f]+$", src, re.M)) == 1
+    steps = src.split("rec = d.append\n", 1)[1]
+    hoisted = re.findall(r"^ +(\w+) = (.*)$",
+                         steps[:steps.index("        if ")], re.M)
+    assert len(hoisted) >= 3
+    for local, term in hoisted:
+        assert re.fullmatch(r"m\d+", local)
+        assert re.fullmatch(r"\(s & 0x[0-9a-f]+\)", term), term
     assert not re.search(r"\((\w+) (or|and) \1\)", src)
     assert " or " in src
 
@@ -562,6 +563,152 @@ def test_engine_matches_oracle_on_random_models():
     for i in range(40):
         model = random_model(rng, i)
         _assert_engine_matches_oracle(model, RANDOM_BOUNDS, model.properties)
+
+
+def _model(name, constants, state_vars, *steps, invariant="true"):
+    """A model of these variables, (name, sort, init) each, and steps,
+    (id, params, guard, (var, keys, rhs), ...) each."""
+    return ir.ProtocolModel(
+        name=name, snapshot="2025-01", constants=constants,
+        state_vars=tuple(ir.StateVarDecl(n, sort, init)
+                         for n, sort, init in state_vars),
+        transitions=tuple(ir.Transition(
+            tid, "Protocol", "sys", params, E.parse(guard),
+            tuple((ir.UpdateTarget(v, tuple(E.parse(k) for k in keys)),
+                   E.parse(rhs)) for v, keys, rhs in updates),
+            "MAY", (ir.SourceRef("test", name),))
+            for tid, params, guard, *updates in steps),
+        properties=(ir.Property("INV", "P0", "aasm-hardening",
+                                E.parse(invariant)),))
+
+
+def _write_only_flag_model():
+    """x counts to 2 and Reset starts it again; `flag` starts true, Reset
+    clears it and Set sets it, and no step reads it."""
+    return _model(
+        "flag", (), (("x", ir.CounterSort(2), ir.InitExpr(E.parse("0"))),
+                     ("flag", ir.BoolSort(), ir.InitExpr(E.parse("true")))),
+        ("Inc", (), "x # 2", ("x", (), "x + 1")),
+        ("Reset", (), "x = 2", ("x", (), "0"), ("flag", (), "false")),
+        ("Set", (), "true", ("flag", (), "true")))
+
+
+def test_states_of_one_key_that_differ_in_a_write_only_flag():
+    """Set stores a field no step reads, so (x, true) and (x, false)
+    share a key. The first of them, where Set is a self-loop, fills the
+    memo; the second is expanded from it and still gets every post-state
+    with multiplicity, Set's new state included; the search is the
+    one-state-at-a-time reference."""
+    model = _write_only_flag_model()
+    eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
+    parents = {eng.start: None}
+    for _ in checker._bfs(eng, parents):
+        pass
+    assert len(parents) == 6 and len(eng.memo) == 3
+    for s in parents:
+        posts = []
+        eng.expand([s], NeverSeen(), posts)
+        x, flag = eng.canonical(s)
+        want = [(x + 1, flag)] if x < 2 else [(0, False)]  # Inc, Reset
+        want.append((x, True))  # Set
+        assert [eng.canonical(n) for n in posts] == want
+    _assert_engine_matches_oracle(model, checker.DEFAULT_BOUNDS,
+                                  model.properties)
+    _assert_bfs_matches_reference(model, checker.DEFAULT_BOUNDS)
+
+
+def _keyed_model():
+    """Stores through a run-time key into a map no step reads (`m`), a
+    guard reading a map through a run-time key (`n[sel]`), and a
+    whole-map copy (`o := n`)."""
+    flags = ir.MapSort("Dom", ir.BoolSort())
+    x = ("x", "Dom")
+    return _model(
+        "keyed", (("Dom", ("a", "b")),),
+        (("sel", ir.EnumSort(("a", "b")), ir.InitExpr(E.parse("a"))),
+         ("m", flags, ir.InitAll(E.parse("false"))),
+         ("n", flags, ir.InitAll(E.parse("false"))),
+         ("o", flags, ir.InitAll(E.parse("false"))),
+         ("flag", ir.BoolSort(), ir.InitExpr(E.parse("false")))),
+        ("Pick", (x,), "sel # x", ("sel", (), "x")),
+        ("Mark", (), "true", ("m", ("sel",), "true")),
+        ("Fill", (x,), "true", ("n", ("x",), "true")),
+        ("Read", (), "n[sel] = false", ("flag", (), "not flag")),
+        ("Copy", (), "flag", ("o", (), "n")))
+
+
+def test_keyed_stores_and_run_time_reads_match_the_reference():
+    """The key covers the whole map stored or read through a run-time
+    key: on the keyed model the search is the one-state-at-a-time
+    reference, and every state's post-states are the oracle's with
+    multiplicity, though the memo holds fewer keys than states."""
+    model = _keyed_model()
+    _assert_bfs_matches_reference(model, checker.DEFAULT_BOUNDS)
+    states = _assert_engine_matches_oracle(model, checker.DEFAULT_BOUNDS,
+                                           model.properties)
+    eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
+    parents = {eng.start: None}
+    for _ in checker._bfs(eng, parents):
+        pass
+    assert len(parents) == states and len(eng.memo) < states
+
+
+def _raising_model():
+    """With Dom capped to {a}, Mark raises once Flip has set sel to b."""
+    return _model(
+        "raises", (("Dom", ("a", "b")),),
+        (("k", ir.CounterSort(3), ir.InitExpr(E.parse("0"))),
+         ("sel", ir.EnumSort(("a", "b")), ir.InitExpr(E.parse("a"))),
+         ("m", ir.MapSort("Dom", ir.BoolSort()),
+          ir.InitAll(E.parse("false")))),
+        ("Tick", (), "k # 3", ("k", (), "k + 1")),
+        ("Flip", (), "k = 2", ("sel", (), "b")),
+        ("Mark", (), "m[sel] = false", ("m", ("sel",), "true")))
+
+
+def test_a_raising_key_raises_again_on_a_shared_engine():
+    """A step that raises stores nothing in the memo: a second search on
+    one engine yields the same states, level by level, and ends with the
+    same error, as a search on a fresh engine does."""
+    model = _raising_model()
+    bounds = checker.DEFAULT_BOUNDS.with_caps(dom=1)
+
+    def search(eng):
+        parents, levels = {eng.start: None}, []
+        with pytest.raises(E.ExprTypeError) as exc:
+            for level in checker._bfs(eng, parents):
+                levels.append([eng.canonical(s) for s in level])
+        return levels, str(exc.value), list(parents)
+
+    eng = checker._Engine(model, bounds)
+    first = search(eng)
+    assert first[1] == "index 'b' outside map key domain"
+    assert search(eng) == first == search(checker._Engine(model, bounds))
+    prop = model.properties[0]
+    assert checker.check_all(model, [prop, replace(prop, id="INV2")],
+                             bounds) == {
+        pid: checker.CheckResult(f"ERROR: {first[1]}", 0)
+        for pid in ("INV", "INV2")}
+
+
+def test_check_all_on_a_shared_engine_equals_fresh_checks(
+        composition_runs):
+    """Each composition's properties, searched in turn on one engine and
+    so on one memo, get what a fresh engine per property gives."""
+    for composed, props, results in composition_runs.values():
+        for prop in props:
+            assert checker.check(composed, prop) == results[prop.id], \
+                (composed.name, prop.id)
+
+
+def test_chained_servers_memo_keys():
+    """The chained-servers search looks up 527 keys for its 65,090
+    states: the key holds only the fields the steps read."""
+    eng = checker._Engine(_chained_servers(), checker.DEFAULT_BOUNDS)
+    parents = {eng.start: None}
+    for _ in checker._bfs(eng, parents):
+        pass
+    assert (len(parents), len(eng.memo)) == (65090, 527)
 
 
 def _reference_bfs(eng):

@@ -11,14 +11,14 @@ The edits are one-character inserts, deletes and replacements, as in
 `test_irfmt.py::test_mutated_bundled_files_fail_only_with_positioned_errors`,
 plus doubling a space and joining a line to the next.
 
-The golden was written by the reader that preceded the one-pass reader.
-The only outcomes allowed to differ are the rejections added with it: a
-name in a declared list (constants atoms, ENUM values, transition
-parameters) that is not a distinct identifier, and a `COUNTER(n)` or
-clause `precedence` that is not ASCII digits. Each such input parsed
-before and is now a ParseError; their number is pinned below. Regenerate
-the file only for a deliberate change of what the reader accepts, and then
-set NEW_REJECTION_COUNT to 0:
+The golden was last written when braces inside quoted values and on
+comment lines stopped counting as block or group braces: 14 mutants that
+insert a brace into a `quote:` value went from `unterminated string` or
+`unterminated block` to parsed. The same rewrite took in the 18 rejections
+the one-pass reader had added (a name in a declared list that is not a
+distinct identifier, a `COUNTER(n)` or clause `precedence` that is not
+ASCII digits). Regenerate the file only for a deliberate change of what
+the reader accepts, and say which outcomes changed and why:
 
     PYTHONPATH=src python tests/test_frontend_golden.py
 """
@@ -26,7 +26,6 @@ set NEW_REJECTION_COUNT to 0:
 import hashlib
 import json
 import random
-import re
 from importlib import resources
 from pathlib import Path
 
@@ -40,12 +39,6 @@ MUTANTS = 2000
 _EDIT_CHARS = ('"', "{", "}", "[", "]", "(", ")", ",", ";", ":", "#", "\n",
                "²", "٣", "+", "=", "0", "x", " ", "  ", "   ")
 _SPECIAL = set("".join(_EDIT_CHARS)) - set("x0")
-
-# messages of the rejections added with the one-pass reader
-NEW_REJECTIONS = re.compile(
-    r"(is not an identifier|duplicate name|is not ASCII digits)")
-NEW_REJECTION_COUNT = 18
-
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -112,16 +105,10 @@ def test_reader_matches_the_golden_outcomes():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     cases = mutants()
     assert len(golden) == len(cases)
-    new = []
     for i, ((text, parse), want) in enumerate(zip(cases, golden)):
         got = outcome(text, parse)
         assert got[0] == want[0], f"case {i}: the input changed"
-        if got == want:
-            continue
-        assert want[1] == "ok" and got[1] == "ParseError" \
-            and NEW_REJECTIONS.search(got[2]), (i, want, got)
-        new.append(got)
-    assert len(new) == NEW_REJECTION_COUNT, new
+        assert got == want, (i, want, got)
 
 
 if __name__ == "__main__":

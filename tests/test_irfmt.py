@@ -115,6 +115,25 @@ def test_deep_nesting_in_init_names_its_line():
     assert exc.value.line == 3 and 19 <= exc.value.col < 519
 
 
+@pytest.mark.parametrize("init, col", [("not " * 500 + "true", 19),
+                                       ("1 + " * 500 + "0", 25)])
+def test_tall_init_is_a_syntax_error_at_its_start(init, col):
+    """An init 500 levels tall that the parser reads without recursing
+    deeply (`not` chains, `+` chains) is a syntax error at the start of
+    the init, not a RecursionError in the sort check after parsing; one
+    100 levels tall still checks."""
+    sort = "BOOL" if init.startswith("not") else "COUNTER(3)"
+    text = f"protocol: p\nsnapshot: s\nvar v : {sort} init {init}\n"
+    with pytest.raises(E.ExprSyntaxError,
+                       match=r"^expression nested too deeply") as exc:
+        irfmt.parse_model(text)
+    assert (exc.value.line, exc.value.col) == (3, col)
+    short = init.replace("not " * 500, "not " * 99).replace("1 + " * 500,
+                                                            "0 + " * 99)
+    model = irfmt.parse_model(text.replace(init, short))
+    assert ir.validate(model).ok
+
+
 def test_misspelled_top_level_keys_are_rejected():
     """A key other than `protocol` and `snapshot` outside a block is a
     ParseError naming it and its line, not a silently dropped pair."""
@@ -161,6 +180,31 @@ def test_clause_file_rejects_top_level_keys():
         assert exc.value.line == row
         assert f"unknown top-level key {key!r}" in str(exc.value)
     assert [c.id for c in irfmt.parse_clauses(clause)] == ["c1"]
+
+
+def test_braces_in_quotes_and_comments_are_text():
+    """A brace inside a quoted value or on a comment line closes and opens
+    nothing: a source quote `close } early`, a clause behavior with both
+    braces and a comment line holding `{` inside a transition all parse,
+    and the model and clause round-trip through the serializer."""
+    model_text = (
+        "protocol: p\nsnapshot: s\nvar v : BOOL init true\n"
+        "transition T {\n  kind: Protocol  actor: a\n  guard: v\n"
+        "  # a brace in a comment: {\n  update: v := false\n"
+        '  source: { doc: RFC  section: "1"  quote: "close } early" }\n}\n')
+    model = irfmt.parse_model(model_text)
+    ref, = model.transitions[0].source_refs
+    assert (ref.document, ref.section, ref.quote) == ("RFC", "1",
+                                                      "close } early")
+    assert irfmt.parse_model(irfmt.serialize_model(model)) == model
+    clause_text = (
+        "clause {\n  # } a comment line\n  id: c1  protocol: p  "
+        'modality: MAY  behavior: "close } early {"\n'
+        '  source: { doc: d  quote: "{q}" }\n}\n')
+    clause, = irfmt.parse_clauses(clause_text)
+    assert (clause.behavior, clause.source.quote) == ("close } early {",
+                                                      "{q}")
+    assert irfmt.parse_clauses(irfmt.serialize_clauses([clause])) == [clause]
 
 
 def test_stray_closing_brace_is_rejected_on_its_line():
