@@ -598,8 +598,8 @@ def _post_lines(stores, env):
 def _step_lines(guard, plan, env):
     """(lines, writes) of one step: lines evaluate the guard, then each
     update's value and range check in order, and compute the post-state
-    n; writes masks the fields the step stores, the whole region of the
-    map for a store through a run-time key. A step without updates only
+    n; writes masks the fields the step stores, the map's whole variable
+    for a store at a run-time slot. A step without updates only
     evaluates its guard, for what it raises."""
     lines, pad, writes = [], "        ", 0
 

@@ -11,12 +11,13 @@ and inside a brace group that opens at top level only braces count, as in
 the block reader. No reader counts a brace inside a double-quoted string
 or on a comment line (a line whose text starts with `#`). The separator
 is `,` between parameters and map-literal entries, `;` between updates,
-and two or more spaces before `key:` between pairs. A value in double quotes is the text between them; a `source` value
-is one `{ ... }` group of the same pairs, or the invented-assumption
-marker. Either ends its pair where it closes. A key that a transition,
-property, clause or source group does not have is an error, and so is a
-second pair with the same key in any block or group, except `update` and
-`source` in a transition and `source` in a property.
+and two or more spaces before `key:` between pairs. A value in double
+quotes is the text between them; a `source` value is one `{ ... }` group
+of the same pairs, or the invented-assumption marker. Either ends its
+pair where it closes. A key that a transition, property, clause or
+source group does not have is an error, and so is a second pair with the
+same key in any block or group, except `update` and `source` in a
+transition and `source` in a property.
 
 A name in a declared list (a `constants` domain's atoms, `ENUM[...]`
 values, transition `params`) is an identifier `[A-Za-z_][A-Za-z0-9_]*`
@@ -96,9 +97,9 @@ def _split(text: str, sep: str, line: int, col: int = 1) -> list:
     _PAIR_SEP) that sits outside brackets and double-quoted strings into
     its stripped, non-empty (part, column)s. A quoted string is skipped to
     its closing quote, and a brace group opened at top level is read as
-    the block reader reads it: only its braces outside quotes count. Separators are
-    looked for only in the runs between quotes, braces and brackets that
-    lie at depth 0."""
+    the block reader reads it: only its braces outside quotes count.
+    Separators are looked for only in the runs between quotes, braces and
+    brackets that lie at depth 0."""
     parts, start, depth, pos, end = [], 0, 0, 0, len(text)
     scan = _shield(text)
     search, find = _QUOTE_OR_BRACKET.search, scan.find
