@@ -146,9 +146,9 @@ def default_binding(tmpl: PrincipleTemplate, model: ir.ProtocolModel,
 def instantiate(tmpl: PrincipleTemplate, binding: dict,
                 model: ir.ProtocolModel) -> ir.Property:
     """Close the schematic over a role binding, classed by the taxonomy.
-    The invariant must be well-sorted in the model (`ir.sort_findings`),
-    which refuses a role bound to a symbol of another shape than the
-    role's."""
+    The invariant must be well-sorted in the model, which refuses a role
+    bound to a symbol of another shape than the role's; its findings
+    (`ir.subject_findings`) stay with the model for the checker."""
     for role, _ in tmpl.roles:
         if role not in binding:
             raise CatalogError(f"binding missing role {role!r}")
@@ -161,7 +161,7 @@ def instantiate(tmpl: PrincipleTemplate, binding: dict,
         cls = "aasm-hardening"
     prop = ir.Property(tmpl.property_id, tmpl.id, cls, invariant,
                        (ir.INVENTED_REF,))
-    findings = ir.sort_findings(model, [prop])
+    findings = ir.subject_findings(model, prop)
     if findings:
         raise CatalogError("; ".join(map(str, findings)))
     return prop

@@ -128,14 +128,12 @@ def state_dict(model: ir.ProtocolModel, vector: tuple) -> dict:
 
 def _instance(model: ir.ProtocolModel, bounds: Bounds):
     """The bounded instance: (constants, atoms, counter caps, initial
-    vector, its `compiled.layout`)."""
+    vector)."""
     constants = bounded_constants(model, bounds)
-    initial = tuple(v.initial_value(constants) for v in model.state_vars)
     return (constants, model.atom_universe(),
             {v.name: counter_cap(v.sort, bounds) for v in model.state_vars
              if isinstance(v.sort, ir.CounterSort)},
-            initial, C.layout(model.var_names,
-                              [v.sort for v in model.state_vars], initial))
+            tuple(v.initial_value(constants) for v in model.state_vars))
 
 
 def _pairs(model: ir.ProtocolModel, constants: dict) -> list:
@@ -146,16 +144,16 @@ def _pairs(model: ir.ProtocolModel, constants: dict) -> list:
                 *(sorted(constants.get(d, ())) for _, d in t.params))]
 
 
-def _apply(slots, t: ir.Transition, binding, vector: tuple, constants,
+def _apply(names, t: ir.Transition, binding, vector: tuple, constants,
            atoms, caps) -> Optional[tuple]:
     """The post-state vector of t under binding from the state vector, by
     the reference evaluator, or None when the guard is false or a counter
-    leaves its range. slots is the initial state's `compiled.layout`, its
-    keys the variables in vector order. On a well-sorted model the order
-    and errors are the kernel's (`compiled._writer`): an update's
-    right-hand side is evaluated, range-checked and then its keys read,
-    all in the pre-state; updates of one variable apply in order."""
-    pre = dict(zip(slots, vector))
+    leaves its range. names are the variables in vector order
+    (`model.var_names`). On a well-sorted model the order and errors are
+    the kernel's (`compiled._writer`): an update's right-hand side is
+    evaluated, range-checked and then its keys read, all in the
+    pre-state; updates of one variable apply in order."""
+    pre = dict(zip(names, vector))
     scope = {**pre, **dict(binding)}
     if not E.evaluate_bool(t.guard, scope, constants, atoms):
         return None
@@ -166,7 +164,7 @@ def _apply(slots, t: ir.Transition, binding, vector: tuple, constants,
             return None
         keys = [E.evaluate(k, scope, constants, atoms) for k in target.keys]
         pre[target.var] = _store(pre[target.var], keys, v)
-    return tuple(map(pre.__getitem__, slots))
+    return tuple(map(pre.__getitem__, names))
 
 
 def _store(old, keys, v):
@@ -181,7 +179,9 @@ class _Engine:
     """Compiled successor and invariant evaluation for one (model, bounds).
 
     It compiles only what `ir.sort_findings` accepts, and raises IrError
-    naming the findings of an ill-sorted model or property. A state
+    naming the findings of an ill-sorted model or property, as
+    `ir.typecheck` found them once per model. Its layout comes from the
+    sorts under the bounds (`compiled.layout`). A state
     inside the engine is one packed int (see `compiled`), whose fields
     are as wide as the slots' sorts need, whatever the bounds. State
     vectors appear only at the boundary: the initial state and
@@ -197,11 +197,14 @@ class _Engine:
     """
 
     def __init__(self, model: ir.ProtocolModel, bounds: Bounds):
-        ir.refuse_ill_sorted(model, model.state_vars + model.transitions)
+        ir.refuse_ill_sorted(model)
         self.model = model
         self.bounds = bounds
-        self.constants, self.atoms, self.caps, initial, \
-            (self.slots, leaves) = _instance(model, bounds)
+        self.constants, self.atoms, self.caps, initial = \
+            _instance(model, bounds)
+        self.slots, leaves = C.layout(
+            model.var_names, [v.sort for v in model.state_vars],
+            self.constants)
         self.pairs = _pairs(model, self.constants)
         self.env = C.environment()
         C.pack(self.slots, leaves, model.constants_map, self.env)
@@ -276,10 +279,11 @@ def _extract(eng: _Engine, prop: ir.Property, parents: dict,
     while parents[path[-1]] is not None:
         path.append(parents[path[-1]])
     path = [eng.canonical(s) for s in reversed(path)]
+    names = eng.model.var_names
     # the first step from pre reaching post is the one BFS recorded
     steps = tuple(
         next(TraceStep(t.id, binding, post) for t, binding in eng.pairs
-             if _apply(eng.slots, t, binding, pre, eng.constants, eng.atoms,
+             if _apply(names, t, binding, pre, eng.constants, eng.atoms,
                        eng.caps) == post)
         for pre, post in zip(path, path[1:]))
     return Counterexample(eng.model.name, prop.id, len(steps), path[0],
@@ -361,13 +365,14 @@ def validate_trace(model: ir.ProtocolModel, cx: Counterexample,
     """
     if prop is None:
         prop = model.property_by_id(cx.property_id)
-    ir.refuse_ill_sorted(model, model.state_vars + model.transitions + (prop,))
+    ir.refuse_ill_sorted(model, (prop,))
     # raises KeyError for an unknown action
     steps = [(model.transition(s.transition_id), s) for s in cx.steps]
-    constants, atoms, caps, initial, (slots, _) = _instance(model, bounds)
+    constants, atoms, caps, initial = _instance(model, bounds)
+    names = model.var_names
 
     def holds(vector):
-        return E.evaluate_bool(prop.invariant, dict(zip(slots, vector)),
+        return E.evaluate_bool(prop.invariant, dict(zip(names, vector)),
                                constants, atoms)
     if cx.initial != initial:
         return False
@@ -377,7 +382,7 @@ def validate_trace(model: ir.ProtocolModel, cx: Counterexample,
         if not holds(cur) or set(bound) != {n for n, _ in t.params} \
                 or any(type(a) is not str for a in bound.values()):
             return False
-        cur = _apply(slots, t, step.binding, cur, constants, atoms, caps)
+        cur = _apply(names, t, step.binding, cur, constants, atoms, caps)
         if cur != step.post_state:
             return False
     return not holds(cur) and cx.depth == len(cx.steps)

@@ -14,8 +14,9 @@ a map one slot per leaf key path, in declaration order and then sorted
 key order. Map key sets never change (`FMap.set` rejects unknown keys),
 so `Index` becomes slot arithmetic. A variable's shape is None for a
 scalar and (keys, child shape, stride) for a map, whose children share
-one shape. A map's keys are its initial value's: its domain as bounded,
-or the keys a map literal declares.
+one shape. A map's shape follows from its sort: its keys are its key
+domain as bounded (`checker.bounded_constants`), and so are those of its
+initial value (`ir.eval_init`).
 
 Packing. Inside the engine a state is one int, and each slot is a
 fixed-width bit field of it, laid out from bit 0 in slot order (`pack`).
@@ -41,8 +42,7 @@ false disables its binding outright.
 
 Sorts. Compiled code checks no value's type at run time: every slot's
 value is of its leaf sort. What a bounded instance can still raise is
-raised: a key outside a capped domain, and, when the engine is built, a
-whole-map store between maps whose bounded shapes differ.
+raised: a key outside a capped domain.
 
 Source. A compiled value is (src, form): src is a Python expression over
 the packed state `s`, and form is ("slot", i), ("const", v) or None. A
@@ -97,13 +97,13 @@ from . import ir
 # ---------------------------------------------------------------------------
 # Layout
 
-def shape_of(v):
-    """None unless v is a map; a map's values share its first one's
-    shape."""
-    if type(v) is not E.FMap:
+def _shape(sort, constants):
+    """None unless sort is a MAP; a map's keys are its key domain's atoms
+    in constants, in an FMap's (sorted) order."""
+    if type(sort) is not ir.MapSort:
         return None
-    child = shape_of(v.items[0][1]) if v.items else None
-    return (tuple(v.keys()), child, size(child) if v.items else 0)
+    child = _shape(sort.value, constants)
+    return (tuple(sorted(constants[sort.key])), child, size(child))
 
 
 def size(shape) -> int:
@@ -118,13 +118,14 @@ def _leaves(v, shape, out):
             _leaves(x, shape[1], out)
 
 
-def layout(names, sorts, values):
+def layout(names, sorts, constants):
     """(slots, leaves) of a state vector whose variables have these
-    names and sorts: slots maps each variable to (shape, first slot),
-    and leaves lists each slot's sort, its variable's leaf sort."""
+    names and sorts, constants mapping each domain to its atoms as
+    bounded: slots maps each variable to (shape, first slot), and leaves
+    lists each slot's sort, its variable's leaf sort."""
     slots, leaves = {}, []
-    for name, sort, v in zip(names, sorts, values):
-        shape = shape_of(v)
+    for name, sort in zip(names, sorts):
+        shape = _shape(sort, constants)
         slots[name] = (shape, len(leaves))
         leaves += [ir.leaf_sort(sort)] * size(shape)
     return slots, leaves
@@ -523,20 +524,16 @@ def _writer(target, rhs, keys, slots, cap, env):
     semantics and TLA+'s EXCEPT, the right-hand side and the keys read
     the pre-state, a counter is range-checked before the keys are
     evaluated, and updates of one variable apply in order, each on top
-    of the ones before it. A map value of another shape than its target's
-    (a map literal's keys outside a capped domain) raises ExprTypeError.
+    of the ones before it. A map value fills its target's slots: a map's
+    shape follows from its sort, and a well-sorted update stores a map
+    over its target's key domain.
     """
-    var = target.var
-    moved = rhs[1][1] if rhs[0] is None else None  # a map in slots
     rhs = value(rhs, env)
-    shape, base = slots[var]
+    shape, base = slots[target.var]
     levels, sub = [], shape  # per key: map key -> slot offset at its level
     for _ in keys:
         levels.append({k: n * sub[2] for n, k in enumerate(sub[0])})
         sub = sub[1]
-    if moved is not None and moved != sub:
-        raise E.ExprTypeError(
-            f"update {target} would change the shape of {var!r}")
     if sub is None and all(_is_const(k) and k[1][1] in level
                            for k, level in zip(keys, levels)):
         at = base + sum(level[k[1][1]] for k, level in zip(keys, levels))

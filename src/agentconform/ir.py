@@ -196,14 +196,16 @@ class StateVarDecl(Record):
 
 
 def eval_init(init: InitSpec, sort: Sort, constants):
-    """The value of a well-sorted initial value (`sort_findings`)."""
+    """The value of a well-sorted initial value (`sort_findings`) under
+    the bounded domains constants: a map literal keeps only its keys that
+    are atoms of its key domain there."""
     if isinstance(init, InitExpr):
         return E.evaluate(init.expr, {}, constants)
     if not isinstance(sort, MapSort):
         raise IrError(f"initial value {init!r} needs a MAP sort")
     if isinstance(init, InitMap):
-        return E.FMap.of({k: E.evaluate(x, {}, constants)
-                          for k, x in init.entries})
+        return E.FMap.of({k: E.evaluate(x, {}, constants) for k, x in
+                          init.entries if k in constants.get(sort.key, ())})
     v = eval_init(init if isinstance(sort.value, MapSort)
                   else InitExpr(init.expr), sort.value, constants)
     return E.FMap.of({k: v for k in constants.get(sort.key, ())})
@@ -257,7 +259,8 @@ class Property(Record):
 
 class ProtocolModel(Record):
     __slots__ = ("name", "snapshot", "constants", "state_vars", "transitions",
-                 "properties", "aps")
+                 "properties", "aps", "_typed")
+    _fields = __slots__[:-1]  # _typed keeps `typecheck`'s findings
 
     def __init__(self, name: str, snapshot: str, constants: tuple,
                  state_vars: tuple, transitions: tuple, properties: tuple,
@@ -271,6 +274,7 @@ class ProtocolModel(Record):
         object.__setattr__(self, "properties", properties)
         # ((layer, status), ...) bundled metadata, may be empty
         object.__setattr__(self, "aps", aps)
+        object.__setattr__(self, "_typed", None)
 
     @property
     def constants_map(self) -> dict:
@@ -344,8 +348,8 @@ class ValidationReport(Record):
 
 # An inferred sort is a tuple that starts with its kind: (BOOL,), (INT,),
 # (ATOM, atoms) for one of some atoms, (SET, atoms) for a set of them and
-# (MAP, key atoms, value sort). An ill-sorted term's sort is None, which
-# fits anywhere, so that each mistake is reported once.
+# (MAP, key atoms, value sort, key domain). An ill-sorted term's sort is
+# None, which fits anywhere, so that each mistake is reported once.
 BOOL, INT, ATOM, SET, MAP = "BOOL", "INT", "an atom", "a SET", "a MAP"
 _BOOL, _INT = (BOOL,), (INT,)
 
@@ -371,15 +375,17 @@ def _declared(sort: Sort, domains: dict):
         return sort.over in domains and (SET, domains[sort.over][1]) or None
     value = _declared(sort.value, domains)
     return value and sort.key in domains \
-        and (MAP, domains[sort.key][1], value) or None
+        and (MAP, domains[sort.key][1], value, sort.key) or None
 
 
 def _fits(s, want) -> bool:
-    """Whether a value of sort s may stand where sort want is declared."""
+    """Whether a value of sort s may stand where sort want is declared. A
+    map needs its target's key domain: a cap bounds a domain by its name,
+    so another domain of the same atoms may keep other keys."""
     if s is None or want is None:
         return True
     if s[0] == want[0] == MAP:
-        return s[1] == want[1] and _fits(s[2], want[2])
+        return s[3] == want[3] and _fits(s[2], want[2])
     return s[0] == want[0] and (len(s) == 1 or s[1] <= want[1])
 
 
@@ -453,9 +459,18 @@ def _infer(e, scope: dict, domains: dict, bad):
     return _BOOL
 
 
+def _path(s) -> str:
+    """The key domains of a map sort, outermost first."""
+    return s[3] + (" -> " + _path(s[2]) if s[2][0] == MAP else "")
+
+
 def _expect(s, want, bad):
-    if not _fits(s, want):
-        bad(f"the value is {_show(s)}, not {_show(want)}")
+    if _fits(s, want):
+        return
+    text = f"the value is {_show(s)}, not {_show(want)}"
+    if _show(s) == _show(want):  # maps over other domains of the same atoms
+        text += f": its key domains are {_path(s)}, not {_path(want)}"
+    bad(text)
 
 
 def _target(target: UpdateTarget, var_sorts, scope, domains, bad):
@@ -500,7 +515,8 @@ def sort_findings(model: ProtocolModel, subjects) -> list:
     a domain's atoms to a sort. Guards and invariants are BOOL, operands
     have the sorts `expr.evaluate` requires and set elements are atoms, a
     map key is an atom of its key domain (as a parameter or quantified
-    variable is of its domain), and an update stores its target's sort.
+    variable is of its domain), and an update stores its target's sort,
+    a map over its target's key domain.
     Each mismatch, unknown name or unknown domain is a `sort-mismatch`
     finding that names the subject and prints the expression; an initial
     value, which reads no state, has `init-sort-mismatch` findings, and
@@ -508,17 +524,24 @@ def sort_findings(model: ProtocolModel, subjects) -> list:
     or `bad-param-domain` one. A COUNTER is a `bad-sort` under a MAP:
     only a counter variable's own stores are range-checked, so a map's
     counters would have no bound. Never raises for content."""
+    return [f for group in _sort_pass(model, subjects) for f in group]
+
+
+def _sort_pass(model: ProtocolModel, subjects) -> list:
+    """One pass of sort inference: the `sort_findings` of each subject."""
     domains = {d: (ATOM, frozenset(atoms)) for d, atoms in model.constants}
     consts = {a: (ATOM, frozenset((a,))) for a in model.atom_universe()}
     consts.update((d, (SET, atoms)) for d, (_, atoms) in domains.items())
     var_sorts = {v.name: _declared(v.sort, domains) for v in model.state_vars}
-    state, out = {**consts, **var_sorts}, []
+    state, groups = {**consts, **var_sorts}, []
 
     def reporter(subject, role, text):
         return lambda problem: out.append(Finding(
             "sort-mismatch", subject, f"{role} `{text()}`: {problem}"))
 
     for x in subjects:
+        out = []  # x's findings, which reporter's lambdas append to
+        groups.append(out)
         if isinstance(x, StateVarDecl) and var_sorts[x.name] is None:
             out.append(Finding("undeclared-symbol", x.name,
                                f"sort {x.sort} names an undeclared domain"))
@@ -545,12 +568,44 @@ def sort_findings(model: ProtocolModel, subjects) -> list:
                                lambda: f"{target} := {E.print_expr(rhs)}")
                 want = _target(target, var_sorts, scope, domains, bad)
                 _expect(_infer(rhs, scope, domains, bad), want, bad)
-    return out
+    return groups
 
 
-def refuse_ill_sorted(model: ProtocolModel, subjects):
-    """Raises IrError naming the `sort_findings` of subjects, if any."""
-    findings = sort_findings(model, subjects)
+def typecheck(model: ProtocolModel) -> dict:
+    """The sort findings of model, kept in it: under None those of its
+    state variables and transitions, and under the id of each of its
+    properties that property's, which the model keeps alive. One pass
+    makes them, once per model object; `subject_findings` adds those of
+    other properties, under the property."""
+    if model._typed is None:
+        own = model.state_vars + model.transitions
+        groups = _sort_pass(model, own + model.properties)
+        typed = {id(p): tuple(found) for p, found in
+                 zip(model.properties, groups[len(own):])}
+        typed[None] = tuple(f for found in groups[:len(own)] for f in found)
+        object.__setattr__(model, "_typed", typed)
+    return model._typed
+
+
+def subject_findings(model: ProtocolModel, subject) -> tuple:
+    """The sort findings of subject in model (`typecheck`): a property,
+    or None for the model's state variables and transitions. The model's
+    own are found by id, so no invariant is hashed; any other property is
+    checked in a pass of its own and kept by value, so an equal one is
+    not checked again."""
+    typed = typecheck(model)
+    found = typed.get(None if subject is None else id(subject))
+    if found is None:
+        found = typed.get(subject)
+        if found is None:
+            found = typed[subject] = tuple(_sort_pass(model, (subject,))[0])
+    return found
+
+
+def refuse_ill_sorted(model: ProtocolModel, props=()):
+    """Raises IrError naming the sort findings of model's state variables
+    and transitions and of props, if any (`subject_findings`)."""
+    findings = [f for x in (None, *props) for f in subject_findings(model, x)]
     if findings:
         raise IrError("; ".join(map(str, findings)))
 
@@ -560,8 +615,8 @@ def validate(model: ProtocolModel) -> ValidationReport:
     Protocol-kind transition cites a source and every Adversary one
     carries an ADV tag. Pure; never raises for content problems, the
     report carries the findings."""
-    findings = sort_findings(
-        model, model.state_vars + model.transitions + model.properties)
+    findings = [f for x in (None, *model.properties)
+                for f in subject_findings(model, x)]
     for t in model.transitions:
         if t.kind == "Protocol" and not t.source_refs:
             findings.append(Finding(

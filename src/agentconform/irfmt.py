@@ -608,11 +608,21 @@ def parse_clauses(text: str):
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _fmt_source(ref: ir.SourceRef) -> str:
+def _quoted(text: str, record: str, field: str) -> str:
+    """text between double quotes; the format has no escape, so a `"` in
+    text is a ValueError naming its record and field."""
+    if '"' in text:
+        raise ValueError(f"{record}: {field} {text!r} holds a '\"', which "
+                         "the format cannot quote")
+    return f'"{text}"'
+
+
+def _fmt_source(ref: ir.SourceRef, record: str) -> str:
     if ref.invented:
         return ir.INVENTED_MARKER
-    return (f'{{ doc: {ref.document}  section: "{ref.section}"  '
-            f'quote: "{ref.quote}" }}')
+    return (f"{{ doc: {ref.document}  "
+            f"section: {_quoted(ref.section, record, 'source section')}  "
+            f"quote: {_quoted(ref.quote, record, 'source quote')} }}")
 
 
 def _fmt_init(init: ir.InitSpec) -> str:
@@ -648,14 +658,14 @@ def serialize_model(model: ir.ProtocolModel) -> str:
         if t.adv:
             out.append(f"  adv: {t.adv}")
         for ref in t.source_refs:
-            out.append(f"  source: {_fmt_source(ref)}")
+            out.append(f"  source: {_fmt_source(ref, f'transition {t.id}')}")
         out.append("}")
     for p in model.properties:
         out.append(f"property {p.id} {{")
         out.append(f"  principle: {p.principle}  class: {p.cls}")
         out.append(f"  invariant: {E.print_expr(p.invariant)}")
         for ref in p.source_refs:
-            out.append(f"  source: {_fmt_source(ref)}")
+            out.append(f"  source: {_fmt_source(ref, f'property {p.id}')}")
         out.append("}")
     return "\n".join(out) + "\n"
 
@@ -666,9 +676,10 @@ def serialize_clauses(clauses) -> str:
         out.append("clause {")
         out.append(f"  id: {c.id}  protocol: {c.protocol}  "
                    f"modality: {c.modality}  actor: {c.actor}")
-        out.append(f'  behavior: "{c.behavior}"')
+        record = f"clause {c.id}"
+        out.append(f"  behavior: {_quoted(c.behavior, record, 'behavior')}")
         out.append(f"  ambiguous: {'true' if c.ambiguous else 'false'}  "
                    f"precedence: {c.precedence}")
-        out.append(f"  source: {_fmt_source(c.source)}")
+        out.append(f"  source: {_fmt_source(c.source, record)}")
         out.append("}")
     return "\n".join(out) + "\n"

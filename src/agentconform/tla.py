@@ -248,8 +248,7 @@ def emit_artifact(model: ir.ProtocolModel,
                   ) -> TlaArtifact:
     """The module and one configuration per property; raises IrError
     naming the findings of an ill-sorted model."""
-    ir.refuse_ill_sorted(
-        model, model.state_vars + model.transitions + model.properties)
+    ir.refuse_ill_sorted(model, model.properties)
     configs = tuple(
         (p.id, emit_config(model, p.id, bounds)) for p in model.properties)
     return TlaArtifact(emit_module(model, bounds), configs)

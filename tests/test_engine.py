@@ -290,11 +290,11 @@ def test_a_counter_under_a_map_is_refused():
         tla.emit_artifact(model)
 
 
-def test_a_map_copied_across_bounded_shapes_is_an_error():
-    """A map literal keeps its declared keys under a domain cap, so
-    copying it into a map over the capped domain is well-sorted but has
-    no slots to go to: the engine refuses the copy with an ERROR verdict,
-    and at full bounds the copy runs."""
+def test_a_map_copied_across_bounded_shapes_runs():
+    """A map's shape follows from its sort under the bounds, and a map
+    literal keeps only the keys of its bounded domain: copying it into a
+    map over the capped domain runs, as at full bounds, with the
+    oracle's depth, and the TLA+ Init holds the same keys."""
     model = ir.ProtocolModel(
         name="copy", snapshot="2025-01", constants=(("Dom", ("a", "b")),),
         state_vars=(
@@ -312,10 +312,45 @@ def test_a_map_copied_across_bounded_shapes_is_an_error():
                                 E.parse("not m[a]")),))
     assert ir.validate(model).ok
     prop = model.properties[0]
-    assert checker.check(model, prop).counterexample.depth == 1
     capped = checker.DEFAULT_BOUNDS.with_caps(dom=1)
-    assert checker.check(model, prop, capped).verdict == \
-        "ERROR: update m would change the shape of 'm'"
+    for bounds in (checker.DEFAULT_BOUNDS, capped):
+        res = checker.check(model, prop, bounds)
+        assert (res.verdict, res.counterexample.depth) == ("FAIL", 1)
+        assert oracle_check(model, prop, bounds) == ("FAIL", 1)
+        assert checker.validate_trace(model, res.counterexample, prop, bounds)
+    init = tla.emit_module(model, capped).splitlines()
+    assert "  /\\ n = (a :> TRUE)" in init
+    assert res.counterexample.steps[0].post_state == (
+        E.FMap.of({"a": True}), E.FMap.of({"a": True}))
+
+
+def test_a_map_copied_across_domains_of_the_same_atoms_is_ill_sorted():
+    """A cap bounds a domain by its name, so a map over A copied into a
+    map over B keeps other keys once A alone is capped, though A and B
+    declare the same atoms. The sort checker refuses the copy at every
+    bound, so no bounded instance stores a map of another shape."""
+    model = ir.ProtocolModel(
+        name="copy", snapshot="2025-01",
+        constants=(("A", ("x", "y")), ("B", ("x", "y"))),
+        state_vars=(
+            ir.StateVarDecl("m", ir.MapSort("B", ir.BoolSort()),
+                            ir.InitAll(E.parse("false"))),
+            ir.StateVarDecl("n", ir.MapSort("A", ir.BoolSort()),
+                            ir.InitAll(E.parse("true")))),
+        transitions=(ir.Transition(
+            "Copy", "Protocol", "sys", (), E.parse("true"),
+            ((ir.UpdateTarget("m", ()), E.parse("n")),), "MAY",
+            (ir.SourceRef("test", "copy"),)),),
+        properties=(ir.Property("INV", "P0", "aasm-hardening",
+                                E.parse("not m[y]")),))
+    finding = ("sort-mismatch in Copy: update `m := n`: the value is a "
+               "MAP({x, y} -> BOOL), not a MAP({x, y} -> BOOL): its key "
+               "domains are A, not B")
+    assert [str(f) for f in ir.validate(model).findings] == [finding]
+    for bounds in (checker.DEFAULT_BOUNDS,
+                   checker.DEFAULT_BOUNDS.with_caps(a=1)):
+        assert checker.check(model, model.properties[0], bounds).verdict \
+            == f"ERROR: {finding}"
 
 
 def _bundled_model(name):

@@ -401,7 +401,7 @@ def test_compiled_matches_evaluator(e, state):
     assume(_well_sorted(e))
     names = list(state)
     values = [state[n] for n in names]
-    slots, leaves = C.layout(names, [_SORTS[n] for n in names], values)
+    slots, leaves = C.layout(names, [_SORTS[n] for n in names], CONSTANTS)
     env = C.environment()
     C.pack(slots, leaves, _MODEL.constants_map, env)
     packed = C.encode(values, env)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from agentconform import ir
+from agentconform import catalog, checker, ir, irfmt, tla
 from agentconform.builtins import BUILTIN_NAMES, builtin, builtin_clauses
 from agentconform.record import replace
 
@@ -26,6 +26,35 @@ def test_undeclared_symbol_flagged():
     assert [str(f) for f in report.by_code("sort-mismatch")] == [
         f"sort-mismatch in {bad_prop.id}: invariant `no_such_var = true`: "
         f"unknown name 'no_such_var'"]
+
+
+def test_one_sort_pass_per_model_object(monkeypatch):
+    """ir.validate, check, validate_trace and emit_artifact on a freshly
+    parsed model read one sort-inference pass between them, kept in the
+    model; a catalog property adds one pass of its own, which the checker
+    then reads, and an equal property instantiated again adds none."""
+    fresh = {n: irfmt.serialize_model(builtin(n)) for n in ("mcp", "anp")}
+    passes, sort_pass = [], ir._sort_pass
+
+    def counted(model, subjects):
+        passes.append(tuple(subjects))
+        return sort_pass(model, subjects)
+    monkeypatch.setattr(ir, "_sort_pass", counted)
+    model = irfmt.parse_model(fresh["mcp"])
+    assert ir.validate(model).ok
+    prop = model.property_by_id("P8_CredRevocation")
+    res = checker.check(model, prop)
+    assert checker.validate_trace(model, res.counterexample, prop)
+    tla.emit_artifact(model)
+    assert len(passes) == 1
+    model = irfmt.parse_model(fresh["anp"])
+    prop = catalog.instantiate_for(model, "P1")
+    assert checker.check(model, prop).verdict == "PASS"
+    tla.emit_artifact(model)
+    again = catalog.instantiate_for(model, "P1")
+    assert again is not prop and checker.check(model, again).verdict == "PASS"
+    assert passes[1:] == [model.state_vars + model.transitions
+                          + model.properties, (prop,)]
 
 
 def test_adversary_needs_adv_tag():

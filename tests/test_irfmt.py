@@ -1,6 +1,7 @@
 """Model and clause file format: parsing, serialization, round trips."""
 
 import random
+import re
 from importlib import resources
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from agentconform import expr as E
 from agentconform import ir, irfmt
 from agentconform.builtins import BUILTIN_NAMES, builtin, builtin_clauses
+from agentconform.record import replace
 
 
 def test_bundled_models_round_trip():
@@ -205,6 +207,40 @@ def test_braces_in_quotes_and_comments_are_text():
     assert (clause.behavior, clause.source.quote) == ("close } early {",
                                                       "{q}")
     assert irfmt.parse_clauses(irfmt.serialize_clauses([clause])) == [clause]
+
+
+@pytest.mark.parametrize("field", ["behavior", "source section",
+                                   "source quote"])
+def test_serializers_refuse_a_value_holding_a_quote(field):
+    """The format has no escape for `"`, so a quoted value holding one
+    would serialize to text the reader rejects. Both serializers refuse
+    it, naming the record and the field; the same value without the
+    quote round-trips."""
+    def records(text):
+        source = ir.SourceRef(
+            "RFC", text if field == "source section" else "1",
+            text if field == "source quote" else "q")
+        clause = ir.NormativeClause(
+            "c1", "p", "MAY", "a", text if field == "behavior" else "b",
+            source)
+        model = irfmt.parse_model(
+            "protocol: p\nsnapshot: s\nvar v : BOOL init true\n"
+            "transition T {\n  kind: Protocol  actor: a\n  guard: v\n"
+            '  source: { doc: RFC  section: "1"  quote: "q" }\n}\n')
+        t = replace(model.transitions[0], source_refs=(source,))
+        return clause, replace(model, transitions=(t,))
+
+    clause, model = records("say hi now")
+    assert irfmt.parse_clauses(irfmt.serialize_clauses([clause])) == [clause]
+    assert irfmt.parse_model(irfmt.serialize_model(model)) == model
+    clause, model = records('say "hi" now')
+    with pytest.raises(ValueError, match=re.escape(
+            f"clause c1: {field} 'say \"hi\" now' holds")):
+        irfmt.serialize_clauses([clause])
+    if field != "behavior":
+        with pytest.raises(ValueError, match=re.escape(
+                f"transition T: {field} 'say \"hi\" now' holds")):
+            irfmt.serialize_model(model)
 
 
 def test_stray_closing_brace_is_rejected_on_its_line():
