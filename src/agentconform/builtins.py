@@ -32,11 +32,6 @@ APS_STATUSES = ("SPECIFIED", "SPEC_GAP", "UNDERCONSTRAINED")
 class ApsCell(Record):
     __slots__ = ("layer", "protocol", "status")
 
-    def __init__(self, layer: str, protocol: str, status: str):
-        object.__setattr__(self, "layer", layer)
-        object.__setattr__(self, "protocol", protocol)
-        object.__setattr__(self, "status", status)
-
 
 _model_cache: dict = {}
 _clause_cache: dict = {}

@@ -24,15 +24,10 @@ NOT_CATALOGED = "NOT_CATALOGED"
 
 
 class PrincipleTemplate(Record):
+    # id: P1..P8, WF, SL
+    # schematic: invariant text with {role} placeholders
+    # roles: ((role, shape), ...); shape "DOMAIN" binds a constant set
     __slots__ = ("id", "name", "schematic", "roles")
-
-    def __init__(self, id: str, name: str, schematic: str, roles: tuple):
-        object.__setattr__(self, "id", id)  # P1..P8, WF, SL
-        object.__setattr__(self, "name", name)
-        # invariant text with {role} placeholders
-        object.__setattr__(self, "schematic", schematic)
-        # ((role, shape), ...); shape "DOMAIN" binds a constant set
-        object.__setattr__(self, "roles", roles)
 
     @property
     def property_id(self) -> str:

@@ -37,15 +37,10 @@ class StateOverflowError(CheckError):
 
 
 class Bounds(Record):
+    # domain_caps: ((domain-name lowercased, cap), ...)
     __slots__ = ("domain_caps", "counter_max", "max_depth", "max_states")
-
-    def __init__(self, domain_caps: tuple = (), counter_max: int = 3,
-                 max_depth: int = 20, max_states: int = 10**6):
-        # ((domain-name lowercased, cap), ...)
-        object.__setattr__(self, "domain_caps", domain_caps)
-        object.__setattr__(self, "counter_max", counter_max)
-        object.__setattr__(self, "max_depth", max_depth)
-        object.__setattr__(self, "max_states", max_states)
+    _defaults = {"domain_caps": (), "counter_max": 3, "max_depth": 20,
+                 "max_states": 10**6}
 
     def cap_for(self, domain: str) -> Optional[int]:
         for name, cap in self.domain_caps:
@@ -83,36 +78,20 @@ def counter_cap(sort: ir.Sort, bounds: Bounds) -> Optional[int]:
 
 
 class TraceStep(Record):
+    # binding: ((param, atom name), ...)
+    # post_state: state vector
     __slots__ = ("transition_id", "binding", "post_state")
-
-    def __init__(self, transition_id: str, binding: tuple, post_state: tuple):
-        object.__setattr__(self, "transition_id", transition_id)
-        # ((param, atom name), ...)
-        object.__setattr__(self, "binding", binding)
-        object.__setattr__(self, "post_state", post_state)  # state vector
 
 
 class Counterexample(Record):
+    # initial: state vector
     __slots__ = ("model", "property_id", "depth", "initial", "steps")
-
-    def __init__(self, model: str, property_id: str, depth: int,
-                 initial: tuple, steps: tuple):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "property_id", property_id)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "initial", initial)  # state vector
-        object.__setattr__(self, "steps", steps)
 
 
 class CheckResult(Record):
+    # verdict: PASS | FAIL | BOUND_EXHAUSTED
     __slots__ = ("verdict", "states_explored", "counterexample")
-
-    def __init__(self, verdict: str, states_explored: int,
-                 counterexample: Optional[Counterexample] = None):
-        # PASS | FAIL | BOUND_EXHAUSTED
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "states_explored", states_explored)
-        object.__setattr__(self, "counterexample", counterexample)
+    _defaults = {"counterexample": None}
 
     @property
     def failed(self) -> bool:

@@ -90,26 +90,18 @@ def _prefix_model(model: ir.ProtocolModel, prefix: str):
 class Route(Record):
     """One routing rule: when the A-side action could fire, the bridge
     may inject the B-side action's effect."""
+    # source: transition id in model A
+    # target: transition id in model B
+    # tainted_when: expr over composed symbols; "" = never
+    # extra_updates: update text over composed symbols
     __slots__ = ("source", "target", "tainted_when", "forwards_credential",
                  "extra_updates")
-
-    def __init__(self, source: str, target: str, tainted_when: str = "",
-                 forwards_credential: bool = False, extra_updates: str = ""):
-        object.__setattr__(self, "source", source)  # transition id in model A
-        object.__setattr__(self, "target", target)  # transition id in model B
-        # expr over composed symbols; "" = never
-        object.__setattr__(self, "tainted_when", tainted_when)
-        object.__setattr__(self, "forwards_credential", forwards_credential)
-        # update text over composed symbols
-        object.__setattr__(self, "extra_updates", extra_updates)
+    _defaults = {"tainted_when": "", "forwards_credential": False,
+                 "extra_updates": ""}
 
 
 class BridgeSpec(Record):
     __slots__ = ("name", "routes")
-
-    def __init__(self, name: str, routes: tuple):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "routes", routes)
 
 
 _BRIDGE_VARS = (

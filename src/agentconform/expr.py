@@ -136,102 +136,53 @@ def value_kind(v) -> str:
 class Forall(Record):
     __slots__ = ("var", "domain", "body")
 
-    def __init__(self, var: str, domain: str, body: "Expr"):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "body", body)
-
 
 class Exists(Record):
     __slots__ = ("var", "domain", "body")
-
-    def __init__(self, var: str, domain: str, body: "Expr"):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "body", body)
 
 
 class Implies(Record):
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: "Expr", rhs: "Expr"):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
 
 class And(Record):
     __slots__ = ("items",)
-
-    def __init__(self, items: tuple):
-        object.__setattr__(self, "items", items)
 
 
 class Or(Record):
     __slots__ = ("items",)
 
-    def __init__(self, items: tuple):
-        object.__setattr__(self, "items", items)
-
 
 class Not(Record):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: "Expr"):
-        object.__setattr__(self, "operand", operand)
-
 
 class Cmp(Record):
-    __slots__ = ("op", "lhs", "rhs")
-
-    def __init__(self, op: str, lhs: "Expr", rhs: "Expr"):
-        object.__setattr__(self, "op", op)  # = # < <= > >= in notin subseteq
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+    __slots__ = ("op", "lhs", "rhs")  # op: = # < <= > >= in notin subseteq
 
 
 class BinTerm(Record):
-    __slots__ = ("op", "lhs", "rhs")
-
-    def __init__(self, op: str, lhs: "Expr", rhs: "Expr"):
-        object.__setattr__(self, "op", op)  # + union
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+    __slots__ = ("op", "lhs", "rhs")  # op: + union
 
 
 class Index(Record):
     __slots__ = ("base", "key")
 
-    def __init__(self, base: "Expr", key: "Expr"):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "key", key)
-
 
 class SetLit(Record):
     __slots__ = ("items",)
-
-    def __init__(self, items: tuple):
-        object.__setattr__(self, "items", items)
 
 
 class Name(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
 
 class IntLit(Record):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        object.__setattr__(self, "value", value)
-
 
 class BoolLit(Record):
     __slots__ = ("value",)
-
-    def __init__(self, value: bool):
-        object.__setattr__(self, "value", value)
 
 
 Expr = Union[Forall, Exists, Implies, And, Or, Not, Cmp, BinTerm, Index,

@@ -41,9 +41,6 @@ class BoolSort(Record):
 class CounterSort(Record):
     __slots__ = ("max",)
 
-    def __init__(self, max: int):
-        object.__setattr__(self, "max", max)
-
     def __str__(self):
         return f"COUNTER({self.max})"
 
@@ -51,29 +48,19 @@ class CounterSort(Record):
 class EnumSort(Record):
     __slots__ = ("values",)
 
-    def __init__(self, values: tuple):
-        object.__setattr__(self, "values", values)
-
     def __str__(self):
         return "ENUM[" + ", ".join(self.values) + "]"
 
 
 class SetSort(Record):
-    __slots__ = ("over",)
-
-    def __init__(self, over: str):
-        object.__setattr__(self, "over", over)  # domain name
+    __slots__ = ("over",)  # domain name
 
     def __str__(self):
         return f"SET({self.over})"
 
 
 class MapSort(Record):
-    __slots__ = ("key", "value")
-
-    def __init__(self, key: str, value: "Sort"):
-        object.__setattr__(self, "key", key)  # domain name
-        object.__setattr__(self, "value", value)
+    __slots__ = ("key", "value")  # key: domain name
 
     def __str__(self):
         return f"MAP({self.key} -> {self.value})"
@@ -125,23 +112,13 @@ def value_in_sort(v, sort: Sort, constants) -> bool:
 class InitExpr(Record):
     __slots__ = ("expr",)
 
-    def __init__(self, expr: E.Expr):
-        object.__setattr__(self, "expr", expr)
-
 
 class InitAll(Record):
-    __slots__ = ("expr",)
-
-    def __init__(self, expr: E.Expr):
-        # same value for every key of a map
-        object.__setattr__(self, "expr", expr)
+    __slots__ = ("expr",)  # same value for every key of a map
 
 
 class InitMap(Record):
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple):
-        object.__setattr__(self, "entries", entries)  # ((key, E.Expr), ...)
+    __slots__ = ("entries",)  # ((key, E.Expr), ...)
 
 
 InitSpec = Union[InitExpr, InitAll, InitMap]
@@ -152,11 +129,7 @@ InitSpec = Union[InitExpr, InitAll, InitMap]
 
 class SourceRef(Record):
     __slots__ = ("document", "section", "quote")
-
-    def __init__(self, document: str, section: str = "", quote: str = ""):
-        object.__setattr__(self, "document", document)
-        object.__setattr__(self, "section", section)
-        object.__setattr__(self, "quote", quote)
+    _defaults = {"section": "", "quote": ""}
 
     @property
     def invented(self) -> bool:
@@ -169,27 +142,11 @@ INVENTED_REF = SourceRef(INVENTED_MARKER)
 class NormativeClause(Record):
     __slots__ = ("id", "protocol", "modality", "actor", "behavior", "source",
                  "ambiguous", "precedence")
-
-    def __init__(self, id: str, protocol: str, modality: str, actor: str,
-                 behavior: str, source: SourceRef, ambiguous: bool = False,
-                 precedence: int = 1):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "protocol", protocol)
-        object.__setattr__(self, "modality", modality)
-        object.__setattr__(self, "actor", actor)
-        object.__setattr__(self, "behavior", behavior)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "ambiguous", ambiguous)
-        object.__setattr__(self, "precedence", precedence)
+    _defaults = {"ambiguous": False, "precedence": 1}
 
 
 class StateVarDecl(Record):
     __slots__ = ("name", "sort", "init")
-
-    def __init__(self, name: str, sort: Sort, init: InitSpec):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "sort", sort)
-        object.__setattr__(self, "init", init)
 
     def initial_value(self, constants):
         return eval_init(self.init, self.sort, constants)
@@ -212,69 +169,38 @@ def eval_init(init: InitSpec, sort: Sort, constants):
 
 
 class UpdateTarget(Record):
+    # keys: key expressions for map targets, outermost first
     __slots__ = ("var", "keys")
-
-    def __init__(self, var: str, keys: tuple = ()):
-        object.__setattr__(self, "var", var)
-        # key expressions for map targets, outermost first
-        object.__setattr__(self, "keys", keys)
+    _defaults = {"keys": ()}
 
     def __str__(self):
         return self.var + "".join(f"[{E.print_expr(k)}]" for k in self.keys)
 
 
 class Transition(Record):
+    # kind: Protocol | Environment | Adversary
+    # params: ((name, domain), ...)
+    # updates: ((UpdateTarget, E.Expr), ...); unlisted vars unchanged
+    # adv: ADV-1 / ADV-2 / ADV-3 for Adversary kind
     __slots__ = ("id", "kind", "actor", "params", "guard", "updates",
                  "modality", "source_refs", "adv")
-
-    def __init__(self, id: str, kind: str, actor: str, params: tuple,
-                 guard: E.Expr, updates: tuple,
-                 modality: str = "NOT_SPECIFIED", source_refs: tuple = (),
-                 adv: Optional[str] = None):
-        object.__setattr__(self, "id", id)
-        # Protocol | Environment | Adversary
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "actor", actor)
-        object.__setattr__(self, "params", params)  # ((name, domain), ...)
-        object.__setattr__(self, "guard", guard)
-        # ((UpdateTarget, E.Expr), ...); unlisted vars unchanged
-        object.__setattr__(self, "updates", updates)
-        object.__setattr__(self, "modality", modality)
-        object.__setattr__(self, "source_refs", source_refs)
-        # ADV-1 / ADV-2 / ADV-3 for Adversary kind
-        object.__setattr__(self, "adv", adv)
+    _defaults = {"modality": "NOT_SPECIFIED", "source_refs": (),
+                 "adv": None}
 
 
 class Property(Record):
+    # cls: property class
     __slots__ = ("id", "principle", "cls", "invariant", "source_refs")
-
-    def __init__(self, id: str, principle: str, cls: str, invariant: E.Expr,
-                 source_refs: tuple = ()):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "principle", principle)
-        object.__setattr__(self, "cls", cls)  # property class
-        object.__setattr__(self, "invariant", invariant)
-        object.__setattr__(self, "source_refs", source_refs)
+    _defaults = {"source_refs": ()}
 
 
 class ProtocolModel(Record):
+    # constants: ((domain, (atom, ...)), ...), declaration order
+    # aps: ((layer, status), ...) bundled metadata, may be empty
     __slots__ = ("name", "snapshot", "constants", "state_vars", "transitions",
                  "properties", "aps", "_typed")
     _fields = __slots__[:-1]  # _typed keeps `typecheck`'s findings
-
-    def __init__(self, name: str, snapshot: str, constants: tuple,
-                 state_vars: tuple, transitions: tuple, properties: tuple,
-                 aps: tuple = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "snapshot", snapshot)
-        # ((domain, (atom, ...)), ...), declaration order
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "state_vars", state_vars)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "properties", properties)
-        # ((layer, status), ...) bundled metadata, may be empty
-        object.__setattr__(self, "aps", aps)
-        object.__setattr__(self, "_typed", None)
+    _defaults = {"aps": ()}
 
     @property
     def constants_map(self) -> dict:
@@ -319,14 +245,11 @@ class ProtocolModel(Record):
 # Validation
 
 class Finding(Record):
+    # code: undeclared-symbol | bad-sort | init-sort-mismatch
+    # | sort-mismatch | missing-provenance | missing-adv-tag
+    # | bad-param-domain
+    # subject: transition/property/var
     __slots__ = ("code", "subject", "detail")
-
-    def __init__(self, code: str, subject: str, detail: str):
-        # undeclared-symbol | bad-sort | init-sort-mismatch | sort-mismatch
-        # | missing-provenance | missing-adv-tag | bad-param-domain
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "subject", subject)  # transition/property/var
-        object.__setattr__(self, "detail", detail)
 
     def __str__(self):
         return f"{self.code} in {self.subject}: {self.detail}"
@@ -334,9 +257,6 @@ class Finding(Record):
 
 class ValidationReport(Record):
     __slots__ = ("findings",)
-
-    def __init__(self, findings: tuple):
-        object.__setattr__(self, "findings", findings)
 
     @property
     def ok(self) -> bool:
@@ -577,14 +497,15 @@ def typecheck(model: ProtocolModel) -> dict:
     properties that property's, which the model keeps alive. One pass
     makes them, once per model object; `subject_findings` adds those of
     other properties, under the property."""
-    if model._typed is None:
+    typed = getattr(model, "_typed", None)
+    if typed is None:
         own = model.state_vars + model.transitions
         groups = _sort_pass(model, own + model.properties)
         typed = {id(p): tuple(found) for p, found in
                  zip(model.properties, groups[len(own):])}
         typed[None] = tuple(f for found in groups[:len(own)] for f in found)
-        object.__setattr__(model, "_typed", typed)
-    return model._typed
+        ProtocolModel._typed.__set__(model, typed)
+    return typed
 
 
 def subject_findings(model: ProtocolModel, subject) -> tuple:
@@ -633,18 +554,11 @@ def validate(model: ProtocolModel) -> ValidationReport:
 # Clause coverage
 
 class CoverageReport(Record):
+    # resolved: ((transition id, bool), ...) Protocol-kind only
+    # uncovered_must: clause ids with no transition/property backing
+    # ambiguity_contacts: ((property id, (clause id, ...)), ...)
     __slots__ = ("protocol", "resolved", "uncovered_must",
                  "ambiguity_contacts")
-
-    def __init__(self, protocol: str, resolved: tuple, uncovered_must: tuple,
-                 ambiguity_contacts: tuple):
-        object.__setattr__(self, "protocol", protocol)
-        # ((transition id, bool), ...) Protocol-kind only
-        object.__setattr__(self, "resolved", resolved)
-        # clause ids with no transition/property backing
-        object.__setattr__(self, "uncovered_must", uncovered_must)
-        # ((property id, (clause id, ...)), ...)
-        object.__setattr__(self, "ambiguity_contacts", ambiguity_contacts)
 
     @property
     def all_resolved(self) -> bool:

@@ -1,11 +1,12 @@
 """Immutable value records, with no code generated at import.
 
-A record class names its fields in `__slots__` and writes its own
-`__init__`, with one parameter per field in slot order and one
-`object.__setattr__` per field. `Record` gives it the rest of a frozen
-value: equality by exact class and field values, the hash of the field
-tuple, a `Name(field=value, ...)` repr, assignment and deletion that raise
-AttributeError, and `copy`/`pickle` support. `replace` builds a changed copy.
+A record class names its fields in `__slots__` and, for trailing fields
+that may be left out, their defaults in a `_defaults` dict. `Record` gives
+it a frozen value: one constructor that takes the fields in slot order,
+positionally or by keyword, equality by exact class and field values, the
+hash of the field tuple, a `Name(field=value, ...)` repr, assignment and
+deletion that raise AttributeError, and `copy`/`pickle` support. `replace`
+builds a changed copy.
 
 The standard library's frozen data classes write and compile these
 methods when their module is imported, and every command-line call would
@@ -17,12 +18,44 @@ from __future__ import annotations
 
 class Record:
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls):
         # A class may keep private slots after its fields, by naming the
-        # fields in `_fields` itself.
+        # fields in `_fields` itself; those start unset.
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
+        # the slots' own setters, which pass by the refusing __setattr__
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+
+    def _bind(self, args, kwargs) -> list:
+        """One value per field from args and kwargs, with `_defaults` for
+        the trailing fields neither gives; TypeError names the class."""
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, "
+                            f"got {len(args)}")
+        rest = fields[len(args):]
+        for f in kwargs:
+            if f not in rest:
+                raise TypeError(f"{name} got field {f!r} twice" if f in fields
+                                else f"{name} has no field {f!r}")
+        values = list(args)
+        for f in rest:
+            if f in kwargs:
+                values.append(kwargs[f])
+            elif f in self._defaults:
+                values.append(self._defaults[f])
+            else:
+                raise TypeError(f"{name} lacks field {f!r}")
+        return values
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

@@ -38,12 +38,8 @@ class ReplayError(Exception):
 
 
 class AdapterActionMap(Record):
+    # entries: ((transition id, descriptor dict), ...)
     __slots__ = ("protocol", "entries")
-
-    def __init__(self, protocol: str, entries: tuple):
-        object.__setattr__(self, "protocol", protocol)
-        # ((transition id, descriptor dict), ...)
-        object.__setattr__(self, "entries", entries)
 
     def descriptor(self, tid: str) -> dict:
         for k, v in self.entries:
@@ -92,37 +88,19 @@ def adapter_table(protocol: str) -> AdapterActionMap:
 
 
 class TestCase(Record):
+    # actions: ((transition id, binding), ...) in trace order
     __slots__ = ("id", "model", "principle", "property_id", "actions",
                  "oracle", "source")
 
-    def __init__(self, id: str, model: str, principle: str, property_id: str,
-                 actions: tuple, oracle: str, source: checker.Counterexample):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "principle", principle)
-        object.__setattr__(self, "property_id", property_id)
-        # ((transition id, binding), ...) in trace order
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "oracle", oracle)
-        object.__setattr__(self, "source", source)
-
 
 class AdapterReport(Record):
+    # profile: None for a live endpoint
+    # outcome: VIOLATED | UPHELD
+    # transcript: one entry dict per trace action
+    # probe: oracle probe entries
     __slots__ = ("test_id", "profile", "mode", "outcome", "transcript",
                  "probe", "errors")
-
-    def __init__(self, test_id: str, profile: Optional[str], mode: str,
-                 outcome: str, transcript: tuple, probe: tuple,
-                 errors: tuple = ()):
-        object.__setattr__(self, "test_id", test_id)
-        # None for a live endpoint
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "outcome", outcome)  # VIOLATED | UPHELD
-        # one entry dict per trace action
-        object.__setattr__(self, "transcript", transcript)
-        object.__setattr__(self, "probe", probe)  # oracle probe entries
-        object.__setattr__(self, "errors", errors)
+    _defaults = {"errors": ()}
 
     def to_json(self) -> str:
         return json.dumps({

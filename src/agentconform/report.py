@@ -45,11 +45,7 @@ class IncompleteMatrixError(ReportError):
 
 class Annotations(Record):
     __slots__ = ("manual_model_fail", "ambiguous_clauses")
-
-    def __init__(self, manual_model_fail: bool = False,
-                 ambiguous_clauses: tuple = ()):
-        object.__setattr__(self, "manual_model_fail", manual_model_fail)
-        object.__setattr__(self, "ambiguous_clauses", ambiguous_clauses)
+    _defaults = {"manual_model_fail": False, "ambiguous_clauses": ()}
 
 
 def triage(model_result: checker.CheckResult, replay_outcome: str,
@@ -86,32 +82,14 @@ class MatrixCell(Record):
     __slots__ = ("protocol", "principle", "model_verdict", "replay_verdict",
                  "taxonomy_class", "triage", "depth", "aps_layer",
                  "counterexample")
-
-    def __init__(self, protocol: str, principle: str, model_verdict: str,
-                 replay_verdict: str, taxonomy_class: str, triage: str,
-                 depth: int | None, aps_layer: str,
-                 counterexample: checker.Counterexample | None = None):
-        object.__setattr__(self, "protocol", protocol)
-        object.__setattr__(self, "principle", principle)
-        object.__setattr__(self, "model_verdict", model_verdict)
-        object.__setattr__(self, "replay_verdict", replay_verdict)
-        object.__setattr__(self, "taxonomy_class", taxonomy_class)
-        object.__setattr__(self, "triage", triage)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "aps_layer", aps_layer)
-        object.__setattr__(self, "counterexample", counterexample)
+    _defaults = {"counterexample": None}
 
 
 class ConformanceMatrix(Record):
+    # cells: 55 MatrixCell, row-major (protocol, principle)
+    # totals: ((triage verdict, count), ...)
+    # snapshots: ((protocol, snapshot date), ...)
     __slots__ = ("cells", "totals", "snapshots")
-
-    def __init__(self, cells: tuple, totals: tuple, snapshots: tuple):
-        # 55 MatrixCell, row-major (protocol, principle)
-        object.__setattr__(self, "cells", cells)
-        # ((triage verdict, count), ...)
-        object.__setattr__(self, "totals", totals)
-        # ((protocol, snapshot date), ...)
-        object.__setattr__(self, "snapshots", snapshots)
 
     def cell(self, protocol: str, principle: str) -> MatrixCell:
         for c in self.cells:
@@ -127,17 +105,7 @@ class ConformanceMatrix(Record):
 class CellInput(Record):
     __slots__ = ("protocol", "principle", "model_result", "prop",
                  "replay_outcome", "annotations")
-
-    def __init__(self, protocol: str, principle: str,
-                 model_result: checker.CheckResult, prop: ir.Property,
-                 replay_outcome: str = "NOT_RUN",
-                 annotations: Annotations = Annotations()):
-        object.__setattr__(self, "protocol", protocol)
-        object.__setattr__(self, "principle", principle)
-        object.__setattr__(self, "model_result", model_result)
-        object.__setattr__(self, "prop", prop)
-        object.__setattr__(self, "replay_outcome", replay_outcome)
-        object.__setattr__(self, "annotations", annotations)
+    _defaults = {"replay_outcome": "NOT_RUN", "annotations": Annotations()}
 
 
 def build_matrix(inputs, snapshots) -> ConformanceMatrix:

@@ -116,12 +116,8 @@ def emit_expr(e, enums) -> str:
 # Module emission
 
 class TlaArtifact(Record):
+    # config_texts: ((property id, config text), ...)
     __slots__ = ("module_text", "config_texts")
-
-    def __init__(self, module_text: str, config_texts: tuple):
-        object.__setattr__(self, "module_text", module_text)
-        # ((property id, config text), ...)
-        object.__setattr__(self, "config_texts", config_texts)
 
 
 def _module_name(model: ir.ProtocolModel) -> str:
@@ -258,17 +254,9 @@ def emit_artifact(model: ir.ProtocolModel,
 # TLC log parsing
 
 class TlcLogParse(Record):
+    # trace: ((action label, {var: value}), ...); label "" for initial
     __slots__ = ("violated", "depth", "trace", "states_generated",
                  "distinct_states")
-
-    def __init__(self, violated: str | None, depth: int, trace: tuple,
-                 states_generated: int, distinct_states: int):
-        object.__setattr__(self, "violated", violated)
-        object.__setattr__(self, "depth", depth)
-        # ((action label, {var: value}), ...); label "" for initial
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "states_generated", states_generated)
-        object.__setattr__(self, "distinct_states", distinct_states)
 
 
 _ERROR_RE = re.compile(r"^Error: Invariant (\w+) is violated\.")

@@ -2,7 +2,6 @@
 that leaves the code-generating modules unloaded."""
 
 import copy
-import inspect
 import pickle
 import subprocess
 import sys
@@ -81,10 +80,22 @@ def test_record_behaves_as_its_field_tuple(cls, samples):
     obj = samples[cls]
     fields = cls._fields
     values = tuple(getattr(obj, f) for f in fields)
-    # the fields are the constructor's parameters, in order
-    assert tuple(inspect.signature(cls).parameters) == fields
     assert obj._values() == values
     assert cls(*values) == obj and cls(*values) is not obj
+    # the fields are the constructor's parameters, in order, by position
+    # or by keyword
+    assert cls(**dict(zip(fields, values))) == obj
+    assert cls(*values[:1], **dict(zip(fields[1:], values[1:]))) == obj
+    with pytest.raises(TypeError, match=cls.__qualname__):
+        cls(*values, None)
+    with pytest.raises(TypeError, match=cls.__qualname__):
+        cls(*values, no_such_field=1)
+    if fields:
+        with pytest.raises(TypeError, match=cls.__qualname__):
+            cls(*values, **{fields[0]: values[0]})
+    if fields and fields[0] not in cls._defaults:
+        with pytest.raises(TypeError, match=cls.__qualname__):
+            cls(**dict(zip(fields[1:], values[1:])))
     assert obj.__eq__(object()) is NotImplemented
     try:
         want = hash(values)
@@ -116,6 +127,41 @@ def test_record_behaves_as_its_field_tuple(cls, samples):
     for again in (copy.copy(obj), copy.deepcopy(obj),
                   pickle.loads(pickle.dumps(obj))):
         assert type(again) is cls and again == obj
+
+
+# The trailing fields that a record may be built without, and their values.
+DEFAULTS = {
+    "AdapterReport": {"errors": ()},
+    "Annotations": {"manual_model_fail": False, "ambiguous_clauses": ()},
+    "Bounds": {"domain_caps": (), "counter_max": 3, "max_depth": 20,
+               "max_states": 10**6},
+    "CellInput": {"replay_outcome": "NOT_RUN",
+                  "annotations": report.Annotations()},
+    "CheckResult": {"counterexample": None},
+    "MatrixCell": {"counterexample": None},
+    "NormativeClause": {"ambiguous": False, "precedence": 1},
+    "Property": {"source_refs": ()},
+    "ProtocolModel": {"aps": ()},
+    "Route": {"tainted_when": "", "forwards_credential": False,
+              "extra_updates": ""},
+    "SourceRef": {"section": "", "quote": ""},
+    "Transition": {"modality": "NOT_SPECIFIED", "source_refs": (),
+                   "adv": None},
+    "UpdateTarget": {"keys": ()},
+}
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)
+def test_record_defaults_fill_the_trailing_fields(cls, samples):
+    defaults = DEFAULTS.get(cls.__qualname__, {})
+    assert cls._defaults == defaults
+    fields = cls._fields
+    required = fields[:len(fields) - len(defaults)]
+    assert tuple(defaults) == fields[len(required):]
+    obj = samples[cls]
+    built = cls(*[getattr(obj, f) for f in required])
+    assert built._values() == tuple(getattr(obj, f) for f in required) \
+        + tuple(defaults.values())
 
 
 def test_records_of_another_class_differ():
