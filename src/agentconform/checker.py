@@ -70,6 +70,30 @@ def bounded_constants(model: ir.ProtocolModel, bounds: Bounds) -> dict:
     return out
 
 
+def refuse_dropped_stores(model: ir.ProtocolModel, bounds: Bounds):
+    """Raises IrError if a cap drops an atom that an update stores at by
+    name, naming the cap, the atom, the transition and the update. The
+    checker could not take such a step, and TLA+'s EXCEPT would skip the
+    store, so neither backend runs it."""
+    declared = model.constants_map
+    bounded = bounded_constants(model, bounds)
+    sorts = {v.name: v.sort for v in model.state_vars}
+    for t in model.transitions:
+        params = {n for n, _ in t.params}
+        for target, rhs in t.updates:
+            sort = sorts[target.var]
+            for key in target.keys:
+                atom = key.name if type(key) is E.Name else None
+                if atom in declared[sort.key] and atom not in params \
+                        and atom not in bounded[sort.key]:
+                    raise ir.IrError(
+                        f"cap {sort.key.lower()}={bounds.cap_for(sort.key)} "
+                        f"drops atom {atom!r}, which transition {t.id} "
+                        f"stores at: update `{target} := "
+                        f"{E.print_expr(rhs)}`")
+                sort = sort.value
+
+
 def counter_cap(sort: ir.Sort, bounds: Bounds) -> Optional[int]:
     """Largest value a counter of this sort may take; None for non-counters."""
     if isinstance(sort, ir.CounterSort):
@@ -177,6 +201,7 @@ class _Engine:
 
     def __init__(self, model: ir.ProtocolModel, bounds: Bounds):
         ir.refuse_ill_sorted(model)
+        refuse_dropped_stores(model, bounds)
         self.model = model
         self.bounds = bounds
         self.constants, self.atoms, self.caps, initial = \

@@ -243,8 +243,10 @@ def emit_artifact(model: ir.ProtocolModel,
                   bounds: checker.Bounds = checker.DEFAULT_BOUNDS
                   ) -> TlaArtifact:
     """The module and one configuration per property; raises IrError
-    naming the findings of an ill-sorted model."""
+    naming the findings of an ill-sorted model, or a cap that drops an
+    atom some update stores at (`checker.refuse_dropped_stores`)."""
     ir.refuse_ill_sorted(model, model.properties)
+    checker.refuse_dropped_stores(model, bounds)
     configs = tuple(
         (p.id, emit_config(model, p.id, bounds)) for p in model.properties)
     return TlaArtifact(emit_module(model, bounds), configs)

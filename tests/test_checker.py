@@ -126,6 +126,29 @@ def test_domain_caps_truncate():
     assert 0 < n_small < n_full
 
 
+def test_a_cap_that_drops_a_stored_atom_is_refused_by_both_backends():
+    """acp-client's fs_write stores at `executed[op_write]`; ops=1 keeps
+    only op_read. The checker used to fail with a bare KeyError (and find
+    P4 and P5 before the step raised), and the TLA+ module stored at a key
+    outside `Ops`, which EXCEPT skips. Both now refuse the cap."""
+    model = builtin("acp-client")
+    bounds = checker.DEFAULT_BOUNDS.with_caps(ops=1)
+    message = ("cap ops=1 drops atom 'op_write', which transition fs_write "
+               "stores at: update `executed[op_write] := true`")
+    assert checker.check_all(model, model.properties, bounds) == {
+        p.id: checker.CheckResult("ERROR: " + message, 0)
+        for p in model.properties}
+    with pytest.raises(ir.IrError, match=re.escape(message)):
+        checker.enumerate_states(model, bounds)
+    with pytest.raises(ir.IrError, match=re.escape(message)):
+        tla.emit_artifact(model, bounds)
+    # a cap that keeps every stored atom is accepted by both
+    kept = checker.DEFAULT_BOUNDS.with_caps(agents=1, caps=1)
+    assert checker.check(model, model.properties[0], kept).verdict in \
+        ("PASS", "FAIL")
+    tla.emit_artifact(model, kept)
+
+
 @pytest.mark.parametrize("limit", [{"max_states": 5}, {"max_depth": 1}])
 def test_enumerate_overflow_raises(limit):
     bounds = replace(checker.DEFAULT_BOUNDS, **limit)
