@@ -181,13 +181,23 @@ def _scan_pairs(text: str, line: int, col: int = 1) -> list:
 
 
 class _Block:
-    __slots__ = ("kind", "name", "pairs", "line")
+    __slots__ = ("kind", "name", "pairs", "line", "col")
 
-    def __init__(self, kind: str, name: str, pairs: list, line: int):
+    def __init__(self, kind: str, name: str, pairs: list, line: int,
+                 col: int):
         self.kind = kind  # var constants transition property aps clause
         self.name = name
         self.pairs = pairs  # (key, value, line, column of the value)
-        self.line = line
+        self.line = line  # the header's line and column
+        self.col = col
+
+    def at(self, key: str = "") -> tuple:
+        """The line and column of key's value, or of the header if the
+        block has no such key."""
+        for k, _, line, col in self.pairs:
+            if k == key:
+                return line, col
+        return self.line, self.col
 
 
 def _read_blocks(text: str):
@@ -204,11 +214,13 @@ def _read_blocks(text: str):
                 continue
             m = _BLOCK_RE.match(raw)
             if m:
-                block, body = _Block(m[1], m[2] or "", [], lineno), []
+                block = _Block(m[1], m[2] or "", [], lineno, m.start(1) + 1)
+                body = []
                 raw, depth, col = m[3], 1, m.start(3) + 1
             elif stripped.startswith("var "):
-                decl = ("decl", stripped[4:], lineno, raw.index("var ") + 5)
-                blocks.append(_Block("var", "", [decl], lineno))
+                col = raw.index("var ") + 1
+                decl = ("decl", stripped[4:], lineno, col + 4)
+                blocks.append(_Block("var", "", [decl], lineno, col))
                 continue
             else:
                 top += _scan_pairs(stripped, lineno,
@@ -245,7 +257,7 @@ def _read_blocks(text: str):
                                      at + len(part) - len(stripped))
         blocks.append(block)
     if depth:
-        raise ParseError(f"unterminated block {block.kind!r}", block.line)
+        raise ParseError(f"unterminated block {block.kind!r}", *block.at())
     return top, blocks
 
 
@@ -306,7 +318,7 @@ def parse_sort(text: str, line: int = 0, col: int = 1, late=None) -> ir.Sort:
         return ir.BoolSort()
     m = _SORT_RE.fullmatch(text)
     if m is None:
-        raise ParseError(f"unknown sort {text!r}", line)
+        raise ParseError(f"unknown sort {text!r}", line, col)
     digits, values, elem, dom, value = m.groups()
     if digits is not None:
         if not digits.isascii():
@@ -316,7 +328,7 @@ def parse_sort(text: str, line: int = 0, col: int = 1, late=None) -> ir.Sort:
     if values is not None:
         values = _names(values, "ENUM", line, col + 5, late)
         if not values:
-            raise ParseError("empty ENUM", line)
+            raise ParseError("empty ENUM", line, col)
         return ir.EnumSort(values)
     if elem is not None:
         return ir.SetSort(elem)
@@ -385,7 +397,7 @@ def _parse_params(value: str, line: int, col: int, late: list):
         words = part.split()  # NAME in NAME
         if len(words) != 3 or words[1] != "in" or not _is_name(words[0]) \
                 or not _is_name(words[2]):
-            raise ParseError(f"bad parameter {part!r}", line)
+            raise ParseError(f"bad parameter {part!r}", line, at)
         name, _, domain = words
         if name in names:
             _late(late, f"params: duplicate name {name!r}", line, at)
@@ -444,10 +456,10 @@ def _parse_transition(block: _Block, memo: dict, late: list) -> ir.Transition:
             refs.append(_parse_source_value(value, line, col))
     if kind not in ir.KINDS:
         raise ParseError(f"transition {block.name!r}: bad kind {kind!r}",
-                         block.line)
+                         *block.at("kind"))
     if modality not in ir.MODALITIES:
         raise ParseError(f"transition {block.name!r}: bad modality "
-                         f"{modality!r}", block.line)
+                         f"{modality!r}", *block.at("modality"))
     return ir.Transition(block.name, kind, actor, params, guard,
                          tuple(updates), modality, tuple(refs), adv)
 
@@ -468,13 +480,13 @@ def _parse_property(block: _Block, memo: dict) -> ir.Property:
             refs.append(_parse_source_value(value, line, col))
     if principle not in ir.PRINCIPLES:
         raise ParseError(f"property {block.name!r}: bad principle "
-                         f"{principle!r}", block.line)
+                         f"{principle!r}", *block.at("principle"))
     if cls not in ir.PROPERTY_CLASSES:
         raise ParseError(f"property {block.name!r}: bad class {cls!r}",
-                         block.line)
+                         *block.at("class"))
     if invariant is None:
         raise ParseError(f"property {block.name!r}: missing invariant",
-                         block.line)
+                         *block.at())
     return ir.Property(block.name, principle, cls, invariant, tuple(refs))
 
 
@@ -485,7 +497,8 @@ def _parse_constants(block: _Block, late: list):
         col += len(value) - len(value.lstrip())
         value = value.strip()
         if not (value.startswith("[") and value.endswith("]")):
-            raise ParseError(f"constants {key!r}: expected [a, b, ...]", line)
+            raise ParseError(f"constants {key!r}: expected [a, b, ...]",
+                             line, col)
         constants.append((key, _names(value[1:-1], f"constants {key!r}",
                                       line, col + 1, late)))
     return tuple(constants)
@@ -511,7 +524,7 @@ def parse_model(text: str, *, origin: str = "<string>") -> ir.ProtocolModel:
             _, decl, line, col = block.pairs[0]
             m = _VAR_RE.fullmatch(decl)
             if not m:
-                raise ParseError(f"bad var declaration {decl!r}", line)
+                raise ParseError(f"bad var declaration {decl!r}", line, col)
             name = m[1]
             if name in seen_ids:
                 raise ParseError(f"duplicate id {name!r}", line)
@@ -521,12 +534,12 @@ def parse_model(text: str, *, origin: str = "<string>") -> ir.ProtocolModel:
                 parse_init(m[3], line, col + m.start(3), memo)))
         elif block.kind == "transition":
             if block.name in seen_ids:
-                raise ParseError(f"duplicate id {block.name!r}", block.line)
+                raise ParseError(f"duplicate id {block.name!r}", *block.at())
             seen_ids.add(block.name)
             transitions.append(_parse_transition(block, memo, late))
         elif block.kind == "property":
             if block.name in seen_ids:
-                raise ParseError(f"duplicate id {block.name!r}", block.line)
+                raise ParseError(f"duplicate id {block.name!r}", *block.at())
             seen_ids.add(block.name)
             properties.append(_parse_property(block, memo))
         elif block.kind == "constants":
@@ -536,7 +549,7 @@ def parse_model(text: str, *, origin: str = "<string>") -> ir.ProtocolModel:
             aps = tuple((k, v) for k, v, *_ in block.pairs)
         else:
             raise ParseError(f"unexpected block {block.kind!r} in model file",
-                             block.line)
+                             *block.at())
     if late:
         raise late[0]
     return ir.ProtocolModel(fields["protocol"], fields["snapshot"], constants,
@@ -560,7 +573,7 @@ def parse_clauses(text: str):
     for block in blocks:
         if block.kind != "clause":
             raise ParseError(f"unexpected block {block.kind!r} in clause file",
-                             block.line)
+                             *block.at())
         _check_keys(block.pairs, "clause", _CLAUSE_KEYS)
         fields = {}
         source = ir.SourceRef("")
@@ -571,23 +584,23 @@ def parse_clauses(text: str):
                 fields[k] = v
         cid = fields.get("id", "")
         if not cid:
-            raise ParseError("clause missing id", block.line)
+            raise ParseError("clause missing id", *block.at())
         if cid in seen:
-            raise ParseError(f"duplicate clause id {cid!r}", block.line)
+            raise ParseError(f"duplicate clause id {cid!r}", *block.at())
         seen.add(cid)
         modality = fields.get("modality", "NOT_SPECIFIED")
         if modality not in ir.MODALITIES:
             raise ParseError(f"clause {cid}: bad modality {modality!r}",
-                             block.line)
+                             *block.at("modality"))
         digits = fields.get("precedence", "1")
         try:
             precedence = int(digits)
         except ValueError:
             raise ParseError(f"clause {cid}: precedence {digits!r} is not an "
-                             "integer", block.line) from None
+                             "integer", *block.at()) from None
         if not 1 <= precedence <= 5:
             raise ParseError(f"clause {cid}: precedence {precedence} out of "
-                             "range [1,5]", block.line)
+                             "range [1,5]", *block.at())
         if not (digits.isascii() and digits.isdigit()):
             at = next((line, col) for k, _, line, col in block.pairs
                       if k == "precedence")
@@ -595,7 +608,7 @@ def parse_clauses(text: str):
                   "digits", *at)
         if modality != "NOT_SPECIFIED" and not source.quote:
             raise ParseError(f"clause {cid}: modality {modality} requires a "
-                             "verbatim quote", block.line)
+                             "verbatim quote", *block.at())
         clauses.append(ir.NormativeClause(
             cid, fields.get("protocol", ""), modality,
             fields.get("actor", ""), fields.get("behavior", ""), source,

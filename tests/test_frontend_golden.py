@@ -11,14 +11,15 @@ The edits are one-character inserts, deletes and replacements, as in
 `test_irfmt.py::test_mutated_bundled_files_fail_only_with_positioned_errors`,
 plus doubling a space and joining a line to the next.
 
-The golden was last written when braces inside quoted values and on
-comment lines stopped counting as block or group braces: 14 mutants that
-insert a brace into a `quote:` value went from `unterminated string` or
-`unterminated block` to parsed. The same rewrite took in the 18 rejections
-the one-pass reader had added (a name in a declared list that is not a
-distinct identifier, a `COUNTER(n)` or clause `precedence` that is not
-ASCII digits). Regenerate the file only for a deliberate change of what
-the reader accepts, and say which outcomes changed and why:
+The golden was last written when ten errors that named column 1 began
+to name the text they reject: 120 records (`bad parameter`, `bad var
+declaration`, `unknown sort`, `constants ...: expected [a, b, ...]`)
+changed only their column, and 60 block-level ones (`bad kind`, `bad
+modality`, `bad principle`, `bad class`) moved from the block header to
+the line and column of the value. No outcome changed class or message
+text. Regenerate the file only for a deliberate change of what the reader
+accepts or where it says an error is, and say which outcomes changed and
+why:
 
     PYTHONPATH=src python tests/test_frontend_golden.py
 """

@@ -472,6 +472,34 @@ def test_transition_params_must_be_distinct():
                  "params: duplicate name 's'")
 
 
+_TRANSITION = ("transition T {\n  kind: Protocol  actor: a  params: s in "
+               "Sessions\n  modality: MAY\n}\n")
+_PROPERTY = ("property P {\n  principle: P1  class: spec-mandated\n"
+             "  invariant: true\n}\n")
+
+
+@pytest.mark.parametrize("old, new, marker, message", [
+    ("s in Sessions", "s of Sessions", "s of", "bad parameter 's of Sessions'"),
+    ("var v : BOOL", "var v BOOL", "v BOOL", "bad var declaration"),
+    ("var v : BOOL", "var v :  BOOLEAN", "BOOLEAN", "unknown sort 'BOOLEAN'"),
+    ("var v : BOOL init true", "var v : ENUM[ ] init A", "ENUM",
+     "empty ENUM"),
+    ("[a1, a2]", " a1, a2", "a1, a2", "constants 'Agents': expected [a, b"),
+    ("kind: Protocol", "kind: Protocols", "Protocols", "bad kind"),
+    ("modality: MAY", "modality: MAYBE", "MAYBE", "bad modality"),
+    ("principle: P1", "principle: P9", "P9", "bad principle"),
+    ("class: spec-mandated", "class: speck", "speck", "bad class"),
+    ("  invariant: true\n", "", "property P", "missing invariant"),
+])
+def test_parse_errors_name_the_offending_text(old, new, marker, message):
+    """Each error names the line and column of the text it rejects: a
+    block-level one that of the value, or of the block's header when the
+    value is missing."""
+    text = _MODEL_HEAD + "var v : BOOL init true\n" + _TRANSITION + _PROPERTY
+    assert text.count(old) == 1
+    _rejected_at(irfmt.parse_model, text.replace(old, new), marker, message)
+
+
 @pytest.mark.parametrize("digits", ["٣", "３"])
 def test_counter_bound_takes_ascii_digits_only(digits):
     """`COUNTER(٣)` was read as `COUNTER(3)`."""
