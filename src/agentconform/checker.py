@@ -125,10 +125,6 @@ class CheckResult(Record):
 # ---------------------------------------------------------------------------
 # State handling
 
-def state_dict(model: ir.ProtocolModel, vector: tuple) -> dict:
-    return {v.name: vector[i] for i, v in enumerate(model.state_vars)}
-
-
 def _instance(model: ir.ProtocolModel, bounds: Bounds):
     """The bounded instance: (constants, atoms, counter caps, initial
     vector)."""
@@ -181,9 +177,10 @@ def _store(old, keys, v):
 class _Engine:
     """Compiled successor and invariant evaluation for one (model, bounds).
 
-    It compiles only what `ir.sort_findings` accepts, and raises IrError
+    It compiles only what `ir.typecheck` accepts, and raises IrError
     naming the findings of an ill-sorted model or property, as
-    `ir.typecheck` found them once per model. Its layout comes from the
+    `ir.typecheck` found them once per model, or a cap that drops an atom
+    an update stores at (`refuse_dropped_stores`). Its layout comes from the
     sorts under the bounds (`compiled.layout`). A state
     inside the engine is one packed int (see `compiled`), whose fields
     are as wide as the slots' sorts need, whatever the bounds. State
@@ -300,8 +297,9 @@ def check(model: ir.ProtocolModel, prop: ir.Property,
 
     PASS is reported only when the frontier is exhausted within bounds;
     hitting the depth or state budget yields BOUND_EXHAUSTED, never PASS.
-    An ill-sorted model or property (`ir.sort_findings`), or a key outside
-    a capped domain, yields an ERROR verdict naming the problem.
+    An ill-sorted model or property (`ir.typecheck`), a cap that drops an
+    atom an update stores at, or a key outside a capped domain, yields an
+    ERROR verdict naming the problem.
     """
     return check_all(model, [prop], bounds)[prop.id]
 

@@ -5,7 +5,7 @@ The checker runs the functions this module writes as source text and
 builds with `compile()`; the tree-walking evaluator in `expr` stays the
 reference semantics. Compiled code returns what `expr.evaluate` returns,
 or raises the exception it raises, with the same message and after the
-same sub-evaluations, for every expression `ir.sort_findings` accepts:
+same sub-evaluations, for every expression `ir.typecheck` accepts:
 the checker compiles nothing else. Python evaluates operands and call
 arguments left to right, as the evaluator does.
 

@@ -153,7 +153,7 @@ class StateVarDecl(Record):
 
 
 def eval_init(init: InitSpec, sort: Sort, constants):
-    """The value of a well-sorted initial value (`sort_findings`) under
+    """The value of a well-sorted initial value (`typecheck`) under
     the bounded domains constants: a map literal keeps only its keys that
     are atoms of its key domain there."""
     if isinstance(init, InitExpr):
@@ -428,9 +428,10 @@ def _init_sorts(v: StateVarDecl, want, scope, domains, bad):
         bad(f"the value is outside {v.sort}")
 
 
-def sort_findings(model: ProtocolModel, subjects) -> list:
-    """The findings of sort inference over subjects, state variables,
-    transitions and properties of model. Every subterm gets one sort:
+def _sort_pass(model: ProtocolModel, subjects) -> list:
+    """One pass of sort inference over subjects, state variables,
+    transitions and properties of model: a list of findings per subject.
+    Every subterm gets one sort:
     BOOL, INT, an atom of a known set, a SET of such atoms, or a MAP from
     a domain's atoms to a sort. Guards and invariants are BOOL, operands
     have the sorts `expr.evaluate` requires and set elements are atoms, a
@@ -444,11 +445,6 @@ def sort_findings(model: ProtocolModel, subjects) -> list:
     or `bad-param-domain` one. A COUNTER is a `bad-sort` under a MAP:
     only a counter variable's own stores are range-checked, so a map's
     counters would have no bound. Never raises for content."""
-    return [f for group in _sort_pass(model, subjects) for f in group]
-
-
-def _sort_pass(model: ProtocolModel, subjects) -> list:
-    """One pass of sort inference: the `sort_findings` of each subject."""
     domains = {d: (ATOM, frozenset(atoms)) for d, atoms in model.constants}
     consts = {a: (ATOM, frozenset((a,))) for a in model.atom_universe()}
     consts.update((d, (SET, atoms)) for d, (_, atoms) in domains.items())
@@ -532,7 +528,7 @@ def refuse_ill_sorted(model: ProtocolModel, props=()):
 
 
 def validate(model: ProtocolModel) -> ValidationReport:
-    """Declarations and sorts (`sort_findings`), and provenance: every
+    """Declarations and sorts (`typecheck`), and provenance: every
     Protocol-kind transition cites a source and every Adversary one
     carries an ADV tag. Pure; never raises for content problems, the
     report carries the findings."""

@@ -406,38 +406,3 @@ def to_check_result(parse: TlcLogParse,
         return checker.CheckResult("PASS", parse.distinct_states)
     return checker.CheckResult("FAIL", parse.distinct_states,
                                to_counterexample(parse, model))
-
-
-def format_tlc_log(model: ir.ProtocolModel,
-                   result: checker.CheckResult) -> str:
-    """Render a check result in the TLC output dialect.
-
-    Used to author interop fixtures and to round-trip traces in tests.
-    """
-    enums = _enum_values(model)
-    out = ["TLC2 Version 2.18"]
-    cx = result.counterexample
-    if cx is not None:
-        out.append(f"Error: Invariant {cx.property_id} is violated.")
-        out.append("The behavior up to this point is:")
-
-        def emit_state(n, label, vector):
-            out.append(f"State {n}: <{label}>")
-            for var, value in checker.state_dict(model, vector).items():
-                out.append(f"/\\ {var} = {_emit_value(value, enums)}")
-            out.append("")
-
-        emit_state(1, "Initial predicate", cx.initial)
-        for i, step in enumerate(cx.steps):
-            model.transition(step.transition_id)  # raises on unknown id
-            label = step.transition_id
-            if step.binding:
-                label += "(" + ", ".join(a for _, a in step.binding) + ")"
-            emit_state(i + 2, f"{label} line 1, col 1 to line 1, col 1 of "
-                       f"module {_module_name(model)}", step.post_state)
-    else:
-        out.append("Model checking completed. No error has been found.")
-    out.append(f"{result.states_explored * 2} states generated, "
-               f"{result.states_explored} distinct states found, "
-               "0 states left on queue.")
-    return "\n".join(out) + "\n"

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
-from agentconform import cli, tla
+from agentconform import cli
 from agentconform.builtins import builtin
 from agentconform import checker
 from agentconform.replay import A2aMock
+
+from _tlc_log import format_tlc_log
 
 
 def run_cli(*argv):
@@ -146,11 +148,11 @@ def test_parse_tlc_exit_codes(tmp_path, capsys):
     model = builtin("mcp")
     res = checker.check(model, model.property_by_id("P8_CredRevocation"))
     log = tmp_path / "run.log"
-    log.write_text(tla.format_tlc_log(model, res))
+    log.write_text(format_tlc_log(model, res))
     assert run_cli("parse-tlc", str(log)) == 1
     passing = checker.check(model,
                             model.property_by_id("P1_IdentityVerifiability"))
-    log.write_text(tla.format_tlc_log(model, passing))
+    log.write_text(format_tlc_log(model, passing))
     assert run_cli("parse-tlc", str(log)) == 0
     log.write_text("garbage\n")
     assert run_cli("parse-tlc", str(log)) == 2

@@ -375,7 +375,7 @@ _MODEL = ir.ProtocolModel(
 def _well_sorted(e) -> bool:
     """e = e is well-sorted just when e is."""
     check = ir.Property("E", "P0", "aasm-hardening", E.Cmp("=", e, e))
-    return not ir.sort_findings(_MODEL, [check])
+    return not ir.subject_findings(_MODEL, check)
 
 
 _STATE = {**STATE, "who": "ag3", "deleg": E.FMap.of({

@@ -12,6 +12,8 @@ from agentconform import checker, compose, ir, report, tla
 from agentconform import expr as E
 from agentconform.builtins import BUILTIN_NAMES, builtin
 
+from _tlc_log import format_tlc_log
+
 FIXTURES = Path(__file__).parent / "fixtures"
 EMISSION_GOLDEN = Path(__file__).parent / "golden" / "emission.json"
 
@@ -102,7 +104,7 @@ def test_emission_explores_checker_instance(name, bounds):
     start = lines.index("Init ==") + 1
     init = lines[start:lines.index("", start)]
     enums = tla._enum_values(model)
-    state = checker.state_dict(model, checker._instance(model, bounds)[3])
+    state = dict(zip(model.var_names, checker._instance(model, bounds)[3]))
     assert init == [f"  /\\ {var} = {tla._emit_value(value, enums)}"
                     for var, value in state.items()]
 
@@ -111,7 +113,7 @@ def test_log_round_trip_matches_checker():
     model = builtin("mcp")
     prop = model.property_by_id("P8_CredRevocation")
     res = checker.check(model, prop)
-    log = tla.format_tlc_log(model, res)
+    log = format_tlc_log(model, res)
     parse = tla.parse_tlc_output(log)
     assert parse.violated == prop.id
     cx = tla.to_counterexample(parse, model)
@@ -145,7 +147,7 @@ def test_parser_value_forms():
     model = builtin("a2a")
     prop = model.property_by_id("P3_DelegationMonotonicity")
     res = checker.check(model, prop)
-    log = tla.format_tlc_log(model, res)
+    log = format_tlc_log(model, res)
     # nested functions and set literals survive the round trip
     assert ":>" in log and "@@" in log
     cx = tla.to_counterexample(tla.parse_tlc_output(log), model)
@@ -189,7 +191,7 @@ def test_value_parser_round_trips_emitted_values(value, quoted):
 def _p8_log():
     model = builtin("mcp")
     res = checker.check(model, model.property_by_id("P8_CredRevocation"))
-    return model, tla.format_tlc_log(model, res)
+    return model, format_tlc_log(model, res)
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -239,7 +241,7 @@ def emission_hashes():
                 cells[f"{name} {prop.id}"] = {
                     "counterexample": _sha(checker.export_counterexample(
                         model, res.counterexample)),
-                    "tlc_log": _sha(tla.format_tlc_log(model, res))}
+                    "tlc_log": _sha(format_tlc_log(model, res))}
     return {"tla": artifacts, "cells": cells}
 
 
