@@ -47,15 +47,11 @@ class Record:
             if f not in rest:
                 raise TypeError(f"{name} got field {f!r} twice" if f in fields
                                 else f"{name} has no field {f!r}")
-        values = list(args)
+        given = {**self._defaults, **kwargs}
         for f in rest:
-            if f in kwargs:
-                values.append(kwargs[f])
-            elif f in self._defaults:
-                values.append(self._defaults[f])
-            else:
+            if f not in given:
                 raise TypeError(f"{name} lacks field {f!r}")
-        return values
+        return [*args, *[given[f] for f in rest]]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -83,10 +79,7 @@ class Record:
 
 
 def replace(obj: Record, **changes) -> Record:
-    """A copy of obj with the named fields changed."""
-    unknown = changes.keys() - set(obj._fields)
-    if unknown:
-        raise TypeError(f"{type(obj).__qualname__} has no field "
-                        f"{sorted(unknown)[0]!r}")
-    return type(obj)(*[changes[f] if f in changes else getattr(obj, f)
-                       for f in obj._fields])
+    """A copy of obj with the named fields changed. The names that are no
+    field are left over, for the constructor to refuse."""
+    values = [changes.pop(f, v) for f, v in zip(obj._fields, obj._values())]
+    return type(obj)(*values, **changes)
