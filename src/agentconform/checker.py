@@ -83,7 +83,7 @@ def refuse_dropped_stores(model: ir.ProtocolModel, bounds: Bounds):
         for target, rhs in t.updates:
             sort = sorts[target.var]
             for key in target.keys:
-                atom = key.name if type(key) is E.Name else None
+                atom = key.name if isinstance(key, E.Name) else None
                 if atom in declared[sort.key] and atom not in params \
                         and atom not in bounded[sort.key]:
                     raise ir.IrError(
