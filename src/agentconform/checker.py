@@ -75,20 +75,22 @@ def refuse_dropped_stores(model: ir.ProtocolModel, bounds: Bounds):
     name, naming the cap, the atom, the transition and the update. The
     checker could not take such a step, and TLA+'s EXCEPT would skip the
     store, so neither backend runs it."""
-    declared = model.constants_map
     bounded = bounded_constants(model, bounds)
+    dropped = {dom: atoms[len(bounded[dom]):]
+               for dom, atoms in model.constants}
+    if not any(dropped.values()):
+        return
     sorts = {v.name: v.sort for v in model.state_vars}
     for t in model.transitions:
         params = {n for n, _ in t.params}
         for target, rhs in t.updates:
             sort = sorts[target.var]
             for key in target.keys:
-                atom = key.name if isinstance(key, E.Name) else None
-                if atom in declared[sort.key] and atom not in params \
-                        and atom not in bounded[sort.key]:
+                if isinstance(key, E.Name) and key.name not in params \
+                        and key.name in dropped[sort.key]:
                     raise ir.IrError(
                         f"cap {sort.key.lower()}={bounds.cap_for(sort.key)} "
-                        f"drops atom {atom!r}, which transition {t.id} "
+                        f"drops atom {key.name!r}, which transition {t.id} "
                         f"stores at: update `{target} := "
                         f"{E.print_expr(rhs)}`")
                 sort = sort.value

@@ -479,7 +479,7 @@ _PROPERTY = ("property P {\n  principle: P1  class: spec-mandated\n"
 
 
 @pytest.mark.parametrize("old, new, marker, message", [
-    ("s in Sessions", "s of Sessions", "s of", "bad parameter 's of Sessions'"),
+    ("s in Sessions", "s of Sessions", "s of", "bad parameter 's of"),
     ("var v : BOOL", "var v BOOL", "v BOOL", "bad var declaration"),
     ("var v : BOOL", "var v :  BOOLEAN", "BOOLEAN", "unknown sort 'BOOLEAN'"),
     ("var v : BOOL init true", "var v : ENUM[ ] init A", "ENUM",
