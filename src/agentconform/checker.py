@@ -8,6 +8,10 @@ execute and easier to attribute.
 Determinism contract: successors are expanded in sorted transition-id order,
 then sorted parameter-binding order, so results are byte-identical across
 runs.
+
+Slicing: `check` and `check_all` search each property's slice, the model
+with only the transitions that can influence its invariant (see `check`);
+`enumerate_states` searches the whole model.
 """
 
 from __future__ import annotations
@@ -137,10 +141,10 @@ def _instance(model: ir.ProtocolModel, bounds: Bounds):
             tuple(v.initial_value(constants) for v in model.state_vars))
 
 
-def _pairs(model: ir.ProtocolModel, constants: dict) -> list:
+def _pairs(transitions, constants: dict) -> list:
     """Every (transition, ((param, atom), ...)) in expansion order."""
     return [(t, tuple(zip((n for n, _ in t.params), combo)))
-            for t in sorted(model.transitions, key=lambda t: t.id)
+            for t in sorted(transitions, key=lambda t: t.id)
             for combo in itertools.product(
                 *(sorted(constants.get(d, ())) for _, d in t.params))]
 
@@ -177,7 +181,8 @@ def _store(old, keys, v):
 
 
 class _Engine:
-    """Compiled successor and invariant evaluation for one (model, bounds).
+    """Compiled successor and invariant evaluation for one (model, bounds),
+    with the transitions whose ids are in kept, or all of them.
 
     It compiles only what `ir.typecheck` accepts, and raises IrError
     naming the findings of an ill-sorted model or property, as
@@ -198,7 +203,8 @@ class _Engine:
     so the searches of one `check_all` share it.
     """
 
-    def __init__(self, model: ir.ProtocolModel, bounds: Bounds):
+    def __init__(self, model: ir.ProtocolModel, bounds: Bounds,
+                 kept=None):
         ir.refuse_ill_sorted(model)
         refuse_dropped_stores(model, bounds)
         self.model = model
@@ -208,7 +214,9 @@ class _Engine:
         self.slots, leaves = C.layout(
             model.var_names, [v.sort for v in model.state_vars],
             self.constants)
-        self.pairs = _pairs(model, self.constants)
+        self.pairs = _pairs(model.transitions if kept is None else
+                            [t for t in model.transitions if t.id in kept],
+                            self.constants)
         self.env = C.environment()
         C.pack(self.slots, leaves, model.constants_map, self.env)
         self.start = C.encode(initial, self.env)
@@ -295,10 +303,32 @@ def _extract(eng: _Engine, prop: ir.Property, parents: dict,
 
 def check(model: ir.ProtocolModel, prop: ir.Property,
           bounds: Bounds = DEFAULT_BOUNDS) -> CheckResult:
-    """BFS reachability; FAIL carries a minimal-depth counterexample.
+    """BFS reachability of the property's slice; FAIL carries a
+    minimal-depth counterexample.
+
+    The slice is the model with only the transitions that store into the
+    property's cone of influence (`ir.cone`): the variables the invariant
+    reads, closed under the reads of every transition that stores into
+    one of them. No other transition can change what the invariant
+    reads, or whether a kept transition is enabled, so the slice
+    reaches a violation exactly when the model does, at the same least
+    depth. States stay whole, so a FAIL trace is a trace of the whole
+    model, and `states_explored` counts the states of the slice's
+    search. A property whose cone no transition stores into is decided
+    at the initial state under any depth bound of 1 or more.
 
     PASS is reported only when the frontier is exhausted within bounds;
     hitting the depth or state budget yields BOUND_EXHAUSTED, never PASS.
+    The slice's states carry the variables outside its cone, so it may
+    need more depth or states than the whole model to be exhausted: a
+    slice's search that a bound ends is searched again in the whole
+    model, whose result is reported, its count included. Three kinds of
+    search stay whole, so that an ERROR verdict keeps its place in the
+    search: `enumerate_states`, the searches of a model with a step that
+    can raise in the bounded instance (a map key that is not a parameter,
+    a quantified variable or a literal atom that the caps keep), and
+    that of a property whose invariant can raise.
+
     An ill-sorted model or property (`ir.typecheck`), a cap that drops an
     atom an update stores at, or a key outside a capped domain, yields an
     ERROR verdict naming the problem.
@@ -327,21 +357,112 @@ def _search(eng: _Engine, prop: ir.Property) -> CheckResult:
     return CheckResult("PASS", explored)
 
 
+def _key_kept(key, domain, bounded, scope, sorts) -> bool:
+    """Whether the map key key is sure to be an atom of domain as
+    bounded: a parameter or quantified variable (scope maps it to its
+    domain) whose bounded atoms all are, or a literal atom that is."""
+    if type(key) is not E.Name:
+        return False
+    own = scope.get(key.name)
+    if own is not None:
+        return own == domain or set(bounded[own]) <= set(bounded[domain])
+    return key.name not in sorts and key.name in bounded[domain]
+
+
+def _keys_kept(e, bounded, scope, sorts) -> bool:
+    """Whether every map read in the well-sorted expression e is at a key
+    the bounded instance keeps (`_key_kept`), so that e cannot raise."""
+    t = type(e)
+    if t is E.Index:
+        base, depth = e.base, 0
+        while type(base) is E.Index:
+            base, depth = base.base, depth + 1
+        sort = sorts[base.name]
+        for _ in range(depth):
+            sort = sort.value
+        if not _key_kept(e.key, sort.key, bounded, scope, sorts):
+            return False
+    elif t is E.Forall or t is E.Exists:
+        scope = {**scope, e.var: e.domain}
+    elif t is E.Name:
+        return True
+    for x in E.children(e):
+        if not _keys_kept(x, bounded, scope, sorts):
+            return False
+    return True
+
+
+def _step_kept(t: ir.Transition, bounded, sorts) -> bool:
+    """Whether no guard, right-hand side or store of the well-sorted
+    transition t can raise in the bounded instance (`_keys_kept`)."""
+    scope = dict(t.params)
+    if not _keys_kept(t.guard, bounded, scope, sorts):
+        return False
+    for target, rhs in t.updates:
+        if not _keys_kept(rhs, bounded, scope, sorts):
+            return False
+        sort = sorts[target.var]
+        for k in target.keys:
+            if not _key_kept(k, sort.key, bounded, scope, sorts):
+                return False
+            sort = sort.value
+    return True
+
+
 def check_all(model: ir.ProtocolModel, properties,
               bounds: Bounds = DEFAULT_BOUNDS) -> dict:
-    """Checks each property with its own search over one shared engine.
+    """Checks each property with its own search of its slice (see
+    `check`); results therefore equal per-property check() calls.
 
-    A separate search per property costs little: a FAIL search stops at
-    its first violating state (within a few hundred states on every
-    bundled model), and the compiled engine is built once for all of
-    them. Results therefore equal per-property check() calls by
-    construction.
+    Properties with the same slice share one engine and its memo, built
+    once for all of them. A separate search per property costs little:
+    a FAIL search stops at its first violating state (within a few
+    hundred states on every bundled model).
     """
-    try:
-        eng = _Engine(model, bounds)
-    except Exception as exc:
-        return {p.id: CheckResult(f"ERROR: {exc}", 0) for p in properties}
-    return {prop.id: _search(eng, prop) for prop in properties}
+    whole = frozenset(t.id for t in model.transitions)
+    engines = {}  # kept transition ids -> engine, or what building raised
+
+    def search(kept, prop):
+        if kept not in engines:
+            try:
+                engines[kept] = _Engine(model, bounds, kept)
+            except Exception as exc:
+                engines[kept] = exc
+        eng = engines[kept]
+        if isinstance(eng, Exception):
+            return CheckResult(f"ERROR: {eng}", 0)
+        return _search(eng, prop)
+
+    out = {}
+    for prop, kept in zip(properties, _slices(model, properties, bounds)):
+        res = search(kept, prop)
+        if res.verdict == "BOUND_EXHAUSTED" and kept != whole:
+            res = search(whole, prop)
+        out[prop.id] = res
+    return out
+
+
+def _slices(model: ir.ProtocolModel, properties, bounds: Bounds) -> list:
+    """Per property, the ids of the transitions its search keeps: those
+    that store into the property's cone (`ir.cone`), or every one where
+    the search stays whole (see `check`)."""
+    whole = frozenset(t.id for t in model.transitions)
+    bounded = bounded_constants(model, bounds)
+    sorts = {v.name: v.sort for v in model.state_vars}
+    if ir.subject_findings(model, None) or not all(
+            _step_kept(t, bounded, sorts) for t in model.transitions):
+        return [whole] * len(properties)
+    out = []
+    for prop in properties:
+        if ir.subject_findings(model, prop) \
+                or not _keys_kept(prop.invariant, bounded, {}, sorts):
+            out.append(whole)
+            continue
+        names = ir.cone(model, prop.invariant)
+        out.append(frozenset(t.id for t, (_, writes) in zip(
+            model.transitions, ir.footprints(model))
+            if not writes.isdisjoint(names)))
+    return out
 
 
 def enumerate_states(model: ir.ProtocolModel,

@@ -198,8 +198,9 @@ class ProtocolModel(Record):
     # constants: ((domain, (atom, ...)), ...), declaration order
     # aps: ((layer, status), ...) bundled metadata, may be empty
     __slots__ = ("name", "snapshot", "constants", "state_vars", "transitions",
-                 "properties", "aps", "_typed")
-    _fields = __slots__[:-1]  # _typed keeps `typecheck`'s findings
+                 "properties", "aps", "_typed", "_footprints")
+    # _typed keeps `typecheck`'s findings, _footprints `footprints`
+    _fields = __slots__[:-2]
     _defaults = {"aps": ()}
 
     @property
@@ -544,6 +545,69 @@ def validate(model: ProtocolModel) -> ValidationReport:
                 "missing-adv-tag", t.id,
                 f"Adversary transition needs one of {ADV_TAGS}, got {t.adv!r}"))
     return ValidationReport(tuple(findings))
+
+
+# ---------------------------------------------------------------------------
+# Footprints and cones of influence
+
+def _reads(e, names, out: set):
+    """Adds to out each of names that e reads, where no quantifier of e
+    hides it."""
+    t = type(e)
+    if t is E.Name:
+        if e.name in names:
+            out.add(e.name)
+    elif (t is E.Forall or t is E.Exists) and e.var in names:
+        inner = set()
+        _reads(e.body, names, inner)
+        inner.discard(e.var)
+        out |= inner
+    else:
+        for x in E.children(e):
+            _reads(x, names, out)
+
+
+def footprints(model: ProtocolModel) -> tuple:
+    """Per transition of model, in order: (reads, writes), the state
+    variables that its guard, right-hand sides and keys read, and those
+    it stores into, as frozensets of names. A parameter hides a variable
+    of its name. Made once per model object."""
+    prints = getattr(model, "_footprints", None)
+    if prints is None:
+        names = frozenset(model.var_names)
+        prints = []
+        for t in model.transitions:
+            seen = names.difference(n for n, _ in t.params)
+            reads = set()
+            _reads(t.guard, seen, reads)
+            for target, rhs in t.updates:
+                _reads(rhs, seen, reads)
+                for k in target.keys:
+                    _reads(k, seen, reads)
+            prints.append((frozenset(reads),
+                           frozenset(target.var for target, _ in t.updates)))
+        prints = tuple(prints)
+        ProtocolModel._footprints.__set__(model, prints)
+    return prints
+
+
+def cone(model: ProtocolModel, invariant) -> frozenset:
+    """The invariant's cone of influence: the state variables it reads,
+    and every variable read by a transition that stores into one of
+    them, closed under that rule (`footprints`). No other transition can
+    change a value the invariant reads, or whether a transition that can
+    is enabled."""
+    names = set()
+    _reads(invariant, frozenset(model.var_names), names)
+    prints = footprints(model)
+    grown = True
+    while grown:
+        grown = False
+        for reads, writes in prints:
+            if not writes.isdisjoint(names) and not reads <= names:
+                names |= reads
+                grown = True
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------

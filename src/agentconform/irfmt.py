@@ -597,18 +597,16 @@ def parse_clauses(text: str):
             precedence = int(digits)
         except ValueError:
             raise ParseError(f"clause {cid}: precedence {digits!r} is not an "
-                             "integer", *block.at()) from None
+                             "integer", *block.at("precedence")) from None
         if not 1 <= precedence <= 5:
             raise ParseError(f"clause {cid}: precedence {precedence} out of "
-                             "range [1,5]", *block.at())
+                             "range [1,5]", *block.at("precedence"))
         if not (digits.isascii() and digits.isdigit()):
-            at = next((line, col) for k, _, line, col in block.pairs
-                      if k == "precedence")
             _late(late, f"clause {cid}: precedence {digits!r} is not ASCII "
-                  "digits", *at)
+                  "digits", *block.at("precedence"))
         if modality != "NOT_SPECIFIED" and not source.quote:
             raise ParseError(f"clause {cid}: modality {modality} requires a "
-                             "verbatim quote", *block.at())
+                             "verbatim quote", *block.at("modality"))
         clauses.append(ir.NormativeClause(
             cid, fields.get("protocol", ""), modality,
             fields.get("actor", ""), fields.get("behavior", ""), source,

@@ -32,8 +32,10 @@ class Record:
         setters = self._setters
         if kwargs or len(args) != len(setters):
             args = self._bind(args, kwargs)
-        for set_field, value in zip(setters, args):
-            set_field(self, value)
+        i = 0  # an index, not zip(): this loop runs per record made
+        for set_field in setters:
+            set_field(self, args[i])
+            i += 1
 
     def _bind(self, args, kwargs) -> list:
         """One value per field from args and kwargs, with `_defaults` for

@@ -1,15 +1,27 @@
 """Check results rendered in the TLC output dialect that `tla` parses.
 
 The suite uses it to author the interop fixtures under `fixtures/` and to
-round-trip traces through `tla.parse_tlc_output`.
+round-trip traces through `tla.parse_tlc_output`. TLC explores the whole
+model, so a log counts the states of a search with no slice.
 """
 
 from agentconform import checker, ir, tla
 
 
-def format_tlc_log(model: ir.ProtocolModel,
-                   result: checker.CheckResult) -> str:
-    """Render a check result in the TLC output dialect."""
+def whole_check_all(model: ir.ProtocolModel, properties,
+                    bounds: checker.Bounds = checker.DEFAULT_BOUNDS) -> dict:
+    """Each property's search of the whole model on one engine, as
+    `checker.check_all` searched before it sliced: no property's search
+    leaves out a transition."""
+    eng = checker._Engine(model, bounds)
+    return {p.id: checker._search(eng, p) for p in properties}
+
+
+def format_tlc_log(model: ir.ProtocolModel, prop: ir.Property,
+                   bounds: checker.Bounds = checker.DEFAULT_BOUNDS) -> str:
+    """Render the property's search of the whole model in the TLC output
+    dialect."""
+    result = whole_check_all(model, [prop], bounds)[prop.id]
     enums = tla._enum_values(model)
     out = ["TLC2 Version 2.18"]
     cx = result.counterexample

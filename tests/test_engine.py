@@ -1,9 +1,12 @@
 """Pins of the checker's outputs: reachable-state counts and, per bundled
 check, the verdict, the states explored and the counterexample depth.
 
-`tests/golden/states.json` was written by the interpreted engine; an
-engine change that drifts in any count fails here. Regenerate it only for
-a deliberate change of search semantics:
+`tests/golden/states.json` was written by the interpreted engine, and
+counts the states of a search of the whole model, as TLC explores it;
+`tests/golden/sliced.json` counts those of `checker.check_all`, which
+searches each property's slice. An engine change that drifts in any
+count fails here. Regenerate them only for a deliberate change of search
+semantics:
 
     PYTHONPATH=src python tests/test_engine.py
 """
@@ -24,9 +27,11 @@ from agentconform.builtins import BUILTIN_NAMES, builtin
 from agentconform.record import replace
 
 from _oracle import _successors, oracle_check
+from _tlc_log import whole_check_all
 from test_checker import NeverSeen, RANDOM_BOUNDS, random_model
 
 GOLDEN = Path(__file__).parent / "golden" / "states.json"
+SLICED_GOLDEN = Path(__file__).parent / "golden" / "sliced.json"
 
 # distinct reachable states at DEFAULT_BOUNDS
 STATE_COUNTS = {"mcp": 386, "a2a": 145, "anp": 328, "acp-cap": 254,
@@ -40,23 +45,31 @@ def _row(model, prop_id, res, **where):
             "depth": cx.depth if cx else None}
 
 
-def per_protocol_rows():
+def _results(check_all, model, props):
+    """{property id: result} of check_all, `checker.check_all` or
+    `whole_check_all`, called once per property."""
+    return {p.id: check_all(model, [p])[p.id] for p in props}
+
+
+def per_protocol_rows(check_all=whole_check_all):
     """The 50 per-protocol cells of the bundled matrix."""
     rows = []
     for name in BUILTIN_NAMES:
         model = builtin(name)
-        for pr in report.MATRIX_PRINCIPLES[:-1]:
-            prop = report._cell_property(model, pr)
-            rows.append(_row(name, prop.id, checker.check(model, prop),
-                             principle=pr))
+        cells = [(pr, report._cell_property(model, pr))
+                 for pr in report.MATRIX_PRINCIPLES[:-1]]
+        results = _results(check_all, model, [p for _, p in cells])
+        rows += [_row(name, prop.id, results[prop.id], principle=pr)
+                 for pr, prop in cells]
     return rows
 
 
-def composed_rows(runs):
+def composed_rows(runs, check_all=whole_check_all):
     """The 21 composition checks; `runs` is shaped like the
     `composition_runs` fixture."""
     return [_row(composed.name, pid, results[pid], pattern=pattern)
-            for pattern, (composed, _, results) in runs.items()
+            for pattern, (composed, props, _) in runs.items()
+            for results in [check_all(composed, props)]
             for pid in sorted(results)]
 
 
@@ -77,6 +90,39 @@ def test_per_protocol_states_golden():
 def test_composed_states_golden(composition_runs):
     golden = json.loads(GOLDEN.read_text())
     assert composed_rows(composition_runs) == golden["composed"]
+
+
+def test_sliced_states_golden(composition_runs):
+    """Each bundled check's sliced search: its own states explored, and
+    the verdict and depth of the whole model's search."""
+    golden = json.loads(SLICED_GOLDEN.read_text())
+    assert per_protocol_rows(checker.check_all) == golden["per_protocol"]
+    assert composed_rows(composition_runs, checker.check_all) == \
+        golden["composed"]
+    whole = json.loads(GOLDEN.read_text())
+    for part in ("per_protocol", "composed"):
+        for sliced, row in zip(golden[part], whole[part]):
+            assert {**sliced, "states_explored": None} == \
+                {**row, "states_explored": None}
+            assert sliced["states_explored"] <= row["states_explored"]
+
+
+def test_bundled_traces_are_the_whole_models(composition_runs):
+    """Every bundled FAIL trace of a sliced search is the one the search
+    of the whole model finds, step for step."""
+    for name in BUILTIN_NAMES:
+        model = builtin(name)
+        props = [report._cell_property(model, pr)
+                 for pr in report.MATRIX_PRINCIPLES[:-1]]
+        whole = _results(whole_check_all, model, props)
+        for prop in props:
+            res = checker.check(model, prop)
+            assert res.counterexample == whole[prop.id].counterexample
+    for composed, props, results in composition_runs.values():
+        whole = whole_check_all(composed, props)
+        for prop in props:
+            assert results[prop.id].counterexample == \
+                whole[prop.id].counterexample, prop.id
 
 
 @pytest.mark.parametrize("name", sorted(STATE_COUNTS))
@@ -818,26 +864,41 @@ def test_bfs_order_and_parents_match_on_random_models():
         _assert_bfs_matches_reference(random_model(rng, i), RANDOM_BOUNDS)
 
 
+def _reference_bad(eng, states, prop):
+    """The index of the first of the reference states that violates the
+    property, or None."""
+    return next((i for i, v in enumerate(states) if not E.evaluate_bool(
+        prop.invariant, dict(zip(eng.slots, v)), eng.constants, eng.atoms)),
+        None)
+
+
 @pytest.mark.parametrize("name", ["a2a", "mcp"])
 def test_state_budget_edges_match_the_reference(name):
     """For every budget from 1 to 60 states, each property's verdict,
-    explored-state count and counterexample depth are the reference
-    search's."""
+    explored-state count and counterexample depth are those of the
+    reference search over the transitions its slice keeps, or, where
+    that search is cut off, of the reference search of the whole
+    model."""
     model = builtin(name)
-    eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
-    states, depths, _ = _reference_bfs(eng)
-    bad = {p.id: next((i for i, v in enumerate(states)
-                       if not E.evaluate_bool(p.invariant,
-                                              dict(zip(eng.slots, v)),
-                                              eng.constants, eng.atoms)),
-                      None)
-           for p in model.properties}
+    whole = checker._Engine(model, checker.DEFAULT_BOUNDS)
+    kept = checker._slices(model, model.properties, checker.DEFAULT_BOUNDS)
+    refs = {}
+    for prop, ids in zip(model.properties, kept):
+        for eng in (checker._Engine(model, checker.DEFAULT_BOUNDS, ids),
+                    whole):
+            states, depths, _ = _reference_bfs(eng)
+            refs.setdefault(prop.id, []).append(
+                (depths, _reference_bad(eng, states, prop)))
+    assert any(len(ids) < len(model.transitions) for ids in kept)
     for budget in range(1, 61):
         bounds = replace(checker.DEFAULT_BOUNDS, max_states=budget)
         results = checker.check_all(model, model.properties, bounds)
         for prop in model.properties:
-            assert _result(results[prop.id]) == _reference_result(
-                depths, bad[prop.id], bounds), (budget, prop.id)
+            (sliced, bad), (depths, whole_bad) = refs[prop.id]
+            want = _reference_result(sliced, bad, bounds)
+            if want[0] == "BOUND_EXHAUSTED":
+                want = _reference_result(depths, whole_bad, bounds)
+            assert _result(results[prop.id]) == want, (budget, prop.id)
 
 
 @pytest.mark.parametrize("bound, states", [
@@ -845,16 +906,19 @@ def test_state_budget_edges_match_the_reference(name):
     ({"max_states": 1000}, 1001), ({"max_depth": 1}, 10),
     ({"max_depth": 2}, 60), ({"max_depth": 3}, 280)])
 def test_federated_delegation_bound_counts(bound, states):
-    """CS_DomainIsolation on federated-delegation, cut off by each bound,
-    reports the states it reached: one past the budget, or every state
-    through the depth bound. Past the budget the kernel stops, so the
-    search holds at most one state's post-states more than the budget."""
+    """CS_DomainIsolation on federated-delegation, searched in the whole
+    model and cut off by each bound, reports the states it reached: one
+    past the budget, or every state through the depth bound. Past the
+    budget the kernel stops, so the search holds at most one state's
+    post-states more than the budget. No transition writes into the
+    property's cone, so `check` decides it at the initial state."""
     model = _bundled_model("federated-delegation")
     prop, = (p for p in compose.cs_properties(model, "federated-delegation")
              if p.id == "CS_DomainIsolation")
     bounds = replace(checker.DEFAULT_BOUNDS, **bound)
-    assert _result(checker.check(model, prop, bounds)) == (
+    assert _result(whole_check_all(model, [prop], bounds)[prop.id]) == (
         "BOUND_EXHAUSTED", states, None)
+    assert _result(checker.check(model, prop, bounds)) == ("PASS", 1, None)
     eng = checker._Engine(model, bounds)
     parents = {eng.start: None}
     with pytest.raises(checker.StateOverflowError) as exc:
@@ -870,6 +934,9 @@ def test_federated_delegation_bound_counts(bound, states):
 
 
 if __name__ == "__main__":
-    doc = {"per_protocol": per_protocol_rows(),
-           "composed": composed_rows(_composition_runs())}
-    GOLDEN.write_text(json.dumps(doc, indent=2) + "\n")
+    runs = _composition_runs()
+    for path, check_all in ((GOLDEN, whole_check_all),
+                            (SLICED_GOLDEN, checker.check_all)):
+        doc = {"per_protocol": per_protocol_rows(check_all),
+               "composed": composed_rows(runs, check_all)}
+        path.write_text(json.dumps(doc, indent=2) + "\n")

@@ -91,11 +91,12 @@ def test_clause_fields():
 
 
 def test_non_integer_precedence_names_the_clause_line():
+    """The line of the clause that holds the value, and its column."""
     text = ("# store\n\nclause {\n  id: c1  protocol: p  modality: MAY\n"
             "  precedence: high\n  source: { doc: d  quote: \"q\" }\n}\n")
     with pytest.raises(irfmt.ParseError) as exc:
         irfmt.parse_clauses(text)
-    assert exc.value.line == 3
+    assert (exc.value.line, exc.value.col) == (5, 15)
     assert "'high'" in str(exc.value)
 
 
@@ -509,6 +510,24 @@ def test_counter_bound_takes_ascii_digits_only(digits):
     assert irfmt.parse_sort("COUNTER( 3 )") == ir.CounterSort(3)
     with pytest.raises(irfmt.ParseError):
         irfmt.parse_sort(f"COUNTER({digits})")
+
+
+@pytest.mark.parametrize("old, new, marker, message", [
+    ("precedence: 2", "precedence: two", "two",
+     "clause c1: precedence 'two' is not an integer"),
+    ("precedence: 2", "precedence: 9", "9",
+     "clause c1: precedence 9 out of range [1,5]"),
+    ('  source: { doc: d  quote: "q" }\n', "", "MAY",
+     "clause c1: modality MAY requires a verbatim quote"),
+])
+def test_clause_errors_name_the_offending_value(old, new, marker, message):
+    """A clause's bad precedence, or a modality that needs a quote it
+    lacks, is named at the value, not at the clause's header."""
+    text = ("clause {\n  id: c1  protocol: p\n  modality: MAY\n"
+            "  precedence: 2\n  source: { doc: d  quote: \"q\" }\n}\n")
+    assert text.count(old) == 1
+    _rejected_at(irfmt.parse_clauses, text.replace(old, new), marker,
+                 message)
 
 
 @pytest.mark.parametrize("digits", ["+3", "٣", "0_3"])

@@ -113,7 +113,7 @@ def test_log_round_trip_matches_checker():
     model = builtin("mcp")
     prop = model.property_by_id("P8_CredRevocation")
     res = checker.check(model, prop)
-    log = format_tlc_log(model, res)
+    log = format_tlc_log(model, prop)
     parse = tla.parse_tlc_output(log)
     assert parse.violated == prop.id
     cx = tla.to_counterexample(parse, model)
@@ -147,7 +147,7 @@ def test_parser_value_forms():
     model = builtin("a2a")
     prop = model.property_by_id("P3_DelegationMonotonicity")
     res = checker.check(model, prop)
-    log = format_tlc_log(model, res)
+    log = format_tlc_log(model, prop)
     # nested functions and set literals survive the round trip
     assert ":>" in log and "@@" in log
     cx = tla.to_counterexample(tla.parse_tlc_output(log), model)
@@ -190,8 +190,8 @@ def test_value_parser_round_trips_emitted_values(value, quoted):
 
 def _p8_log():
     model = builtin("mcp")
-    res = checker.check(model, model.property_by_id("P8_CredRevocation"))
-    return model, format_tlc_log(model, res)
+    return model, format_tlc_log(
+        model, model.property_by_id("P8_CredRevocation"))
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -241,7 +241,7 @@ def emission_hashes():
                 cells[f"{name} {prop.id}"] = {
                     "counterexample": _sha(checker.export_counterexample(
                         model, res.counterexample)),
-                    "tlc_log": _sha(format_tlc_log(model, res))}
+                    "tlc_log": _sha(format_tlc_log(model, prop))}
     return {"tla": artifacts, "cells": cells}
 
 
