@@ -200,7 +200,8 @@ class _Engine:
     steps' effects in `memo`, keyed by the bits of a state that the steps
     read: the steps run once per key, and every other state of that key
     applies the recorded deltas. The memo lives and dies with the engine,
-    so the searches of one `check_all` share it.
+    so the searches of one `check_all` that keep the same transitions
+    share it.
     """
 
     def __init__(self, model: ir.ProtocolModel, bounds: Bounds,

@@ -880,24 +880,23 @@ def test_state_budget_edges_match_the_reference(name):
     that search is cut off, of the reference search of the whole
     model."""
     model = builtin(name)
-    whole = checker._Engine(model, checker.DEFAULT_BOUNDS)
     kept = checker._slices(model, model.properties, checker.DEFAULT_BOUNDS)
-    refs = {}
-    for prop, ids in zip(model.properties, kept):
-        for eng in (checker._Engine(model, checker.DEFAULT_BOUNDS, ids),
-                    whole):
-            states, depths, _ = _reference_bfs(eng)
-            refs.setdefault(prop.id, []).append(
-                (depths, _reference_bad(eng, states, prop)))
     assert any(len(ids) < len(model.transitions) for ids in kept)
+    refs = {}  # kept ids, None for all -> (depths, {property: first bad})
+    for ids in {*kept, None}:
+        eng = checker._Engine(model, checker.DEFAULT_BOUNDS, ids)
+        states, depths, _ = _reference_bfs(eng)
+        refs[ids] = depths, {p.id: _reference_bad(eng, states, p)
+                             for p in model.properties}
     for budget in range(1, 61):
         bounds = replace(checker.DEFAULT_BOUNDS, max_states=budget)
         results = checker.check_all(model, model.properties, bounds)
-        for prop in model.properties:
-            (sliced, bad), (depths, whole_bad) = refs[prop.id]
-            want = _reference_result(sliced, bad, bounds)
+        for prop, ids in zip(model.properties, kept):
+            want = _reference_result(refs[ids][0], refs[ids][1][prop.id],
+                                     bounds)
             if want[0] == "BOUND_EXHAUSTED":
-                want = _reference_result(depths, whole_bad, bounds)
+                want = _reference_result(refs[None][0],
+                                         refs[None][1][prop.id], bounds)
             assert _result(results[prop.id]) == want, (budget, prop.id)
 
 

@@ -51,11 +51,6 @@ def test_footprints_name_what_each_step_reads_and_writes():
         frozenset({"Pick"}), frozenset({"Mark", "Copy", "Pick"})]
 
 
-def _cell_properties(model):
-    return [report._cell_property(model, pr)
-            for pr in report.MATRIX_PRINCIPLES[:-1]]
-
-
 def test_bundled_slices():
     """No bundled model has a step that can raise at the default bounds,
     so every bundled check searches its slice. 20 of the 22 per-protocol
@@ -64,7 +59,8 @@ def test_bundled_slices():
     empty = []
     for name in BUILTIN_NAMES:
         model = builtin(name)
-        props = _cell_properties(model)
+        props = [report._cell_property(model, pr)
+                 for pr in report.MATRIX_PRINCIPLES[:-1]]
         results = checker.check_all(model, props)
         for prop, kept in zip(props, checker._slices(
                 model, props, checker.DEFAULT_BOUNDS)):
