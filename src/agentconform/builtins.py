@@ -8,7 +8,7 @@ per-layer completeness metadata, surfaced here as the stack gap table.
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from . import ir
 from . import irfmt
@@ -37,9 +37,14 @@ _model_cache: dict = {}
 _clause_cache: dict = {}
 
 
+# the package's own data directory, read as plain files: from Python
+# 3.12, importlib.resources imports `inspect`, which CLI start-up avoids
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
 def _read_asset(subdir: str, filename: str) -> str:
-    root = resources.files("agentconform.data")
-    return (root / subdir / filename).read_text(encoding="utf-8")
+    with open(os.path.join(_DATA, subdir, filename), encoding="utf-8") as f:
+        return f.read()
 
 
 def builtin(name: str) -> ir.ProtocolModel:

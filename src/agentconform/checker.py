@@ -190,7 +190,10 @@ class _Engine:
     an update stores at (`refuse_dropped_stores`). Its layout comes from the
     sorts under the bounds (`compiled.layout`). A state
     inside the engine is one packed int (see `compiled`), whose fields
-    are as wide as the slots' sorts need, whatever the bounds. State
+    are as wide as the slots' sorts need, whatever the bounds; those of
+    the variables its transitions store into (`ir.footprints`) take the
+    low bits, and the others, which keep their initial values, lie above
+    them. State
     vectors appear only at the boundary: the initial state and
     counterexamples. The kernel, `expand(frontier, seen, out)`
     (`compiled.kernel`), serves the search only: one call expands a whole
@@ -215,11 +218,14 @@ class _Engine:
         self.slots, leaves = C.layout(
             model.var_names, [v.sort for v in model.state_vars],
             self.constants)
-        self.pairs = _pairs(model.transitions if kept is None else
-                            [t for t in model.transitions if t.id in kept],
+        keep = [kept is None or t.id in kept for t in model.transitions]
+        self.pairs = _pairs(itertools.compress(model.transitions, keep),
                             self.constants)
+        written = frozenset().union(*(writes for _, writes in
+                                      itertools.compress(ir.footprints(model),
+                                                         keep)))
         self.env = C.environment()
-        C.pack(self.slots, leaves, model.constants_map, self.env)
+        C.pack(self.slots, leaves, model.constants_map, self.env, written)
         self.start = C.encode(initial, self.env)
         steps = [C.compile_step(t, binding, self.slots, self.constants,
                                 self.caps, self.env)
@@ -327,8 +333,9 @@ def check(model: ir.ProtocolModel, prop: ir.Property,
     search stay whole, so that an ERROR verdict keeps its place in the
     search: `enumerate_states`, the searches of a model with a step that
     can raise in the bounded instance (a map key that is not a parameter,
-    a quantified variable or a literal atom that the caps keep), and
-    that of a property whose invariant can raise.
+    a quantified variable, an ENUM state variable or a literal atom whose
+    atoms the caps all keep), and that of a property whose invariant can
+    raise.
 
     An ill-sorted model or property (`ir.typecheck`), a cap that drops an
     atom an update stores at, or a key outside a capped domain, yields an
@@ -361,13 +368,18 @@ def _search(eng: _Engine, prop: ir.Property) -> CheckResult:
 def _key_kept(key, domain, bounded, scope, sorts) -> bool:
     """Whether the map key key is sure to be an atom of domain as
     bounded: a parameter or quantified variable (scope maps it to its
-    domain) whose bounded atoms all are, or a literal atom that is."""
+    domain) whose bounded atoms all are, a state variable of ENUM sort
+    whose values all are, or a literal atom that is."""
     if type(key) is not E.Name:
         return False
     own = scope.get(key.name)
     if own is not None:
         return own == domain or set(bounded[own]) <= set(bounded[domain])
-    return key.name not in sorts and key.name in bounded[domain]
+    sort = sorts.get(key.name)
+    if sort is None:
+        return key.name in bounded[domain]
+    return type(sort) is ir.EnumSort and set(sort.values) <= set(
+        bounded[domain])
 
 
 def _keys_kept(e, bounded, scope, sorts) -> bool:

@@ -19,19 +19,27 @@ domain as bounded (`checker.bounded_constants`), and so are those of its
 initial value (`ir.eval_init`).
 
 Packing. Inside the engine a state is one int, and each slot is a
-fixed-width bit field of it, laid out from bit 0 in slot order (`pack`).
-A field's width and its values' codes come from the slot's leaf sort
-alone: a BOOL takes 1 bit and a COUNTER(n) the bits of n, each holding
-its value; an ENUM is coded by a value's position among its declared
-values; and a SET(D) takes one bit per declared atom of D, its code the
-mask of its atoms. A counter is always a whole variable (a COUNTER
-under a MAP is a `bad-sort`), whose initial value and stores are
-range-checked. So every value fits its field, the encoding is the same
-for any bounds, and a counter that starts above its cap, or a set
-holding an atom that a cap leaves out of D, needs no path of its own.
-Set codes are found on demand, never by listing D's subsets. `encode`
-and `decode` convert between state vectors and packed states; a map
-needed as a whole value is built back into an `E.FMap` by `_build`.
+fixed-width bit field of it (`pack`). The fields of the variables that
+the engine's steps store into are laid out from bit 0, in slot order,
+and those of the other variables above them, also in slot order. Only
+the shifts move: slot indices, `_vars`, `encode` and `decode` keep
+declaration order. A never-written field keeps its initial value, so a
+reachable state is no wider than the written fields and the
+never-written ones that start at a nonzero code: chained-servers' states
+take 39 of its 76 bits, below the 61 bits Python hashes an int by, and
+their low bits, which a dict probes first, differ more. A field's width
+and its values' codes come from the slot's leaf sort alone: a BOOL
+takes 1 bit and a COUNTER(n) the bits of n, each holding its value; an
+ENUM is coded by a value's position among its declared values; and a
+SET(D) takes one bit per declared atom of D, its code the mask of its
+atoms. A counter is always a whole variable (a COUNTER under a MAP is a
+`bad-sort`), whose initial value and stores are range-checked. So every
+value fits its field, the encoding is the same for any bounds (given
+the steps), and a counter that starts above its cap, or a set holding
+an atom that a cap leaves out of D, needs no path of its own. Set codes
+are found on demand, never by listing D's subsets. `encode` and
+`decode` convert between state vectors and packed states; a map needed
+as a whole value is built back into an `E.FMap` by `_build`.
 
 Binding. Transition parameters are compiled per binding and quantifiers
 are unrolled over their (bounded) domains, so every bound name is a
@@ -73,12 +81,14 @@ happens inline. The steps' effects are memoised by the bits they read:
 a state's key is `s & R`, R masking every field a step reads, and a
 step that stores the fields W turns every state of one key into
 `s & ~W | (n & W)`. So each key's steps run once, on its first state,
-which records their deltas (~W, n & W) in step order, and every later
-state of that key is one table lookup and the deltas applied. The
-composed models have 527-5,734 keys for 65,090-208,636 states. Both
-functions use `_define`, which applies each mask the body reads two or
-more times once, into a local `m<j>` at the top of the body; what is
-read once stays inline, where short-circuiting may skip it. `compile()`
+which records their distinct deltas (~W, n & W), in order of first
+occurrence, and every later state of that key is one table lookup and
+the deltas applied. A repeated delta would give a post-state already in
+`seen`, so dropping it moves no state, order or parent. The composed
+models have 527-5,734 keys for 65,090-208,636 states. Both functions
+use `_define`, which applies each mask the body reads two or more times
+once, into a local `m<j>` at the top of the body; what is read once
+stays inline, where short-circuiting may skip it. `compile()`
 is memoised on the source text, so a model checked again (another
 property, another run in one process) reuses its code objects.
 """
@@ -164,17 +174,22 @@ def _field(sort, domains):
     return len(codes.bits), codes, codes
 
 
-def pack(slots, leaves, domains, env):
-    """Lays the slots out as bit fields of one int, in slot order, and
-    binds the layout into env. Each field's width and codes come from
-    its leaf sort, domains mapping each domain to its declared atoms."""
-    fields, shift = [], 0
-    for i, sort in enumerate(leaves):
-        width, values, codes = _field(sort, domains)
-        if codes is not None:
-            env[f"_v{i}"], env[f"_c{i}"] = values, codes
-        fields.append((shift, (1 << width) - 1, values, codes))
-        shift += width
+def pack(slots, leaves, domains, env, written):
+    """Lays the slots out as bit fields of one int and binds the layout
+    into env: the fields of the variables named in written from bit 0,
+    then those of the others, each in slot order. Each field's width and
+    codes come from its leaf sort, domains mapping each domain to its
+    declared atoms."""
+    fields, shift = [None] * len(leaves), 0
+    # sorted() is stable: declaration order within each group
+    for name, (shape, base) in sorted(slots.items(),
+                                      key=lambda v: v[0] not in written):
+        for i in range(base, base + size(shape)):
+            width, values, codes = _field(leaves[i], domains)
+            if codes is not None:
+                env[f"_v{i}"], env[f"_c{i}"] = values, codes
+            fields[i] = (shift, (1 << width) - 1, values, codes)
+            shift += width
     env["_L"], env["_FULL"] = fields, (1 << shift) - 1
     # per variable: the mask of its fields, its values decoded so far by
     # their bits, its first slot and its shape
@@ -685,18 +700,20 @@ def kernel(steps, env, budget, memo):
     the list out. It stops before a state once seen holds more than
     budget states.
 
-    memo maps a key `s & R` to the steps' deltas (~W, n & W) in step
-    order, W masking the fields a step stores (see the module docstring).
-    R covers every field that a guard, value, key or range check reads,
-    and the whole variable of a map read whole or read or stored through
-    a run-time key. A state whose key memo holds applies the deltas;
-    otherwise the steps run, handing out each post-state as it is made,
-    and their deltas are stored once all of them have run. So a step
-    that raises stores nothing: it leaves in seen and out the post-states
-    of the states and steps before it, and the next state of its key
-    raises again. A delta is left out only for a self-loop of a step that
-    stores nothing outside R, which is a self-loop in every state of the
-    key. Each mask the steps read two or more times is applied once per
+    memo maps a key `s & R` to the steps' distinct deltas (~W, n & W),
+    in first occurrence order, W masking the fields a step stores (see
+    the module docstring). R covers every field that a guard, value, key
+    or range check reads, and the whole variable of a map read whole or
+    read or stored through a run-time key. A state whose key memo holds
+    applies the deltas; otherwise the steps run, handing out each
+    post-state as it is made, and their distinct deltas are stored once
+    all of them have run. So a step that raises stores nothing: it
+    leaves in seen and out the post-states of the states and steps
+    before it, and the next state of its key raises again. A repeated
+    delta is stored once, since applied again it gives a post-state
+    that seen holds already, and a delta is left out for a self-loop of
+    a step that stores nothing outside R, which is a self-loop in every
+    state of the key. Each mask the steps read two or more times is applied once per
     miss (`_hoist`)."""
     steps = [_step_lines(guard, plan, env) for guard, plan in steps]
     reads = _reads("\n".join(text for lines, _ in steps for text in lines),
@@ -731,5 +748,5 @@ def kernel(steps, env, budget, memo):
         "                    add(n)",
         "            continue",
         "        d = []",
-        "        rec = d.append"], body + ["        memo[r] = d"], "expand",
-        env)
+        "        rec = d.append"],
+        body + ["        memo[r] = tuple(dict.fromkeys(d))"], "expand", env)

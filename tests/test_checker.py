@@ -19,7 +19,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 class NeverSeen(dict):
     """A `seen` map for the kernel that holds no state: `expand` hands
-    out every post-state it computes, duplicates included."""
+    out every post-state it computes, duplicates included, or, for a
+    state whose memo key it has seen, one per distinct delta."""
 
     def __contains__(self, state):
         return False

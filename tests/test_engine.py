@@ -443,8 +443,11 @@ _COMPOSITIONS = tuple(p for p, *_ in compose.builtin_compositions())
 def test_state_encoding_comes_from_the_sorts(name):
     """A packed state is as wide as its slots' sorts need: 33-37 bits on
     the builtins, below Python's 61-bit int hash, and 74-78 on the
-    compositions. The encoding is a function of the model: the start
-    state and the field masks are the same for any state budget."""
+    compositions. The fields of every variable a step stores into lie
+    below those of every variable none does, whose fields keep their
+    initial values in every reachable state. The encoding is a function
+    of the model: the start state and the field masks are the same for
+    any state budget."""
     model = _bundled_model(name)
     eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
     bits = eng.env["_FULL"].bit_length()
@@ -453,6 +456,12 @@ def test_state_encoding_comes_from_the_sorts(name):
     assert low <= bits <= high
     if name in BUILTIN_NAMES:
         assert eng.env["_FULL"] < 2**61
+    written = frozenset().union(*(w for _, w in ir.footprints(model)))
+    masks = {n: v[0] for n, v in zip(model.var_names, eng.env["_vars"])}
+    low = sum(m for n, m in masks.items() if n in written)
+    high = sum(m for n, m in masks.items() if n not in written)
+    assert low and low | high == eng.env["_FULL"]
+    assert high == 0 or low < high & -high  # below high's lowest bit
     tiny = checker._Engine(
         model, replace(checker.DEFAULT_BOUNDS, max_states=1))
     assert (tiny.start, tiny.env["_FULL"]) == (eng.start, eng.env["_FULL"])
@@ -518,12 +527,15 @@ def _chained_servers():
 
 def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
     """In every reachable state: the kernel's post-states other than the
-    state itself are the oracle's, with multiplicity (the kernel drops
-    only self-loops, and only those of steps storing no field outside
-    the memo key); with steps,
+    state itself are the oracle's, as a set (the kernel records each
+    distinct delta of a key once, so a state of a key it has seen gets
+    the post-state of two steps of one effect once, and it drops only
+    self-loops, and only those of steps storing no field outside the
+    memo key); with steps,
     `checker._apply` over the engine's (transition, binding) pairs gives
-    the oracle's successors exactly, self-loops included; and each
-    invariant evaluates as the tree-walking evaluator does. Each engine
+    the oracle's successors exactly, with multiplicity and self-loops
+    included; and each invariant evaluates as the tree-walking evaluator
+    does. Each engine
     state is decoded to its state vector once, and each oracle successor
     is compared as a state vector by looking it up among the decoded
     ones. Returns the number of states."""
@@ -549,7 +561,7 @@ def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
         state = dict(zip(names, vectors[s]))
         posts = []
         eng.expand([s], NeverSeen(), posts)
-        got = Counter(posts)
+        got = set(posts)
         decode(got)
         # a vector is hashed once, to look up its engine state; one that
         # no engine state decodes to stays a vector and fails below
@@ -561,9 +573,7 @@ def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
                                eng.constants, eng.atoms, eng.caps)
                 for t, binding in eng.pairs) if post is not None)
             assert applied == want
-        del want[s]
-        del got[s]
-        assert got == want
+        assert got - {s} == set(want) - {s}
         for prop, holds in tests:
             assert holds(s) == E.evaluate_bool(
                 prop.invariant, state, eng.constants, eng.atoms), prop.id
@@ -780,6 +790,54 @@ def test_check_all_on_a_shared_engine_equals_fresh_checks(
         for prop in props:
             assert checker.check(composed, prop) == results[prop.id], \
                 (composed.name, prop.id)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("chained-servers",))
+def test_reachable_states_stay_narrow(name):
+    """With the stored fields packed from bit 0, every reachable state
+    of a builtin is below 2^30, and every one of chained-servers' below
+    2^40 (76 bits wide were its states when packed in declaration
+    order), so Python hashes each state as its own value."""
+    eng = checker._Engine(_bundled_model(name), checker.DEFAULT_BOUNDS)
+    parents = {eng.start: None}
+    for _ in checker._bfs(eng, parents):
+        pass
+    assert max(parents) < (2**30 if name in BUILTIN_NAMES else 2**40)
+
+
+def _twin_model():
+    """IncA and IncB have one effect, counting x to 2, and Reset starts
+    it again, clearing `flag`, which Set sets and no step reads."""
+    return _model(
+        "twins", (),
+        (("x", ir.CounterSort(2), ir.InitExpr(E.parse("0"))),
+         ("flag", ir.BoolSort(), ir.InitExpr(E.parse("true")))),
+        ("IncA", (), "x # 2", ("x", (), "x + 1")),
+        ("IncB", (), "x # 2", ("x", (), "x + 1")),
+        ("Reset", (), "x = 2", ("x", (), "0"), ("flag", (), "false")),
+        ("Set", (), "true", ("flag", (), "true")))
+
+
+def test_steps_of_one_effect_record_one_delta():
+    """The memo records each distinct delta of a key once: IncA's and
+    IncB's is one, so every key holds two deltas (Inc's or Reset's, and
+    Set's), and a state of a key in the memo gets each post-state once.
+    The search is still the one-state-at-a-time reference, in order and
+    parents, in which IncB reaches no state IncA has not."""
+    model = _twin_model()
+    eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
+    parents = {eng.start: None}
+    for _ in checker._bfs(eng, parents):
+        pass
+    assert len(parents) == 6
+    assert [len(d) for d in eng.memo.values()] == [2, 2, 2]
+    for s in parents:
+        posts = []
+        eng.expand([s], NeverSeen(), posts)
+        assert len(posts) == len(set(posts)) == 2
+    _assert_bfs_matches_reference(model, checker.DEFAULT_BOUNDS)
+    _assert_engine_matches_oracle(model, checker.DEFAULT_BOUNDS,
+                                  model.properties)
 
 
 def test_chained_servers_memo_keys():

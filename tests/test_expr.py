@@ -397,13 +397,14 @@ def test_compiled_matches_evaluator(e, state):
     """On every expression the sort checker accepts, the same value, or
     the same exception type and message (a key outside the bounded
     AgentID), with each slot's field and codes from its sort and the
-    model's declared domains."""
+    model's declared domains, and every other variable's fields packed
+    below the rest, as a step's stores are."""
     assume(_well_sorted(e))
     names = list(state)
     values = [state[n] for n in names]
     slots, leaves = C.layout(names, [_SORTS[n] for n in names], CONSTANTS)
     env = C.environment()
-    C.pack(slots, leaves, _MODEL.constants_map, env)
+    C.pack(slots, leaves, _MODEL.constants_map, env, names[1::2])
     packed = C.encode(values, env)
     assert C.decode(packed, env) == tuple(values)
     fn = C.function(C.value(C.compile_expr(e, slots, CONSTANTS, env),

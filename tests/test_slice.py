@@ -130,10 +130,11 @@ def test_a_slice_cut_off_by_a_bound_is_searched_whole():
 
 
 def test_keys_that_can_raise_keep_the_search_whole():
-    """A map read at a state variable, at a parameter of another domain
-    whose cap is wider, or at a literal atom the cap drops, can raise:
-    a model with such a step is searched whole for every property, and
-    a property with such an invariant is searched whole."""
+    """A map read at a state variable with a value the cap drops, at a
+    parameter of another domain whose cap is wider, or at a literal atom
+    the cap drops, can raise: a model with such a step is searched whole
+    for every property, and a property with such an invariant is
+    searched whole."""
     def model_with(guard, params=()):
         return _model(
             "keys", (("Dom", ("a", "b")), ("Other", ("a", "b"))),
@@ -164,6 +165,36 @@ def test_keys_that_can_raise_keep_the_search_whole():
     assert checker.check(model, raising, capped) == whole_check_all(
         model, [raising], capped)["R"] == checker.CheckResult(
         "ERROR: index 'b' outside map key domain", 0)
+
+
+def test_an_enum_variable_key_that_the_caps_keep_is_sliced():
+    """A map read at a state variable of ENUM sort whose values are all
+    atoms the bounds keep cannot raise, so `not m[sel]` is searched in
+    its slice, which leaves Noise out and fails at the whole model's
+    depth with a trace of the whole model. With Dom capped to {a}, sel's
+    value b is dropped and the search stays whole."""
+    model = _model(
+        "enumkey", (("Dom", ("a", "b")),),
+        (("sel", ir.EnumSort(("a", "b")), ir.InitExpr(E.parse("a"))),
+         ("m", FLAGS, ir.InitAll(E.parse("false"))),
+         ("z", ir.BoolSort(), ir.InitExpr(E.parse("false")))),
+        ("Pick", (("x", "Dom"),), "sel # x", ("sel", (), "x")),
+        ("Mark", (), "sel = b", ("m", ("sel",), "true")),
+        ("Noise", (), "true", ("z", (), "not z")),
+        invariant="not m[sel]")
+    assert ir.validate(model).ok
+    prop = model.properties[0]
+    assert checker._slices(model, [prop], checker.DEFAULT_BOUNDS) == [
+        frozenset({"Pick", "Mark"})]
+    capped = checker.DEFAULT_BOUNDS.with_caps(dom=1)
+    assert checker._slices(model, [prop], capped) == [
+        frozenset({"Pick", "Mark", "Noise"})]
+    res = checker.check(model, prop)
+    whole = whole_check_all(model, [prop], checker.DEFAULT_BOUNDS)["INV"]
+    assert (res.verdict, _depth(res)) == (whole.verdict, _depth(whole)) \
+        == ("FAIL", 2) == oracle_check(model, prop, checker.DEFAULT_BOUNDS)
+    assert res.states_explored < whole.states_explored
+    assert checker.validate_trace(model, res.counterexample, prop)
 
 
 # ---------------------------------------------------------------------------
