@@ -67,37 +67,48 @@ DEFAULT_BOUNDS = Bounds(
 def bounded_constants(model: ir.ProtocolModel, bounds: Bounds) -> dict:
     """Each domain's atoms as explored: a cap keeps a declared prefix and
     never adds atoms. The TLA+ emitter reads the same domains."""
-    out = {}
-    for dom, atoms in model.constants:
-        cap = bounds.cap_for(dom)
-        out[dom] = atoms if cap is None else atoms[:cap]
-    return out
+    return {dom: atoms[:bounds.cap_for(dom)] for dom, atoms in model.constants}
+
+
+def _unkept_keys(accesses, bounded, sorts):
+    """Yields (i, key, domain) for each key of the i-th access
+    (`ir.Footprint`) that may fall outside its map's key domain as
+    bounded, and so raise: any but a parameter or quantified variable
+    whose domain's bounded atoms all lie in it, an ENUM state variable
+    whose values all do, or a literal atom that does."""
+    for i, (var, keys) in enumerate(accesses):
+        sort = sorts[var]
+        for key in keys:
+            kind, name, domain = key
+            if kind == "var" and type(sorts[name]) is ir.EnumSort:
+                atoms = sorts[name].values
+            elif kind == "var" or kind == "opaque":
+                atoms = None
+            else:
+                atoms = (name,) if kind == "atom" else bounded[domain]
+            if atoms is None or not set(atoms) <= set(bounded[sort.key]):
+                yield i, key, sort.key
+            sort = sort.value
 
 
 def refuse_dropped_stores(model: ir.ProtocolModel, bounds: Bounds):
     """Raises IrError if a cap drops an atom that an update stores at by
-    name, naming the cap, the atom, the transition and the update. The
-    checker could not take such a step, and TLA+'s EXCEPT would skip the
-    store, so neither backend runs it."""
+    name (a literal atom key of a store in `ir.footprints`), naming the
+    cap, the atom, the transition and the update. The checker could not
+    take such a step, and TLA+'s EXCEPT would skip the store, so neither
+    backend runs it."""
     bounded = bounded_constants(model, bounds)
-    dropped = {dom: atoms[len(bounded[dom]):]
-               for dom, atoms in model.constants}
-    if not any(dropped.values()):
-        return
+    if all(len(bounded[d]) == len(atoms) for d, atoms in model.constants):
+        return  # no cap drops an atom
     sorts = {v.name: v.sort for v in model.state_vars}
-    for t in model.transitions:
-        params = {n for n, _ in t.params}
-        for target, rhs in t.updates:
-            sort = sorts[target.var]
-            for key in target.keys:
-                if isinstance(key, E.Name) and key.name not in params \
-                        and key.name in dropped[sort.key]:
-                    raise ir.IrError(
-                        f"cap {sort.key.lower()}={bounds.cap_for(sort.key)} "
-                        f"drops atom {key.name!r}, which transition {t.id} "
-                        f"stores at: update `{target} := "
-                        f"{E.print_expr(rhs)}`")
-                sort = sort.value
+    for t, p in zip(model.transitions, ir.footprints(model)):
+        for i, (kind, atom, _), dom in _unkept_keys(p.stores, bounded, sorts):
+            if kind == "atom":  # declared in dom, if well-sorted
+                target, rhs = t.updates[i]
+                raise ir.IrError(
+                    f"cap {dom.lower()}={bounds.cap_for(dom)} drops atom "
+                    f"{atom!r}, which transition {t.id} stores at: update "
+                    f"`{target} := {E.print_expr(rhs)}`")
 
 
 def counter_cap(sort: ir.Sort, bounds: Bounds) -> Optional[int]:
@@ -182,29 +193,23 @@ def _store(old, keys, v):
 
 class _Engine:
     """Compiled successor and invariant evaluation for one (model, bounds),
-    with the transitions whose ids are in kept, or all of them.
+    with the transitions whose ids are in kept, or all of them; prints
+    maps each kept transition's id to its footprint (`ir.footprints`).
 
     It compiles only what `ir.typecheck` accepts, and raises IrError
-    naming the findings of an ill-sorted model or property, as
-    `ir.typecheck` found them once per model, or a cap that drops an atom
-    an update stores at (`refuse_dropped_stores`). Its layout comes from the
-    sorts under the bounds (`compiled.layout`). A state
-    inside the engine is one packed int (see `compiled`), whose fields
-    are as wide as the slots' sorts need, whatever the bounds; those of
-    the variables its transitions store into (`ir.footprints`) take the
-    low bits, and the others, which keep their initial values, lie above
-    them. State
-    vectors appear only at the boundary: the initial state and
-    counterexamples. The kernel, `expand(frontier, seen, out)`
-    (`compiled.kernel`), serves the search only: one call expands a whole
-    BFS level, handing out the post-states of the steps of `_pairs` in
-    that order and deduping each inline against `seen`, and stops before
-    a state once `seen` holds more than `budget` states. It memoises the
-    steps' effects in `memo`, keyed by the bits of a state that the steps
-    read: the steps run once per key, and every other state of that key
-    applies the recorded deltas. The memo lives and dies with the engine,
-    so the searches of one `check_all` that keep the same transitions
-    share it.
+    naming the findings of an ill-sorted model or property (found once
+    per model), or a cap that drops an atom an update stores at
+    (`refuse_dropped_stores`). A state inside the engine is one packed
+    int (`compiled.layout`, `compiled.pack`), with the fields of the
+    variables the kept transitions store into from bit 0. State vectors
+    appear only at the boundary: the initial state and counterexamples.
+    The kernel (`compiled.kernel`) serves the search only: one call
+    expands a whole BFS level over the steps of `_pairs`, in that order,
+    and stops before a state once `seen` holds more than `budget`
+    states. Its `memo` is keyed by the mask R that `compiled.read_mask`
+    resolves from the footprints of the steps whose guards do not fold
+    to false; it lives and dies with the engine, so the searches of one
+    `check_all` that keep the same transitions share it.
     """
 
     def __init__(self, model: ir.ProtocolModel, bounds: Bounds,
@@ -218,24 +223,28 @@ class _Engine:
         self.slots, leaves = C.layout(
             model.var_names, [v.sort for v in model.state_vars],
             self.constants)
-        keep = [kept is None or t.id in kept for t in model.transitions]
-        self.pairs = _pairs(itertools.compress(model.transitions, keep),
-                            self.constants)
-        written = frozenset().union(*(writes for _, writes in
-                                      itertools.compress(ir.footprints(model),
-                                                         keep)))
+        self.prints = {t.id: p for t, p in zip(model.transitions,
+                                               ir.footprints(model))
+                       if kept is None or t.id in kept}
+        self.pairs = _pairs([t for t in model.transitions
+                             if t.id in self.prints], self.constants)
         self.env = C.environment()
-        C.pack(self.slots, leaves, model.constants_map, self.env, written)
+        C.pack(self.slots, leaves, model.constants_map, self.env,
+               frozenset().union(*(p.written for p in self.prints.values())))
         self.start = C.encode(initial, self.env)
-        steps = [C.compile_step(t, binding, self.slots, self.constants,
-                                self.caps, self.env)
-                 for t, binding in self.pairs]
+        steps, live = [], []
+        for t, binding in self.pairs:
+            step = C.compile_step(t, binding, self.slots, self.constants,
+                                  self.caps, self.env)
+            if step[0] is not False:
+                steps.append(step)
+                live.append((self.prints[t.id], binding))
         # the initial state is never over the budget
         self.budget = max(bounds.max_states, 1)
         self.memo = {}  # the kernel's step effects, shared by searches
         self.expand = C.kernel(
-            [step for step in steps if step[0] is not False], self.env,
-            self.budget, self.memo)
+            steps, C.read_mask(live, self.slots, self.constants, self.env),
+            self.env, self.budget, self.memo)
 
     def canonical(self, state: int) -> tuple:
         return C.decode(state, self.env)
@@ -297,15 +306,18 @@ def _extract(eng: _Engine, prop: ir.Property, parents: dict,
     while parents[path[-1]] is not None:
         path.append(parents[path[-1]])
     path = [eng.canonical(s) for s in reversed(path)]
-    names = eng.model.var_names
-    # the first step from pre reaching post is the one BFS recorded
-    steps = tuple(
-        next(TraceStep(t.id, binding, post) for t, binding in eng.pairs
-             if _apply(names, t, binding, pre, eng.constants, eng.atoms,
-                       eng.caps) == post)
-        for pre, post in zip(path, path[1:]))
+    names, steps = eng.model.var_names, []
+    # the first step from pre reaching post is the one BFS recorded; only
+    # a transition that stores every variable that changed can be it
+    for pre, post in zip(path, path[1:]):
+        changed = {n for n, a, b in zip(names, pre, post) if a != b}
+        steps.append(next(
+            TraceStep(t.id, binding, post) for t, binding in eng.pairs
+            if changed <= eng.prints[t.id].written
+            and _apply(names, t, binding, pre, eng.constants, eng.atoms,
+                       eng.caps) == post))
     return Counterexample(eng.model.name, prop.id, len(steps), path[0],
-                          steps)
+                          tuple(steps))
 
 
 def check(model: ir.ProtocolModel, prop: ir.Property,
@@ -332,10 +344,8 @@ def check(model: ir.ProtocolModel, prop: ir.Property,
     model, whose result is reported, its count included. Three kinds of
     search stay whole, so that an ERROR verdict keeps its place in the
     search: `enumerate_states`, the searches of a model with a step that
-    can raise in the bounded instance (a map key that is not a parameter,
-    a quantified variable, an ENUM state variable or a literal atom whose
-    atoms the caps all keep), and that of a property whose invariant can
-    raise.
+    can raise in the bounded instance, and that of a property whose
+    invariant can raise, as their footprints tell (`_unkept_keys`).
 
     An ill-sorted model or property (`ir.typecheck`), a cap that drops an
     atom an update stores at, or a key outside a capped domain, yields an
@@ -363,63 +373,6 @@ def _search(eng: _Engine, prop: ir.Property) -> CheckResult:
     except Exception as exc:  # a guard, update or invariant that raises
         return CheckResult(f"ERROR: {exc}", 0)
     return CheckResult("PASS", explored)
-
-
-def _key_kept(key, domain, bounded, scope, sorts) -> bool:
-    """Whether the map key key is sure to be an atom of domain as
-    bounded: a parameter or quantified variable (scope maps it to its
-    domain) whose bounded atoms all are, a state variable of ENUM sort
-    whose values all are, or a literal atom that is."""
-    if type(key) is not E.Name:
-        return False
-    own = scope.get(key.name)
-    if own is not None:
-        return own == domain or set(bounded[own]) <= set(bounded[domain])
-    sort = sorts.get(key.name)
-    if sort is None:
-        return key.name in bounded[domain]
-    return type(sort) is ir.EnumSort and set(sort.values) <= set(
-        bounded[domain])
-
-
-def _keys_kept(e, bounded, scope, sorts) -> bool:
-    """Whether every map read in the well-sorted expression e is at a key
-    the bounded instance keeps (`_key_kept`), so that e cannot raise."""
-    t = type(e)
-    if t is E.Index:
-        base, depth = e.base, 0
-        while type(base) is E.Index:
-            base, depth = base.base, depth + 1
-        sort = sorts[base.name]
-        for _ in range(depth):
-            sort = sort.value
-        if not _key_kept(e.key, sort.key, bounded, scope, sorts):
-            return False
-    elif t is E.Forall or t is E.Exists:
-        scope = {**scope, e.var: e.domain}
-    elif t is E.Name:
-        return True
-    for x in E.children(e):
-        if not _keys_kept(x, bounded, scope, sorts):
-            return False
-    return True
-
-
-def _step_kept(t: ir.Transition, bounded, sorts) -> bool:
-    """Whether no guard, right-hand side or store of the well-sorted
-    transition t can raise in the bounded instance (`_keys_kept`)."""
-    scope = dict(t.params)
-    if not _keys_kept(t.guard, bounded, scope, sorts):
-        return False
-    for target, rhs in t.updates:
-        if not _keys_kept(rhs, bounded, scope, sorts):
-            return False
-        sort = sorts[target.var]
-        for k in target.keys:
-            if not _key_kept(k, sort.key, bounded, scope, sorts):
-                return False
-            sort = sort.value
-    return True
 
 
 def check_all(model: ir.ProtocolModel, properties,
@@ -462,19 +415,19 @@ def _slices(model: ir.ProtocolModel, properties, bounds: Bounds) -> list:
     whole = frozenset(t.id for t in model.transitions)
     bounded = bounded_constants(model, bounds)
     sorts = {v.name: v.sort for v in model.state_vars}
-    if ir.subject_findings(model, None) or not all(
-            _step_kept(t, bounded, sorts) for t in model.transitions):
+    prints = ir.footprints(model)
+    if ir.subject_findings(model, None) or any(_unkept_keys(
+            [a for p in prints for a in p.reads + p.stores], bounded, sorts)):
         return [whole] * len(properties)
     out = []
     for prop in properties:
-        if ir.subject_findings(model, prop) \
-                or not _keys_kept(prop.invariant, bounded, {}, sorts):
+        if ir.subject_findings(model, prop) or any(_unkept_keys(
+                ir.footprint(model, prop.invariant).reads, bounded, sorts)):
             out.append(whole)
             continue
         names = ir.cone(model, prop.invariant)
-        out.append(frozenset(t.id for t, (_, writes) in zip(
-            model.transitions, ir.footprints(model))
-            if not writes.isdisjoint(names)))
+        out.append(frozenset(t.id for t, p in zip(model.transitions, prints)
+                             if not p.written.isdisjoint(names)))
     return out
 
 

@@ -252,8 +252,7 @@ def _cmd_report(args) -> int:
     _write_out(args.out, report.render(matrix, args.format))
     if matrix.spec_level_count:
         return EXIT_VIOLATION
-    cut_off = any(c.model_verdict == "BOUND_EXHAUSTED" for c in matrix.cells)
-    return EXIT_ERROR if cut_off else EXIT_OK
+    return EXIT_ERROR if dict(matrix.totals)["truncated"] else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,9 +25,8 @@ and those of the other variables above them, also in slot order. Only
 the shifts move: slot indices, `_vars`, `encode` and `decode` keep
 declaration order. A never-written field keeps its initial value, so a
 reachable state is no wider than the written fields and the
-never-written ones that start at a nonzero code: chained-servers' states
-take 39 of its 76 bits, below the 61 bits Python hashes an int by, and
-their low bits, which a dict probes first, differ more. A field's width
+never-written ones that start at a nonzero code, and its low bits,
+which a dict probes first, differ most. A field's width
 and its values' codes come from the slot's leaf sort alone: a BOOL
 takes 1 bit and a COUNTER(n) the bits of n, each holding its value; an
 ENUM is coded by a value's position among its declared values; and a
@@ -73,24 +72,19 @@ place.
 
 Functions. `function` turns a value's source into `value(s)`, and
 `kernel` writes one `expand(frontier, seen, out)` for all of an
-engine's steps, for the search only. `expand` is a whole BFS level: it
-loops over the frontier's states inside the compiled code, and each
-post-state n of a state s that the dict `seen` does not hold it records
-as `seen[n] = s` and appends to the list `out`, so the search's dedup
-happens inline. The steps' effects are memoised by the bits they read:
-a state's key is `s & R`, R masking every field a step reads, and a
-step that stores the fields W turns every state of one key into
-`s & ~W | (n & W)`. So each key's steps run once, on its first state,
-which records their distinct deltas (~W, n & W), in order of first
-occurrence, and every later state of that key is one table lookup and
-the deltas applied. A repeated delta would give a post-state already in
-`seen`, so dropping it moves no state, order or parent. The composed
-models have 527-5,734 keys for 65,090-208,636 states. Both functions
-use `_define`, which applies each mask the body reads two or more times
-once, into a local `m<j>` at the top of the body; what is read once
-stays inline, where short-circuiting may skip it. `compile()`
-is memoised on the source text, so a model checked again (another
-property, another run in one process) reuses its code objects.
+engine's steps, for the search only: a whole BFS level, deduped inline
+against `seen`. The steps' effects are memoised by the bits they read:
+a state's key is `s & R`, and a step that stores the fields W turns
+every state of one key into `s & ~W | (n & W)`, so each key's steps run
+once and every later state of that key is one table lookup and the
+recorded deltas applied. R comes from the steps' footprints
+(`ir.footprints`) resolved under the layout (`read_mask`), not from
+their source. Both functions use `_define`, which applies each mask the
+body reads two or more times once, into a local `m<j>` at the top of
+the body; what is read once stays inline, where short-circuiting may
+skip it. `compile()` is memoised on the source text, so a model checked
+again (another property, another run in one process) reuses its code
+objects.
 """
 
 from __future__ import annotations
@@ -668,31 +662,57 @@ def _step_lines(guard, plan, env):
     return lines, writes
 
 
-# A map read whole or through a run-time key, or stored through one: the
-# slot the helper starts from lies in the map's variable.
-_MAP_AT = r"(?:_get\(_L, s, |_build\(_L, s, |_offset\()(?:_at\()*(\d+)"
-
-
-def _reads(src, env):
-    """The mask of the fields that the step source src reads, or that a
-    post-state carries from s through a store at a run-time key: each
-    masked read `(s & M)`, and the whole variable of each map a helper
-    reads or stores through a run-time key."""
-    mask = 0
-    for m in _READ.findall(src):
-        mask |= int(m, 16)
-    for i in map(int, re.findall(_MAP_AT, src)):
-        mask |= _var_mask(i, env)
-    return mask
-
-
 def _var_mask(i, env):
     """The mask of the fields of the variable that holds slot i."""
     return next(mask for mask, _, base, shape in env["_vars"]
                 if base <= i < base + size(shape))
 
 
-def kernel(steps, env, budget, memo):
+def read_mask(steps, slots, constants, env) -> int:
+    """R, the mask of the fields that the steps, (`ir.Footprint`,
+    binding) each, read or carry from the pre-state: each leaf read at
+    keys known at compile time, a quantified key taking each atom of its
+    bounded domain (constants), and the whole variable of a map read
+    whole or through a run-time key, or stored into through keys other
+    than at one leaf, whose W is the whole variable. A key outside its
+    map reaches no slot: that read raises. R may hold fields that no
+    step reads (constant folding drops a read, or a key path uses one
+    quantified variable twice), never fewer."""
+    reads, stores, L, mask = set(), set(), env["_L"], 0
+    for footprint, binding in steps:
+        bound = dict(binding)
+        for out, accesses in ((reads, footprint.reads),
+                              (stores, footprint.stores)):
+            for var, keys in accesses:
+                out.add((var, tuple(
+                    (n,) if k == "atom" else (bound[n],) if k == "param"
+                    else constants[d] if k == "bound" else None
+                    for k, n, d in keys) if keys else ()))
+
+    def leaves(var, path):
+        """The leaf slots the path reaches; None: the whole variable."""
+        shape, base = slots[var]
+        at = [base]
+        for atoms in path:
+            if atoms is None:
+                return None
+            names, shape, stride = shape
+            at = [i + names.index(a) * stride for i in at for a in atoms
+                  if a in names]
+        return at if shape is None else None
+
+    for var, path in reads:
+        at = leaves(var, path)  # distinct slots
+        mask |= _var_mask(slots[var][1], env) if at is None else sum(
+            L[i][1] << L[i][0] for i in at)
+    for var, path in stores:
+        at = leaves(var, path)
+        if path and (at is None or len(at) != 1):
+            mask |= _var_mask(slots[var][1], env)
+    return mask
+
+
+def kernel(steps, reads, env, budget, memo):
     """expand(frontier, seen, out): one BFS level. For each state s of
     the list frontier, in order, it hands out the post-states of the
     compiled steps (guard, plan) in order: each post-state n that the
@@ -701,23 +721,19 @@ def kernel(steps, env, budget, memo):
     budget states.
 
     memo maps a key `s & R` to the steps' distinct deltas (~W, n & W),
-    in first occurrence order, W masking the fields a step stores (see
-    the module docstring). R covers every field that a guard, value, key
-    or range check reads, and the whole variable of a map read whole or
-    read or stored through a run-time key. A state whose key memo holds
-    applies the deltas; otherwise the steps run, handing out each
-    post-state as it is made, and their distinct deltas are stored once
-    all of them have run. So a step that raises stores nothing: it
-    leaves in seen and out the post-states of the states and steps
-    before it, and the next state of its key raises again. A repeated
-    delta is stored once, since applied again it gives a post-state
-    that seen holds already, and a delta is left out for a self-loop of
-    a step that stores nothing outside R, which is a self-loop in every
-    state of the key. Each mask the steps read two or more times is applied once per
-    miss (`_hoist`)."""
+    in first occurrence order, W masking the fields a step stores, and
+    reads is R (`read_mask`). A state whose key memo holds applies the
+    deltas; otherwise the steps run, handing out each post-state as it
+    is made, and their distinct deltas are stored once all of them have
+    run. So a step that raises stores nothing: it leaves in seen and out
+    the post-states of the states and steps before it, and the next
+    state of its key raises again. A repeated delta is stored once,
+    since applied again it gives a post-state that seen holds already,
+    and a delta is left out for a self-loop of a step that stores
+    nothing outside R, which is a self-loop in every state of the key.
+    Each mask the steps read two or more times is applied once per miss
+    (`_hoist`)."""
     steps = [_step_lines(guard, plan, env) for guard, plan in steps]
-    reads = _reads("\n".join(text for lines, _ in steps for text in lines),
-                   env)
     full, body = env["_FULL"], []
     for lines, writes in steps:
         body += lines

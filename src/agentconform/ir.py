@@ -550,45 +550,80 @@ def validate(model: ProtocolModel) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # Footprints and cones of influence
 
-def _reads(e, names, out: set):
-    """Adds to out each of names that e reads, where no quantifier of e
-    hides it."""
+class Footprint(Record):
+    # reads: each state access of the guard, right-hand sides and keys
+    # (or of an invariant) once; stores: one per update, in order. An
+    # access is (variable, keys), outermost key first, each (kind, name,
+    # domain): ("atom", a, None), ("param", p, D), ("bound", x, D) for x
+    # quantified over D, ("var", v, None) or ("opaque", None, None).
+    # read_vars and written: the variables of reads and of stores.
+    __slots__ = ("reads", "stores", "read_vars", "written")
+
+
+def _key_of(k, names, scope) -> tuple:
+    if type(k) is not E.Name:
+        return ("opaque", None, None)
+    return scope.get(k.name) or (
+        "var" if k.name in names else "atom", k.name, None)
+
+
+def _accesses(e, names, scope, out: dict):
+    """Adds to out, a dict kept as an ordered set, each state access of
+    e (`Footprint`) over the state variables names; scope maps each
+    bound name to its key, hiding a state variable of its name."""
     t = type(e)
     if t is E.Name:
-        if e.name in names:
-            out.add(e.name)
-    elif (t is E.Forall or t is E.Exists) and e.var in names:
-        inner = set()
-        _reads(e.body, names, inner)
-        inner.discard(e.var)
-        out |= inner
+        if e.name in names and e.name not in scope:
+            out[e.name, ()] = None
+    elif t is E.Index:
+        path = []
+        while type(e) is E.Index:
+            path.insert(0, e.key)
+            e = e.base
+        if type(e) is not E.Name:
+            _accesses(e, names, scope, out)
+        elif e.name in names and e.name not in scope:
+            out[e.name, tuple(_key_of(k, names, scope) for k in path)] = None
+        for k in path:
+            _accesses(k, names, scope, out)
+    elif t is E.Forall or t is E.Exists:
+        _accesses(e.body, names, {**scope, e.var: ("bound", e.var, e.domain)},
+                  out)
     else:
         for x in E.children(e):
-            _reads(x, names, out)
+            _accesses(x, names, scope, out)
+
+
+def _footprint(names, scope, guard, updates) -> Footprint:
+    """The `Footprint` of a guard, or an invariant, and updates."""
+    reads = {}
+    _accesses(guard, names, scope, reads)
+    for target, rhs in updates:
+        for x in (rhs, *target.keys):
+            _accesses(x, names, scope, reads)
+    stores = tuple([(target.var, tuple([_key_of(k, names, scope)
+                                        for k in target.keys]))
+                    for target, _ in updates])
+    return Footprint(tuple(reads), stores, frozenset([v for v, _ in reads]),
+                     frozenset([v for v, _ in stores]))
 
 
 def footprints(model: ProtocolModel) -> tuple:
-    """Per transition of model, in order: (reads, writes), the state
-    variables that its guard, right-hand sides and keys read, and those
-    it stores into, as frozensets of names. A parameter hides a variable
-    of its name. Made once per model object."""
+    """The `Footprint` of each transition of model, in order, made once
+    per model object; a parameter hides a variable of its name."""
     prints = getattr(model, "_footprints", None)
     if prints is None:
         names = frozenset(model.var_names)
-        prints = []
-        for t in model.transitions:
-            seen = names.difference(n for n, _ in t.params)
-            reads = set()
-            _reads(t.guard, seen, reads)
-            for target, rhs in t.updates:
-                _reads(rhs, seen, reads)
-                for k in target.keys:
-                    _reads(k, seen, reads)
-            prints.append((frozenset(reads),
-                           frozenset(target.var for target, _ in t.updates)))
-        prints = tuple(prints)
+        prints = tuple([_footprint(
+            names, {n: ("param", n, d) for n, d in t.params}, t.guard,
+            t.updates) for t in model.transitions])
         ProtocolModel._footprints.__set__(model, prints)
     return prints
+
+
+def footprint(model: ProtocolModel, invariant) -> Footprint:
+    """The `Footprint` of an invariant over model's state: its reads."""
+    return _footprint(frozenset(model.var_names), {}, invariant, ())
 
 
 def cone(model: ProtocolModel, invariant) -> frozenset:
@@ -597,16 +632,12 @@ def cone(model: ProtocolModel, invariant) -> frozenset:
     them, closed under that rule (`footprints`). No other transition can
     change a value the invariant reads, or whether a transition that can
     is enabled."""
-    names = set()
-    _reads(invariant, frozenset(model.var_names), names)
-    prints = footprints(model)
-    grown = True
-    while grown:
-        grown = False
-        for reads, writes in prints:
-            if not writes.isdisjoint(names) and not reads <= names:
-                names |= reads
-                grown = True
+    names, size = set(footprint(model, invariant).read_vars), -1
+    while size != len(names):
+        size = len(names)
+        for p in footprints(model):
+            if not p.written.isdisjoint(names):
+                names |= p.read_vars
     return frozenset(names)
 
 

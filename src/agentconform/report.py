@@ -21,7 +21,7 @@ from .builtins import builtin, builtin_clauses
 from .record import Record
 
 TRIAGE_VERDICTS = ("spec-fail", "impl-fail", "both-fail", "model-fail",
-                   "ambiguity-fail", "pass")
+                   "ambiguity-fail", "truncated", "pass")
 SPEC_LEVEL = ("spec-fail", "both-fail", "ambiguity-fail")
 REPLAY_OUTCOMES = ("VIOLATED", "UPHELD", "NOT_RUN")
 
@@ -51,7 +51,8 @@ class Annotations(Record):
 def triage(model_result: checker.CheckResult, replay_outcome: str,
            prop: ir.Property, annotations: Annotations = Annotations()
            ) -> str:
-    """Classify one cell's root cause. Total over its input space."""
+    """Classify one cell's root cause. Total over its input space. A
+    search the bounds cut off decided nothing: its cell is `truncated`."""
     if replay_outcome not in REPLAY_OUTCOMES:
         raise ReportError(f"bad replay outcome {replay_outcome!r}")
     verdict = model_result.verdict
@@ -65,7 +66,8 @@ def triage(model_result: checker.CheckResult, replay_outcome: str,
     if verdict.startswith("ERROR"):
         # the model could not be checked; that is a modeling defect
         return "model-fail"
-    # a bound-exhausted search found no violation within scope
+    if verdict == "BOUND_EXHAUSTED":
+        return "truncated"
     failed = verdict == "FAIL"
     if failed and annotations.ambiguous_clauses:
         return "ambiguity-fail"
@@ -131,11 +133,8 @@ def build_matrix(inputs, snapshots) -> ConformanceMatrix:
                 proto, pr, ci.model_result.verdict, ci.replay_outcome,
                 ci.prop.cls, verdict, cx.depth if cx else None,
                 catalog.aps_layer(pr), cx))
-    counts = {v: 0 for v in TRIAGE_VERDICTS}
-    for c in cells:
-        counts[c.triage] += 1
-    return ConformanceMatrix(tuple(cells),
-                             tuple(sorted(counts.items())),
+    counts = {v: sum(c.triage == v for c in cells) for v in TRIAGE_VERDICTS}
+    return ConformanceMatrix(tuple(cells), tuple(sorted(counts.items())),
                              tuple(snapshots))
 
 
@@ -202,7 +201,8 @@ def bundled_matrix(bounds=checker.DEFAULT_BOUNDS) -> ConformanceMatrix:
 # Rendering
 
 _GLYPH = {"pass": ".", "spec-fail": "S", "impl-fail": "I",
-          "both-fail": "B", "model-fail": "M", "ambiguity-fail": "A"}
+          "both-fail": "B", "model-fail": "M", "ambiguity-fail": "A",
+          "truncated": "T"}
 _CLASS_TAG = {"spec-mandated": "SM", "spec-recommended": "SR",
               "aasm-hardening": "AH", "aps-completeness": "AC"}
 
@@ -230,7 +230,7 @@ def _render_table(matrix: ConformanceMatrix) -> str:
         out.append(row)
     out.append("")
     out.append("glyphs: . pass  S spec-fail  I impl-fail  B both-fail  "
-               "M model-fail  A ambiguity-fail")
+               "M model-fail  A ambiguity-fail  T truncated")
     out.append("classes: SM spec-mandated  SR spec-recommended  "
                "AH aasm-hardening  AC aps-completeness")
     out.append("")

@@ -73,11 +73,12 @@ def test_truncated_search_exits_2(argv, lines, capsys):
 
 
 def test_report_with_every_search_cut_off_exits_2(capsys):
-    """`report` triages a BOUND_EXHAUSTED cell as `pass`, but no search
+    """`report` triages a BOUND_EXHAUSTED cell as `truncated`; no search
     completed, so with no spec-level violation the exit code is 2."""
     assert run_cli("report", "--bounds", "depth=0") == 2
     out = capsys.readouterr().out
     assert "spec-level violations: 0" in out
+    assert "  pass=0  spec-fail=0  truncated=55\n" in out
     assert run_cli("report") == 1
 
 

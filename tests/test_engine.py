@@ -456,7 +456,7 @@ def test_state_encoding_comes_from_the_sorts(name):
     assert low <= bits <= high
     if name in BUILTIN_NAMES:
         assert eng.env["_FULL"] < 2**61
-    written = frozenset().union(*(w for _, w in ir.footprints(model)))
+    written = frozenset().union(*(p.written for p in ir.footprints(model)))
     masks = {n: v[0] for n, v in zip(model.var_names, eng.env["_vars"])}
     low = sum(m for n, m in masks.items() if n in written)
     high = sum(m for n, m in masks.items() if n not in written)
@@ -840,14 +840,49 @@ def test_steps_of_one_effect_record_one_delta():
                                   model.properties)
 
 
-def test_chained_servers_memo_keys():
-    """The chained-servers search looks up 527 keys for its 65,090
-    states: the key holds only the fields the steps read."""
-    eng = checker._Engine(_chained_servers(), checker.DEFAULT_BOUNDS)
+# per composition: distinct reachable states and memo keys at
+# DEFAULT_BOUNDS
+MEMO_KEYS = {"tool-delegation": (154274, 5734),
+             "chained-servers": (65090, 527),
+             "tool-capability": (208636, 2777),
+             "delegation-capability": (71774, 3447),
+             "federated-delegation": (82504, 654)}
+
+
+@pytest.mark.parametrize("name", MEMO_KEYS)
+def test_composition_states_and_memo_keys(name):
+    """Each composition's search of the whole model reaches its states
+    with this many memo keys: the key holds only the fields the steps
+    read (`compiled.read_mask`), so a wider one shows here as more
+    keys."""
+    eng = checker._Engine(_bundled_model(name), checker.DEFAULT_BOUNDS)
     parents = {eng.start: None}
     for _ in checker._bfs(eng, parents):
         pass
-    assert (len(parents), len(eng.memo)) == (65090, 527)
+    assert (len(parents), len(eng.memo)) == MEMO_KEYS[name]
+
+
+def test_memo_key_covers_every_field_the_steps_read(monkeypatch):
+    """Every masked field read `(s & M)` in a bundled kernel's step code
+    lies within the key mask R that the footprints give; the keyed
+    model's R also holds the whole of each map read or stored through a
+    run-time key (`m`, `n`), though no step reads `m`'s fields."""
+    def key_mask(model):
+        src = _kernel_source(monkeypatch, model)
+        monkeypatch.undo()
+        reads = int(re.search(r"^ +r = s & (0x[0-9a-f]+)$", src, re.M)[1], 16)
+        steps = src.split("rec = d.append\n", 1)[1]
+        masks = [int(m, 16) for m in C._READ.findall(steps)]
+        assert masks and all(m & ~reads == 0 for m in masks), model.name
+        return reads
+
+    for name in BUILTIN_NAMES + _COMPOSITIONS:
+        key_mask(_bundled_model(name))
+    model = _keyed_model()
+    env = checker._Engine(model, checker.DEFAULT_BOUNDS).env
+    whole = {n: v[0] for n, v in zip(model.var_names, env["_vars"])}
+    assert key_mask(model) == \
+        whole["sel"] | whole["m"] | whole["n"] | whole["flag"]
 
 
 def _reference_bfs(eng):

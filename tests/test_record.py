@@ -57,6 +57,7 @@ def samples(bundled_run):
         ir.validate(replace(model, transitions=(
             replace(model.transitions[0], source_refs=()),))),
         ir.coverage(model, builtins.builtin_clauses("mcp")),
+        ir.footprints(model),
         checker.DEFAULT_BOUNDS, bundled_run[0],
         report.CellInput("mcp", "P8", result, prop),
         tla.emit_artifact(model), tla.parse_tlc_output(log),

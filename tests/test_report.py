@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agentconform import checker, expr as E, ir, report
+from agentconform.record import replace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,6 +74,17 @@ def test_triage_error_verdict_is_model_fail():
                          _PROP["aasm-hardening"]) == "model-fail"
 
 
+def test_triage_truncated():
+    """A search the bounds cut off decided nothing, whatever the replay
+    found; a manual model-fail flag and an ERROR still win."""
+    for outcome in report.REPLAY_OUTCOMES:
+        assert report.triage(_result("BOUND_EXHAUSTED"), outcome,
+                             _PROP["spec-mandated"]) == "truncated"
+    ann = report.Annotations(manual_model_fail=True)
+    assert report.triage(_result("BOUND_EXHAUSTED"), "NOT_RUN",
+                         _PROP["spec-mandated"], ann) == "model-fail"
+
+
 def test_triage_rejects_bad_outcome():
     with pytest.raises(report.ReportError):
         report.triage(_result("PASS"), "MAYBE", _PROP["aasm-hardening"])
@@ -122,6 +134,21 @@ def test_bundled_matrix_shape(bundled_run):
     assert len(matrix.cells) == 55
     assert sum(n for _, n in matrix.totals) == 55
     assert matrix.spec_level_count == 33
+
+
+def test_depth_one_totals_count_truncated_cells():
+    """At depth 1 the 20 cells whose slice keeps no transition pass,
+    10 fail at depth 1, and the other 25 searches are cut off: they are
+    counted as truncated, not as passes."""
+    matrix = report.bundled_matrix(
+        replace(checker.DEFAULT_BOUNDS, max_depth=1))
+    assert dict(matrix.totals) == {
+        "ambiguity-fail": 3, "both-fail": 0, "impl-fail": 0,
+        "model-fail": 0, "pass": 20, "spec-fail": 7, "truncated": 25}
+    for cell in matrix.cells:
+        assert (cell.triage == "truncated") == \
+            (cell.model_verdict == "BOUND_EXHAUSTED")
+    assert "T/" in report.render(matrix)
 
 
 def test_every_failing_cell_links_a_counterexample(bundled_run):

@@ -17,8 +17,10 @@ FLAGS = ir.MapSort("Dom", ir.BoolSort())
 
 
 def test_footprints_name_what_each_step_reads_and_writes():
-    """A guard, a right-hand side and a key each add the variables they
-    read; a parameter or quantified variable hides a variable of its
+    """A guard, a right-hand side and a key each add the accesses they
+    make, and each update its store; a key is a literal atom, a
+    parameter, a quantified variable, a state variable or another term,
+    and a parameter or quantified variable hides a variable of its
     name. The footprints are made once per model object. A cone closes
     the invariant's variables under the reads of their writers."""
     model = _model(
@@ -34,11 +36,21 @@ def test_footprints_name_what_each_step_reads_and_writes():
         ("Pick", (("sel", "Dom"),), "true", ("n", ("sel",), "true")),
         invariant="forall x in Dom : not m[x]")
     prints = ir.footprints(model)
+    y, on, sel = ("param", "y", "Dom"), ("bound", "on", "Dom"), \
+        ("param", "sel", "Dom")
     assert prints == (
-        (frozenset({"on", "sel"}), frozenset({"m"})),
-        (frozenset({"n", "k"}), frozenset({"m", "k"})),
-        (frozenset(), frozenset({"n"})))
+        ir.Footprint((("on", ()), ("sel", ())), (("m", (y,)),),
+                     frozenset({"on", "sel"}), frozenset({"m"})),
+        ir.Footprint((("n", (on,)), ("n", ()), ("k", ())),
+                     (("m", ()), ("k", ())),
+                     frozenset({"n", "k"}), frozenset({"m", "k"})),
+        ir.Footprint((), (("n", (sel,)),), frozenset(), frozenset({"n"})))
     assert ir.footprints(model) is prints
+    assert ir.footprint(model, E.parse(
+        "exists x in Dom : m[sel] or n[a] or n[x] or m[n[x]]")).reads == (
+        ("m", (("var", "sel", None),)), ("sel", ()),
+        ("n", (("atom", "a", None),)), ("n", (("bound", "x", "Dom"),)),
+        ("m", (("opaque", None, None),)))
     assert ir.footprints(replace(model, name="again")) == prints
     assert ir.cone(model, model.properties[0].invariant) == \
         frozenset({"m", "on", "sel", "n", "k"})
@@ -74,8 +86,9 @@ def test_bundled_slices():
             for _, a, b, bridge in compose.builtin_compositions()]:
         bounded = checker.bounded_constants(model, checker.DEFAULT_BOUNDS)
         sorts = {v.name: v.sort for v in model.state_vars}
-        assert all(checker._step_kept(t, bounded, sorts)
-                   for t in model.transitions), model.name
+        assert not any(checker._unkept_keys(
+            [a for p in ir.footprints(model) for a in p.reads + p.stores],
+            bounded, sorts)), model.name
     model = _bundled_model("federated-delegation")
     prop, = (p for p in compose.cs_properties(model, "federated-delegation")
              if p.id == "CS_DomainIsolation")
