@@ -70,7 +70,43 @@ def bounded_constants(model: ir.ProtocolModel, bounds: Bounds) -> dict:
     return {dom: atoms[:bounds.cap_for(dom)] for dom, atoms in model.constants}
 
 
-def _unkept_keys(accesses, bounded, sorts):
+class Instance(Record):
+    # names, sorts ({name: sort}): the state variables in vector order
+    # caps: {counter: its largest value}; initial: state vector
+    __slots__ = ("model", "bounds", "names", "sorts", "constants", "atoms",
+                 "caps", "initial")
+
+
+def instance(model: ir.ProtocolModel, bounds: Bounds) -> Instance:
+    """The bounded instance that the checker, the trace validator and the
+    TLA+ emitter explore: the one place its domains, counter caps and
+    initial state are made. Raises IrError naming the findings of an
+    ill-sorted model, or a cap that drops an atom an update stores at by
+    name (a literal atom key of a store in `ir.footprints`), naming the
+    cap, the atom, the transition and the update: the checker could not
+    take such a step, and TLA+'s EXCEPT would skip the store."""
+    ir.refuse_ill_sorted(model)
+    constants = bounded_constants(model, bounds)
+    sorts = {v.name: v.sort for v in model.state_vars}
+    if any(len(constants[d]) < len(atoms) for d, atoms in model.constants):
+        for t, p in zip(model.transitions, ir.footprints(model)):
+            for i, (kind, atom, _), dom in _unkept_keys(p.stores, sorts,
+                                                        constants):
+                if kind == "atom":  # declared in dom, as well-sorted
+                    target, rhs = t.updates[i]
+                    raise ir.IrError(
+                        f"cap {dom.lower()}={bounds.cap_for(dom)} drops atom "
+                        f"{atom!r}, which transition {t.id} stores at: update "
+                        f"`{target} := {E.print_expr(rhs)}`")
+    return Instance(
+        model, bounds, model.var_names, sorts, constants,
+        model.atom_universe(),
+        {v.name: min(v.sort.max, bounds.counter_max)
+         for v in model.state_vars if isinstance(v.sort, ir.CounterSort)},
+        tuple(v.initial_value(constants) for v in model.state_vars))
+
+
+def _unkept_keys(accesses, sorts, bounded):
     """Yields (i, key, domain) for each key of the i-th access
     (`ir.Footprint`) that may fall outside its map's key domain as
     bounded, and so raise: any but a parameter or quantified variable
@@ -89,33 +125,6 @@ def _unkept_keys(accesses, bounded, sorts):
             if atoms is None or not set(atoms) <= set(bounded[sort.key]):
                 yield i, key, sort.key
             sort = sort.value
-
-
-def refuse_dropped_stores(model: ir.ProtocolModel, bounds: Bounds):
-    """Raises IrError if a cap drops an atom that an update stores at by
-    name (a literal atom key of a store in `ir.footprints`), naming the
-    cap, the atom, the transition and the update. The checker could not
-    take such a step, and TLA+'s EXCEPT would skip the store, so neither
-    backend runs it."""
-    bounded = bounded_constants(model, bounds)
-    if all(len(bounded[d]) == len(atoms) for d, atoms in model.constants):
-        return  # no cap drops an atom
-    sorts = {v.name: v.sort for v in model.state_vars}
-    for t, p in zip(model.transitions, ir.footprints(model)):
-        for i, (kind, atom, _), dom in _unkept_keys(p.stores, bounded, sorts):
-            if kind == "atom":  # declared in dom, if well-sorted
-                target, rhs = t.updates[i]
-                raise ir.IrError(
-                    f"cap {dom.lower()}={bounds.cap_for(dom)} drops atom "
-                    f"{atom!r}, which transition {t.id} stores at: update "
-                    f"`{target} := {E.print_expr(rhs)}`")
-
-
-def counter_cap(sort: ir.Sort, bounds: Bounds) -> Optional[int]:
-    """Largest value a counter of this sort may take; None for non-counters."""
-    if isinstance(sort, ir.CounterSort):
-        return min(sort.max, bounds.counter_max)
-    return None
 
 
 class TraceStep(Record):
@@ -142,16 +151,6 @@ class CheckResult(Record):
 # ---------------------------------------------------------------------------
 # State handling
 
-def _instance(model: ir.ProtocolModel, bounds: Bounds):
-    """The bounded instance: (constants, atoms, counter caps, initial
-    vector)."""
-    constants = bounded_constants(model, bounds)
-    return (constants, model.atom_universe(),
-            {v.name: counter_cap(v.sort, bounds) for v in model.state_vars
-             if isinstance(v.sort, ir.CounterSort)},
-            tuple(v.initial_value(constants) for v in model.state_vars))
-
-
 def _pairs(transitions, constants: dict) -> list:
     """Every (transition, ((param, atom), ...)) in expansion order."""
     return [(t, tuple(zip((n for n, _ in t.params), combo)))
@@ -160,22 +159,22 @@ def _pairs(transitions, constants: dict) -> list:
                 *(sorted(constants.get(d, ())) for _, d in t.params))]
 
 
-def _apply(names, t: ir.Transition, binding, vector: tuple, constants,
-           atoms, caps) -> Optional[tuple]:
+def _apply(inst: Instance, t: ir.Transition, binding,
+           vector: tuple) -> Optional[tuple]:
     """The post-state vector of t under binding from the state vector, by
     the reference evaluator, or None when the guard is false or a counter
-    leaves its range. names are the variables in vector order
-    (`model.var_names`). On a well-sorted model the order and errors are
-    the kernel's (`compiled._writer`): an update's right-hand side is
+    leaves its range. On a well-sorted model the order and errors are the
+    kernel's (`compiled._writer`): an update's right-hand side is
     evaluated, range-checked and then its keys read, all in the
     pre-state; updates of one variable apply in order."""
+    names, constants, atoms = inst.names, inst.constants, inst.atoms
     pre = dict(zip(names, vector))
     scope = {**pre, **dict(binding)}
     if not E.evaluate_bool(t.guard, scope, constants, atoms):
         return None
     for target, rhs in t.updates:
         v = E.evaluate(rhs, scope, constants, atoms)
-        cap = caps.get(target.var)
+        cap = inst.caps.get(target.var)
         if cap is not None and not 0 <= v <= cap:
             return None
         keys = [E.evaluate(k, scope, constants, atoms) for k in target.keys]
@@ -192,14 +191,14 @@ def _store(old, keys, v):
 
 
 class _Engine:
-    """Compiled successor and invariant evaluation for one (model, bounds),
-    with the transitions whose ids are in kept, or all of them; prints
-    maps each kept transition's id to its footprint (`ir.footprints`).
+    """Compiled successor and invariant evaluation for one bounded
+    instance (`instance`), with the transitions whose ids are in kept,
+    or all of them; prints maps each kept transition's id to its
+    footprint (`ir.footprints`).
 
-    It compiles only what `ir.typecheck` accepts, and raises IrError
-    naming the findings of an ill-sorted model or property (found once
-    per model), or a cap that drops an atom an update stores at
-    (`refuse_dropped_stores`). A state inside the engine is one packed
+    The instance admits only a model `ir.typecheck` accepts; `invariant`
+    raises IrError naming the findings of an ill-sorted property (found
+    once per model). A state inside the engine is one packed
     int (`compiled.layout`, `compiled.pack`), with the fields of the
     variables the kept transitions store into from bit 0. State vectors
     appear only at the boundary: the initial state and counterexamples.
@@ -212,38 +211,32 @@ class _Engine:
     `check_all` that keep the same transitions share it.
     """
 
-    def __init__(self, model: ir.ProtocolModel, bounds: Bounds,
-                 kept=None):
-        ir.refuse_ill_sorted(model)
-        refuse_dropped_stores(model, bounds)
-        self.model = model
-        self.bounds = bounds
-        self.constants, self.atoms, self.caps, initial = \
-            _instance(model, bounds)
-        self.slots, leaves = C.layout(
-            model.var_names, [v.sort for v in model.state_vars],
-            self.constants)
+    def __init__(self, inst: Instance, kept=None):
+        self.inst = inst
+        model, constants = inst.model, inst.constants
+        self.slots, leaves = C.layout(inst.names, list(inst.sorts.values()),
+                                      constants)
         self.prints = {t.id: p for t, p in zip(model.transitions,
                                                ir.footprints(model))
                        if kept is None or t.id in kept}
         self.pairs = _pairs([t for t in model.transitions
-                             if t.id in self.prints], self.constants)
+                             if t.id in self.prints], constants)
         self.env = C.environment()
         C.pack(self.slots, leaves, model.constants_map, self.env,
                frozenset().union(*(p.written for p in self.prints.values())))
-        self.start = C.encode(initial, self.env)
+        self.start = C.encode(inst.initial, self.env)
         steps, live = [], []
         for t, binding in self.pairs:
-            step = C.compile_step(t, binding, self.slots, self.constants,
-                                  self.caps, self.env)
+            step = C.compile_step(t, binding, self.slots, constants,
+                                  inst.caps, self.env)
             if step[0] is not False:
                 steps.append(step)
                 live.append((self.prints[t.id], binding))
         # the initial state is never over the budget
-        self.budget = max(bounds.max_states, 1)
+        self.budget = max(inst.bounds.max_states, 1)
         self.memo = {}  # the kernel's step effects, shared by searches
         self.expand = C.kernel(
-            steps, C.read_mask(live, self.slots, self.constants, self.env),
+            steps, C.read_mask(live, self.slots, constants, self.env),
             self.env, self.budget, self.memo)
 
     def canonical(self, state: int) -> tuple:
@@ -251,9 +244,9 @@ class _Engine:
 
     def invariant(self, prop: ir.Property):
         """The property's invariant as a predicate on packed states."""
-        ir.refuse_ill_sorted(self.model, (prop,))
+        ir.refuse_ill_sorted(self.inst.model, (prop,))
         return C.function(C.value(
-            C.compile_expr(prop.invariant, self.slots, self.constants,
+            C.compile_expr(prop.invariant, self.slots, self.inst.constants,
                            self.env), self.env)[0], self.env)
 
 
@@ -275,7 +268,7 @@ def _bfs(eng: _Engine, parents: dict):
     with a live frontier: past the budget, only the states within it
     are yielded.
     """
-    bounds, expand, budget = eng.bounds, eng.expand, eng.budget
+    bounds, expand, budget = eng.inst.bounds, eng.expand, eng.budget
     frontier = list(parents)
     depth = 0
     while frontier:
@@ -306,7 +299,7 @@ def _extract(eng: _Engine, prop: ir.Property, parents: dict,
     while parents[path[-1]] is not None:
         path.append(parents[path[-1]])
     path = [eng.canonical(s) for s in reversed(path)]
-    names, steps = eng.model.var_names, []
+    names, steps = eng.inst.names, []
     # the first step from pre reaching post is the one BFS recorded; only
     # a transition that stores every variable that changed can be it
     for pre, post in zip(path, path[1:]):
@@ -314,9 +307,8 @@ def _extract(eng: _Engine, prop: ir.Property, parents: dict,
         steps.append(next(
             TraceStep(t.id, binding, post) for t, binding in eng.pairs
             if changed <= eng.prints[t.id].written
-            and _apply(names, t, binding, pre, eng.constants, eng.atoms,
-                       eng.caps) == post))
-    return Counterexample(eng.model.name, prop.id, len(steps), path[0],
+            and _apply(eng.inst, t, binding, pre) == post))
+    return Counterexample(eng.inst.model.name, prop.id, len(steps), path[0],
                           tuple(steps))
 
 
@@ -383,15 +375,20 @@ def check_all(model: ir.ProtocolModel, properties,
     Properties with the same slice share one engine and its memo, built
     once for all of them. A separate search per property costs little:
     a FAIL search stops at its first violating state (within a few
-    hundred states on every bundled model).
+    hundred states on every bundled model). A model the bounded instance
+    refuses (`instance`) gets every property an ERROR naming why.
     """
+    try:
+        inst = instance(model, bounds)
+    except ir.IrError as exc:
+        return {p.id: CheckResult(f"ERROR: {exc}", 0) for p in properties}
     whole = frozenset(t.id for t in model.transitions)
     engines = {}  # kept transition ids -> engine, or what building raised
 
     def search(kept, prop):
         if kept not in engines:
             try:
-                engines[kept] = _Engine(model, bounds, kept)
+                engines[kept] = _Engine(inst, kept)
             except Exception as exc:
                 engines[kept] = exc
         eng = engines[kept]
@@ -400,7 +397,7 @@ def check_all(model: ir.ProtocolModel, properties,
         return _search(eng, prop)
 
     out = {}
-    for prop, kept in zip(properties, _slices(model, properties, bounds)):
+    for prop, kept in zip(properties, _slices(inst, properties)):
         res = search(kept, prop)
         if res.verdict == "BOUND_EXHAUSTED" and kept != whole:
             res = search(whole, prop)
@@ -408,24 +405,25 @@ def check_all(model: ir.ProtocolModel, properties,
     return out
 
 
-def _slices(model: ir.ProtocolModel, properties, bounds: Bounds) -> list:
-    """Per property, the ids of the transitions its search keeps: those
-    that store into the property's cone (`ir.cone`), or every one where
-    the search stays whole (see `check`)."""
+def _slices(inst: Instance, properties) -> list:
+    """Per property, the ids of the transitions its search keeps in the
+    bounded instance: those that store into the property's cone
+    (`ir.cone`), or every one where the search stays whole (see
+    `check`)."""
+    model, sorts, bounded = inst.model, inst.sorts, inst.constants
     whole = frozenset(t.id for t in model.transitions)
-    bounded = bounded_constants(model, bounds)
-    sorts = {v.name: v.sort for v in model.state_vars}
     prints = ir.footprints(model)
-    if ir.subject_findings(model, None) or any(_unkept_keys(
-            [a for p in prints for a in p.reads + p.stores], bounded, sorts)):
+    if any(_unkept_keys([a for p in prints for a in p.reads + p.stores],
+                        sorts, bounded)):
         return [whole] * len(properties)
     out = []
     for prop in properties:
+        found = ir.footprint(model, prop.invariant)
         if ir.subject_findings(model, prop) or any(_unkept_keys(
-                ir.footprint(model, prop.invariant).reads, bounded, sorts)):
+                found.reads, sorts, bounded)):
             out.append(whole)
             continue
-        names = ir.cone(model, prop.invariant)
+        names = ir.cone(model, found)
         out.append(frozenset(t.id for t, p in zip(model.transitions, prints)
                              if not p.written.isdisjoint(names)))
     return out
@@ -434,7 +432,7 @@ def _slices(model: ir.ProtocolModel, properties, bounds: Bounds) -> list:
 def enumerate_states(model: ir.ProtocolModel,
                      bounds: Bounds = DEFAULT_BOUNDS) -> int:
     """Exact count of distinct reachable states within bounds."""
-    eng = _Engine(model, bounds)
+    eng = _Engine(instance(model, bounds))
     parents = {eng.start: None}
     for _ in _bfs(eng, parents):
         pass
@@ -451,29 +449,28 @@ def validate_trace(model: ir.ProtocolModel, cx: Counterexample,
     binds its transition's parameters to atoms, is enabled and reaches
     its recorded post-state, and the property holds in every state but
     the last, which violates it. The replay goes on from the states it
-    computes. Raises IrError for an ill-sorted model or property, as the
-    engine does.
+    computes. Raises IrError for an ill-sorted model or property, or a
+    bounded instance that `instance` refuses, as the checker does.
     """
     if prop is None:
         prop = model.property_by_id(cx.property_id)
     ir.refuse_ill_sorted(model, (prop,))
+    inst = instance(model, bounds)
     # raises KeyError for an unknown action
     steps = [(model.transition(s.transition_id), s) for s in cx.steps]
-    constants, atoms, caps, initial = _instance(model, bounds)
-    names = model.var_names
 
     def holds(vector):
-        return E.evaluate_bool(prop.invariant, dict(zip(names, vector)),
-                               constants, atoms)
-    if cx.initial != initial:
+        return E.evaluate_bool(prop.invariant, dict(zip(inst.names, vector)),
+                               inst.constants, inst.atoms)
+    if cx.initial != inst.initial:
         return False
-    cur = initial
+    cur = inst.initial
     for t, step in steps:
         bound = dict(step.binding)
         if not holds(cur) or set(bound) != {n for n, _ in t.params} \
                 or any(type(a) is not str for a in bound.values()):
             return False
-        cur = _apply(names, t, step.binding, cur, constants, atoms, caps)
+        cur = _apply(inst, t, step.binding, cur)
         if cur != step.post_state:
             return False
     return not holds(cur) and cx.depth == len(cx.steps)

@@ -237,10 +237,6 @@ class ProtocolModel(Record):
             atoms.update(sort_atoms(v.sort))
         return frozenset(atoms)
 
-    def initial_state(self) -> dict:
-        consts = self.constants_map
-        return {v.name: v.initial_value(consts) for v in self.state_vars}
-
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -626,13 +622,13 @@ def footprint(model: ProtocolModel, invariant) -> Footprint:
     return _footprint(frozenset(model.var_names), {}, invariant, ())
 
 
-def cone(model: ProtocolModel, invariant) -> frozenset:
-    """The invariant's cone of influence: the state variables it reads,
-    and every variable read by a transition that stores into one of
-    them, closed under that rule (`footprints`). No other transition can
-    change a value the invariant reads, or whether a transition that can
-    is enabled."""
-    names, size = set(footprint(model, invariant).read_vars), -1
+def cone(model: ProtocolModel, found: Footprint) -> frozenset:
+    """The cone of influence of an invariant's footprint (`footprint`):
+    the state variables it reads, and every variable read by a
+    transition that stores into one of them, closed under that rule
+    (`footprints`). No other transition can change a value the invariant
+    reads, or whether a transition that can is enabled."""
+    names, size = set(found.read_vars), -1
     while size != len(names):
         size = len(names)
         for p in footprints(model):

@@ -124,14 +124,13 @@ def _module_name(model: ir.ProtocolModel) -> str:
     return model.name.replace("-", "_")
 
 
-def _emit_update_conjuncts(t: ir.Transition, model, enums, bounds):
+def _emit_update_conjuncts(t: ir.Transition, inst, enums):
     by_var = {}
     for target, rhs in t.updates:
         by_var.setdefault(target.var, []).append((target, rhs))
     conjuncts = []
     guards = []
     for var, entries in by_var.items():
-        decl = model.var(var)
         if len(entries) > 1 and not all(tgt.keys for tgt, _ in entries):
             raise TlaError(f"transition {t.id} assigns {var} as a whole "
                            "next to another update of it")
@@ -147,31 +146,32 @@ def _emit_update_conjuncts(t: ir.Transition, model, enums, bounds):
             text = emit_expr(rhs, enums)
             conjuncts.append(f"{var}' = {text}")
             # bounded-natural cap keeps the TLC state space finite
-            cap = checker.counter_cap(decl.sort, bounds)
+            cap = inst.caps.get(var)
             if cap is not None:
                 guards.append(f"{text} <= {cap}")
     return guards, conjuncts, set(by_var)
 
 
-def _emit_action(t: ir.Transition, model, enums, bounds) -> str:
+def _emit_action(t: ir.Transition, inst, enums) -> str:
     head = t.id
     if t.params:
         head += "(" + ", ".join(p for p, _ in t.params) + ")"
     lines = [f"{head} =="]
     lines.append(f"  /\\ {emit_expr(t.guard, enums)}")
-    guards, updates, touched = _emit_update_conjuncts(t, model, enums, bounds)
+    guards, updates, touched = _emit_update_conjuncts(t, inst, enums)
     for g in guards:
         lines.append(f"  /\\ {g}")
     for u in updates:
         lines.append(f"  /\\ {u}")
-    untouched = [d.name for d in model.state_vars if d.name not in touched]
+    untouched = [n for n in inst.names if n not in touched]
     if untouched:
         lines.append(f"  /\\ UNCHANGED <<{', '.join(untouched)}>>")
     return "\n".join(lines)
 
 
-def emit_module(model: ir.ProtocolModel,
-                bounds: checker.Bounds = checker.DEFAULT_BOUNDS) -> str:
+def emit_module(inst: checker.Instance) -> str:
+    """The module of the bounded instance (`checker.instance`)."""
+    model = inst.model
     enums = _enum_values(model)
     out = []
     name = _module_name(model)
@@ -184,17 +184,15 @@ def emit_module(model: ir.ProtocolModel,
         out.append(f"CONSTANTS {', '.join(domains)}")
         out.append(f"CONSTANTS {', '.join(atoms)}")
         out.append("")
-    var_names = [d.name for d in model.state_vars]
+    var_names = inst.names
     if var_names:
         out.append(f"VARIABLES {', '.join(var_names)}")
         out.append("")
         out.append(f"vars == <<{', '.join(var_names)}>>")
         out.append("")
     out.append("Init ==")
-    constants = checker.bounded_constants(model, bounds)
-    for d in model.state_vars:
-        init = _emit_value(d.initial_value(constants), enums)
-        out.append(f"  /\\ {d.name} = {init}")
+    for name, value in zip(var_names, inst.initial):
+        out.append(f"  /\\ {name} = {_emit_value(value, enums)}")
     out.append("")
     for kind in ir.KINDS:
         group = [t for t in model.transitions if t.kind == kind]
@@ -203,7 +201,7 @@ def emit_module(model: ir.ProtocolModel,
         out.append(f"\\* {kind} actions")
         out.append("")
         for t in group:
-            out.append(_emit_action(t, model, enums, bounds))
+            out.append(_emit_action(t, inst, enums))
             out.append("")
     out.append("Next ==")
     if model.transitions:
@@ -226,13 +224,12 @@ def emit_module(model: ir.ProtocolModel,
     return "\n".join(out) + "\n"
 
 
-def emit_config(model: ir.ProtocolModel, property_id: str,
-                bounds: checker.Bounds = checker.DEFAULT_BOUNDS) -> str:
-    model.property_by_id(property_id)  # raises on unknown id
+def emit_config(inst: checker.Instance, property_id: str) -> str:
+    """The configuration checking one property on the bounded instance."""
+    inst.model.property_by_id(property_id)  # raises on unknown id
     out = ["INIT Init", "NEXT Next", f"INVARIANT {property_id}"]
-    bounded = checker.bounded_constants(model, bounds)
-    for dom, atoms in model.constants:
-        out.append(f"CONSTANT {dom} = {{{', '.join(bounded[dom])}}}")
+    for dom, atoms in inst.model.constants:
+        out.append(f"CONSTANT {dom} = {{{', '.join(inst.constants[dom])}}}")
         # every declared atom stays a model value: expressions may name it
         for a in atoms:
             out.append(f"CONSTANT {a} = {a}")
@@ -242,14 +239,14 @@ def emit_config(model: ir.ProtocolModel, property_id: str,
 def emit_artifact(model: ir.ProtocolModel,
                   bounds: checker.Bounds = checker.DEFAULT_BOUNDS
                   ) -> TlaArtifact:
-    """The module and one configuration per property; raises IrError
-    naming the findings of an ill-sorted model, or a cap that drops an
-    atom some update stores at (`checker.refuse_dropped_stores`)."""
+    """The module and one configuration per property of the bounded
+    instance (`checker.instance`); raises IrError naming the findings of
+    an ill-sorted model or property, or a cap that drops a stored atom."""
     ir.refuse_ill_sorted(model, model.properties)
-    checker.refuse_dropped_stores(model, bounds)
-    configs = tuple(
-        (p.id, emit_config(model, p.id, bounds)) for p in model.properties)
-    return TlaArtifact(emit_module(model, bounds), configs)
+    inst = checker.instance(model, bounds)
+    configs = tuple((p.id, emit_config(inst, p.id))
+                    for p in model.properties)
+    return TlaArtifact(emit_module(inst), configs)
 
 
 # ---------------------------------------------------------------------------

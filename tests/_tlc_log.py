@@ -13,7 +13,7 @@ def whole_check_all(model: ir.ProtocolModel, properties,
     """Each property's search of the whole model on one engine, as
     `checker.check_all` searched before it sliced: no property's search
     leaves out a transition."""
-    eng = checker._Engine(model, bounds)
+    eng = checker._Engine(checker.instance(model, bounds))
     return {p.id: checker._search(eng, p) for p in properties}
 
 

@@ -144,7 +144,7 @@ def test_acceptance_7_phase2_discrimination(capsys):
 
 def test_acceptance_8_emission_fidelity(capsys):
     with criterion(capsys, 8, "TLA+ emission fidelity and TLC log interop"):
-        module = tla.emit_module(builtin("a2a"))
+        module = tla.emit_artifact(builtin("a2a")).module_text
         assert ("delegation[ag1][ag2] \\subseteq original_caps[ag1]"
                 in " ".join(module.split()))
         for path in sorted(FIXTURES.glob("*.log")):

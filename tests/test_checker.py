@@ -131,7 +131,8 @@ def test_a_cap_that_drops_a_stored_atom_is_refused_by_both_backends():
     """acp-client's fs_write stores at `executed[op_write]`; ops=1 keeps
     only op_read. The checker used to fail with a bare KeyError (and find
     P4 and P5 before the step raised), and the TLA+ module stored at a key
-    outside `Ops`, which EXCEPT skips. Both now refuse the cap."""
+    outside `Ops`, which EXCEPT skips. Both now refuse the cap, and so
+    does the trace validator, which read such a trace as not valid."""
     model = builtin("acp-client")
     bounds = checker.DEFAULT_BOUNDS.with_caps(ops=1)
     message = ("cap ops=1 drops atom 'op_write', which transition fs_write "
@@ -143,6 +144,11 @@ def test_a_cap_that_drops_a_stored_atom_is_refused_by_both_backends():
         checker.enumerate_states(model, bounds)
     with pytest.raises(ir.IrError, match=re.escape(message)):
         tla.emit_artifact(model, bounds)
+    cx = next(r.counterexample for r in checker.check_all(
+        model, model.properties).values() if r.failed)
+    assert checker.validate_trace(model, cx)
+    with pytest.raises(ir.IrError, match=re.escape(message)):
+        checker.validate_trace(model, cx, bounds=bounds)
     # a cap that keeps every stored atom is accepted by both
     kept = checker.DEFAULT_BOUNDS.with_caps(agents=1, caps=1)
     assert checker.check(model, model.properties[0], kept).verdict in \
@@ -303,14 +309,13 @@ def test_validate_trace_accepts_a_self_loop_step():
                      step("Break", "on", "bad", "true")),
         properties=(ir.Property("INV", "P0", "aasm-hardening",
                                 E.parse("not bad")),))
-    eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
+    eng = checker._Engine(checker.instance(model, checker.DEFAULT_BOUNDS))
     posts = []
     eng.expand([eng.start], NeverSeen(), posts)
     assert [eng.canonical(s) for s in posts] == [(True, True)]
     start = eng.canonical(eng.start)
-    assert checker._apply(eng.slots, model.transition("Keep"), (),
-                          start, eng.constants, eng.atoms,
-                          eng.caps) == start == (True, False)
+    assert checker._apply(eng.inst, model.transition("Keep"), (),
+                          start) == start == (True, False)
     res = checker.check(model, model.properties[0])
     assert [s.transition_id for s in res.counterexample.steps] == ["Break"]
     keep = checker.TraceStep("Keep", (), res.counterexample.initial)

@@ -217,9 +217,10 @@ def test_updates_of_one_variable_apply_in_order(invariant, updates,
     assert oracle_check(model, prop) == ("FAIL", 1)
     if tla_text is None:
         with pytest.raises(tla.TlaError, match="as a whole"):
-            tla.emit_module(model)
+            tla.emit_artifact(model)
     else:
-        assert f"  /\\ {tla_text}" in tla.emit_module(model).splitlines()
+        assert f"  /\\ {tla_text}" in \
+            tla.emit_artifact(model).module_text.splitlines()
 
 
 def _shape_model():
@@ -257,8 +258,7 @@ def _assert_refused(model, finding):
     assert checker.check(model, prop).verdict == f"ERROR: {finding}"
     with pytest.raises(ir.IrError, match=re.escape(finding)):
         checker.enumerate_states(model)
-    initial = checker._instance(model, checker.DEFAULT_BOUNDS)[3]
-    cx = checker.Counterexample(model.name, prop.id, 0, initial, ())
+    cx = checker.Counterexample(model.name, prop.id, 0, (), ())
     with pytest.raises(ir.IrError, match=re.escape(finding)):
         checker.validate_trace(model, cx)
 
@@ -364,7 +364,7 @@ def test_a_map_copied_across_bounded_shapes_runs():
         assert (res.verdict, res.counterexample.depth) == ("FAIL", 1)
         assert oracle_check(model, prop, bounds) == ("FAIL", 1)
         assert checker.validate_trace(model, res.counterexample, prop, bounds)
-    init = tla.emit_module(model, capped).splitlines()
+    init = tla.emit_artifact(model, capped).module_text.splitlines()
     assert "  /\\ n = (a :> TRUE)" in init
     assert res.counterexample.steps[0].post_state == (
         E.FMap.of({"a": True}), E.FMap.of({"a": True}))
@@ -449,7 +449,7 @@ def test_state_encoding_comes_from_the_sorts(name):
     of the model: the start state and the field masks are the same for
     any state budget."""
     model = _bundled_model(name)
-    eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
+    eng = checker._Engine(checker.instance(model, checker.DEFAULT_BOUNDS))
     bits = eng.env["_FULL"].bit_length()
     assert bits == _state_bits(model)
     low, high = (33, 37) if name in BUILTIN_NAMES else (74, 78)
@@ -462,8 +462,8 @@ def test_state_encoding_comes_from_the_sorts(name):
     high = sum(m for n, m in masks.items() if n not in written)
     assert low and low | high == eng.env["_FULL"]
     assert high == 0 or low < high & -high  # below high's lowest bit
-    tiny = checker._Engine(
-        model, replace(checker.DEFAULT_BOUNDS, max_states=1))
+    tiny = checker._Engine(checker.instance(
+        model, replace(checker.DEFAULT_BOUNDS, max_states=1)))
     assert (tiny.start, tiny.env["_FULL"]) == (eng.start, eng.env["_FULL"])
     assert [f[:2] for f in tiny.env["_L"]] == [f[:2] for f in eng.env["_L"]]
 
@@ -539,7 +539,7 @@ def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
     state is decoded to its state vector once, and each oracle successor
     is compared as a state vector by looking it up among the decoded
     ones. Returns the number of states."""
-    eng = checker._Engine(model, bounds)
+    eng = checker._Engine(checker.instance(model, bounds))
     tests = [(p, eng.invariant(p)) for p in props]
     sorts = {v.name: v.sort for v in model.state_vars}
     names = model.var_names
@@ -566,17 +566,18 @@ def _assert_engine_matches_oracle(model, bounds, props=(), steps=True):
         # a vector is hashed once, to look up its engine state; one that
         # no engine state decodes to stays a vector and fails below
         want = Counter(packed.get(v, v) for v in map(vector, _successors(
-            model, state, eng.constants, eng.atoms, sorts, bounds, memo)))
+            model, state, eng.inst.constants, eng.inst.atoms, sorts, bounds,
+            memo)))
         if steps:
             applied = Counter(packed.get(post, post) for post in (
-                checker._apply(eng.slots, t, binding, vectors[s],
-                               eng.constants, eng.atoms, eng.caps)
+                checker._apply(eng.inst, t, binding, vectors[s])
                 for t, binding in eng.pairs) if post is not None)
             assert applied == want
         assert got - {s} == set(want) - {s}
         for prop, holds in tests:
             assert holds(s) == E.evaluate_bool(
-                prop.invariant, state, eng.constants, eng.atoms), prop.id
+                prop.invariant, state, eng.inst.constants,
+                eng.inst.atoms), prop.id
     return len(parents)
 
 
@@ -610,7 +611,7 @@ def _kernel_source(monkeypatch, model):
         sources.append(C._hoist("\n".join(head), "\n".join(body) + "\n"))
         return define(head, body, name, env)
     monkeypatch.setattr(C, "_define", spy)
-    checker._Engine(model, checker.DEFAULT_BOUNDS)
+    checker._Engine(checker.instance(model, checker.DEFAULT_BOUNDS))
     src, = sources
     return src
 
@@ -691,7 +692,7 @@ def test_states_of_one_key_that_differ_in_a_write_only_flag():
     with multiplicity, Set's new state included; the search is the
     one-state-at-a-time reference."""
     model = _write_only_flag_model()
-    eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
+    eng = checker._Engine(checker.instance(model, checker.DEFAULT_BOUNDS))
     parents = {eng.start: None}
     for _ in checker._bfs(eng, parents):
         pass
@@ -737,7 +738,7 @@ def test_keyed_stores_and_run_time_reads_match_the_reference():
     _assert_bfs_matches_reference(model, checker.DEFAULT_BOUNDS)
     states = _assert_engine_matches_oracle(model, checker.DEFAULT_BOUNDS,
                                            model.properties)
-    eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
+    eng = checker._Engine(checker.instance(model, checker.DEFAULT_BOUNDS))
     parents = {eng.start: None}
     for _ in checker._bfs(eng, parents):
         pass
@@ -771,10 +772,11 @@ def test_a_raising_key_raises_again_on_a_shared_engine():
                 levels.append([eng.canonical(s) for s in level])
         return levels, str(exc.value), list(parents)
 
-    eng = checker._Engine(model, bounds)
+    eng = checker._Engine(checker.instance(model, bounds))
     first = search(eng)
     assert first[1] == "index 'b' outside map key domain"
-    assert search(eng) == first == search(checker._Engine(model, bounds))
+    assert search(eng) == first == search(
+        checker._Engine(checker.instance(model, bounds)))
     prop = model.properties[0]
     assert checker.check_all(model, [prop, replace(prop, id="INV2")],
                              bounds) == {
@@ -798,7 +800,8 @@ def test_reachable_states_stay_narrow(name):
     of a builtin is below 2^30, and every one of chained-servers' below
     2^40 (76 bits wide were its states when packed in declaration
     order), so Python hashes each state as its own value."""
-    eng = checker._Engine(_bundled_model(name), checker.DEFAULT_BOUNDS)
+    eng = checker._Engine(checker.instance(_bundled_model(name),
+                                           checker.DEFAULT_BOUNDS))
     parents = {eng.start: None}
     for _ in checker._bfs(eng, parents):
         pass
@@ -825,7 +828,7 @@ def test_steps_of_one_effect_record_one_delta():
     The search is still the one-state-at-a-time reference, in order and
     parents, in which IncB reaches no state IncA has not."""
     model = _twin_model()
-    eng = checker._Engine(model, checker.DEFAULT_BOUNDS)
+    eng = checker._Engine(checker.instance(model, checker.DEFAULT_BOUNDS))
     parents = {eng.start: None}
     for _ in checker._bfs(eng, parents):
         pass
@@ -855,7 +858,8 @@ def test_composition_states_and_memo_keys(name):
     with this many memo keys: the key holds only the fields the steps
     read (`compiled.read_mask`), so a wider one shows here as more
     keys."""
-    eng = checker._Engine(_bundled_model(name), checker.DEFAULT_BOUNDS)
+    eng = checker._Engine(checker.instance(_bundled_model(name),
+                                           checker.DEFAULT_BOUNDS))
     parents = {eng.start: None}
     for _ in checker._bfs(eng, parents):
         pass
@@ -879,7 +883,7 @@ def test_memo_key_covers_every_field_the_steps_read(monkeypatch):
     for name in BUILTIN_NAMES + _COMPOSITIONS:
         key_mask(_bundled_model(name))
     model = _keyed_model()
-    env = checker._Engine(model, checker.DEFAULT_BOUNDS).env
+    env = checker._Engine(checker.instance(model, checker.DEFAULT_BOUNDS)).env
     whole = {n: v[0] for n, v in zip(model.var_names, env["_vars"])}
     assert key_mask(model) == \
         whole["sel"] | whole["m"] | whole["n"] | whole["flag"]
@@ -895,8 +899,7 @@ def _reference_bfs(eng):
     states, depths, parents = [start], [0], {start: None}
     for pre, depth in zip(states, depths):  # both grow as BFS goes
         for t, binding in eng.pairs:
-            post = checker._apply(eng.slots, t, binding, pre, eng.constants,
-                                  eng.atoms, eng.caps)
+            post = checker._apply(eng.inst, t, binding, pre)
             if post is not None and post not in parents:
                 parents[post] = pre
                 states.append(post)
@@ -931,7 +934,7 @@ def _result(res):
 def _assert_bfs_matches_reference(model, bounds):
     """`checker._bfs` hands out the reference's states in its order, and
     builds its parents."""
-    eng = checker._Engine(model, bounds)
+    eng = checker._Engine(checker.instance(model, bounds))
     parents = {eng.start: None}
     got = [eng.start] + [s for level in checker._bfs(eng, parents)
                          for s in level]
@@ -961,7 +964,8 @@ def _reference_bad(eng, states, prop):
     """The index of the first of the reference states that violates the
     property, or None."""
     return next((i for i, v in enumerate(states) if not E.evaluate_bool(
-        prop.invariant, dict(zip(eng.slots, v)), eng.constants, eng.atoms)),
+        prop.invariant, dict(zip(eng.slots, v)), eng.inst.constants,
+        eng.inst.atoms)),
         None)
 
 
@@ -973,11 +977,13 @@ def test_state_budget_edges_match_the_reference(name):
     that search is cut off, of the reference search of the whole
     model."""
     model = builtin(name)
-    kept = checker._slices(model, model.properties, checker.DEFAULT_BOUNDS)
+    kept = checker._slices(checker.instance(model, checker.DEFAULT_BOUNDS),
+                           model.properties)
     assert any(len(ids) < len(model.transitions) for ids in kept)
     refs = {}  # kept ids, None for all -> (depths, {property: first bad})
     for ids in {*kept, None}:
-        eng = checker._Engine(model, checker.DEFAULT_BOUNDS, ids)
+        eng = checker._Engine(
+            checker.instance(model, checker.DEFAULT_BOUNDS), ids)
         states, depths, _ = _reference_bfs(eng)
         refs[ids] = depths, {p.id: _reference_bad(eng, states, p)
                              for p in model.properties}
@@ -1011,7 +1017,7 @@ def test_federated_delegation_bound_counts(bound, states):
     assert _result(whole_check_all(model, [prop], bounds)[prop.id]) == (
         "BOUND_EXHAUSTED", states, None)
     assert _result(checker.check(model, prop, bounds)) == ("PASS", 1, None)
-    eng = checker._Engine(model, bounds)
+    eng = checker._Engine(checker.instance(model, bounds))
     parents = {eng.start: None}
     with pytest.raises(checker.StateOverflowError) as exc:
         for _ in checker._bfs(eng, parents):

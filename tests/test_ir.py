@@ -57,6 +57,27 @@ def test_one_sort_pass_per_model_object(monkeypatch):
                           + model.properties, (prop,)]
 
 
+def test_one_bounded_instance_per_call(monkeypatch):
+    """check, validate_trace and emit_artifact on a freshly parsed model
+    each bound the domains once: the one bounded instance they build
+    (`checker.instance`) is all their searches, replays and emitted
+    module and configurations read."""
+    text = irfmt.serialize_model(builtin("mcp"))
+    calls, bounded_constants = [], checker.bounded_constants
+
+    def counted(model, bounds):
+        calls.append(model.name)
+        return bounded_constants(model, bounds)
+    monkeypatch.setattr(checker, "bounded_constants", counted)
+    model = irfmt.parse_model(text)
+    prop = model.property_by_id("P8_CredRevocation")
+    res = checker.check(model, prop)
+    assert len(calls) == 1
+    assert checker.validate_trace(model, res.counterexample, prop)
+    assert len(calls) == 2
+    tla.emit_artifact(model)
+    assert len(calls) == 3
+
 def test_adversary_needs_adv_tag():
     model = builtin("mcp")
     t = model.transition("InjectOutput")
@@ -118,9 +139,9 @@ def test_anp_has_highest_ambiguity_ratio():
 def test_initial_state_well_sorted():
     for name in BUILTIN_NAMES:
         model = builtin(name)
-        state = model.initial_state()
-        for v in model.state_vars:
-            assert ir.value_in_sort(state[v.name], v.sort,
+        inst = checker.instance(model, checker.Bounds())  # no caps
+        for v, value in zip(model.state_vars, inst.initial):
+            assert ir.value_in_sort(value, v.sort,
                                     model.constants_map), (name, v.name)
 
 

@@ -59,6 +59,7 @@ def samples(bundled_run):
         ir.coverage(model, builtins.builtin_clauses("mcp")),
         ir.footprints(model),
         checker.DEFAULT_BOUNDS, bundled_run[0],
+        checker.instance(model, checker.DEFAULT_BOUNDS),
         report.CellInput("mcp", "P8", result, prop),
         tla.emit_artifact(model), tla.parse_tlc_output(log),
         compose.builtin_compositions(), catalog.TEMPLATES,

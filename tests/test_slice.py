@@ -52,14 +52,15 @@ def test_footprints_name_what_each_step_reads_and_writes():
         ("n", (("atom", "a", None),)), ("n", (("bound", "x", "Dom"),)),
         ("m", (("opaque", None, None),)))
     assert ir.footprints(replace(model, name="again")) == prints
-    assert ir.cone(model, model.properties[0].invariant) == \
+    def cone(invariant):
+        return ir.cone(model, ir.footprint(model, invariant))
+    assert cone(model.properties[0].invariant) == \
         frozenset({"m", "on", "sel", "n", "k"})
-    assert ir.cone(model, E.parse("on")) == frozenset({"on"})
-    assert ir.cone(model, E.parse("exists on in Dom : n[on]")) == \
-        frozenset({"n"})
-    assert checker._slices(model, [
+    assert cone(E.parse("on")) == frozenset({"on"})
+    assert cone(E.parse("exists on in Dom : n[on]")) == frozenset({"n"})
+    assert checker._slices(checker.instance(model, checker.DEFAULT_BOUNDS), [
         ir.Property("N", "P0", "aasm-hardening", E.parse("n[a]")),
-        model.properties[0]], checker.DEFAULT_BOUNDS) == [
+        model.properties[0]]) == [
         frozenset({"Pick"}), frozenset({"Mark", "Copy", "Pick"})]
 
 
@@ -75,7 +76,7 @@ def test_bundled_slices():
                  for pr in report.MATRIX_PRINCIPLES[:-1]]
         results = checker.check_all(model, props)
         for prop, kept in zip(props, checker._slices(
-                model, props, checker.DEFAULT_BOUNDS)):
+                checker.instance(model, checker.DEFAULT_BOUNDS), props)):
             if not kept:
                 empty.append((name, prop.id))
                 assert (results[prop.id].verdict,
@@ -84,16 +85,15 @@ def test_bundled_slices():
     for model in [builtin(n) for n in BUILTIN_NAMES] + [
             compose.compose(a, b, bridge)
             for _, a, b, bridge in compose.builtin_compositions()]:
-        bounded = checker.bounded_constants(model, checker.DEFAULT_BOUNDS)
-        sorts = {v.name: v.sort for v in model.state_vars}
+        inst = checker.instance(model, checker.DEFAULT_BOUNDS)
         assert not any(checker._unkept_keys(
             [a for p in ir.footprints(model) for a in p.reads + p.stores],
-            bounded, sorts)), model.name
+            inst.sorts, inst.constants)), model.name
     model = _bundled_model("federated-delegation")
     prop, = (p for p in compose.cs_properties(model, "federated-delegation")
              if p.id == "CS_DomainIsolation")
-    assert checker._slices(model, [prop], checker.DEFAULT_BOUNDS) == [
-        frozenset()]
+    assert checker._slices(checker.instance(model, checker.DEFAULT_BOUNDS),
+                           [prop]) == [frozenset()]
 
 
 def test_an_empty_slice_passes_under_any_depth_bound_from_one():
@@ -132,9 +132,10 @@ def test_a_slice_cut_off_by_a_bound_is_searched_whole():
     model = _wrap_model()
     prop = model.properties[0]
     bounds = replace(checker.DEFAULT_BOUNDS, max_depth=5)
-    kept, = checker._slices(model, [prop], bounds)
+    inst = checker.instance(model, bounds)
+    kept, = checker._slices(inst, [prop])
     assert kept == frozenset({"Inc", "Wrap"})
-    sliced = checker._search(checker._Engine(model, bounds, kept), prop)
+    sliced = checker._search(checker._Engine(inst, kept), prop)
     assert sliced.verdict == "BOUND_EXHAUSTED"
     assert checker.check(model, prop, bounds) == \
         whole_check_all(model, [prop], bounds)[prop.id] == \
@@ -168,13 +169,14 @@ def test_keys_that_can_raise_keep_the_search_whole():
     for guard, params, want in cases:
         model = model_with(guard, params)
         assert ir.validate(model).ok
-        assert checker._slices(model, model.properties, capped) == [want], \
-            guard
+        assert checker._slices(checker.instance(model, capped),
+                               model.properties) == [want], guard
     model = model_with("m[a]")
     raising = ir.Property("R", "P0", "aasm-hardening", E.parse("m[b]"))
-    assert checker._slices(model, [raising], capped) == [whole]
-    assert checker._slices(model, [raising], checker.DEFAULT_BOUNDS) == [
-        frozenset({"Mark"})]
+    assert checker._slices(checker.instance(model, capped), [raising]) == [
+        whole]
+    assert checker._slices(checker.instance(model, checker.DEFAULT_BOUNDS),
+                           [raising]) == [frozenset({"Mark"})]
     assert checker.check(model, raising, capped) == whole_check_all(
         model, [raising], capped)["R"] == checker.CheckResult(
         "ERROR: index 'b' outside map key domain", 0)
@@ -197,10 +199,10 @@ def test_an_enum_variable_key_that_the_caps_keep_is_sliced():
         invariant="not m[sel]")
     assert ir.validate(model).ok
     prop = model.properties[0]
-    assert checker._slices(model, [prop], checker.DEFAULT_BOUNDS) == [
-        frozenset({"Pick", "Mark"})]
+    assert checker._slices(checker.instance(model, checker.DEFAULT_BOUNDS),
+                           [prop]) == [frozenset({"Pick", "Mark"})]
     capped = checker.DEFAULT_BOUNDS.with_caps(dom=1)
-    assert checker._slices(model, [prop], capped) == [
+    assert checker._slices(checker.instance(model, capped), [prop]) == [
         frozenset({"Pick", "Mark", "Noise"})]
     res = checker.check(model, prop)
     whole = whole_check_all(model, [prop], checker.DEFAULT_BOUNDS)["INV"]

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from agentconform import checker, compose, ir, report, tla
 from agentconform import expr as E
 from agentconform.builtins import BUILTIN_NAMES, builtin
+from agentconform.record import replace
 
 from _tlc_log import format_tlc_log
 
@@ -18,9 +19,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EMISSION_GOLDEN = Path(__file__).parent / "golden" / "emission.json"
 
 
+def _module(model, bounds=checker.DEFAULT_BOUNDS):
+    return tla.emit_module(checker.instance(model, bounds))
+
+
 def test_p3_operator_body():
     model = builtin("a2a")
-    module = tla.emit_module(model)
+    module = _module(model)
     assert ("\\A ag1 \\in AgentID : \\A ag2 \\in AgentID : "
             "(ag1 # ag2) => delegation[ag1][ag2] \\subseteq "
             "original_caps[ag1]") in " ".join(module.split())
@@ -28,7 +33,7 @@ def test_p3_operator_body():
 
 def test_module_structure():
     model = builtin("mcp")
-    module = tla.emit_module(model)
+    module = _module(model)
     assert module.startswith("---- MODULE mcp ----")
     assert "EXTENDS Naturals, FiniteSets, TLC" in module
     assert "Init ==" in module and "Next ==" in module
@@ -39,7 +44,8 @@ def test_module_structure():
 
 def test_config_lists_invariant_and_constants():
     model = builtin("mcp")
-    cfg = tla.emit_config(model, "P8_CredRevocation")
+    inst = checker.instance(model, checker.DEFAULT_BOUNDS)
+    cfg = tla.emit_config(inst, "P8_CredRevocation")
     assert "INIT Init" in cfg and "NEXT Next" in cfg
     assert "INVARIANT P8_CredRevocation" in cfg
     assert "CONSTANT Sessions" in cfg
@@ -52,7 +58,9 @@ def test_emission_deterministic():
 
 def test_unknown_property_rejected():
     with pytest.raises(KeyError):
-        tla.emit_config(builtin("mcp"), "NoSuchProp")
+        tla.emit_config(checker.instance(builtin("mcp"),
+                                         checker.DEFAULT_BOUNDS),
+                        "NoSuchProp")
 
 
 def test_ill_sorted_model_refused():
@@ -90,7 +98,7 @@ def test_emission_explores_checker_instance(name, bounds):
     lines = artifact.module_text.splitlines()
     declared = {c.strip() for line in lines if line.startswith("CONSTANTS ")
                 for c in line[len("CONSTANTS "):].split(",")}
-    bounded = checker.bounded_constants(model, bounds)
+    inst = checker.instance(model, bounds)
     for _, cfg in artifact.config_texts:
         assigned = {}
         for line in cfg.splitlines():
@@ -98,16 +106,44 @@ def test_emission_explores_checker_instance(name, bounds):
                 lhs, _, rhs = line[len("CONSTANT "):].partition(" = ")
                 assigned[lhs] = rhs
         assert set(assigned) == declared
-        for dom, atoms in bounded.items():
+        for dom, atoms in inst.constants.items():
             assert assigned[dom] == "{" + ", ".join(atoms) + "}"
 
     start = lines.index("Init ==") + 1
     init = lines[start:lines.index("", start)]
     enums = tla._enum_values(model)
-    state = dict(zip(model.var_names, checker._instance(model, bounds)[3]))
     assert init == [f"  /\\ {var} = {tla._emit_value(value, enums)}"
-                    for var, value in state.items()]
+                    for var, value in zip(inst.names, inst.initial)]
 
+
+@pytest.mark.parametrize("bounds", [
+    checker.DEFAULT_BOUNDS, replace(checker.DEFAULT_BOUNDS, counter_max=1)],
+    ids=["default", "counter1"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(
+    p for p, *_ in compose.builtin_compositions()))
+def test_counter_guards_are_the_checker_caps(name, bounds):
+    """Every `<= N` guard of an action bounds a whole assignment of a
+    counter by the cap the checker reads for it (`checker.instance`),
+    and every such assignment has one, in update order."""
+    model = builtin(name) if name in BUILTIN_NAMES else next(
+        compose.compose(a, b, bridge)
+        for p, a, b, bridge in compose.builtin_compositions() if p == name)
+    inst = checker.instance(model, bounds)
+    guarded = set()
+    for block in tla.emit_module(inst).split("\n\n"):
+        body = [line[len("  /\\ "):] for line in block.splitlines()[1:]]
+        first = next((i for i, c in enumerate(body) if "' = " in c), None)
+        if first is None:  # not an action
+            continue
+        whole = [c.split("' = ", 1) for c in body[first:] if "' = " in c]
+        counted = [(var, rhs) for var, rhs in whole if var in inst.caps
+                   and not rhs.startswith(f"[{var} EXCEPT ")]
+        assert body[1:first] == [f"{rhs} <= {inst.caps[var]}"
+                                 for var, rhs in counted], block
+        guarded.update(var for var, _ in counted)
+    assert guarded and guarded <= set(inst.caps)
+    if bounds.counter_max == 1:
+        assert set(inst.caps.values()) == {1}
 
 def test_log_round_trip_matches_checker():
     model = builtin("mcp")
