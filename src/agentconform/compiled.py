@@ -43,32 +43,27 @@ as a whole value is built back into an `E.FMap` by `_build`.
 Binding. Transition parameters are compiled per binding and quantifiers
 are unrolled over their (bounded) domains, so every bound name is a
 literal atom at compile time and a literal map key is a fixed slot.
-Sub-expressions without state reads are folded, an operand of `and` or
-`or` that repeats an earlier one is dropped, and a guard that folds to
-false disables its binding outright.
+Sub-expressions without state reads are folded, and a guard that folds
+to false disables its binding outright.
 
 Sorts. Compiled code checks no value's type at run time: every slot's
 value is of its leaf sort. What a bounded instance can still raise is
 raised: a key outside a capped domain.
 
 Source. A compiled value is (src, form): src is a Python expression over
-the packed state `s`, and form is ("slot", i), ("const", v) or None. A
-map that lives in slots is (None, ("map", shape, base)) instead, where
-base is its first slot or the source of an int expression computing it.
-Every field read starts from the field's masked value `(s & M)`: a bool
-field reads as `((s & B) != 0)`, a counter as `((s & M) >> k)` and an
-enum or set field as `_v<i>[(s & M) >> k]`; a comparison of a field with
-a constant of its sort compares the field's bits, `(s & M) == C`, with
-the constant encoded at compile time, and one with a constant outside
-the sort compares the decoded value. Bools, ints and atom names are
-literals in src; every other constant (sets, maps, shapes) is a global
-`_k<n>` of the environment `env` the source is compiled in, which also
-binds the packing (`_L`, the fields, and `_v<i>` and `_c<i>`, an enum or
-set slot i's values by code and codes by value) and the helpers in
-`_GLOBALS`. A step writes its post-state as one expression,
-`s & K | V | ...`: K keeps the fields it does not store, V holds its
-constant stores, and each other store is its value's code shifted into
-place.
+the packed state `s`, and form is ("const", v) or None. A map that lives
+in slots is (None, ("map", shape, base)) instead, where base is its
+first slot or the source of an int expression computing it. Every field
+read starts from the field's masked value `(s & M)`: a bool field reads
+as `((s & B) != 0)`, a counter as `((s & M) >> k)` and an enum or set
+field as `_v<i>[(s & M) >> k]`. Bools, ints and atom names are literals
+in src; every other constant (sets, maps, shapes) is a global `_k<n>` of
+the environment `env` the source is compiled in, which also binds the
+packing (`_L`, the fields, and `_v<i>` and `_c<i>`, an enum or set slot
+i's values by code and codes by value) and the helpers in `_GLOBALS`.
+A step writes its post-state as one expression, `s & K | V | ...`: K
+keeps the fields it does not store, V holds its constant stores, and
+each other store is its value's code shifted into place.
 
 Functions. `function` turns a value's source into `value(s)`, and
 `kernel` writes one `expand(frontier, seen, out)` for all of an
@@ -79,21 +74,16 @@ every state of one key into `s & ~W | (n & W)`, so each key's steps run
 once and every later state of that key is one table lookup and the
 recorded deltas applied. R comes from the steps' footprints
 (`ir.footprints`) resolved under the layout (`read_mask`), not from
-their source. Both functions use `_define`, which applies each mask the
-body reads two or more times once, into a local `m<j>` at the top of
-the body; what is read once stays inline, where short-circuiting may
-skip it. `compile()` is memoised on the source text, so a model checked
-again (another property, another run in one process) reuses its code
-objects.
+their source. `compile()` is memoised on the source text, so a model
+checked again (another property, another run in one process) reuses its
+code objects.
 """
 
 from __future__ import annotations
 
 import builtins
-import collections
 import functools
 import operator
-import re
 
 from . import expr as E
 from . import ir
@@ -282,45 +272,21 @@ def _lit(v, env) -> str:
     return name
 
 
-# A field read: the state masked to the read's fields, in parentheses of
-# its own, not a call's, which the look-behind tells apart. The pattern
-# starts with the literal `(`, which `re` scans for quickly.
-_READ = re.compile(r"\((?<![\w)\]]\()s & (0x[0-9a-f]+)\)")
-
-
-def _hoist(head: str, body: str) -> str:
-    """The definition of a function of the packed state s: head, then
-    body, with every mask that body reads two or more times applied
-    once, into a local `m<j>` set at the top of body, in order of first
-    read. `s & M` cannot raise, so this moves no exception."""
-    pad = body[:len(body) - len(body.lstrip(" "))]
-    reads = collections.Counter(_READ.findall(body))
-    local = {f"(s & {m})": f"m{j}" for j, m in enumerate(
-        m for m, n in reads.items() if n > 1)}
-    body = _READ.sub(lambda r: local.get(r[0], r[0]), body)
-    return "\n".join([head, *(f"{pad}{v} = {e}" for e, v in local.items()),
-                      body])
-
-
 @functools.lru_cache(maxsize=1024)
-def _code(head: str, body: str):
-    return compile(_hoist(head, body), "<agentconform.compiled>", "exec")
+def _code(source: str):
+    return compile(source, "<agentconform.compiled>", "exec")
 
 
-def _define(head, body, name, env):
-    """The function `name` that the lines head and then body define in
-    env, with the masks body reads two or more times applied once
-    (`_hoist`)."""
+def _define(lines, name, env):
+    """The function `name` that the source lines define in env."""
     namespace = {}
-    exec(_code("\n".join(head), "\n".join(body) + "\n"), env, namespace)
+    exec(_code("\n".join(lines)), env, namespace)
     return namespace[name]
 
 
 def function(src: str, env: dict):
-    """The function s -> value of a compiled value's source, written by
-    `_define` as `value(s)`, so a mask the source reads two or more times
-    is applied once."""
-    return _define(["def value(s):"], [f"    return {src}"], "value", env)
+    """The function s -> value of a compiled value's source."""
+    return _define(["def value(s):", f"    return {src}"], "value", env)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +331,6 @@ def compile_expr(e, slots, constants, env, scope=None):
         return _name(e.name, slots, constants, env, scope)
     if t is E.IntLit or t is E.BoolLit:
         return _const(e.value, env)
-    if t is E.Cmp:
-        return _cmp(e.op, value(sub(e.lhs), env), value(sub(e.rhs), env),
-                    env)
     if t is E.Index:
         return _index(sub(e.base), value(sub(e.key), env), env)
     if t is E.Forall or t is E.Exists:
@@ -386,7 +349,7 @@ def compile_expr(e, slots, constants, env, scope=None):
         if _is_const(lhs):
             return rhs if lhs[1][1] else _const(True, env)
         return (f"(not {lhs[0]} or {rhs[0]})", None)
-    if t is E.BinTerm:
+    if t is E.Cmp or t is E.BinTerm:
         left, right = value(sub(e.lhs), env), value(sub(e.rhs), env)
         py, fold = _OPS[e.op]
         return _fold(f"({left[0]} {py} {right[0]})", fold, env, left, right)
@@ -400,10 +363,10 @@ def _slot(i, env):
     shift, mask, values, codes = env["_L"][i]
     read = f"(s & {mask << shift:#x})"
     if values is _BOOLS:
-        return (f"({read} != 0)", ("slot", i))
+        return (f"({read} != 0)", None)
     if shift:
         read = f"({read} >> {shift})"
-    return (read if codes is None else f"_v{i}[{read}]", ("slot", i))
+    return (read if codes is None else f"_v{i}[{read}]", None)
 
 
 def _name(n, slots, constants, env, scope):
@@ -422,9 +385,7 @@ def _name(n, slots, constants, env, scope):
 def _junction(is_or, items, env):
     """`or` (`and`) of bool values, evaluated left to right until one is
     true (false). Constant items are folded where they decide nothing or
-    everything, and an item whose source an earlier item has is dropped:
-    it is reached only when that one, evaluated in the same state, was
-    false (true), so `x or x` is `x`."""
+    everything."""
     srcs = []
     for item in items:
         if _is_const(item):
@@ -434,8 +395,7 @@ def _junction(is_or, items, env):
                 return item  # decides before anything is evaluated
             srcs.append(item[0])
             break  # decides; later items are never evaluated
-        if item[0] not in srcs:
-            srcs.append(item[0])
+        srcs.append(item[0])
     if not srcs:
         return _const(not is_or, env)
     if len(srcs) == 1:
@@ -451,30 +411,6 @@ _OPS = {"=": ("==", operator.eq), "#": ("!=", operator.ne),
         "notin": ("not in", lambda l, r: l not in r),
         "subseteq": ("<=", operator.le), "+": ("+", operator.add),
         "union": ("|", operator.or_)}
-
-
-def _cmp(op, left, right, env):
-    py, fold = _OPS[op]
-    if op in ("=", "#") and not (_is_const(left) and _is_const(right)):
-        if _is_const(left):  # the state read first, the constant second
-            left, right = right, left
-        if left[1] is not None and left[1][0] == "slot" \
-                and _is_const(right):
-            bits = _field_bits(left[1][1], right[1][1], env)
-            if bits is not None:
-                return (f"((s & {bits[0]:#x}) {py} {bits[1]:#x})", None)
-    return _fold(f"({left[0]} {py} {right[0]})", fold, env, left, right)
-
-
-def _field_bits(i, v, env):
-    """(the field mask, v's code in place) for slot i, or None when v
-    has no code there, being outside the slot's sort."""
-    shift, mask, values, codes = env["_L"][i]
-    try:
-        code = codes[v] if codes is not None else values.index(v)
-    except (KeyError, ValueError):
-        return None
-    return mask << shift, code << shift
 
 
 def _index(base, key, env):
@@ -730,9 +666,7 @@ def kernel(steps, reads, env, budget, memo):
     state of its key raises again. A repeated delta is stored once,
     since applied again it gives a post-state that seen holds already,
     and a delta is left out for a self-loop of a step that stores
-    nothing outside R, which is a self-loop in every state of the key.
-    Each mask the steps read two or more times is applied once per miss
-    (`_hoist`)."""
+    nothing outside R, which is a self-loop in every state of the key."""
     steps = [_step_lines(guard, plan, env) for guard, plan in steps]
     full, body = env["_FULL"], []
     for lines, writes in steps:
@@ -764,5 +698,6 @@ def kernel(steps, reads, env, budget, memo):
         "                    add(n)",
         "            continue",
         "        d = []",
-        "        rec = d.append"],
-        body + ["        memo[r] = tuple(dict.fromkeys(d))"], "expand", env)
+        "        rec = d.append",
+        *body,
+        "        memo[r] = tuple(dict.fromkeys(d))"], "expand", env)

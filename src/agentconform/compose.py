@@ -114,15 +114,21 @@ _BRIDGE_VARS = (
 )
 
 
-def _exists_wrap(t: ir.Transition) -> E.Expr:
-    """Existentially close a prefixed transition's guard over its params."""
+def _exists_wrap(t: ir.Transition, constants: tuple) -> E.Expr:
+    """Existentially close a prefixed transition's guard over the params
+    it reads. A param it does not read decides nothing, unless constants
+    declare its domain with no atoms: then the guard is false, and it
+    stays closed over that param."""
     guard = E.rename(t.guard, {p: f"src_{p}" for p, _ in t.params})
+    free = E.free_symbols(guard)
     for p, dom in reversed(t.params):
-        guard = E.Exists(f"src_{p}", dom, guard)
+        if f"src_{p}" in free or (dom, ()) in constants:
+            guard = E.Exists(f"src_{p}", dom, guard)
     return guard
 
 
-def _bridge_transitions(route: Route, a_side: dict, b_side: dict):
+def _bridge_transitions(route: Route, a_side: dict, b_side: dict,
+                        a_consts: tuple):
     src = a_side.get("A_" + route.source)
     tgt = b_side.get("B_" + route.target)
     if src is None:
@@ -131,7 +137,7 @@ def _bridge_transitions(route: Route, a_side: dict, b_side: dict):
     if tgt is None:
         raise ComposeError(f"dangling routing rule: no target action "
                            f"{route.target!r} in model B")
-    base_guard = [_exists_wrap(src), tgt.guard]
+    base_guard = [_exists_wrap(src, a_consts), tgt.guard]
     count = (ir.UpdateTarget("bridge_op_count", ()),
              E.parse("bridge_op_count + 1"))
     base_updates = list(tgt.updates) + [count]
@@ -177,7 +183,8 @@ def compose(model_a: ir.ProtocolModel, model_b: ir.ProtocolModel,
     b_side = {t.id: t for t in b_trans}
     bridge_trans = []
     for route in bridge.routes:
-        bridge_trans.extend(_bridge_transitions(route, a_side, b_side))
+        bridge_trans.extend(_bridge_transitions(route, a_side, b_side,
+                                                a_consts))
     composed = ir.ProtocolModel(
         name=f"{model_a.name}+{model_b.name}",
         snapshot=f"{model_a.snapshot}/{model_b.snapshot}",

@@ -341,6 +341,10 @@ def parse_tlc_output(log: str) -> TlcLogParse:
         if _DONE_RE.match(line):
             completed = True
             continue
+        if line == "Error: Deadlock reached.":
+            raise TlcDialectError("log reports a deadlock, not an invariant "
+                                  "verdict: TLC checks for deadlock unless the "
+                                  "config sets CHECK_DEADLOCK FALSE")
         m = _INITIAL_RE.match(line)
         if m:
             current = ("", {})

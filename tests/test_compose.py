@@ -3,6 +3,7 @@
 import pytest
 
 from agentconform import checker, compose, ir, irfmt
+from agentconform import expr as E
 from agentconform.builtins import builtin
 
 
@@ -99,3 +100,41 @@ def test_leakage_traces_cross_adversary_and_bridge(composition_runs):
         assert "bridge" in actors, pattern
         prop = next(p for p in props if p.id == "CS_NoLeakage")
         assert checker.validate_trace(composed, cx, prop), pattern
+
+
+def test_bridge_guards_bind_only_what_they_read(composition_runs):
+    """A bridge closes the source action's guard over the parameters the
+    guard reads and no others: every quantifier in a bridge guard reads
+    its variable."""
+    for pattern, (composed, _, _) in composition_runs.items():
+        bridges = [t for t in composed.transitions if t.actor == "bridge"]
+        assert bridges, pattern
+        for t in bridges:
+            for x in E.iter_subterms(t.guard):
+                if type(x) is E.Exists:
+                    assert x.var in E.free_symbols(x.body), (pattern, t.id)
+
+
+_SOURCE = '  source: { doc: d  section: "1"  quote: "q" }\n'
+
+
+def test_unread_parameter_over_an_empty_domain_keeps_the_bridge_off():
+    """A source parameter over a domain with no atoms makes the source
+    action's guard false: the bridge stays closed over it, though the
+    guard does not read it, and never fires."""
+    a = irfmt.parse_model(
+        "protocol: a\nsnapshot: s\nconstants { Empty: [] }\n"
+        "var v : BOOL init true\ntransition Go {\n"
+        "  kind: Protocol  actor: c  params: x in Empty\n"
+        "  guard: v\n  update: v := false\n" + _SOURCE + "}\n")
+    b = irfmt.parse_model(
+        "protocol: b\nsnapshot: s\nvar w : BOOL init false\n"
+        "transition Set {\n  kind: Protocol  actor: c\n"
+        "  guard: true\n  update: w := true\n" + _SOURCE + "}\n")
+    composed = compose.compose(a, b, compose.BridgeSpec(
+        "b", (compose.Route("Go", "Set"),)))
+    bridge, = (t for t in composed.transitions if t.actor == "bridge")
+    assert type(bridge.guard.items[0]) is E.Exists
+    prop = ir.Property("NoBridge", "CS", "aasm-hardening",
+                       E.parse("bridge_op_count = 0"), (ir.INVENTED_REF,))
+    assert checker.check(composed, prop).verdict == "PASS"

@@ -11,6 +11,7 @@ semantics:
     PYTHONPATH=src python tests/test_engine.py
 """
 
+import ast
 import itertools
 import json
 import random
@@ -607,47 +608,42 @@ def _kernel_source(monkeypatch, model):
     sources = []
     define = C._define
 
-    def spy(head, body, name, env):
-        sources.append(C._hoist("\n".join(head), "\n".join(body) + "\n"))
-        return define(head, body, name, env)
+    def spy(lines, name, env):
+        sources.append("\n".join(lines))
+        return define(lines, name, env)
     monkeypatch.setattr(C, "_define", spy)
     checker._Engine(checker.instance(model, checker.DEFAULT_BOUNDS))
     src, = sources
     return src
 
 
-def test_kernel_reads_each_mask_once(monkeypatch):
+# A field read: the state masked to the read's fields, in parentheses of
+# its own, not a call's
+_READ = re.compile(r"(?<![\w)\]])\(s & (0x[0-9a-f]+)\)")
+
+
+def test_kernel_reads_fields_from_the_masked_state(monkeypatch):
     """In the chained-servers kernel every field read starts from the
-    masked state `s & M`, never from a shift of the whole state, and each
-    mask is applied in one place: a mask two or more steps read is a
-    local set once at the top, and a mask read once stays inline."""
+    masked state `(s & M)`, never from a shift of the whole state, and
+    each state's key is looked up once."""
     src = _kernel_source(monkeypatch, _chained_servers())
-    # every `s & M` but the post-states `n = s & K ...`
-    masks = Counter(re.findall(r"(?<!n = )\bs & (0x[0-9a-f]+)", src))
-    hoisted = re.findall(r"^ +(m\d+) = \(s & (0x[0-9a-f]+)\)$", src, re.M)
-    assert masks and max(masks.values()) == 1
-    assert len(hoisted) >= 3 and re.search(r"\(s & 0x", src)
-    for local, _ in hoisted:
-        assert len(re.findall(rf"\b{local}\b", src)) >= 3  # set, read twice
+    # every `s & M` but the key `r = s & R` and the post-states `n = s & K`
+    masked = re.findall(r"(?<![rn] = )\bs & 0x", src)
+    assert masked and len(masked) == len(_READ.findall(src))
     assert not re.search(r"\bs >> \d+", src)
-
-
-def test_kernel_hoists_only_masks_and_repeats_no_operand(monkeypatch):
-    """The chained-servers kernel looks each state's key up once, and its
-    step code, which runs once per key, hoists nothing but masks: every
-    local set before the first step is `m<j> = (s & M)`. No junction
-    repeats an operand."""
-    src = _kernel_source(monkeypatch, _chained_servers())
     assert len(re.findall(r"^ +r = s & 0x[0-9a-f]+$", src, re.M)) == 1
-    steps = src.split("rec = d.append\n", 1)[1]
-    hoisted = re.findall(r"^ +(\w+) = (.*)$",
-                         steps[:steps.index("        if ")], re.M)
-    assert len(hoisted) >= 3
-    for local, term in hoisted:
-        assert re.fullmatch(r"m\d+", local)
-        assert re.fullmatch(r"\(s & 0x[0-9a-f]+\)", term), term
-    assert not re.search(r"\((\w+) (or|and) \1\)", src)
-    assert " or " in src
+
+
+def test_kernel_repeats_no_operand(monkeypatch):
+    """No `and` or `or` in the chained-servers kernel repeats an operand:
+    its bridge guards bind only what they read."""
+    src = _kernel_source(monkeypatch, _chained_servers())
+    junctions = [node for node in ast.walk(ast.parse(src))
+                 if isinstance(node, ast.BoolOp)]
+    assert any(isinstance(node.op, ast.Or) for node in junctions)
+    for node in junctions:
+        operands = [ast.dump(v) for v in node.values]
+        assert len(set(operands)) == len(operands), ast.unparse(node)
 
 
 def test_engine_matches_oracle_on_random_models():
@@ -876,7 +872,7 @@ def test_memo_key_covers_every_field_the_steps_read(monkeypatch):
         monkeypatch.undo()
         reads = int(re.search(r"^ +r = s & (0x[0-9a-f]+)$", src, re.M)[1], 16)
         steps = src.split("rec = d.append\n", 1)[1]
-        masks = [int(m, 16) for m in C._READ.findall(steps)]
+        masks = [int(m, 16) for m in _READ.findall(steps)]
         assert masks and all(m & ~reads == 0 for m in masks), model.name
         return reads
 

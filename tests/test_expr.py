@@ -393,6 +393,9 @@ _STATE = {**STATE, "who": "ag3", "deleg": E.FMap.of({
 @example(E.parse("n + 1 > 2 => caps # {}"), _STATE)
 @example(E.parse("mode # ag1 and caps # {ag2} and who # OPEN and n # 4"),
          _STATE)
+@example(E.parse("flag or flag"), _STATE)
+@example(E.parse("deleg[ag3][ag1] = {} and deleg[ag3][ag1] = {}"), _STATE)
+@example(E.parse("exists x in AgentID: n > 1"), _STATE)
 def test_compiled_matches_evaluator(e, state):
     """On every expression the sort checker accepts, the same value, or
     the same exception type and message (a key outside the bounded

@@ -11,18 +11,23 @@ The edits are one-character inserts, deletes and replacements, as in
 `test_irfmt.py::test_mutated_bundled_files_fail_only_with_positioned_errors`,
 plus doubling a space and joining a line to the next.
 
-The golden was last written when three clause errors moved from the
-clause header to the line and column of the value they reject: 35
-records (`precedence ... is not an integer` 18, `modality ... requires
-a verbatim quote` 17) changed only their position. Before that, ten
-errors that named column 1 began to name the text they reject: 120
-records (`bad parameter`, `bad var declaration`, `unknown sort`,
-`constants ...: expected [a, b, ...]`) changed only their column, and 60
-block-level ones (`bad kind`, `bad modality`, `bad principle`, `bad
-class`) moved from the block header to the line and column of the value.
-Neither time did an outcome change class or message text. Regenerate the
-file only for a deliberate change of what the reader accepts or where it
-says an error is, and say which outcomes changed and why:
+The golden was last written when three base texts changed, not the
+reader: the serialized tool-delegation, chained-servers and
+tool-capability compositions dropped the bridge binders their guards
+never read. The 423 records made from those texts (the texts and their
+420 mutants) changed input; no other record changed. Before that, three
+clause errors moved from the clause header to the line and column of
+the value they reject: 35 records (`precedence ... is not an integer`
+18, `modality ... requires a verbatim quote` 17) changed only their
+position. Before that, ten errors that named column 1 began to name the
+text they reject: 120 records (`bad parameter`, `bad var declaration`,
+`unknown sort`, `constants ...: expected [a, b, ...]`) changed only
+their column, and 60 block-level ones (`bad kind`, `bad modality`, `bad
+principle`, `bad class`) moved from the block header to the line and
+column of the value. Neither of those times did an outcome change class
+or message text. Regenerate the file only for a deliberate change of
+what the reader accepts or where it says an error is, or of a base
+text, and say which outcomes changed and why:
 
     PYTHONPATH=src python tests/test_frontend_golden.py
 """

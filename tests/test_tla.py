@@ -179,6 +179,19 @@ def test_parser_rejects_truncated_log():
         tla.parse_tlc_output("TLC2 Version 2.18\n")
 
 
+def test_parser_names_a_deadlock_report():
+    log = ("TLC2 Version 2.18\n"
+           "Error: Deadlock reached.\n"
+           "The behavior up to this point is:\n"
+           "State 1: <Initial predicate>\n"
+           "/\\ session_state = (s1 :> \"CLOSED\")\n"
+           "\n"
+           "2 states generated, 1 distinct states found, "
+           "0 states left on queue.\n")
+    with pytest.raises(tla.TlcDialectError, match="log reports a deadlock"):
+        tla.parse_tlc_output(log)
+
+
 def test_parser_value_forms():
     model = builtin("a2a")
     prop = model.property_by_id("P3_DelegationMonotonicity")
@@ -282,8 +295,11 @@ def emission_hashes():
 
 
 def test_emitted_bytes_match_golden():
-    """`tests/golden/emission.json` was written before atoms became plain
-    name strings; regenerate it only for a deliberate output change:
+    """`tests/golden/emission.json` was last written when the bridges of
+    tool-delegation, chained-servers and tool-capability dropped the
+    binders their guards never read, which changed only those three
+    compositions' entries; regenerate it only for a deliberate output
+    change:
 
         PYTHONPATH=src python tests/test_tla.py
     """
