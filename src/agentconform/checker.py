@@ -164,7 +164,7 @@ def _apply(inst: Instance, t: ir.Transition, binding,
     """The post-state vector of t under binding from the state vector, by
     the reference evaluator, or None when the guard is false or a counter
     leaves its range. On a well-sorted model the order and errors are the
-    kernel's (`compiled._writer`): an update's right-hand side is
+    kernel's (`compiled.compile_step`): an update's right-hand side is
     evaluated, range-checked and then its keys read, all in the
     pre-state; updates of one variable apply in order."""
     names, constants, atoms = inst.names, inst.constants, inst.atoms

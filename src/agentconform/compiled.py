@@ -61,9 +61,9 @@ in src; every other constant (sets, maps, shapes) is a global `_k<n>` of
 the environment `env` the source is compiled in, which also binds the
 packing (`_L`, the fields, and `_v<i>` and `_c<i>`, an enum or set slot
 i's values by code and codes by value) and the helpers in `_GLOBALS`.
-A step writes its post-state as one expression, `s & K | V | ...`: K
-keeps the fields it does not store, V holds its constant stores, and
-each other store is its value's code shifted into place.
+A step builds its post-state n from `n = s` one store at a time, in
+update order: a fixed leaf as `n = n & K | code << k`, K keeping every
+other field, and any other store through `_put`.
 
 Functions. `function` turns a value's source into `value(s)`, and
 `kernel` writes one `expand(frontier, seen, out)` for all of an
@@ -436,166 +436,92 @@ def _index(base, key, env):
 # Transitions
 
 def compile_step(t, binding, slots, constants, caps, env):
-    """(guard, plan) of one well-sorted transition under one binding.
+    """(guard, stores) of one well-sorted transition under one binding.
 
     guard is the guard's source, or True or False when it folds to a
-    constant. plan lists the updates for `kernel`. caps maps a counter
-    variable to its largest value.
+    constant. stores lists each update, in order, as (slot, value
+    source, cap, shape, W) for `kernel`: slot is an int for a slot fixed
+    at compile time, else the source of the `_offset` that computes it
+    from keys read in the state; cap is the largest value of a counter,
+    else None; shape is the source of the shape of the slots a map value
+    fills, else None; and W masks the field of a fixed leaf, else the
+    variable's fields. caps maps a counter variable to its largest
+    value. A map value fills its target's slots: a map's shape follows
+    from its sort, and a well-sorted update stores a map over its
+    target's key domain.
     """
     scope = dict(binding)
 
     def comp(x):
-        return compile_expr(x, slots, constants, env, scope)
+        return value(compile_expr(x, slots, constants, env, scope), env)
 
-    guard = value(comp(t.guard), env)
+    guard = comp(t.guard)
     guard = guard[1][1] if _is_const(guard) else guard[0]
-    plan = []
+    stores, L = [], env["_L"]
     for target, rhs in t.updates:
-        keys = [value(comp(x), env) for x in target.keys]
-        plan.append(_writer(target, comp(rhs), keys, slots,
-                            caps.get(target.var), env))
-    return guard, plan
-
-
-def _writer(target, rhs, keys, slots, cap, env):
-    """The plan's op for one update.
-
-    An op is ("const", slot, value) for an in-range constant stored at a
-    fixed slot, ("slot", slot, src, cap) for another value stored there,
-    and ("keyed", index, src, cap, shape, region) for a target whose slot
-    `index` computes at run time, shape being the source of the shape of
-    the slots a map value fills, else None, and region the mask of the
-    variable's fields. As in the checker's reference
-    semantics and TLA+'s EXCEPT, the right-hand side and the keys read
-    the pre-state, a counter is range-checked before the keys are
-    evaluated, and updates of one variable apply in order, each on top
-    of the ones before it. A map value fills its target's slots: a map's
-    shape follows from its sort, and a well-sorted update stores a map
-    over its target's key domain.
-    """
-    rhs = value(rhs, env)
-    shape, base = slots[target.var]
-    levels, sub = [], shape  # per key: map key -> slot offset at its level
-    for _ in keys:
-        levels.append({k: n * sub[2] for n, k in enumerate(sub[0])})
-        sub = sub[1]
-    if sub is None and all(_is_const(k) and k[1][1] in level
-                           for k, level in zip(keys, levels)):
-        at = base + sum(level[k[1][1]] for k, level in zip(keys, levels))
-        if _is_const(rhs) and (cap is None or 0 <= rhs[1][1] <= cap):
-            return ("const", at, rhs[1][1])
-        return ("slot", at, rhs[0], cap)
-    index = "".join([f"_offset({base}, {_lit(levels, env)}",
-                     *(", " + k[0] for k in keys), ")"]) if keys \
-        else str(base)
-    return ("keyed", index, rhs[0], cap,
-            None if sub is None else _lit(sub, env), _var_mask(base, env))
-
-
-def _fields(group, env):
-    """(K, V, terms) of stores to fixed slots, group mapping each slot to
-    (value source, or None for the constant v, v): K masks their fields,
-    V holds the constants' codes in place, and terms are the sources that
-    put the other values' codes in place."""
-    L, keep, bits, terms = env["_L"], 0, 0, []
-    for at, (src, v) in group.items():
-        shift, mask, _, codes = L[at]
-        keep |= mask << shift
-        if src is None:
-            bits |= (v if codes is None else codes[v]) << shift
+        keys = [comp(x) for x in target.keys]
+        src = comp(rhs)[0]
+        shape, base = slots[target.var]
+        levels, sub = [], shape  # per key: map key -> slot offset at its level
+        for _ in keys:
+            levels.append({k: n * sub[2] for n, k in enumerate(sub[0])})
+            sub = sub[1]
+        if all(_is_const(k) and k[1][1] in level
+               for k, level in zip(keys, levels)):
+            at = base + sum(level[k[1][1]] for k, level in zip(keys, levels))
         else:
-            code = f"({src})" if codes is None else f"_c{at}[{src}]"
-            terms.append(f" | {code} << {shift}" if shift else f" | {code}")
-    return keep, bits, terms
-
-
-def _merge(base, fields, env):
-    """Source of the packed state base with the stores (K, V, terms)
-    applied."""
-    keep, bits, terms = fields
-    return "".join([f"{base} & {env['_FULL'] ^ keep:#x}",
-                    f" | {bits:#x}" if bits else "", *terms])
-
-
-def _post_lines(stores, env):
-    """Lines computing the post-state n from s by the stores, in order:
-    each is (slot, value source or None, constant) for a fixed slot, or
-    (index source, value source) for a slot computed at run time."""
-    lines, base, group = [], "s", {}
-    for store in stores + [None]:
-        if group and (store is None or type(store[0]) is not int
-                      or store[0] in group):
-            lines.append(f"n = {_merge(base, _fields(group, env), env)}")
-            base, group = "n", {}
-        if store is None:
-            break
-        if type(store[0]) is int:
-            group[store[0]] = store[1:]
+            at = "".join([f"_offset({base}, {_lit(levels, env)}",
+                          *(", " + k[0] for k in keys), ")"])
+        if type(at) is int and sub is None:
+            writes = L[at][1] << L[at][0]
         else:
-            lines.append(f"n = _put(_L, {base}, {store[0]}, {store[1]})")
-            base = "n"
-    return lines
+            writes = _var_mask(base, env)
+        stores.append((at, src, caps.get(target.var),
+                       None if sub is None else _lit(sub, env), writes))
+    return guard, stores
 
 
-def _step_lines(guard, plan, env):
-    """(lines, writes) of one step: lines evaluate the guard, then each
-    update's value and range check in order, and compute the post-state
-    n; writes masks the fields the step stores, the map's whole variable
-    for a store at a run-time slot. A step without updates only
-    evaluates its guard, for what it raises."""
-    lines, pad, writes = [], "        ", 0
+def _step_lines(guard, stores, env):
+    """Lines of one step: they evaluate the guard, then, for each update
+    in order, its value, its range check and its slot, all in the
+    pre-state s, and store the value into the post-state n, which starts
+    as s. A store into a fixed leaf is written inline; `_put` stores at
+    a slot computed at run time and a map value's leaves (`_leaves`).
+    As in the checker's reference semantics and TLA+'s EXCEPT, updates
+    of one variable apply in order, each on top of the ones before it.
+    A step without updates only evaluates its guard, for what it
+    raises."""
+    lines, pad = [], "        "
 
     def line(text):
         lines.append(pad + text)
 
-    cond = None if guard is True else guard
-    if not plan:  # a self-loop whenever enabled
-        if cond is not None:
-            line(cond)
-        return lines, writes
-    if cond is not None:
-        line(f"if {cond}:")
+    if guard is not True:
+        line(f"if {guard}:" if stores else guard)
         pad += "    "
-    stores = []  # as _post_lines reads them
-    deferred = []  # stores whose value source is evaluated at the store
-    L = env["_L"]
-    for j, op in enumerate(plan):
-        if op[0] == "keyed":
-            writes |= op[5]
-        else:
-            writes |= L[op[1]][1] << L[op[1]][0]
-        if op[0] == "const":
-            stores.append((op[1], None, op[2]))
-            continue
-        if op[0] == "slot" and op[3] is None:
-            deferred.append(len(stores))
-            stores.append((op[1], op[2], None))
-            continue
-        # this update may stop the step or raise: the values deferred so
-        # far are evaluated before it, in order
-        for n in deferred:
-            line(f"w{n} = {stores[n][1]}")
-            stores[n] = (stores[n][0], f"w{n}", None)
-        deferred = []
-        _, at, src, cap = op[:4]
-        v = f"v{j}"
-        line(f"{v} = {src}")
+    if not stores:  # a self-loop whenever enabled
+        return lines
+    line("n = s")
+    L, full = env["_L"], env["_FULL"]
+    for j, (at, src, cap, shape, writes) in enumerate(stores):
+        if cap is not None or type(at) is not int or shape is not None:
+            line(f"v{j} = {src}")
+            src = f"v{j}"
         if cap is not None:
-            line(f"if 0 <= {v} <= {cap}:")
+            line(f"if 0 <= {src} <= {cap}:")
             pad += "    "
-        if op[0] == "slot":
-            stores.append((at, v, None))
-            continue
-        line(f"i{j} = {at}")
-        if op[4] is None:
-            stores.append((f"i{j}", v))
-        else:
+        if shape is not None:
             line(f"l{j} = []")
-            line(f"_leaves({v}, {op[4]}, l{j})")
-            stores.append((f"i{j}", f"*l{j}"))
-    for text in _post_lines(stores, env):
-        line(text)
-    return lines, writes
+            line(f"_leaves({src}, {shape}, l{j})")
+            line(f"n = _put(_L, n, {at}, *l{j})")
+        elif type(at) is not int:
+            line(f"n = _put(_L, n, {at}, {src})")
+        else:
+            shift, _, _, codes = L[at]
+            code = f"({src})" if codes is None else f"_c{at}[{src}]"
+            line(f"n = n & {full ^ writes:#x} | {code}"
+                 + (f" << {shift}" if shift else ""))
+    return lines
 
 
 def _var_mask(i, env):
@@ -651,29 +577,30 @@ def read_mask(steps, slots, constants, env) -> int:
 def kernel(steps, reads, env, budget, memo):
     """expand(frontier, seen, out): one BFS level. For each state s of
     the list frontier, in order, it hands out the post-states of the
-    compiled steps (guard, plan) in order: each post-state n that the
-    dict seen does not hold it records as `seen[n] = s` and appends to
-    the list out. It stops before a state once seen holds more than
-    budget states.
+    steps, (guard, stores) of `compile_step` each, in order: each
+    post-state n that the dict seen does not hold it records as
+    `seen[n] = s` and appends to the list out. It stops before a state
+    once seen holds more than budget states.
 
     memo maps a key `s & R` to the steps' distinct deltas (~W, n & W),
-    in first occurrence order, W masking the fields a step stores, and
-    reads is R (`read_mask`). A state whose key memo holds applies the
-    deltas; otherwise the steps run, handing out each post-state as it
-    is made, and their distinct deltas are stored once all of them have
-    run. So a step that raises stores nothing: it leaves in seen and out
-    the post-states of the states and steps before it, and the next
-    state of its key raises again. A repeated delta is stored once,
-    since applied again it gives a post-state that seen holds already,
-    and a delta is left out for a self-loop of a step that stores
-    nothing outside R, which is a self-loop in every state of the key."""
-    steps = [_step_lines(guard, plan, env) for guard, plan in steps]
+    in first occurrence order, a step's W being the union of its stores'
+    W, and reads is R (`read_mask`). A state whose key memo holds
+    applies the deltas; otherwise the steps run, handing out each
+    post-state as it is made, and their distinct deltas are stored once
+    all of them have run. So a step that raises stores nothing: it
+    leaves in seen and out the post-states of the states and steps
+    before it, and the next state of its key raises again. A repeated
+    delta is stored once, since applied again it gives a post-state that
+    seen holds already, and a delta is left out for a self-loop of a
+    step that stores nothing outside R, which is a self-loop in every
+    state of the key."""
     full, body = env["_FULL"], []
-    for lines, writes in steps:
-        body += lines
+    for guard, stores in steps:
+        body += _step_lines(guard, stores, env)
+        writes = functools.reduce(operator.or_, [w[4] for w in stores], 0)
         if not writes:
             continue
-        pad = lines[-1][:len(lines[-1]) - len(lines[-1].lstrip(" "))]
+        pad = body[-1][:len(body[-1]) - len(body[-1].lstrip(" "))]
         if writes & ~reads == 0:  # a self-loop here is one for the key
             body.append(f"{pad}if n != s:")
             pad += "    "

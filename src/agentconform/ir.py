@@ -439,9 +439,10 @@ def _sort_pass(model: ProtocolModel, subjects) -> list:
     finding that names the subject and prints the expression; an initial
     value, which reads no state, has `init-sort-mismatch` findings, and
     a sort or parameter naming an unknown domain an `undeclared-symbol`
-    or `bad-param-domain` one. A COUNTER is a `bad-sort` under a MAP:
-    only a counter variable's own stores are range-checked, so a map's
-    counters would have no bound. Never raises for content."""
+    or `bad-param-domain` one; so does a parameter over a domain with no
+    atoms, whose transition never fires. A COUNTER is a `bad-sort` under
+    a MAP: only a counter variable's own stores are range-checked, so a
+    map's counters would have no bound. Never raises for content."""
     domains = {d: (ATOM, frozenset(atoms)) for d, atoms in model.constants}
     consts = {a: (ATOM, frozenset((a,))) for a in model.atom_universe()}
     consts.update((d, (SET, atoms)) for d, (_, atoms) in domains.items())
@@ -470,9 +471,11 @@ def _sort_pass(model: ProtocolModel, subjects) -> list:
             bad = reporter(x.id, "invariant", lambda: E.print_expr(x.invariant))
             _expect(_infer(x.invariant, state, domains, bad), _BOOL, bad)
         else:
-            out += [Finding("bad-param-domain", x.id, f"parameter {n!r} "
-                            f"ranges over unknown domain {d!r}")
-                    for n, d in x.params if d not in domains]
+            out += [Finding("bad-param-domain", x.id,
+                            f"parameter {n!r} ranges over "
+                            f"{'empty' if d in domains else 'unknown'} "
+                            f"domain {d!r}")
+                    for n, d in x.params if not domains.get(d, (0, ()))[1]]
             scope = {**state, **{n: domains.get(d) for n, d in x.params}}
             bad = reporter(x.id, "guard", lambda: E.print_expr(x.guard))
             _expect(_infer(x.guard, scope, domains, bad), _BOOL, bad)

@@ -118,10 +118,11 @@ def test_bridge_guards_bind_only_what_they_read(composition_runs):
 _SOURCE = '  source: { doc: d  section: "1"  quote: "q" }\n'
 
 
-def test_unread_parameter_over_an_empty_domain_keeps_the_bridge_off():
-    """A source parameter over a domain with no atoms makes the source
-    action's guard false: the bridge stays closed over it, though the
-    guard does not read it, and never fires."""
+def test_a_parameter_over_an_empty_domain_is_refused():
+    """A parameter over a domain with no atoms never binds, so its
+    transition can never fire: `ir.validate` names it, a composition
+    that bridges from it is refused, and a check of its model is an
+    ERROR that names it."""
     a = irfmt.parse_model(
         "protocol: a\nsnapshot: s\nconstants { Empty: [] }\n"
         "var v : BOOL init true\ntransition Go {\n"
@@ -131,10 +132,13 @@ def test_unread_parameter_over_an_empty_domain_keeps_the_bridge_off():
         "protocol: b\nsnapshot: s\nvar w : BOOL init false\n"
         "transition Set {\n  kind: Protocol  actor: c\n"
         "  guard: true\n  update: w := true\n" + _SOURCE + "}\n")
-    composed = compose.compose(a, b, compose.BridgeSpec(
-        "b", (compose.Route("Go", "Set"),)))
-    bridge, = (t for t in composed.transitions if t.actor == "bridge")
-    assert type(bridge.guard.items[0]) is E.Exists
-    prop = ir.Property("NoBridge", "CS", "aasm-hardening",
-                       E.parse("bridge_op_count = 0"), (ir.INVENTED_REF,))
-    assert checker.check(composed, prop).verdict == "PASS"
+    finding = ("bad-param-domain in Go: parameter 'x' ranges over empty "
+               "domain 'Empty'")
+    assert [str(f) for f in ir.validate(a).findings] == [finding]
+    with pytest.raises(compose.ComposeError,
+                       match="bad-param-domain.*A_Go.*'A_Empty'"):
+        compose.compose(a, b, compose.BridgeSpec(
+            "b", (compose.Route("Go", "Set"),)))
+    prop = ir.Property("Stays", "P0", "aasm-hardening", E.parse("v"),
+                       (ir.INVENTED_REF,))
+    assert checker.check(a, prop).verdict == f"ERROR: {finding}"

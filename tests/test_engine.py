@@ -627,11 +627,21 @@ def test_kernel_reads_fields_from_the_masked_state(monkeypatch):
     masked state `(s & M)`, never from a shift of the whole state, and
     each state's key is looked up once."""
     src = _kernel_source(monkeypatch, _chained_servers())
-    # every `s & M` but the key `r = s & R` and the post-states `n = s & K`
+    # every `s & M` but the key `r = s & R`; a post-state starts as
+    # `n = s` and stores into n, never into a masked s
     masked = re.findall(r"(?<![rn] = )\bs & 0x", src)
     assert masked and len(masked) == len(_READ.findall(src))
     assert not re.search(r"\bs >> \d+", src)
     assert len(re.findall(r"^ +r = s & 0x[0-9a-f]+$", src, re.M)) == 1
+
+
+def test_kernel_stores_fixed_leaves_inline(monkeypatch):
+    """The chained-servers kernel stores into a fixed leaf inline, as
+    `n = n & K | code << k`: no `_put` call there takes a slot that is an
+    int literal."""
+    src = _kernel_source(monkeypatch, _chained_servers())
+    assert not re.search(r"\b_put\(_L, n, \d+\b", src)
+    assert re.search(r"^ +n = n & 0x[0-9a-f]+ \| ", src, re.M)
 
 
 def test_kernel_repeats_no_operand(monkeypatch):
@@ -739,6 +749,59 @@ def test_keyed_stores_and_run_time_reads_match_the_reference():
     for _ in checker._bfs(eng, parents):
         pass
     assert len(parents) == states and len(eng.memo) < states
+
+
+def _store_order_model():
+    """Twice stores the leaf m[a] twice, through the run-time key sel and
+    then through the literal key a, so the second store wins and m[a]
+    stays false. Spill stores flag and then o[sel], which raises once
+    Flip has set sel to b where Dom is capped to {a}."""
+    flags = ir.MapSort("Dom", ir.BoolSort())
+    return _model(
+        "order", (("Dom", ("a", "b")),),
+        (("sel", ir.EnumSort(("a", "b")), ir.InitExpr(E.parse("a"))),
+         ("m", flags, ir.InitAll(E.parse("false"))),
+         ("o", flags, ir.InitAll(E.parse("false"))),
+         ("flag", ir.BoolSort(), ir.InitExpr(E.parse("false")))),
+        ("Flip", (), "sel = a", ("sel", (), "b")),
+        ("Twice", (), "sel = a", ("m", ("sel",), "true"),
+         ("m", ("a",), "false")),
+        ("Spill", (), "not flag", ("flag", (), "true"),
+         ("o", ("sel",), "true")),
+        invariant="not m[a]")
+
+
+def test_stores_apply_one_at_a_time_in_update_order():
+    """On the store-order model the later of two stores into one leaf
+    wins, and the search is the oracle's and the one-state-at-a-time
+    reference's. With Dom capped to {a}, Spill's keyed store raises
+    after its fixed store: the search reaches the reference's states, in
+    its order, up to the same error, and no post-state of Spill holds
+    flag without its keyed store."""
+    model = _store_order_model()
+    prop = model.properties[0]
+    assert checker.check(model, prop).verdict == "PASS"
+    assert oracle_check(model, prop) == ("PASS", None)
+    _assert_engine_matches_oracle(model, checker.DEFAULT_BOUNDS,
+                                  model.properties)
+    _assert_bfs_matches_reference(model, checker.DEFAULT_BOUNDS)
+
+    eng = checker._Engine(checker.instance(
+        model, checker.DEFAULT_BOUNDS.with_caps(dom=1)))
+    parents, got = {eng.start: None}, [eng.start]
+    with pytest.raises(KeyError) as raised:
+        for level in checker._bfs(eng, parents):
+            got += level
+    want = [eng.canonical(eng.start)]
+    with pytest.raises(KeyError) as again:
+        for pre in want:  # grows as the reference goes
+            for t, binding in eng.pairs:
+                post = checker._apply(eng.inst, t, binding, pre)
+                if post is not None and post not in want:
+                    want.append(post)
+    assert str(raised.value) == str(again.value) == "'b'"
+    assert [eng.canonical(s) for s in got] == want
+    assert all(o["a"] for sel, m, o, flag in want if flag)
 
 
 def _raising_model():
