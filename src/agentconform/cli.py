@@ -156,7 +156,7 @@ def _cmd_compose(args) -> int:
                                spec["bridge"])
     if args.model_out:
         Path(args.model_out).write_text(irfmt.serialize_model(composed))
-    props = compose.cs_properties(composed, args.pattern)
+    props = compose.cs_properties(args.pattern)
     results = checker.check_all(composed, props,
                                 _parse_bounds(args.bounds, [composed]))
     _write_out(args.out, _verdict_lines(composed, results))

@@ -172,6 +172,8 @@ def compose(model_a: ir.ProtocolModel, model_b: ir.ProtocolModel,
     if model_a.name == model_b.name:
         raise ComposeError("models must be distinct; cannot compose "
                            f"{model_a.name!r} with itself")
+    _refuse_invalid(model_a)
+    _refuse_invalid(model_b)
     a_consts, a_vars, a_trans = _prefix_model(model_a, "A_")
     b_consts, b_vars, b_trans = _prefix_model(model_b, "B_")
     bridge_vars = tuple(
@@ -190,10 +192,15 @@ def compose(model_a: ir.ProtocolModel, model_b: ir.ProtocolModel,
         transitions=a_trans + b_trans + tuple(bridge_trans),
         properties=(),
         aps=())
-    report = ir.validate(composed)
-    if report.findings:
-        raise ComposeError(f"composed model invalid: {report.findings}")
+    _refuse_invalid(composed)
     return composed
+
+
+def _refuse_invalid(model: ir.ProtocolModel):
+    findings = ir.validate(model).findings
+    if findings:
+        raise ComposeError(f"model {model.name!r} is invalid: "
+                           + "; ".join(map(str, findings)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +281,7 @@ PATTERNS = {
 }
 
 
-def cs_properties(composed: ir.ProtocolModel, pattern: str):
+def cs_properties(pattern: str):
     """Base CS invariants plus the pattern-specific ones."""
     spec = PATTERNS.get(pattern)
     if spec is None:

@@ -19,6 +19,12 @@ increments and set-growing state updates can be written in the same language
 as guards and invariants. `!=` is an accepted alias for `#`; the printer
 always emits `#`.
 
+One printer, `show`, writes an expression in any concrete syntax given as a
+table: the spelling of each node type and operator, and for each operand of
+`=>`, `or`, `and` and `not` the loosest precedence level that prints there
+without parentheses. `print_expr` is `show` with `IR_SYNTAX`, the grammar
+above; `tla.TLA_SYNTAX` is the TLA+ table.
+
 `parse` reads the tokens as plain strings from one `findall` of the token
 pattern and parses them by operator precedence (after Pratt, "Top Down
 Operator Precedence", POPL 1973): `_formula` takes `not`, a parenthesized
@@ -63,17 +69,14 @@ class UnboundSymbolError(ExprError):
 class FMap(Record):
     """Immutable finite map with atom keys, hashable by construction. The
     hash is taken once; maps with different hashes differ, so equality
-    compares hashes before items. A lookup goes through a key -> position
-    index, built at the first lookup and handed on to each map `set`
-    derives, which has the same keys; the index takes no part in equality,
-    hash, repr or pickling."""
-    __slots__ = ("items", "_hash", "_index")
+    compares hashes before items. A map holds a few items, sorted by key,
+    and a lookup scans them."""
+    __slots__ = ("items", "_hash")
     _fields = ("items",)
 
     def __init__(self, items: tuple):  # ((key: str, Value), ...) by key
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "_hash", hash((items,)))
-        object.__setattr__(self, "_index", None)
 
     def __eq__(self, other):
         if other.__class__ is not FMap:
@@ -87,28 +90,24 @@ class FMap(Record):
     def of(mapping) -> "FMap":
         return FMap(tuple(sorted(mapping.items())))
 
-    def _positions(self) -> dict:
-        index = self._index
-        if index is None:
-            index = {k: i for i, (k, _) in enumerate(self.items)}
-            object.__setattr__(self, "_index", index)
-        return index
+    def _at(self, key: str) -> int:
+        for i, (k, _) in enumerate(self.items):
+            if k == key:
+                return i
+        raise KeyError(key)
 
     def __getitem__(self, key: str):
-        return self.items[self._positions()[key]][1]
+        return self.items[self._at(key)][1]
 
     def __contains__(self, key: str) -> bool:
-        return key in self._positions()
+        return key in self.keys()
 
     def keys(self):
         return [k for k, _ in self.items]
 
     def set(self, key: str, value) -> "FMap":
-        i = self._positions()[key]
-        items = self.items
-        new = FMap(items[:i] + ((items[i][0], value),) + items[i + 1:])
-        object.__setattr__(new, "_index", self._index)
-        return new
+        i, items = self._at(key), self.items
+        return FMap(items[:i] + ((key, value),) + items[i + 1:])
 
 
 # An atom (a domain element or enum value) is its name string.
@@ -188,6 +187,10 @@ class BoolLit(Record):
 Expr = Union[Forall, Exists, Implies, And, Or, Not, Cmp, BinTerm, Index,
              SetLit, Name, IntLit, BoolLit]
 
+# precedence levels, loosest to tightest, shared by the parser (how far a
+# formula extends) and the printer; a name or literal is tightest
+L_QUANT, L_IMPL, L_OR, L_AND, L_NOT, L_CMP, L_TERM, L_ATOM = range(8)
+
 
 # ---------------------------------------------------------------------------
 # Tokenizer and parser
@@ -232,11 +235,6 @@ def _ident(toks: list) -> str:
     return toks.pop()
 
 
-# how far a formula extends: through `=>`, through `and`, or no further
-# than one negation, parenthesized expr or comparison
-_B_IMPL, _B_AND, _B_NOT = range(3)
-
-
 def _expr(toks: list):
     """expr := quant | impl"""
     t = toks[-1]
@@ -248,7 +246,7 @@ def _expr(toks: list):
         _expect(toks, ":")
         body = _expr(toks)  # body extends maximally right
         return (Forall if t == "forall" else Exists)(var, domain, body)
-    return _formula(toks, _B_IMPL)
+    return _formula(toks, L_IMPL)
 
 
 def _formula(toks: list, level: int):
@@ -258,7 +256,7 @@ def _formula(toks: list, level: int):
     t = toks[-1]
     if t == "not":
         toks.pop()
-        lhs = Not(_formula(toks, _B_NOT))
+        lhs = Not(_formula(toks, L_NOT))
     elif t == "(":
         toks.pop()
         lhs = _expr(toks)
@@ -268,25 +266,25 @@ def _formula(toks: list, level: int):
         if toks[-1] in _RELOPS:
             op = toks.pop()
             lhs = Cmp("#" if op == "!=" else op, lhs, _term(toks))
-    if level == _B_NOT:
+    if level == L_NOT:
         return lhs
     if toks[-1] == "and":
         items = [lhs]
         while toks[-1] == "and":
             toks.pop()
-            items.append(_formula(toks, _B_NOT))
+            items.append(_formula(toks, L_NOT))
         lhs = And(tuple(items))
-    if level == _B_AND:
+    if level == L_AND:
         return lhs
     if toks[-1] == "or":
         items = [lhs]
         while toks[-1] == "or":
             toks.pop()
-            items.append(_formula(toks, _B_AND))
+            items.append(_formula(toks, L_AND))
         lhs = Or(tuple(items))
     if toks[-1] == "=>":
         toks.pop()
-        lhs = Implies(lhs, _formula(toks, _B_IMPL))  # right-associative
+        lhs = Implies(lhs, _formula(toks, L_IMPL))  # right-associative
     return lhs
 
 
@@ -357,7 +355,7 @@ def _syntax_error(text: str, index: int, message: str, line_offset: int,
 
 
 # The most levels an expression may have. The sort check, the evaluator,
-# the compiler and the printers recurse a few frames per level, so a
+# the compiler and the printer recurse a few frames per level, so a
 # taller expression would exhaust the interpreter's stack after parsing.
 _MAX_HEIGHT = 100
 
@@ -367,15 +365,7 @@ def _height(e) -> int:
     height, level = 0, [e]
     while level:
         height += 1
-        below = []
-        for x in level:
-            for name in x.__slots__:
-                v = getattr(x, name)
-                if type(v) is tuple:
-                    below += v
-                elif isinstance(v, Record):
-                    below.append(v)
-        level = below
+        level = [x for y in level for x in children(y)]
     return height
 
 
@@ -408,65 +398,68 @@ def parse(text: str, line_offset: int = 0, col_offset: int = 0) -> Expr:
 # ---------------------------------------------------------------------------
 # Printer
 
-# precedence levels, loosest to tightest
-_L_QUANT, _L_IMPL, _L_OR, _L_AND, _L_NOT, _L_CMP, _L_TERM = range(7)
+_LEVEL = {Forall: L_QUANT, Exists: L_QUANT, Implies: L_IMPL, Or: L_OR,
+          And: L_AND, Not: L_NOT, Cmp: L_CMP, BinTerm: L_TERM,
+          Index: L_TERM, SetLit: L_TERM, Name: L_ATOM, IntLit: L_ATOM,
+          BoolLit: L_ATOM}
+
+# A concrete syntax for `show`. A node type maps to its spelling, and the
+# connectives also to the loosest level an operand prints at without
+# parentheses (for `=>` the left side, then the right); a comparison or
+# term operator maps to its spelling. `=>` is right-associative here.
+IR_SYNTAX = {
+    Forall: "forall {} in {}: ", Exists: "exists {} in {}: ",
+    Implies: (" => ", L_OR, L_IMPL), Or: (" or ", L_AND),
+    And: (" and ", L_NOT), Not: ("not ", L_NOT), BoolLit: ("false", "true"),
+    **{op: op for op in ("=", "#", "<", "<=", ">", ">=", "in", "notin",
+                         "subseteq", "+", "union")}}
 
 
-def _level(e) -> int:
-    if isinstance(e, (Forall, Exists)):
-        return _L_QUANT
-    if isinstance(e, Implies):
-        return _L_IMPL
-    if isinstance(e, Or):
-        return _L_OR
-    if isinstance(e, And):
-        return _L_AND
-    if isinstance(e, Not):
-        return _L_NOT
-    if isinstance(e, Cmp):
-        return _L_CMP
-    return _L_TERM
+def _bare(e, need: int, syntax: dict, quoted) -> str:
+    s = show(e, syntax, quoted)
+    return f"({s})" if _LEVEL[type(e)] < need else s
 
 
-def _p(e, need: int) -> str:
-    s = _raw(e)
-    return f"({s})" if _level(e) < need else s
-
-
-def _raw(e) -> str:
-    if isinstance(e, Forall):
-        return f"forall {e.var} in {e.domain}: {_p(e.body, _L_QUANT)}"
-    if isinstance(e, Exists):
-        return f"exists {e.var} in {e.domain}: {_p(e.body, _L_QUANT)}"
-    if isinstance(e, Implies):
-        # => is right-associative: lhs must bind tighter
-        return f"{_p(e.lhs, _L_OR)} => {_p(e.rhs, _L_IMPL)}"
-    if isinstance(e, Or):
-        return " or ".join(_p(x, _L_AND) for x in e.items)
-    if isinstance(e, And):
-        return " and ".join(_p(x, _L_NOT) for x in e.items)
-    if isinstance(e, Not):
-        return f"not {_p(e.operand, _L_NOT)}"
-    if isinstance(e, Cmp):
-        return f"{_p(e.lhs, _L_TERM)} {e.op} {_p(e.rhs, _L_TERM)}"
-    if isinstance(e, BinTerm):
-        return f"{_p(e.lhs, _L_TERM)} {e.op} {_p(e.rhs, _L_TERM)}"
-    if isinstance(e, Index):
-        return f"{_p(e.base, _L_TERM)}[{_raw(e.key)}]"
-    if isinstance(e, SetLit):
-        return "{" + ", ".join(_raw(x) for x in e.items) + "}"
-    if isinstance(e, Name):
-        return e.name
-    if isinstance(e, IntLit):
+def show(e: Expr, syntax: dict, quoted=()) -> str:
+    """The text of e in a concrete syntax (`IR_SYNTAX` or
+    `tla.TLA_SYNTAX`), with parentheses only where an operand is looser
+    than its position admits; a name in `quoted` is written as a string.
+    The operands of a comparison, `+`, `union` and an index base print at
+    term level in every syntax."""
+    t = type(e)
+    if t is Name:
+        return f'"{e.name}"' if e.name in quoted else e.name
+    if t is IntLit:
         return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
+    if t is BoolLit:
+        return syntax[BoolLit][e.value]
+    if t is Cmp or t is BinTerm:
+        return (f"{_bare(e.lhs, L_TERM, syntax, quoted)} {syntax[e.op]} "
+                f"{_bare(e.rhs, L_TERM, syntax, quoted)}")
+    if t is Index:
+        return (f"{_bare(e.base, L_TERM, syntax, quoted)}"
+                f"[{show(e.key, syntax, quoted)}]")
+    if t is SetLit:
+        return "{" + ", ".join(show(x, syntax, quoted) for x in e.items) + "}"
+    if t is Forall or t is Exists:
+        return (syntax[t].format(e.var, e.domain)
+                + show(e.body, syntax, quoted))
+    if t is Implies:
+        op, lhs, rhs = syntax[Implies]
+        return (_bare(e.lhs, lhs, syntax, quoted) + op
+                + _bare(e.rhs, rhs, syntax, quoted))
+    if t is Or or t is And:
+        op, need = syntax[t]
+        return op.join(_bare(x, need, syntax, quoted) for x in e.items)
+    if t is Not:
+        op, need = syntax[Not]
+        return op + _bare(e.operand, need, syntax, quoted)
     raise ExprTypeError(f"not an expression: {e!r}")
 
 
 def print_expr(e: Expr) -> str:
     """Canonical text form; parse(print_expr(e)) == e."""
-    return _raw(e)
+    return show(e, IR_SYNTAX)
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,7 @@ def adapter_table(protocol: str) -> AdapterActionMap:
 
 class TestCase(Record):
     # actions: ((transition id, binding), ...) in trace order
-    __slots__ = ("id", "model", "principle", "property_id", "actions",
-                 "oracle", "source")
+    __slots__ = ("id", "model", "principle", "actions")
 
 
 class AdapterReport(Record):
@@ -109,14 +108,6 @@ class AdapterReport(Record):
             "transcript": list(self.transcript),
             "probe": list(self.probe), "errors": list(self.errors),
         }, sort_keys=True, indent=2)
-
-
-_ORACLE_TEXT = {
-    "P8": "credential captured before close is rejected afterwards",
-    "P4": "injected directive never appears unsanitized in tool content",
-    "P3": "re-delegation beyond the original grant is refused",
-    "P6": "executed operation count <= audit log entry count",
-}
 
 
 def generate_tests(counterexamples):
@@ -146,9 +137,7 @@ def generate_tests(counterexamples):
             actions.append((step.transition_id, step.binding))
         tests.append(TestCase(
             id=f"{cx.model}-{cx.property_id}-{n}",
-            model=cx.model, principle=principle,
-            property_id=cx.property_id, actions=tuple(actions),
-            oracle=_ORACLE_TEXT[principle], source=cx))
+            model=cx.model, principle=principle, actions=tuple(actions)))
     return tests, skipped
 
 

@@ -173,7 +173,7 @@ def bundled_inputs(bounds=checker.DEFAULT_BOUNDS):
     worst = {name: None for name in BUILTIN_NAMES}
     for pattern, a, b, bridge in compose.builtin_compositions():
         cm = compose.compose(a, b, bridge)
-        props = compose.cs_properties(cm, pattern)
+        props = compose.cs_properties(pattern)
         results = checker.check_all(cm, props, bounds)
         by_id = {p.id: p for p in props}
         for pid, res in results.items():

@@ -4,7 +4,8 @@ The IR compiles to module text in a syntax-directed way: every transition
 becomes a guarded action with primed updates and an UNCHANGED clause, and
 every property becomes a named operator usable as a TLC invariant. One
 configuration file is emitted per property so violations are attributed
-unambiguously.
+unambiguously. Expressions are written by the shared printer `expr.show`
+with the TLA+ table `TLA_SYNTAX`; enum values are quoted as strings.
 
 The parser reads the textual TLC counterexample dialect (an Error line,
 `State N: <Action ...>` headers, one `/\\ var = value` conjunct per
@@ -37,8 +38,16 @@ class TlcDialectError(Exception):
 # ---------------------------------------------------------------------------
 # Expression emission
 
-_CMP = {"=": "=", "#": "#", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-        "in": "\\in", "notin": "\\notin", "subseteq": "\\subseteq"}
+# The TLA+ spelling for `E.show`. `=>` is not associative in TLA+, so its
+# right side is parenthesized unless it binds at least as tight as `\/`;
+# its left side prints bare only when it is a name or literal.
+TLA_SYNTAX = {
+    **E.IR_SYNTAX,
+    E.Forall: "\\A {} \\in {} : ", E.Exists: "\\E {} \\in {} : ",
+    E.Implies: (" => ", E.L_ATOM, E.L_OR), E.Or: (" \\/ ", E.L_NOT),
+    E.And: (" /\\ ", E.L_NOT), E.Not: ("~", E.L_TERM),
+    E.BoolLit: ("FALSE", "TRUE"), "in": "\\in", "notin": "\\notin",
+    "subseteq": "\\subseteq", "union": "\\union"}
 
 
 def _enum_values(model: ir.ProtocolModel):
@@ -47,7 +56,7 @@ def _enum_values(model: ir.ProtocolModel):
 
 def _emit_value(v, enums) -> str:
     if isinstance(v, bool):
-        return "TRUE" if v else "FALSE"
+        return TLA_SYNTAX[E.BoolLit][v]
     if isinstance(v, int):
         return str(v)
     if isinstance(v, str):
@@ -60,58 +69,6 @@ def _emit_value(v, enums) -> str:
     raise TlaError(f"cannot emit value {v!r}")
 
 
-def _atomic(e) -> bool:
-    return isinstance(e, (E.Name, E.IntLit, E.BoolLit))
-
-
-def emit_expr(e, enums) -> str:
-    """Render an IR expression as TLA+ text.
-
-    Implication antecedents are parenthesized unless they are a bare
-    identifier or literal; everything else gets minimal parentheses.
-    """
-    if isinstance(e, E.Forall):
-        return f"\\A {e.var} \\in {e.domain} : {emit_expr(e.body, enums)}"
-    if isinstance(e, E.Exists):
-        return f"\\E {e.var} \\in {e.domain} : {emit_expr(e.body, enums)}"
-    if isinstance(e, E.Implies):
-        lhs = emit_expr(e.lhs, enums)
-        if not _atomic(e.lhs):
-            lhs = f"({lhs})"
-        return f"{lhs} => {emit_expr(e.rhs, enums)}"
-    if isinstance(e, (E.And, E.Or)):
-        op = " /\\ " if isinstance(e, E.And) else " \\/ "
-        parts = []
-        for item in e.items:
-            text = emit_expr(item, enums)
-            if isinstance(item, (E.Implies, E.Forall, E.Exists, E.And, E.Or)):
-                text = f"({text})"
-            parts.append(text)
-        return op.join(parts)
-    if isinstance(e, E.Not):
-        inner = emit_expr(e.operand, enums)
-        if not _atomic(e.operand) and not isinstance(e.operand, E.Index):
-            inner = f"({inner})"
-        return f"~{inner}"
-    if isinstance(e, E.Cmp):
-        return (f"{emit_expr(e.lhs, enums)} {_CMP[e.op]} "
-                f"{emit_expr(e.rhs, enums)}")
-    if isinstance(e, E.BinTerm):
-        op = "+" if e.op == "+" else "\\union"
-        return f"{emit_expr(e.lhs, enums)} {op} {emit_expr(e.rhs, enums)}"
-    if isinstance(e, E.Index):
-        return f"{emit_expr(e.base, enums)}[{emit_expr(e.key, enums)}]"
-    if isinstance(e, E.SetLit):
-        return "{" + ", ".join(emit_expr(x, enums) for x in e.items) + "}"
-    if isinstance(e, E.Name):
-        return f'"{e.name}"' if e.name in enums else e.name
-    if isinstance(e, E.IntLit):
-        return str(e.value)
-    if isinstance(e, E.BoolLit):
-        return "TRUE" if e.value else "FALSE"
-    raise TlaError(f"cannot emit expression {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Module emission
 
@@ -122,6 +79,12 @@ class TlaArtifact(Record):
 
 def _module_name(model: ir.ProtocolModel) -> str:
     return model.name.replace("-", "_")
+
+
+def _call(t: ir.Transition) -> str:
+    """The action's name, applied to its parameters if it has any."""
+    params = ", ".join(p for p, _ in t.params)
+    return f"{t.id}({params})" if params else t.id
 
 
 def _emit_update_conjuncts(t: ir.Transition, inst, enums):
@@ -138,12 +101,11 @@ def _emit_update_conjuncts(t: ir.Transition, inst, enums):
             clauses = []
             for tgt, rhs in entries:
                 keys = "".join(
-                    f"[{emit_expr(k, enums)}]" for k in tgt.keys)
-                clauses.append(f"!{keys} = {emit_expr(rhs, enums)}")
+                    f"[{E.show(k, TLA_SYNTAX, enums)}]" for k in tgt.keys)
+                clauses.append(f"!{keys} = {E.show(rhs, TLA_SYNTAX, enums)}")
             conjuncts.append(f"{var}' = [{var} EXCEPT {', '.join(clauses)}]")
         else:
-            rhs = entries[0][1]
-            text = emit_expr(rhs, enums)
+            text = E.show(entries[0][1], TLA_SYNTAX, enums)
             conjuncts.append(f"{var}' = {text}")
             # bounded-natural cap keeps the TLC state space finite
             cap = inst.caps.get(var)
@@ -153,11 +115,7 @@ def _emit_update_conjuncts(t: ir.Transition, inst, enums):
 
 
 def _emit_action(t: ir.Transition, inst, enums) -> str:
-    head = t.id
-    if t.params:
-        head += "(" + ", ".join(p for p, _ in t.params) + ")"
-    lines = [f"{head} =="]
-    lines.append(f"  /\\ {emit_expr(t.guard, enums)}")
+    lines = [f"{_call(t)} ==", f"  /\\ {E.show(t.guard, TLA_SYNTAX, enums)}"]
     guards, updates, touched = _emit_update_conjuncts(t, inst, enums)
     for g in guards:
         lines.append(f"  /\\ {g}")
@@ -206,19 +164,14 @@ def emit_module(inst: checker.Instance) -> str:
     out.append("Next ==")
     if model.transitions:
         for t in model.transitions:
-            call = t.id
-            prefix = ""
-            if t.params:
-                call += "(" + ", ".join(p for p, _ in t.params) + ")"
-                prefix = " ".join(
-                    f"\\E {p} \\in {dom} :" for p, dom in t.params) + " "
-            out.append(f"  \\/ {prefix}{call}")
+            binders = "".join(f"\\E {p} \\in {dom} : " for p, dom in t.params)
+            out.append(f"  \\/ {binders}{_call(t)}")
     else:
         out.append("  UNCHANGED vars")
     out.append("")
     for p in model.properties:
         out.append(f"{p.id} ==")
-        out.append(f"  {emit_expr(p.invariant, enums)}")
+        out.append(f"  {E.show(p.invariant, TLA_SYNTAX, enums)}")
         out.append("")
     out.append("====")
     return "\n".join(out) + "\n"

@@ -26,7 +26,7 @@ def composition_runs():
     out = {}
     for pattern, a, b, bridge in compose.builtin_compositions():
         composed = compose.compose(a, b, bridge)
-        props = compose.cs_properties(composed, pattern)
+        props = compose.cs_properties(pattern)
         out[pattern] = (composed, props,
                         checker.check_all(composed, props))
     return out

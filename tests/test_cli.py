@@ -376,7 +376,7 @@ def test_error_verdict_exits_2_in_every_command(tmp_path, monkeypatch,
         for pid in ids:
             assert f"sort-mismatch in {pid}: {finding}" in err, argv
     bad = ir.Property("BAD", "P0", "aasm-hardening", E.parse("nosuch = true"))
-    monkeypatch.setattr(compose, "cs_properties", lambda model, pattern: [bad])
+    monkeypatch.setattr(compose, "cs_properties", lambda pattern: [bad])
     assert run_cli("compose", "tool-delegation") == 2
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1

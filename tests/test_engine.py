@@ -78,7 +78,7 @@ def _composition_runs():
     out = {}
     for pattern, a, b, bridge in compose.builtin_compositions():
         composed = compose.compose(a, b, bridge)
-        props = compose.cs_properties(composed, pattern)
+        props = compose.cs_properties(pattern)
         out[pattern] = (composed, props, checker.check_all(composed, props))
     return out
 
@@ -1070,7 +1070,7 @@ def test_federated_delegation_bound_counts(bound, states):
     post-states more than the budget. No transition writes into the
     property's cone, so `check` decides it at the initial state."""
     model = _bundled_model("federated-delegation")
-    prop, = (p for p in compose.cs_properties(model, "federated-delegation")
+    prop, = (p for p in compose.cs_properties("federated-delegation")
              if p.id == "CS_DomainIsolation")
     bounds = replace(checker.DEFAULT_BOUNDS, **bound)
     assert _result(whole_check_all(model, [prop], bounds)[prop.id]) == (

@@ -90,7 +90,7 @@ def test_bundled_slices():
             [a for p in ir.footprints(model) for a in p.reads + p.stores],
             inst.sorts, inst.constants)), model.name
     model = _bundled_model("federated-delegation")
-    prop, = (p for p in compose.cs_properties(model, "federated-delegation")
+    prop, = (p for p in compose.cs_properties("federated-delegation")
              if p.id == "CS_DomainIsolation")
     assert checker._slices(checker.instance(model, checker.DEFAULT_BOUNDS),
                            [prop]) == [frozenset()]

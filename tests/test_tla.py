@@ -31,6 +31,30 @@ def test_p3_operator_body():
             "original_caps[ag1]") in " ".join(module.split())
 
 
+@pytest.mark.parametrize("text, want", [
+    # the left side of => is bare only as a name or literal
+    ("m[k] => q", "(m[k]) => q"),
+    # => is not associative in TLA+: a nested implication on the right
+    # keeps its parentheses
+    ("p => q => r", "p => (q => r)"),
+    ("p => q or r", "p => q \\/ r"),
+    # a junction item is bare only at `not` level or tighter
+    ("p or q and r", "p \\/ (q /\\ r)"),
+    ("p and (q or r)", "p /\\ (q \\/ r)"),
+    ("(exists x in D: p) and q", "(\\E x \\in D : p) /\\ q"),
+    ("not p and q", "~p /\\ q"),
+    ("p or not q", "p \\/ ~q"),
+    ("(p and q) and r", "(p /\\ q) /\\ r"),
+    # the operand of ~ is bare only at term level
+    ("not x = y", "~(x = y)"),
+    ("not m[k]", "~m[k]"),
+    # enum values print as strings
+    ("s = OPEN", 's = "OPEN"'),
+])
+def test_tla_parenthesization(text, want):
+    assert E.show(E.parse(text), tla.TLA_SYNTAX, {"OPEN"}) == want
+
+
 def test_module_structure():
     model = builtin("mcp")
     module = _module(model)
