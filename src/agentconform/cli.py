@@ -169,7 +169,7 @@ def _cmd_emit_tla(args) -> int:
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        stem = model.name.replace("-", "_")
+        stem = tla.module_name(model)
         (outdir / f"{stem}.tla").write_text(artifact.module_text)
         for pid, cfg in artifact.config_texts:
             (outdir / f"{stem}_{pid}.cfg").write_text(cfg)

@@ -22,8 +22,7 @@ transition and `source` in a property.
 A name in a declared list (a `constants` domain's atoms, `ENUM[...]`
 values, transition `params`) is an identifier `[A-Za-z_][A-Za-z0-9_]*`
 and appears once; `COUNTER(n)` and a clause's `precedence` are ASCII
-digits. These rules are checked after the rest of the document has been
-read, so a document with any other error fails with that error.
+digits.
 
 There is one reader, and it makes one pass over the lines. It uses string
 methods and one compiled pattern per construct: the block header, the
@@ -274,18 +273,7 @@ def _check_keys(pairs, what: str, keys=None, repeatable=()):
         seen.add(key)
 
 
-def _late(late, message: str, line: int, col: int):
-    """Reject a declared name or a number. With a list `late` the error is
-    kept there, to be raised once the whole document has been read, so
-    that a document with any other error fails with that error; with None
-    it is raised now."""
-    err = ParseError(message, line, col)
-    if late is None:
-        raise err
-    late.append(err)
-
-
-def _names(text: str, what: str, line: int, col: int, late) -> tuple:
+def _names(text: str, what: str, line: int, col: int) -> tuple:
     """The names of a comma-separated list at this line and column, each
     an identifier and none twice; an empty entry is skipped."""
     names = []
@@ -294,9 +282,10 @@ def _names(text: str, what: str, line: int, col: int, late) -> tuple:
         if name:
             at = col + len(item) - len(item.lstrip())
             if not _is_name(name):
-                _late(late, f"{what}: {name!r} is not an identifier", line, at)
-            elif name in names:
-                _late(late, f"{what}: duplicate name {name!r}", line, at)
+                raise ParseError(f"{what}: {name!r} is not an identifier",
+                                 line, at)
+            if name in names:
+                raise ParseError(f"{what}: duplicate name {name!r}", line, at)
             names.append(name)
         col += len(item) + 1
     return tuple(names)
@@ -310,7 +299,7 @@ _SORT_RE = re.compile(r"COUNTER\(\s*(\d+)\s*\)|ENUM\[(.*)\]"
                       r"|MAP\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*->\s*(.*)\)")
 
 
-def parse_sort(text: str, line: int = 0, col: int = 1, late=None) -> ir.Sort:
+def parse_sort(text: str, line: int = 0, col: int = 1) -> ir.Sort:
     """A sort written at this line (0: unknown) and column."""
     col += len(text) - len(text.lstrip())
     text = text.strip()
@@ -322,17 +311,17 @@ def parse_sort(text: str, line: int = 0, col: int = 1, late=None) -> ir.Sort:
     digits, values, elem, dom, value = m.groups()
     if digits is not None:
         if not digits.isascii():
-            _late(late, f"COUNTER bound {digits!r} is not ASCII digits", line,
-                  col + m.start(1))
+            raise ParseError(f"COUNTER bound {digits!r} is not ASCII digits",
+                             line, col + m.start(1))
         return ir.CounterSort(int(digits))
     if values is not None:
-        values = _names(values, "ENUM", line, col + 5, late)
+        values = _names(values, "ENUM", line, col + 5)
         if not values:
             raise ParseError("empty ENUM", line, col)
         return ir.EnumSort(values)
     if elem is not None:
         return ir.SetSort(elem)
-    return ir.MapSort(dom, parse_sort(value, line, col + m.start(5), late))
+    return ir.MapSort(dom, parse_sort(value, line, col + m.start(5)))
 
 
 def _expr(text: str, line: int, col: int, memo: dict) -> E.Expr:
@@ -391,7 +380,7 @@ def _parse_source_value(value: str, line: int, col: int = 1) -> ir.SourceRef:
                         fields.get("quote", ""))
 
 
-def _parse_params(value: str, line: int, col: int, late: list):
+def _parse_params(value: str, line: int, col: int):
     params, names = [], set()
     for part, at in _split(value, ",", line, col):
         words = part.split()  # NAME in NAME
@@ -400,7 +389,7 @@ def _parse_params(value: str, line: int, col: int, late: list):
             raise ParseError(f"bad parameter {part!r}", line, at)
         name, _, domain = words
         if name in names:
-            _late(late, f"params: duplicate name {name!r}", line, at)
+            raise ParseError(f"params: duplicate name {name!r}", line, at)
         names.add(name)
         params.append((name, domain))
     return tuple(params)
@@ -427,7 +416,7 @@ def parse_updates(value: str, line: int, col: int = 1, memo=None):
     return tuple(updates)
 
 
-def _parse_transition(block: _Block, memo: dict, late: list) -> ir.Transition:
+def _parse_transition(block: _Block, memo: dict) -> ir.Transition:
     kind = actor = ""
     modality = "NOT_SPECIFIED"
     adv = None
@@ -443,7 +432,7 @@ def _parse_transition(block: _Block, memo: dict, late: list) -> ir.Transition:
         elif key == "actor":
             actor = value
         elif key == "params":
-            params = _parse_params(value, line, col, late)
+            params = _parse_params(value, line, col)
         elif key == "guard":
             guard = _expr(value, line, col, memo)
         elif key == "update":
@@ -490,7 +479,7 @@ def _parse_property(block: _Block, memo: dict) -> ir.Property:
     return ir.Property(block.name, principle, cls, invariant, tuple(refs))
 
 
-def _parse_constants(block: _Block, late: list):
+def _parse_constants(block: _Block):
     constants = []
     _check_keys(block.pairs, "constants")
     for key, value, line, col in block.pairs:
@@ -500,7 +489,7 @@ def _parse_constants(block: _Block, late: list):
             raise ParseError(f"constants {key!r}: expected [a, b, ...]",
                              line, col)
         constants.append((key, _names(value[1:-1], f"constants {key!r}",
-                                      line, col + 1, late)))
+                                      line, col + 1)))
     return tuple(constants)
 
 
@@ -518,7 +507,7 @@ def parse_model(text: str, *, origin: str = "<string>") -> ir.ProtocolModel:
     transitions = []
     properties = []
     seen_ids = set()
-    memo, late = {}, []
+    memo = {}
     for block in blocks:
         if block.kind == "var":
             _, decl, line, col = block.pairs[0]
@@ -530,28 +519,26 @@ def parse_model(text: str, *, origin: str = "<string>") -> ir.ProtocolModel:
                 raise ParseError(f"duplicate id {name!r}", line)
             seen_ids.add(name)
             state_vars.append(ir.StateVarDecl(
-                name, parse_sort(m[2], line, col + m.start(2), late),
+                name, parse_sort(m[2], line, col + m.start(2)),
                 parse_init(m[3], line, col + m.start(3), memo)))
         elif block.kind == "transition":
             if block.name in seen_ids:
                 raise ParseError(f"duplicate id {block.name!r}", *block.at())
             seen_ids.add(block.name)
-            transitions.append(_parse_transition(block, memo, late))
+            transitions.append(_parse_transition(block, memo))
         elif block.kind == "property":
             if block.name in seen_ids:
                 raise ParseError(f"duplicate id {block.name!r}", *block.at())
             seen_ids.add(block.name)
             properties.append(_parse_property(block, memo))
         elif block.kind == "constants":
-            constants = _parse_constants(block, late)
+            constants = _parse_constants(block)
         elif block.kind == "aps":
             _check_keys(block.pairs, "aps")
             aps = tuple((k, v) for k, v, *_ in block.pairs)
         else:
             raise ParseError(f"unexpected block {block.kind!r} in model file",
                              *block.at())
-    if late:
-        raise late[0]
     return ir.ProtocolModel(fields["protocol"], fields["snapshot"], constants,
                             tuple(state_vars), tuple(transitions),
                             tuple(properties), aps)
@@ -568,7 +555,7 @@ def load_model(path) -> ir.ProtocolModel:
 def parse_clauses(text: str):
     top, blocks = _read_blocks(text)
     _check_keys(top, "top-level", ())
-    clauses, late = [], []
+    clauses = []
     seen = set()
     for block in blocks:
         if block.kind != "clause":
@@ -602,8 +589,8 @@ def parse_clauses(text: str):
             raise ParseError(f"clause {cid}: precedence {precedence} out of "
                              "range [1,5]", *block.at("precedence"))
         if not (digits.isascii() and digits.isdigit()):
-            _late(late, f"clause {cid}: precedence {digits!r} is not ASCII "
-                  "digits", *block.at("precedence"))
+            raise ParseError(f"clause {cid}: precedence {digits!r} is not "
+                             "ASCII digits", *block.at("precedence"))
         if modality != "NOT_SPECIFIED" and not source.quote:
             raise ParseError(f"clause {cid}: modality {modality} requires a "
                              "verbatim quote", *block.at("modality"))
@@ -611,8 +598,6 @@ def parse_clauses(text: str):
             cid, fields.get("protocol", ""), modality,
             fields.get("actor", ""), fields.get("behavior", ""), source,
             fields.get("ambiguous", "false") == "true", precedence))
-    if late:
-        raise late[0]
     return clauses
 
 

@@ -77,8 +77,10 @@ class TlaArtifact(Record):
     __slots__ = ("module_text", "config_texts")
 
 
-def _module_name(model: ir.ProtocolModel) -> str:
-    return model.name.replace("-", "_")
+def module_name(model: ir.ProtocolModel) -> str:
+    """The model's name with each character outside [A-Za-z0-9_] as `_`:
+    a composed model's `a2a+anp` becomes `a2a_anp`."""
+    return re.sub(r"[^A-Za-z0-9_]", "_", model.name)
 
 
 def _call(t: ir.Transition) -> str:
@@ -132,7 +134,7 @@ def emit_module(inst: checker.Instance) -> str:
     model = inst.model
     enums = _enum_values(model)
     out = []
-    name = _module_name(model)
+    name = module_name(model)
     out.append(f"---- MODULE {name} ----")
     out.append("EXTENDS Naturals, FiniteSets, TLC")
     out.append("")

@@ -42,7 +42,7 @@ def format_tlc_log(model: ir.ProtocolModel, prop: ir.Property,
             if step.binding:
                 label += "(" + ", ".join(a for _, a in step.binding) + ")"
             emit_state(i + 2, f"{label} line 1, col 1 to line 1, col 1 of "
-                       f"module {tla._module_name(model)}", step.post_state)
+                       f"module {tla.module_name(model)}", step.post_state)
     else:
         out.append("Model checking completed. No error has been found.")
     out.append(f"{result.states_explored * 2} states generated, "

@@ -145,6 +145,19 @@ def test_emit_tla_to_dir(tmp_path, capsys):
     assert len(cfgs) == len(builtin("a2a").properties)
 
 
+def test_emit_tla_names_a_composed_module_validly(tmp_path, capsys):
+    """A composed model's name `a2a+anp` is no TLA+ identifier: the module
+    and its file are both named `a2a_anp`."""
+    composed = tmp_path / "composed.ir"
+    assert run_cli("compose", "federated-delegation",
+                   "--model-out", str(composed)) == 1
+    out = tmp_path / "tla"
+    assert run_cli("emit-tla", str(composed), "--out", str(out)) == 0
+    module = (out / "a2a_anp.tla").read_text()
+    assert module.splitlines()[0] == "---- MODULE a2a_anp ----"
+    assert {p.name for p in out.glob("*.tla")} == {"a2a_anp.tla"}
+
+
 def test_parse_tlc_exit_codes(tmp_path, capsys):
     model = builtin("mcp")
     log = tmp_path / "run.log"
@@ -340,6 +353,18 @@ def test_replay_endpoint_rejected(tmp_path, capsys, model, prop, url,
     rc = run_cli("replay", str(cx_path), "--endpoint", url)
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_replay_skips_a_principle_without_an_oracle(tmp_path, capsys):
+    cx_path = tmp_path / "cx.json"
+    assert run_cli("check", "mcp", "--property", "P2_CapabilityAttestation",
+                   "--counterexample-out", str(cx_path)) == 1
+    capsys.readouterr()
+    assert run_cli("replay", str(cx_path), "--profile", "vulnerable") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot replay: no implementation-level "
+                            "oracle for principle P2\n")
 
 
 def test_check_over_model_files(tmp_path, capsys):

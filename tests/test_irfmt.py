@@ -541,19 +541,26 @@ def test_clause_precedence_takes_ascii_digits_only(digits):
     assert irfmt.parse_clauses(text.replace(digits, "03"))[0].precedence == 3
 
 
-def test_other_errors_come_before_name_rejections():
-    """A document the reader rejected before these rules fails with the
-    same error: a name or number the rules reject is reported only once
-    the rest of the document has been read."""
+def test_each_error_is_raised_where_it_is_found():
+    """The reader fails with the first error it reads: a name or number
+    the rules reject is reported where it is found, before any error
+    further down the document."""
     text = (_MODEL_HEAD.replace("[a1, a2]", "[a1, a1]")
             + "var v : COUNTER(٣) init 0\n"
             + "transition T {\n  kind: Protocol  actor: a\n"
-            "  params: s in Sessions, s in Sessions\n  guard: v = = 1\n}\n")
-    with pytest.raises(E.ExprSyntaxError):
-        irfmt.parse_model(text)
-    _rejected_at(irfmt.parse_model, text.replace("= = 1", "= 1"), "a1]",
+            "  params: s in Sessions, s in Agents\n  guard: v = = 1\n}\n")
+    _rejected_at(irfmt.parse_model, text, "a1]",
                  "constants 'Agents': duplicate name 'a1'")
+    text = text.replace("[a1, a1]", "[a1, a2]")
+    _rejected_at(irfmt.parse_model, text, "٣",
+                 "COUNTER bound '٣' is not ASCII digits")
+    text = text.replace("٣", "3")
+    _rejected_at(irfmt.parse_model, text, "s in Agents",
+                 "params: duplicate name 's'")
+    with pytest.raises(E.ExprSyntaxError):
+        irfmt.parse_model(text.replace("s in Agents", "a in Agents"))
     clause = ("clause {\n  id: c1  protocol: p  modality: MAY\n"
               "  precedence: +3\n}\n")
     err = _parse_error(irfmt.parse_clauses, clause)
-    assert "modality MAY requires a verbatim quote" in str(err)
+    assert str(err) == ("clause c1: precedence '+3' is not ASCII digits "
+                        "(line 3, col 15)")

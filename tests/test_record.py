@@ -14,7 +14,7 @@ from agentconform import (builtins, catalog, checker, compose, ir, report,
                           tla)
 from agentconform import expr as E
 from agentconform.record import Record, replace
-from agentconform.replay import adapter_table, generate_tests, run
+from agentconform.replay import generate_tests, run
 
 SRC = Path(agentconform.__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -63,7 +63,7 @@ def samples(bundled_run):
         report.CellInput("mcp", "P8", result, prop),
         tla.emit_artifact(model), tla.parse_tlc_output(log),
         compose.builtin_compositions(), catalog.TEMPLATES,
-        adapter_table("mcp"), tests, run(tests[0], "vulnerable"),
+        tests, run(tests[0], "vulnerable"),
         E.parse("not (p or q)"),
     ]
     found = {}

@@ -12,8 +12,7 @@ import pytest
 
 from agentconform import checker
 from agentconform.builtins import builtin
-from agentconform.replay import (ReplayError, adapter_table, generate_tests,
-                                 run)
+from agentconform.replay import ReplayError, generate_tests, harness, run
 from agentconform.replay.mocks import A2aMock, _A2aHandler
 
 
@@ -33,11 +32,29 @@ def generated():
     return generate_tests(_all_counterexamples())
 
 
-def test_adapter_tables():
-    assert adapter_table("mcp").protocol == "mcp"
-    assert adapter_table("a2a").protocol == "a2a"
-    with pytest.raises(ReplayError):
-        adapter_table("anp")
+def test_runner_actions_are_the_non_environment_transitions():
+    """Each runner maps exactly the transitions of its bundled model that
+    are not of kind Environment; anp has no runner."""
+    runners = harness._RUNNERS
+    assert sorted(runners) == ["a2a", "mcp"]
+    for name, runner in runners.items():
+        wire = {t.id for t in builtin(name).transitions
+                if t.kind != "Environment"}
+        assert set(runner.ACTIONS) == wire, name
+    assert (len(runners["mcp"].ACTIONS), len(runners["a2a"].ACTIONS)) == \
+        (7, 6)
+
+
+def test_environment_step_is_recorded_as_internal():
+    """An Environment step sends nothing to the endpoint: the transcript
+    records it as internal, and the oracle still judges the run."""
+    test = harness.TestCase("mcp-P6-hand", "mcp", "P6",
+                            (("OpenSession", ()), ("SuspendRequest", ())))
+    vuln, hard = run(test, "vulnerable"), run(test, "hardened")
+    assert vuln.transcript[1] == {"step": 1, "action": "SuspendRequest",
+                                  "request": "internal", "response": {}}
+    assert hard.transcript[1] == vuln.transcript[1]
+    assert (vuln.outcome, hard.outcome) == ("VIOLATED", "UPHELD")
 
 
 def test_generation_covers_oracle_principles(generated):

@@ -319,11 +319,10 @@ def emission_hashes():
 
 
 def test_emitted_bytes_match_golden():
-    """`tests/golden/emission.json` was last written when the bridges of
-    tool-delegation, chained-servers and tool-capability dropped the
-    binders their guards never read, which changed only those three
-    compositions' entries; regenerate it only for a deliberate output
-    change:
+    """`tests/golden/emission.json` was last written when composed models
+    got valid module names (`a2a+anp` became `a2a_anp`), which changed
+    only the five compositions' `tla` entries; regenerate it only for a
+    deliberate output change:
 
         PYTHONPATH=src python tests/test_tla.py
     """
